@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import instancefile, linalg
+from . import instancefile
 from .errors import (
     EndpointInSpectrumError,
     IllPosedIntervalError,
@@ -22,7 +22,7 @@ from .errors import (
     PontgapError,
 )
 from .gen import GenConfig, builtin_fixtures, random_pair, random_space
-from .indefinite import IndefiniteSpace, subspace_inertia, validate_space
+from .indefinite import IndefiniteSpace, validate_space
 from .instancefile import (
     SCHEMA_VERSION,
     InstanceRecord,
@@ -39,10 +39,10 @@ from .instancefile import (
 from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair, make_pair
 from .spectral import (
-    ENDPOINT_GUARD_SCALE,
     Interval,
     JSelfadjointOperator,
-    gap_subspace,
+    endpoint_guard,
+    gap_inertia,
     spectrum,
     validate_operator,
 )
@@ -122,19 +122,13 @@ def _effective_intervals(record: InstanceRecord, args) -> tuple[Interval, ...]:
 # analyze
 
 
-def _interval_section(space, ops: dict, interval: Interval, tol: Tolerance) -> dict:
-    eig, sig, inertia = {}, {}, {}
-    for label, op in ops.items():
-        sub = gap_subspace(op, interval, tol)
-        found = subspace_inertia(space, sub, tol)
-        eig[label] = sub.dim
-        sig[label] = found.sig
-        inertia[label] = instancefile.inertia_node(found)
+def _interval_section(ops: dict, interval: Interval, tol: Tolerance) -> dict:
+    found = {label: gap_inertia(op, interval, tol) for label, op in ops.items()}
     return {
         "interval": interval_node(interval),
-        "eig": eig,
-        "sig": sig,
-        "inertia": inertia,
+        "eig": {label: x.dim for label, x in found.items()},
+        "sig": {label: x.sig for label, x in found.items()},
+        "inertia": {label: instancefile.inertia_node(x) for label, x in found.items()},
     }
 
 
@@ -153,7 +147,7 @@ def cmd_analyze(args) -> int:
             label: spectrum_node(spectrum(op, tol)) for label, op in ops.items()
         },
         "intervals": [
-            _interval_section(space, ops, interval, tol)
+            _interval_section(ops, interval, tol)
             for interval in _effective_intervals(record, args)
         ],
     }
@@ -184,15 +178,6 @@ def _report_expectations(expected: dict, report: GapReport) -> dict:
     }
 
 
-def _bounds_hold(report: GapReport) -> bool:
-    return (
-        report.sig_bound_holds
-        and report.eig_bound_holds
-        and report.equal_kappa_bound_holds
-        and report.min_kappa_bound_holds
-    )
-
-
 def cmd_verify(args) -> int:
     tol = _tolerance(args)
     record = _load_record(args.path)
@@ -207,17 +192,11 @@ def cmd_verify(args) -> int:
         report = verify_main_theorem(pair, interval, tol)
         reports.append(report)
         node = gap_report_node(report)
-        all_ok = all_ok and _bounds_hold(report)
+        all_ok = all_ok and report.all_hold
         if args.witness:
             witness = proof_witness(pair, interval, tol)
             node["witness"] = witness_report_node(witness)
-            all_ok = all_ok and (
-                witness.q1_injective_on_k
-                and witness.lower_bound_ok
-                and witness.upper_bound_ok
-                and witness.chain_holds
-                and witness.sig_chain_holds
-            )
+            all_ok = all_ok and witness.all_hold
         nodes.append(node)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -263,10 +242,7 @@ def _sweep_intervals(pair: OperatorPair, tol: Tolerance) -> list[Interval]:
     """Full line plus the cuts between well-separated joint eigenvalues."""
     values1 = spectrum(pair.op1, tol).values()
     values2 = spectrum(pair.op2, tol).values()
-    margin = _SWEEP_MARGIN_FACTOR * max(
-        ENDPOINT_GUARD_SCALE * max(1.0, linalg.frob(pair.op1.matrix)),
-        ENDPOINT_GUARD_SCALE * max(1.0, linalg.frob(pair.op2.matrix)),
-    )
+    margin = _SWEEP_MARGIN_FACTOR * max(map(endpoint_guard, (pair.op1, pair.op2)))
     reals = sorted(
         v.real for v in values1 + values2 if v.imag == 0.0
     )
@@ -320,30 +296,26 @@ def cmd_sweep(args) -> int:
                     instances += 1
                     for interval in _sweep_intervals(pair, tol):
                         report = verify_main_theorem(pair, interval, tol)
-                        rows.append(
-                            ",".join(
-                                [
-                                    str(d),
-                                    str(space.kappa_plus),
-                                    str(space.kappa_minus),
-                                    str(pair.n),
-                                    _csv_endpoint(interval.lower),
-                                    _csv_endpoint(interval.upper),
-                                    str(report.eig1),
-                                    str(report.eig2),
-                                    str(report.sig1),
-                                    str(report.sig2),
-                                    str(report.slack),
-                                ]
-                            )
+                        fields = (
+                            d, space.kappa_plus, space.kappa_minus, pair.n,
+                            _csv_endpoint(interval.lower),
+                            _csv_endpoint(interval.upper),
+                            report.eig1, report.eig2, report.sig1, report.sig2,
+                            report.slack,
                         )
+                        rows.append(",".join(map(str, fields)))
                         cell = cells.setdefault(
                             (kappa, rank), {"min_slack": None, "rows": 0}
                         )
                         cell["rows"] += 1
                         if cell["min_slack"] is None or report.slack < cell["min_slack"]:
                             cell["min_slack"] = report.slack
-                        if not _bounds_hold(report):
+                            cell["attained_at"] = {
+                                "d": d,
+                                "seed": cfg.seed,
+                                **interval_node(interval),
+                            }
+                        if not report.all_hold:
                             violations.append((cfg, pair, interval, report))
     csv_text = "\n".join(rows) + "\n"
     Path(args.out).write_text(csv_text)
@@ -369,12 +341,7 @@ def cmd_sweep(args) -> int:
         "rows": len(rows) - 1,
         "violations": len(violations),
         "cells": [
-            {
-                "kappa": kappa,
-                "n": rank,
-                "min_slack": cell["min_slack"],
-                "rows": cell["rows"],
-            }
+            {"kappa": kappa, "n": rank, **cell}
             for (kappa, rank), cell in sorted(cells.items())
         ],
     }
@@ -412,13 +379,10 @@ def cmd_examples(args) -> int:
         fixture = fixtures[name]
         report = verify_main_theorem(fixture.pair, fixture.interval)
         mismatches = _report_expectations(fixture.expected, report)
-        for key in sorted(fixture.expected):
-            computed = fixture.expected[key] if key not in mismatches else (
-                mismatches[key]["computed"]
-            )
+        for key, want in sorted(fixture.expected.items()):
+            got = mismatches.get(key, {"computed": want})["computed"]
             status = "MISMATCH" if key in mismatches else "ok"
-            print(f"{name} {key}: expected {fixture.expected[key]} "
-                  f"computed {computed} {status}")
+            print(f"{name} {key}: expected {want} computed {got} {status}")
         all_match = all_match and not mismatches
     return EXIT_OK if all_match else EXIT_EXPECTATION_MISMATCH
 

@@ -25,7 +25,7 @@ from . import linalg
 from .errors import InertiaMismatchError, PreconditionError
 from .indefinite import INERTIA_ZERO_SCALE, Inertia, Subspace, inertia_of_hermitian
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import ENDPOINT_GUARD_SCALE, JSelfadjointOperator, spectrum
+from .spectral import JSelfadjointOperator, endpoint_guard, spectrum
 
 __all__ = [
     "GapForm",
@@ -93,27 +93,21 @@ def build_gap_form(
     return GapForm(a=a, b=b, matrix=0.5 * (g + g.conj().T))
 
 
-def _segment_distance(value: complex, a: float, b: float) -> float:
-    """Distance from a point of C to the real segment [a, b]."""
-    x = min(max(value.real, a), b)
-    return abs(value - x)
-
-
-def _margin(op) -> float:
-    return ENDPOINT_GUARD_SCALE * max(1.0, linalg.frob(op.matrix))
-
-
-def _split_by_sign(form: GapForm, tol):
+def _signed_eigenspaces(op, form: GapForm, expected, reason: str, tol):
+    """Inertia of the form, which must be ``expected``, and its negative
+    and positive eigenspaces."""
     w, v = linalg.hermitian_eigen(form.matrix, tol)
     band = INERTIA_ZERO_SCALE * max(1.0, linalg.frob(form.matrix))
-    inertia = Inertia(
-        plus=int(np.sum(w > band)),
-        minus=int(np.sum(w < -band)),
-        zero=int(np.sum(np.abs(w) <= band)),
-    )
-    d = form.matrix.shape[0]
-    negative = Subspace(d, v[:, w < -band])
-    positive = Subspace(d, v[:, w > band])
+    inertia = Inertia.of_eigenvalues(w, band)
+    if (inertia.plus, inertia.minus, inertia.zero) != expected:
+        raise InertiaMismatchError(
+            f"gap form inertia {(inertia.plus, inertia.minus, inertia.zero)} "
+            f"differs from {expected} forced by {reason}",
+            inertia=inertia,
+        )
+    # eigenvalues ascend: negative columns first, positive ones last
+    negative = Subspace(op.dim, v[:, : inertia.minus])
+    positive = Subspace(op.dim, v[:, inertia.minus + inertia.zero :])
     return inertia, negative, positive
 
 
@@ -128,30 +122,19 @@ def decompose_resolvent_gap(
     has dimension kappa and ``m_plus`` fills the rest.
     """
     form = build_gap_form(op, a, b, tol)
-    margin = _margin(op)
     for entry in spectrum(op, tol).entries:
-        dist = _segment_distance(entry.value, form.a, form.b)
-        if dist <= margin:
+        # distance from the eigenvalue to the real segment [a, b]
+        dist = abs(entry.value - min(max(entry.value.real, form.a), form.b))
+        if dist <= endpoint_guard(op):
             raise PreconditionError(
-                f"eigenvalue {entry.value} is within {dist:.3e} of [{form.a}, {form.b}]; "
-                "the segment must lie in the resolvent set"
+                f"eigenvalue {entry.value} is within {dist:.3e} of "
+                f"[{form.a}, {form.b}]; the segment must lie in the resolvent set"
             )
-    inertia, negative, positive = _split_by_sign(form, tol)
     kappa = op.space.kappa_minus
-    expected = (op.dim - kappa, kappa, 0)
-    if (inertia.plus, inertia.minus, inertia.zero) != expected:
-        raise InertiaMismatchError(
-            f"gap form inertia {(inertia.plus, inertia.minus, inertia.zero)} "
-            f"differs from {expected} forced by a resolvent gap",
-            inertia=inertia,
-        )
-    return GapDecomposition(
-        case=GapCase.RESOLVENT_GAP,
-        form=form,
-        inertia=inertia,
-        m_minus=negative,
-        m_plus=positive,
+    inertia, negative, positive = _signed_eigenspaces(
+        op, form, (op.dim - kappa, kappa, 0), "a resolvent gap", tol
     )
+    return GapDecomposition(GapCase.RESOLVENT_GAP, form, inertia, negative, positive)
 
 
 def decompose_spectrum_inside(
@@ -164,33 +147,22 @@ def decompose_spectrum_inside(
     ``m_plus`` negative ones, mirroring the resolvent-gap case.
     """
     form = build_gap_form(op, a, b, tol)
-    margin = _margin(op)
+    margin = endpoint_guard(op)
     for entry in spectrum(op, tol).entries:
         if not entry.is_real:
             raise PreconditionError(
                 f"spectrum must be real, found eigenvalue {entry.value}"
             )
-        x = entry.value.real
-        if not (form.a + margin < x < form.b - margin):
+        if not (form.a + margin < entry.value.real < form.b - margin):
             raise PreconditionError(
-                f"eigenvalue {x} is not inside ({form.a}, {form.b}) with margin"
+                f"eigenvalue {entry.value.real} is not inside "
+                f"({form.a}, {form.b}) with margin"
             )
-    inertia, negative, positive = _split_by_sign(form, tol)
     kappa = op.space.kappa_minus
-    expected = (kappa, op.dim - kappa, 0)
-    if (inertia.plus, inertia.minus, inertia.zero) != expected:
-        raise InertiaMismatchError(
-            f"gap form inertia {(inertia.plus, inertia.minus, inertia.zero)} "
-            f"differs from {expected} forced by an interior spectrum",
-            inertia=inertia,
-        )
-    return GapDecomposition(
-        case=GapCase.SPECTRUM_INSIDE,
-        form=form,
-        inertia=inertia,
-        m_minus=positive,
-        m_plus=negative,
+    inertia, negative, positive = _signed_eigenspaces(
+        op, form, (kappa, op.dim - kappa, 0), "an interior spectrum", tol
     )
+    return GapDecomposition(GapCase.SPECTRUM_INSIDE, form, inertia, positive, negative)
 
 
 def hilbert_gap_check(t, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> GapLocation:

@@ -115,11 +115,8 @@ def _margins_ok(matrix: np.ndarray, min_gap: float) -> bool:
         im = abs(v.imag)
         if im > 0.1 * REALNESS_SCALE * max(1.0, abs(v)) and im < min_gap:
             return False
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) < min_gap:
-                return False
-    return True
+    gaps = np.abs(values[:, None] - values[None, :])[np.triu_indices(len(values), 1)]
+    return not np.any(gaps < min_gap)
 
 
 def random_space(
@@ -177,12 +174,8 @@ def random_pair(
         signs = np.array([rng.sign() for _ in range(n)], dtype=float)
         p = (v * signs) @ v.conj().T
         a2 = op1.matrix + linalg.solve(space.gram, 0.5 * (p + p.conj().T), tol)
-        if linalg.rank_tol(op1.matrix - a2, tol) != n:
-            continue
-        if not _margins_ok(a2, cfg.gap):
-            continue
-        op2 = validate_operator(space, a2, tol)
-        return make_pair(op1, op2, tol)
+        if linalg.rank_tol(op1.matrix - a2, tol) == n and _margins_ok(a2, cfg.gap):
+            return make_pair(op1, validate_operator(space, a2, tol), tol)
     raise ResampleBudgetError(
         f"no rank-{n} perturbation with margins {cfg.gap} in {RESAMPLE_BUDGET} draws"
     )

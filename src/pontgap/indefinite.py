@@ -56,6 +56,20 @@ class Inertia:
         if min(self.plus, self.minus, self.zero) < 0:
             raise ValidationError("inertia components must be non-negative")
 
+    @classmethod
+    def of_eigenvalues(cls, w, zero_band: float) -> "Inertia":
+        """Counts of ``w`` above ``zero_band``, below ``-zero_band`` and between."""
+        return cls(
+            plus=int(np.sum(w > zero_band)),
+            minus=int(np.sum(w < -zero_band)),
+            zero=int(np.sum(np.abs(w) <= zero_band)),
+        )
+
+    def __add__(self, other: "Inertia") -> "Inertia":
+        return Inertia(
+            self.plus + other.plus, self.minus + other.minus, self.zero + other.zero
+        )
+
     @property
     def dim(self) -> int:
         return self.plus + self.minus + self.zero
@@ -157,31 +171,25 @@ def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
     """
     j = linalg.as_complex_matrix(gram, square=True)
     w, _ = linalg.hermitian_eigen(j, tol)
-    band = INERTIA_ZERO_SCALE * max(1.0, linalg.frob(j))
-    smallest = float(np.min(np.abs(w))) if w.size else 0.0
-    if j.shape[0] and smallest <= band:
+    inertia = Inertia.of_eigenvalues(w, INERTIA_ZERO_SCALE * max(1.0, linalg.frob(j)))
+    if inertia.zero:
+        smallest = float(np.min(np.abs(w)))
         raise SingularMatrixError(
             f"gram matrix is singular to tolerance (|eig|_min = {smallest:.3e})",
             smallest_singular_value=smallest,
         )
-    plus = int(np.sum(w > band))
-    minus = int(np.sum(w < -band))
     return IndefiniteSpace(
         dim=j.shape[0],
         gram=0.5 * (j + j.conj().T),
-        kappa_plus=plus,
-        kappa_minus=minus,
+        kappa_plus=inertia.plus,
+        kappa_minus=inertia.minus,
     )
 
 
 def inertia_of_hermitian(h, zero_band: float, tol: Tolerance = DEFAULT_TOL) -> Inertia:
     """Inertia of a Hermitian matrix with an explicit zero band."""
     w, _ = linalg.hermitian_eigen(h, tol)
-    return Inertia(
-        plus=int(np.sum(w > zero_band)),
-        minus=int(np.sum(w < -zero_band)),
-        zero=int(np.sum(np.abs(w) <= zero_band)),
-    )
+    return Inertia.of_eigenvalues(w, zero_band)
 
 
 def _check_ambient(space_dim: int, sub: Subspace):
@@ -191,20 +199,23 @@ def _check_ambient(space_dim: int, sub: Subspace):
         )
 
 
-def subspace_inertia(
-    space: IndefiniteSpace, sub: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> Inertia:
-    """Inertia of the Gram form compressed to ``sub``.
+def _compressed_gram(space: IndefiniteSpace, sub: Subspace):
+    """Symmetrized ``B^* J B`` for the orthonormal basis B, and its zero band.
 
-    The compressed form is ``B^* J B`` for the orthonormal basis B; the
-    zero band scales with the ambient ``||J||_F``, not the compressed
+    The band scales with the ambient ``||J||_F``, not the compressed
     norm, so neutral subspaces report their zeros.
     """
     _check_ambient(space.dim, sub)
-    b = sub.basis
-    g = b.conj().T @ (space.gram @ b)
+    g = sub.basis.conj().T @ (space.gram @ sub.basis)
     band = INERTIA_ZERO_SCALE * max(1.0, linalg.frob(space.gram))
-    return inertia_of_hermitian(0.5 * (g + g.conj().T), band, tol)
+    return 0.5 * (g + g.conj().T), band
+
+
+def subspace_inertia(
+    space: IndefiniteSpace, sub: Subspace, tol: Tolerance = DEFAULT_TOL
+) -> Inertia:
+    """Inertia of the Gram form compressed to ``sub``."""
+    return inertia_of_hermitian(*_compressed_gram(space, sub), tol)
 
 
 def signature(
@@ -225,12 +236,12 @@ def isotropic_part(
     _check_ambient(space.dim, sub)
     if sub.dim == 0:
         return Subspace.zero(space.dim)
-    b = sub.basis
-    g = b.conj().T @ (space.gram @ b)
-    band = INERTIA_ZERO_SCALE * max(1.0, linalg.frob(space.gram))
-    w, v = linalg.hermitian_eigen(0.5 * (g + g.conj().T), tol)
-    kernel = v[:, np.abs(w) <= band]
-    return Subspace(space.dim, b @ kernel)
+    g, band = _compressed_gram(space, sub)
+    w, v = linalg.hermitian_eigen(g, tol)
+    inertia = Inertia.of_eigenvalues(w, band)
+    # eigenvalues ascend: negative columns first, then the zero band
+    kernel = v[:, inertia.minus : inertia.minus + inertia.zero]
+    return Subspace(space.dim, sub.basis @ kernel)
 
 
 def sum_subspaces(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

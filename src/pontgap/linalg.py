@@ -29,6 +29,7 @@ __all__ = [
     "clustering_threshold",
     "hermitian_eigen",
     "complex_eigen",
+    "eigenvectors",
     "rank_tol",
     "null_space",
     "solve",
@@ -153,6 +154,17 @@ def complex_eigen(m, tol: Tolerance = DEFAULT_TOL) -> list[tuple[complex, int]]:
         clusters = out
     clusters.sort(key=lambda vc: (vc[0].real, vc[0].imag))
     return [(complex(v), int(c)) for v, c in clusters]
+
+
+def eigenvectors(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit eigenvector columns of a general complex matrix.
+
+    Its eigenvalues can differ from :func:`complex_eigen`'s in the last bits.
+    """
+    try:
+        return np.linalg.eig(as_complex_matrix(m, square=True))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigenvector iteration failed: {exc}") from exc
 
 
 def _singular_values(m) -> np.ndarray:

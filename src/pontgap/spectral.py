@@ -5,8 +5,13 @@ Hermitian.  Its spectrum is closed under conjugation; eigenvalue counts
 over an open real interval are taken with algebraic multiplicity, via
 the dimension of the corresponding sum of root subspaces.
 
-Spectral data is memoized per operator instance behind a lock; the
-memo is purely an optimization and never changes any result.
+Each operator memoizes per tolerance, behind a lock, its clustered
+spectrum (one ``eigvals`` call) and a spectral table: a root basis per
+eigenvalue and, per real eigenvalue, the inertia of the Gram form on
+it.  The table costs one ``eig`` call of its own, for the eigenvectors.
+Window counts are sums of table rows, checked once per operator (see
+:func:`gap_inertia`); an operator whose spectrum is all its callers read
+never builds the table.  The memo never changes any result.
 """
 
 from __future__ import annotations
@@ -28,7 +33,13 @@ from .errors import (
     SingularMatrixError,
     SpectrumSymmetryError,
 )
-from .indefinite import IndefiniteSpace, Subspace, validate_space
+from .indefinite import (
+    IndefiniteSpace,
+    Inertia,
+    Subspace,
+    subspace_inertia,
+    validate_space,
+)
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -39,8 +50,10 @@ __all__ = [
     "validate_operator",
     "spectrum",
     "root_subspace",
+    "endpoint_guard",
     "gap_subspace",
     "complement_subspace",
+    "gap_inertia",
     "eig_count",
     "gap_signature",
     "spectral_projection",
@@ -111,15 +124,8 @@ class Spectrum:
 
     entries: tuple[Eigenvalue, ...]
 
-    @property
-    def dim(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
     def values(self) -> list[complex]:
         return [e.value for e in self.entries]
-
-    def real_entries(self) -> list[Eigenvalue]:
-        return [e for e in self.entries if e.is_real]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +138,14 @@ class JSelfadjointOperator:
 
     space: IndefiniteSpace
     matrix: np.ndarray = field(repr=False)
+    #: ``max(1, ||A||_F)``, the unit of the spectral bands
+    scale: float = field(init=False, repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+        object.__setattr__(self, "scale", max(1.0, linalg.frob(self.matrix)))
 
     @property
     def dim(self) -> int:
@@ -214,8 +223,7 @@ def spectrum(op: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL) -> Spectrum
 
     def build():
         clusters = linalg.complex_eigen(op.matrix, tol)
-        scale = max(1.0, linalg.frob(op.matrix))
-        symmetrized = _pair_conjugates(clusters, scale)
+        symmetrized = _pair_conjugates(clusters, op.scale)
         entries = tuple(
             Eigenvalue(value=v, multiplicity=m)
             for v, m in sorted(symmetrized, key=lambda vm: (vm[0].real, vm[0].imag))
@@ -225,37 +233,35 @@ def spectrum(op: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL) -> Spectrum
     return op._cached(("spectrum", tol.rel, tol.abs), build)
 
 
-def _match_entry(op, value, tol):
-    spec = spectrum(op, tol)
-    if not spec.entries:
-        raise NotAnEigenvalueError("operator has an empty spectrum")
-    value = complex(value)
-    dists = [abs(e.value - value) for e in spec.entries]
-    idx = int(np.argmin(dists))
-    if dists[idx] > linalg.clustering_threshold(op.matrix):
-        raise NotAnEigenvalueError(
-            f"{value} is not within clustering distance of any eigenvalue "
-            f"(closest: {spec.entries[idx].value})"
-        )
-    return spec, idx
+def endpoint_guard(op: JSelfadjointOperator) -> float:
+    """Half-width of the band around an endpoint where counting is ill-posed."""
+    return ENDPOINT_GUARD_SCALE * op.scale
 
 
-def _root_basis(op, idx, tol):
-    spec = spectrum(op, tol)
-    entry = spec.entries[idx]
-    d = op.dim
-    m_shift = op.matrix - entry.value * np.eye(d, dtype=complex)
-    eta = min(ROOT_NULLITY_SCALE * max(1.0, linalg.frob(op.matrix)), 0.1)
-    kernel_tol = replace(tol, abs=eta)
-    basis = linalg.null_space(m_shift, kernel_tol)
-    for _ in range(d):
-        if basis.shape[1] >= d:
-            break
-        lifted = (np.eye(d, dtype=complex) - basis @ basis.conj().T) @ m_shift
-        grown = linalg.null_space(lifted, kernel_tol)
-        if grown.shape[1] <= basis.shape[1]:
-            break
-        basis = grown
+@dataclass(frozen=True)
+class _SpectralTable:
+    """Per spectrum entry: orthonormal root basis and, if the entry is real,
+    its compressed-Gram inertia.  All bases are built at once, so a defective
+    root basis at any entry fails every count of the operator."""
+
+    bases: tuple[np.ndarray, ...]
+    inertias: tuple[Inertia | None, ...]
+
+
+def _root_basis(op, entry: Eigenvalue, vectors, tol):
+    """Span of the eigenvectors; at a defective eigenvalue, grown one power
+    of ``A - lambda I`` at a time through re-orthonormalized kernels."""
+    basis = linalg.orthonormal_columns(vectors, tol)
+    if basis.shape[1] < entry.multiplicity:
+        eye = np.eye(op.dim, dtype=complex)
+        m_shift = op.matrix - entry.value * eye
+        kernel_tol = replace(tol, abs=min(ROOT_NULLITY_SCALE * op.scale, 0.1))
+        while basis.shape[1] < entry.multiplicity:
+            lifted = (eye - basis @ basis.conj().T) @ m_shift
+            grown = linalg.null_space(lifted, kernel_tol)
+            if grown.shape[1] <= basis.shape[1]:
+                break
+            basis = grown
     if basis.shape[1] != entry.multiplicity:
         raise NumericalDefectError(
             f"root subspace of {entry.value} has dimension {basis.shape[1]}, "
@@ -264,19 +270,48 @@ def _root_basis(op, idx, tol):
     return basis
 
 
+def _table(op: JSelfadjointOperator, tol: Tolerance) -> _SpectralTable:
+    def build():
+        entries = spectrum(op, tol).entries
+        # each eigenvector joins the entry nearest its own eigenvalue
+        raw, vectors = linalg.eigenvectors(op.matrix)
+        distances = np.abs(raw[:, None] - np.array([e.value for e in entries]))
+        nearest = distances.argmin(axis=1) if entries else []
+        bases = tuple(
+            _root_basis(op, entry, vectors[:, nearest == i], tol)
+            for i, entry in enumerate(entries)
+        )
+        inertias = tuple(
+            subspace_inertia(op.space, Subspace(op.dim, basis), tol)
+            if entry.is_real else None
+            for entry, basis in zip(entries, bases)
+        )
+        return _SpectralTable(bases, inertias)
+
+    return op._cached(("table", tol.rel, tol.abs), build)
+
+
 def root_subspace(
     op: JSelfadjointOperator, value, tol: Tolerance = DEFAULT_TOL
 ) -> Subspace:
-    """Root subspace of the eigenvalue nearest ``value``.
+    """Root subspace of the eigenvalue nearest ``value``, from the spectral table.
 
-    Grows ``ker (A - lambda I)^k`` one power at a time, representing
-    each power through re-orthonormalized kernels instead of explicit
-    matrix powers, until the nullity stops increasing (at most d
-    steps).  The result has the eigenvalue's algebraic multiplicity.
+    That is the span of the eigenvalue's eigenvectors, grown through
+    ``ker (A - lambda I)^k`` where the eigenvalue is defective; its
+    dimension is the eigenvalue's algebraic multiplicity.
     """
-    _, idx = _match_entry(op, value, tol)
-    basis = op._cached(("root", tol.rel, tol.abs, idx), lambda: _root_basis(op, idx, tol))
-    return Subspace(op.dim, basis)
+    entries = spectrum(op, tol).entries
+    if not entries:
+        raise NotAnEigenvalueError("operator has an empty spectrum")
+    value = complex(value)
+    dists = [abs(e.value - value) for e in entries]
+    idx = int(np.argmin(dists))
+    if dists[idx] > linalg.clustering_threshold(op.matrix):
+        raise NotAnEigenvalueError(
+            f"{value} is not within clustering distance of any eigenvalue "
+            f"(closest: {entries[idx].value})"
+        )
+    return Subspace(op.dim, _table(op, tol).bases[idx])
 
 
 def _selection(op, interval: Interval, tol):
@@ -287,9 +322,8 @@ def _selection(op, interval: Interval, tol):
     machine resolution is treated as sitting on it (hence outside).
     """
     spec = spectrum(op, tol)
-    scale = max(1.0, linalg.frob(op.matrix))
-    guard = ENDPOINT_GUARD_SCALE * scale
-    exact = ENDPOINT_EXACT_SCALE * scale
+    guard = endpoint_guard(op)
+    exact = ENDPOINT_EXACT_SCALE * op.scale
     included = []
     for idx, entry in enumerate(spec.entries):
         on_endpoint = False
@@ -312,27 +346,18 @@ def _selection(op, interval: Interval, tol):
     return spec, tuple(included)
 
 
-def _union_basis(op, indices, tol):
+def _union_basis(op, indices, tol) -> np.ndarray:
+    """Orthonormal basis of the sum of the listed entries' root subspaces."""
     if not indices:
         return np.zeros((op.dim, 0), dtype=complex)
-
-    def build():
-        spec = spectrum(op, tol)
-        blocks = [_cached_root(op, i, tol) for i in indices]
-        stacked = np.hstack(blocks)
-        basis = linalg.orthonormal_columns(stacked, tol)
-        want = sum(spec.entries[i].multiplicity for i in indices)
-        if basis.shape[1] != want:
-            raise NumericalDefectError(
-                f"root-subspace union has rank {basis.shape[1]}, expected {want}"
-            )
-        return basis
-
-    return op._cached(("union", tol.rel, tol.abs, frozenset(indices)), build)
-
-
-def _cached_root(op, idx, tol):
-    return op._cached(("root", tol.rel, tol.abs, idx), lambda: _root_basis(op, idx, tol))
+    blocks = [_table(op, tol).bases[i] for i in indices]
+    basis = linalg.orthonormal_columns(np.hstack(blocks), tol)
+    want = sum(block.shape[1] for block in blocks)
+    if basis.shape[1] != want:
+        raise NumericalDefectError(
+            f"root-subspace union has rank {basis.shape[1]}, expected {want}"
+        )
+    return basis
 
 
 def gap_subspace(
@@ -352,20 +377,51 @@ def complement_subspace(
     return Subspace(op.dim, _union_basis(op, excluded, tol))
 
 
+def _row_sum(op, included, tol) -> Inertia:
+    inertias = _table(op, tol).inertias
+    return sum((inertias[i] for i in included), Inertia(0, 0, 0))
+
+
+def _rows_add_up(op, tol) -> bool:
+    """Whether the real rows sum to the inertia of their stacked union.  If
+    that union has full rank, so has every window's: a subset of its
+    columns cannot have a smaller least singular value."""
+    whole = Interval(-math.inf, math.inf)
+    rows = _row_sum(op, _selection(op, whole, tol)[1], tol)
+    try:
+        return rows == subspace_inertia(op.space, gap_subspace(op, whole, tol), tol)
+    except NumericalDefectError:
+        return False
+
+
+def gap_inertia(
+    op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
+) -> Inertia:
+    """Inertia of the Gram form on the gap subspace.
+
+    Root subspaces of distinct real eigenvalues are J-orthogonal, so by
+    Sylvester's law it is a sum of table rows.  That is checked once per
+    operator on the whole real line; where the check fails, each
+    window's union is stacked and counted instead.
+    """
+    _, included = _selection(op, interval, tol)
+    if op._cached(("additive", tol.rel, tol.abs), lambda: _rows_add_up(op, tol)):
+        return _row_sum(op, included, tol)
+    return subspace_inertia(op.space, gap_subspace(op, interval, tol), tol)
+
+
 def eig_count(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> int:
     """Number of eigenvalues in the open interval, with multiplicity."""
-    return gap_subspace(op, interval, tol).dim
+    return gap_inertia(op, interval, tol).dim
 
 
 def gap_signature(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> int:
     """Signature of the Gram form on the interval's gap subspace."""
-    from .indefinite import signature
-
-    return signature(op.space, gap_subspace(op, interval, tol), tol)
+    return gap_inertia(op, interval, tol).sig
 
 
 def spectral_projection(
@@ -378,10 +434,8 @@ def spectral_projection(
     root subspaces.  Requires both finite endpoints to be away from
     the spectrum (enforced by the endpoint guard).
     """
-    spec, included = _selection(op, interval, tol)
-    excluded = tuple(i for i in range(len(spec.entries)) if i not in included)
-    b_in = _union_basis(op, included, tol)
-    b_out = _union_basis(op, excluded, tol)
+    b_in = gap_subspace(op, interval, tol).basis
+    b_out = complement_subspace(op, interval, tol).basis
     t = np.hstack([b_in, b_out])
     if t.shape[1] != op.dim:
         raise NumericalDefectError(
@@ -413,7 +467,7 @@ def restrict_operator(
     ab = op.matrix @ b
     compressed = b.conj().T @ ab
     residual = linalg.frob(ab - b @ compressed)
-    if residual > _INVARIANCE_SLACK * max(1.0, linalg.frob(op.matrix)):
+    if residual > _INVARIANCE_SLACK * op.scale:
         raise NumericalDefectError(
             f"subspace is not invariant (residual {residual:.3e})"
         )

@@ -29,7 +29,6 @@ from .indefinite import (
     Subspace,
     intersect_subspaces,
     oblique_projection,
-    subspace_inertia,
     sum_subspaces,
 )
 from .linalg import DEFAULT_TOL, Tolerance
@@ -38,6 +37,7 @@ from .spectral import (
     Interval,
     JSelfadjointOperator,
     complement_subspace,
+    gap_inertia,
     gap_subspace,
     restrict_operator,
     spectrum,
@@ -86,6 +86,16 @@ class GapReport:
     min_kappa_bound_holds: bool
     slack: int
 
+    @property
+    def all_hold(self) -> bool:
+        """The signature, count, equal-kappa and min-kappa bounds all hold."""
+        return (
+            self.sig_bound_holds
+            and self.eig_bound_holds
+            and self.equal_kappa_bound_holds
+            and self.min_kappa_bound_holds
+        )
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -112,17 +122,26 @@ class WitnessReport:
     chain_holds: bool
     sig_chain_holds: bool
 
+    @property
+    def all_hold(self) -> bool:
+        """Every check of the witness passes."""
+        return (
+            self.q1_injective_on_k
+            and self.lower_bound_ok
+            and self.upper_bound_ok
+            and self.chain_holds
+            and self.sig_chain_holds
+        )
+
 
 def verify_main_theorem(
     pair: OperatorPair, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> GapReport:
     """Evaluate the signature and counting bounds on one interval."""
     space = pair.space
-    sub1 = gap_subspace(pair.op1, interval, tol)
-    sub2 = gap_subspace(pair.op2, interval, tol)
-    in1 = subspace_inertia(space, sub1, tol)
-    in2 = subspace_inertia(space, sub2, tol)
-    eig1, eig2 = sub1.dim, sub2.dim
+    in1 = gap_inertia(pair.op1, interval, tol)
+    in2 = gap_inertia(pair.op2, interval, tol)
+    eig1, eig2 = in1.dim, in2.dim
     sig1, sig2 = in1.sig, in2.sig
     n, kappa = pair.n, space.kappa_minus
     diff = abs(eig1 - eig2)
@@ -159,37 +178,21 @@ def _dyadic(lo: float, hi: float, max_depth: int = 7):
             yield lo + (hi - lo) * (num / steps)
 
 
-def _downward(hi: float, floor: float):
-    """hi - 1, hi - 2, hi - 4, ... staying above ``floor``."""
-    step = 1.0
-    for _ in range(60):
-        x = hi - step
-        if x <= floor:
-            return
-        yield x
-        step *= 2.0
-
-
-def _upward(lo: float, ceiling: float):
-    step = 1.0
-    for _ in range(60):
-        x = lo + step
-        if x >= ceiling:
-            return
-        yield x
-        step *= 2.0
+def _doubling(origin: float, direction: float):
+    """origin + direction * (1, 2, 4, ...), 60 steps into an unbounded side."""
+    return (origin + direction * 2.0**k for k in range(60))
 
 
 def _window_candidates(lo: float, hi: float):
     if math.isfinite(lo) and math.isfinite(hi):
         yield from _dyadic(lo, hi)
     elif math.isfinite(hi):
-        yield from _downward(hi, -math.inf)
+        yield from _doubling(hi, -1.0)
     elif math.isfinite(lo):
-        yield from _upward(lo, math.inf)
+        yield from _doubling(lo, 1.0)
     else:
         yield 0.0
-        for x in _upward(0.0, math.inf):
+        for x in _doubling(0.0, 1.0):
             yield -x
             yield x
 
@@ -292,61 +295,51 @@ def proof_witness(
     dp = choose_delta_prime(pair, interval, tol)
     a, b = dp.lower, dp.upper
 
-    halves = {}
-    for j, op in ((1, pair.op1), (2, pair.op2)):
+    def halves(op):
+        """Gap subspace of the inner interval, then (minus, plus) inside
+        and (minus, plus) outside it."""
         inside = gap_subspace(op, dp, tol)
         outside = complement_subspace(op, dp, tol)
-        minus_in, plus_in = _sign_split(op, inside, a, b, inside=True, tol=tol)
-        minus_out, plus_out = _sign_split(op, outside, a, b, inside=False, tol=tol)
-        halves[j] = {
-            "inside": inside,
-            "minus_in": minus_in,
-            "plus_in": plus_in,
-            "minus_out": minus_out,
-            "plus_out": plus_out,
-        }
+        return (
+            inside,
+            *_sign_split(op, inside, a, b, inside=True, tol=tol),
+            *_sign_split(op, outside, a, b, inside=False, tol=tol),
+        )
 
-    h1, h2 = halves[1], halves[2]
+    in1, minus_in1, plus_in1, minus_out1, plus_out1 = halves(pair.op1)
+    in2, minus_in2, plus_in2, minus_out2, plus_out2 = halves(pair.op2)
     q1 = oblique_projection(
-        onto=sum_subspaces(h1["minus_out"], h1["plus_in"], tol),
-        along=sum_subspaces(h1["plus_out"], h1["minus_in"], tol),
+        onto=sum_subspaces(minus_out1, plus_in1, tol),
+        along=sum_subspaces(plus_out1, minus_in1, tol),
         tol=tol,
     )
-    target2 = sum_subspaces(h2["minus_out"], h2["plus_in"], tol)
+    target2 = sum_subspaces(minus_out2, plus_in2, tol)
     k_sub = intersect_subspaces(target2, pair.agreement, tol)
     q1_injective = (
         k_sub.dim == 0
         or linalg.rank_tol(q1 @ k_sub.basis, tol) == k_sub.dim
     )
 
-    dim_minus_out1 = h1["minus_out"].dim
-    dim_plus_in1 = h1["plus_in"].dim
-    dim_minus_out2 = h2["minus_out"].dim
-    dim_plus_in2 = h2["plus_in"].dim
-
-    eig1_dp = h1["inside"].dim
-    eig2_dp = h2["inside"].dim
-    eig1_delta = gap_subspace(pair.op1, interval, tol).dim
-    eig2_delta = gap_subspace(pair.op2, interval, tol).dim
-
+    eig1_delta = gap_inertia(pair.op1, interval, tol).dim
+    eig2_delta = gap_inertia(pair.op2, interval, tol).dim
     n, kappa = pair.n, pair.space.kappa_minus
-    sig1_dp = subspace_inertia(pair.space, h1["inside"], tol).sig
-    sig2_dp = subspace_inertia(pair.space, h2["inside"], tol).sig
+    sig1_dp = gap_inertia(pair.op1, dp, tol).sig
+    sig2_dp = gap_inertia(pair.op2, dp, tol).sig
 
     return WitnessReport(
         delta_prime=dp,
-        dim_minus_out1=dim_minus_out1,
-        dim_plus_in1=dim_plus_in1,
-        dim_minus_out2=dim_minus_out2,
-        dim_plus_in2=dim_plus_in2,
+        dim_minus_out1=minus_out1.dim,
+        dim_plus_in1=plus_in1.dim,
+        dim_minus_out2=minus_out2.dim,
+        dim_plus_in2=plus_in2.dim,
         dim_k=k_sub.dim,
         q1_injective_on_k=q1_injective,
-        lower_bound_ok=k_sub.dim >= dim_minus_out2 + dim_plus_in2 - n,
-        upper_bound_ok=k_sub.dim <= dim_minus_out1 + dim_plus_in1,
-        eig1_delta_prime=eig1_dp,
-        eig2_delta_prime=eig2_dp,
+        lower_bound_ok=k_sub.dim >= minus_out2.dim + plus_in2.dim - n,
+        upper_bound_ok=k_sub.dim <= minus_out1.dim + plus_in1.dim,
+        eig1_delta_prime=in1.dim,
+        eig2_delta_prime=in2.dim,
         eig1_delta=eig1_delta,
         eig2_delta=eig2_delta,
-        chain_holds=eig2_dp <= n + 2 * kappa + eig1_delta,
+        chain_holds=in2.dim <= n + 2 * kappa + eig1_delta,
         sig_chain_holds=sig2_dp - sig1_dp <= n,
     )

@@ -224,9 +224,28 @@ def test_sweep_summary_cells(capsys, tmp_path):
     assert code == 0
     cells = json.loads(out)["cells"]
     assert [(c["kappa"], c["n"]) for c in cells] == [(0, 1), (1, 1)]
+    rows = [
+        line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]
+    ]
     for cell in cells:
         assert cell["min_slack"] >= 0
         assert cell["rows"] > 0
+        # the first CSV row of the cell reaching min_slack; each instance's
+        # rows open with the full line, and seeds count up from 0
+        seed = -1
+        for row in rows:
+            if (row[2], row[3]) != (str(cell["kappa"]), str(cell["n"])):
+                continue
+            if (row[4], row[5]) == ("-inf", "+inf"):
+                seed += 1
+            if int(row[10]) == cell["min_slack"]:
+                break
+        assert cell["attained_at"] == {
+            "d": 3,
+            "seed": seed,
+            "lower": row[4] if "inf" in row[4] else float(row[4]),
+            "upper": row[5] if "inf" in row[5] else float(row[5]),
+        }
 
 
 def test_sweep_dumps_violations(capsys, tmp_path, monkeypatch):

@@ -14,11 +14,15 @@ from pontgap.errors import (
     NotAnEigenvalueError,
     NumericalDefectError,
 )
-from pontgap.indefinite import Subspace, validate_space
+from pontgap.cli import _sweep_intervals
+from pontgap.indefinite import Inertia, Subspace, subspace_inertia, validate_space
+from pontgap.linalg import DEFAULT_TOL, Tolerance, null_space
+from pontgap import spectral
 from pontgap.spectral import (
     Interval,
     complement_subspace,
     eig_count,
+    gap_inertia,
     gap_signature,
     gap_subspace,
     restrict_operator,
@@ -186,6 +190,15 @@ def test_root_subspaces_partition_dimension(d, seed):
     assert total == d
 
 
+def test_root_subspace_of_length_three_jordan_chain():
+    # A = N + 0.5 I is one Jordan block, J-selfadjoint for the flip J;
+    # eig returns three parallel eigenvectors, so the kernel must grow
+    space = validate_space(np.fliplr(np.eye(3)).astype(complex))
+    op = validate_operator(space, np.eye(3, k=1) + 0.5 * np.eye(3))
+    assert root_subspace(op, 0.5).dim == 3
+    assert gap_inertia(op, Interval(0.0, 1.0)) == Inertia(2, 1, 0)
+
+
 def test_root_subspace_is_invariant():
     _, a1 = _example3_op1()
     sub = root_subspace(a1, 100j)
@@ -223,6 +236,73 @@ def test_endpoint_guard_raises_in_ambiguous_band():
 def test_exact_endpoint_hit_is_excluded_not_an_error():
     _, _, a2 = _example1_pair()
     assert eig_count(a2, Interval(0.5, 2.0)) == 1
+
+
+def _kernel_growth_root_basis(op, value):
+    """Reference root basis without eigenvectors: ker (A - value)^k by growth."""
+    d = op.dim
+    shift = op.matrix - value * np.eye(d)
+    tol = Tolerance(abs=min(1e-7 * max(1.0, np.linalg.norm(op.matrix)), 0.1))
+    basis = null_space(shift, tol)
+    while True:
+        grown = null_space((np.eye(d) - basis @ basis.conj().T) @ shift, tol)
+        if grown.shape[1] <= basis.shape[1]:
+            return basis
+        basis = grown
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("kminus", [0, 1, 2])
+def test_gap_inertia_sums_match_union_inertia(d, kminus):
+    # per-eigenvalue rows summed, against the inertia of the stacked union
+    # and of a union of root bases grown from kernels alone
+    for seed in range(3):
+        space = helpers.make_space(d, kminus, 100 * d + seed)
+        pair = helpers.make_rank_perturbed_pair(space, 7 * d + seed, rank=seed % 3)
+        windows = _sweep_intervals(pair, DEFAULT_TOL)
+        assert windows[0] == FULL_LINE
+        for op in (pair.op1, pair.op2):
+            assert spectral._rows_add_up(op, DEFAULT_TOL)
+            reals = [e.value for e in spectrum(op).entries if e.is_real]
+            reference = {v: _kernel_growth_root_basis(op, v) for v in reals}
+            for window in windows:
+                union = subspace_inertia(space, gap_subspace(op, window))
+                blocks = [reference[v] for v in reals if window.contains(v.real)]
+                grown = Subspace.from_columns(d, np.hstack([np.zeros((d, 0))] + blocks))
+                assert gap_inertia(op, window) == union
+                assert gap_inertia(op, window) == subspace_inertia(space, grown)
+
+
+def test_gap_inertia_falls_back_to_each_windows_union(monkeypatch):
+    # an operator whose rows fail the whole-line check never sums them
+    space = helpers.make_space(6, 1, 11)
+    pair = helpers.make_rank_perturbed_pair(space, 12, rank=2)
+    expected = {
+        (op, window): subspace_inertia(space, gap_subspace(op, window))
+        for op in (pair.op1, pair.op2)
+        for window in _sweep_intervals(pair, DEFAULT_TOL)
+    }
+    fresh = helpers.make_rank_perturbed_pair(space, 12, rank=2)
+    monkeypatch.setattr(spectral, "_rows_add_up", lambda op, tol: False)
+    monkeypatch.setattr(spectral, "_row_sum", None)
+    for (op, window), inertia in expected.items():
+        twin = fresh.op1 if op is pair.op1 else fresh.op2
+        assert gap_inertia(twin, window) == inertia
+
+
+def test_root_basis_defect_at_any_entry_fails_every_count(monkeypatch):
+    # the table builds every root basis, non-real ones included
+    _, a1 = _example3_op1()
+    build = spectral._root_basis
+
+    def failing(op, entry, vectors, tol):
+        if not entry.is_real:
+            raise NumericalDefectError("injected")
+        return build(op, entry, vectors, tol)
+
+    monkeypatch.setattr(spectral, "_root_basis", failing)
+    with pytest.raises(NumericalDefectError, match="injected"):
+        eig_count(a1, Interval(-1.0, 1.0))
 
 
 def test_gap_and_complement_subspaces_partition():
