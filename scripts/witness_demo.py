@@ -19,7 +19,7 @@ from pontgap.instancefile import parse_instance
 from pontgap.perturbation import make_pair
 from pontgap.spectral import spectrum, validate_operator
 from pontgap.indefinite import validate_space
-from pontgap.theorem import choose_delta_prime, proof_witness, verify_main_theorem
+from pontgap.theorem import proof_witness, verify_main_theorem
 
 
 def load(arg):
@@ -62,9 +62,8 @@ def main():
     print(f"  |eig diff| = {abs(report.eig2 - report.eig1)} "
           f"<= n + 2 kappa = {n + 2 * kappa}   (slack {report.slack})")
 
-    dp = choose_delta_prime(pair, interval)
     w = proof_witness(pair, interval)
-    print(f"\ninner window delta' = {dp}")
+    print(f"\ninner window delta' = {w.delta_prime}")
     print("  split by the sign of the gap form of delta':")
     print(f"    A1: dim(minus part outside) = {w.dim_minus_out1}, "
           f"dim(plus part inside) = {w.dim_plus_in1}")

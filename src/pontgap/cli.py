@@ -37,16 +37,15 @@ from .instancefile import (
     witness_report_node,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .perturbation import OperatorPair, make_pair
+from .perturbation import make_pair
 from .spectral import (
     Interval,
     JSelfadjointOperator,
-    endpoint_guard,
     gap_inertia,
     spectrum,
     validate_operator,
 )
-from .theorem import GapReport, proof_witness, verify_main_theorem
+from .theorem import GapReport, proof_witness, sweep_windows, verify_main_theorem
 
 __all__ = ["main"]
 
@@ -57,10 +56,6 @@ EXIT_ILL_POSED_INTERVAL = 3
 EXIT_BOUND_VIOLATION = 4
 
 CSV_HEADER = "d,kplus,kminus,n,lower,upper,eig1,eig2,sig1,sig2,slack"
-
-#: candidate sweep endpoints must clear both spectra by this multiple of
-#: the larger endpoint guard band
-_SWEEP_MARGIN_FACTOR = 100.0
 
 
 def _tolerance(args) -> Tolerance:
@@ -238,28 +233,6 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _sweep_intervals(pair: OperatorPair, tol: Tolerance) -> list[Interval]:
-    """Full line plus the cuts between well-separated joint eigenvalues."""
-    values1 = spectrum(pair.op1, tol).values()
-    values2 = spectrum(pair.op2, tol).values()
-    margin = _SWEEP_MARGIN_FACTOR * max(map(endpoint_guard, (pair.op1, pair.op2)))
-    reals = sorted(
-        v.real for v in values1 + values2 if v.imag == 0.0
-    )
-    cuts = []
-    for left, right in zip(reals, reals[1:]):
-        cut = 0.5 * (left + right)
-        if all(abs(v - cut) >= margin for v in values1 + values2):
-            if not cuts or cut - cuts[-1] > 1e-9 * max(1.0, abs(cut)):
-                cuts.append(cut)
-    intervals = [Interval(-math.inf, math.inf)]
-    if cuts:
-        intervals.append(Interval(-math.inf, cuts[0]))
-        intervals.extend(Interval(a, b) for a, b in zip(cuts, cuts[1:]))
-        intervals.append(Interval(cuts[-1], math.inf))
-    return intervals
-
-
 def _csv_endpoint(x: float) -> str:
     if math.isinf(x):
         return "-inf" if x < 0 else "+inf"
@@ -294,7 +267,7 @@ def cmd_sweep(args) -> int:
                     space = random_space(cfg, tol)
                     pair = random_pair(space, cfg, tol)
                     instances += 1
-                    for interval in _sweep_intervals(pair, tol):
+                    for interval in sweep_windows(pair, tol):
                         report = verify_main_theorem(pair, interval, tol)
                         fields = (
                             d, space.kappa_plus, space.kappa_minus, pair.n,
@@ -392,10 +365,11 @@ def cmd_examples(args) -> int:
 
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
+    reach = "rank cuts and Hermiticity checks, not the counting bands"
     parser.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel,
-                        help="relative tolerance (default %(default)g)")
+                        help=f"relative tolerance of {reach} (default %(default)g)")
     parser.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.abs,
-                        help="absolute tolerance floor (default %(default)g)")
+                        help=f"absolute floor of {reach} (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import linalg
 from .errors import InertiaMismatchError, PreconditionError
-from .indefinite import INERTIA_ZERO_SCALE, Inertia, Subspace, inertia_of_hermitian
+from .indefinite import Inertia, Subspace, inertia_of_hermitian
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import JSelfadjointOperator, endpoint_guard, spectrum
+from .spectral import JSelfadjointOperator, spectrum
 
 __all__ = [
     "GapForm",
@@ -97,7 +97,7 @@ def _signed_eigenspaces(op, form: GapForm, expected, reason: str, tol):
     """Inertia of the form, which must be ``expected``, and its negative
     and positive eigenspaces."""
     w, v = linalg.hermitian_eigen(form.matrix, tol)
-    band = INERTIA_ZERO_SCALE * max(1.0, linalg.frob(form.matrix))
+    band = tol.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(form.matrix))
     inertia = Inertia.of_eigenvalues(w, band)
     if (inertia.plus, inertia.minus, inertia.zero) != expected:
         raise InertiaMismatchError(
@@ -125,7 +125,7 @@ def decompose_resolvent_gap(
     for entry in spectrum(op, tol).entries:
         # distance from the eigenvalue to the real segment [a, b]
         dist = abs(entry.value - min(max(entry.value.real, form.a), form.b))
-        if dist <= endpoint_guard(op):
+        if dist <= tol.ENDPOINT_GUARD_SCALE * op.scale:
             raise PreconditionError(
                 f"eigenvalue {entry.value} is within {dist:.3e} of "
                 f"[{form.a}, {form.b}]; the segment must lie in the resolvent set"
@@ -147,7 +147,7 @@ def decompose_spectrum_inside(
     ``m_plus`` negative ones, mirroring the resolvent-gap case.
     """
     form = build_gap_form(op, a, b, tol)
-    margin = endpoint_guard(op)
+    margin = tol.ENDPOINT_GUARD_SCALE * op.scale
     for entry in spectrum(op, tol).entries:
         if not entry.is_real:
             raise PreconditionError(
@@ -183,7 +183,7 @@ def hilbert_gap_check(t, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Ga
     eye = np.eye(t.shape[0], dtype=complex)
     g = (t - a * eye) @ (t - b * eye)
     g = 0.5 * (g + g.conj().T)
-    band = INERTIA_ZERO_SCALE * max(1.0, linalg.frob(g))
+    band = tol.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(g))
     inertia = inertia_of_hermitian(g, band, tol)
     if inertia.minus == 0:
         return GapLocation.GAP_IN_RESOLVENT

@@ -20,12 +20,7 @@ from .indefinite import IndefiniteSpace, validate_space
 from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair, make_pair
 from .prng import Xoshiro256StarStar
-from .spectral import (
-    REALNESS_SCALE,
-    Interval,
-    JSelfadjointOperator,
-    validate_operator,
-)
+from .spectral import Interval, JSelfadjointOperator, validate_operator
 
 __all__ = [
     "GenConfig",
@@ -108,12 +103,13 @@ def _haar_unitary(rng: Xoshiro256StarStar, d: int) -> np.ndarray:
     return q * phases.conj()
 
 
-def _margins_ok(matrix: np.ndarray, min_gap: float) -> bool:
+def _margins_ok(matrix: np.ndarray, min_gap: float, tol: Tolerance) -> bool:
     """Spectrum is unambiguous: clean realness calls and open gaps."""
     values = np.linalg.eigvals(matrix)
+    band = tol.GEN_REALNESS_FACTOR * tol.REALNESS_SCALE
     for v in values:
         im = abs(v.imag)
-        if im > 0.1 * REALNESS_SCALE * max(1.0, abs(v)) and im < min_gap:
+        if im > band * max(1.0, abs(v)) and im < min_gap:
             return False
     gaps = np.abs(values[:, None] - values[None, :])[np.triu_indices(len(values), 1)]
     return not np.any(gaps < min_gap)
@@ -147,7 +143,7 @@ def random_operator(
         g = _complex_matrix(rng, space.dim, space.dim, cfg.scale)
         h = 0.5 * (g + g.conj().T)
         a = linalg.solve(space.gram, h, tol)
-        if _margins_ok(a, cfg.gap):
+        if _margins_ok(a, cfg.gap, tol):
             return validate_operator(space, a, tol)
     raise ResampleBudgetError(
         f"no operator with eigenvalue margins {cfg.gap} in {RESAMPLE_BUDGET} draws"
@@ -174,7 +170,7 @@ def random_pair(
         signs = np.array([rng.sign() for _ in range(n)], dtype=float)
         p = (v * signs) @ v.conj().T
         a2 = op1.matrix + linalg.solve(space.gram, 0.5 * (p + p.conj().T), tol)
-        if linalg.rank_tol(op1.matrix - a2, tol) == n and _margins_ok(a2, cfg.gap):
+        if linalg.rank_tol(op1.matrix - a2, tol) == n and _margins_ok(a2, cfg.gap, tol):
             return make_pair(op1, validate_operator(space, a2, tol), tol)
     raise ResampleBudgetError(
         f"no rank-{n} perturbation with margins {cfg.gap} in {RESAMPLE_BUDGET} draws"

@@ -37,12 +37,6 @@ __all__ = [
     "oblique_projection",
 ]
 
-#: |eigenvalue| <= INERTIA_ZERO_SCALE * max(1, ||gram||_F) counts as zero
-INERTIA_ZERO_SCALE = 1e-8
-
-#: orthonormality slack accepted by Subspace validation
-_ORTHO_SLACK = 1e-8
-
 
 @dataclass(frozen=True)
 class Inertia:
@@ -91,9 +85,12 @@ class IndefiniteSpace:
     gram: np.ndarray = field(repr=False)
     kappa_plus: int
     kappa_minus: int
+    #: ``max(1, ||gram||_F)``, the unit of the inertia zero band
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.gram.setflags(write=False)
+        object.__setattr__(self, "scale", max(1.0, linalg.frob(self.gram)))
 
     @property
     def kappa(self) -> int:
@@ -125,7 +122,7 @@ class Subspace:
             )
         if b.shape[1] > 0:
             defect = float(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])))
-            if defect > _ORTHO_SLACK:
+            if defect > Tolerance.ORTHO_SLACK:
                 raise ValidationError(
                     f"basis columns are not orthonormal (defect {defect:.3e})"
                 )
@@ -158,20 +155,21 @@ class Subspace:
         scale = float(np.linalg.norm(v))
         if scale == 0.0:
             return True
-        residual = v - self.projector() @ v
-        return float(np.linalg.norm(residual)) <= tol.singular_cutoff(scale) * 1e3
+        cutoff = tol.singular_cutoff(scale) * tol.MEMBERSHIP_FACTOR
+        return float(np.linalg.norm(v - self.projector() @ v)) <= cutoff
 
 
 def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
     """Check Hermiticity and invertibility of a Gram matrix.
 
     Returns the space with its inertia.  A Gram eigenvalue inside the
-    zero band ``INERTIA_ZERO_SCALE * max(1, ||J||_F)`` makes the form
+    zero band ``tol.INERTIA_ZERO_SCALE * max(1, ||J||_F)`` makes the form
     degenerate and is rejected.
     """
     j = linalg.as_complex_matrix(gram, square=True)
     w, _ = linalg.hermitian_eigen(j, tol)
-    inertia = Inertia.of_eigenvalues(w, INERTIA_ZERO_SCALE * max(1.0, linalg.frob(j)))
+    band = tol.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(j))
+    inertia = Inertia.of_eigenvalues(w, band)
     if inertia.zero:
         smallest = float(np.min(np.abs(w)))
         raise SingularMatrixError(
@@ -199,23 +197,22 @@ def _check_ambient(space_dim: int, sub: Subspace):
         )
 
 
-def _compressed_gram(space: IndefiniteSpace, sub: Subspace):
+def _compressed_gram(space: IndefiniteSpace, sub: Subspace, tol: Tolerance):
     """Symmetrized ``B^* J B`` for the orthonormal basis B, and its zero band.
 
-    The band scales with the ambient ``||J||_F``, not the compressed
+    The band scales with the ambient ``space.scale``, not the compressed
     norm, so neutral subspaces report their zeros.
     """
     _check_ambient(space.dim, sub)
     g = sub.basis.conj().T @ (space.gram @ sub.basis)
-    band = INERTIA_ZERO_SCALE * max(1.0, linalg.frob(space.gram))
-    return 0.5 * (g + g.conj().T), band
+    return 0.5 * (g + g.conj().T), tol.INERTIA_ZERO_SCALE * space.scale
 
 
 def subspace_inertia(
     space: IndefiniteSpace, sub: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> Inertia:
     """Inertia of the Gram form compressed to ``sub``."""
-    return inertia_of_hermitian(*_compressed_gram(space, sub), tol)
+    return inertia_of_hermitian(*_compressed_gram(space, sub, tol), tol)
 
 
 def signature(
@@ -236,7 +233,7 @@ def isotropic_part(
     _check_ambient(space.dim, sub)
     if sub.dim == 0:
         return Subspace.zero(space.dim)
-    g, band = _compressed_gram(space, sub)
+    g, band = _compressed_gram(space, sub, tol)
     w, v = linalg.hermitian_eigen(g, tol)
     inertia = Inertia.of_eigenvalues(w, band)
     # eigenvalues ascend: negative columns first, then the zero band

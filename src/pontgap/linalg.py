@@ -2,14 +2,16 @@
 
 Everything downstream (inertia, spectra, gap subspaces) reduces to the
 handful of primitives here.  Eigenvalue and singular-value work is
-delegated to LAPACK through numpy; this module owns the tolerance
-policy: when a singular value counts as zero, when two eigenvalues
-count as one, and when an imaginary part counts as noise.
+delegated to LAPACK through numpy.  :class:`Tolerance` is the whole
+tolerance policy: when a singular value counts as zero, when two
+eigenvalues count as one, when an imaginary part counts as noise, and
+every other numeric band of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,20 +38,48 @@ __all__ = [
     "orthonormal_columns",
 ]
 
-#: scale factor for merging nearby eigenvalues into one cluster
-CLUSTERING_SCALE = 1e-6
-
-
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative/absolute tolerance pair used by every numeric decision.
+    """The tolerance policy: a relative/absolute pair and the fixed bands.
 
-    ``rel`` scales with the data (e.g. ``rel * sigma_max`` for rank
-    cuts), ``abs`` is the hard floor.  Both must lie in (0, 1).
+    ``rel`` scales with the data (``rel * sigma_max`` for rank cuts),
+    ``abs`` is the floor; both lie in (0, 1) and reach only rank cuts and
+    Hermiticity checks (root growth floors at ``ROOT_NULLITY_SCALE``).
+    The bands below are class constants, not fields.  ``||A||_F`` in
+    their comments stands for the unit ``max(1, ||A||_F)``.
     """
 
     rel: float = 1e-9
     abs: float = 1e-12
+
+    #: eigenvalues closer than this times ||A||_F merge into one cluster
+    CLUSTERING_SCALE: ClassVar[float] = 1e-6
+    #: a non-real cluster's conjugate lies within this many clustering bands
+    PAIRING_FACTOR: ClassVar[float] = 10.0
+    #: |Im(lambda)| <= this times max(1, |lambda|) snaps to the real axis
+    REALNESS_SCALE: ClassVar[float] = 1e-6
+    #: generated |Im(lambda)| above this share of the realness band clears min_gap
+    GEN_REALNESS_FACTOR: ClassVar[float] = 0.1
+    #: ambiguity band around interval endpoints, times ||A||_F
+    ENDPOINT_GUARD_SCALE: ClassVar[float] = 1e-6
+    #: closer to an endpoint than this times ||A||_F is on it (so outside)
+    ENDPOINT_EXACT_SCALE: ClassVar[float] = 1e-12
+    #: kernel cut while growing root subspaces at defects, times ||A||_F
+    ROOT_NULLITY_SCALE: ClassVar[float] = 1e-7
+    #: tolerated invariance residual of a subspace, times ||A||_F
+    INVARIANCE_SLACK: ClassVar[float] = 1e-5
+    #: inertia zero band, times ||J||_F (or ||G||_F for a gap form G)
+    INERTIA_ZERO_SCALE: ClassVar[float] = 1e-8
+    #: orthonormality defect ||B^* B - I||_F accepted for a subspace basis
+    ORTHO_SLACK: ClassVar[float] = 1e-8
+    #: subspace membership: residual within this many singular cutoffs of |v|
+    MEMBERSHIP_FACTOR: ClassVar[float] = 1e3
+    #: inner-interval endpoints clear both spectra by this many clustering bands
+    DELTA_PRIME_MARGIN_FACTOR: ClassVar[float] = 1e3
+    #: sweep cuts clear both spectra by this many endpoint guard bands
+    SWEEP_MARGIN_FACTOR: ClassVar[float] = 100.0
+    #: sweep cuts closer than this times max(1, |cut|) are one cut
+    SWEEP_CUT_SCALE: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         for name, value in (("rel", self.rel), ("abs", self.abs)):
@@ -81,9 +111,9 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-def clustering_threshold(m) -> float:
+def clustering_threshold(m, tol: Tolerance = DEFAULT_TOL) -> float:
     """Distance below which two computed eigenvalues of ``m`` merge."""
-    return CLUSTERING_SCALE * max(1.0, frob(m))
+    return tol.CLUSTERING_SCALE * max(1.0, frob(m))
 
 
 def hermitian_eigen(h, tol: Tolerance = DEFAULT_TOL):
@@ -133,7 +163,7 @@ def complex_eigen(m, tol: Tolerance = DEFAULT_TOL) -> list[tuple[complex, int]]:
         raw = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
-    thresh = clustering_threshold(m)
+    thresh = clustering_threshold(m, tol)
 
     # transitive merge of raw values, then of cluster means, so that
     # distinct reported values always differ by more than the threshold

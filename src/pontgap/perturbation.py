@@ -17,7 +17,7 @@ from . import linalg
 from .errors import DimensionMismatchError, PreconditionError
 from .indefinite import Subspace
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import JSelfadjointOperator, spectrum
+from .spectral import JSelfadjointOperator, nearest, spectrum
 
 __all__ = [
     "OperatorPair",
@@ -65,13 +65,14 @@ def make_pair(
 
 def _check_admissible(pair: OperatorPair, point: complex, tol: Tolerance):
     for op in (pair.op1, pair.op2):
-        thresh = linalg.clustering_threshold(op.matrix)
-        for entry in spectrum(op, tol).entries:
-            if abs(entry.value - point) <= thresh:
-                raise PreconditionError(
-                    f"point {point} lies within {thresh:.3e} of eigenvalue "
-                    f"{entry.value}; the resolvents do not both exist there"
-                )
+        thresh = tol.CLUSTERING_SCALE * op.scale
+        idx, dist = nearest(op, point, tol)
+        if dist <= thresh:
+            raise PreconditionError(
+                f"point {point} lies within {thresh:.3e} of eigenvalue "
+                f"{spectrum(op, tol).entries[idx].value}; "
+                "the resolvents do not both exist there"
+            )
 
 
 def resolvent_difference_rank(

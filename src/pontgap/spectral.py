@@ -49,8 +49,9 @@ __all__ = [
     "JSelfadjointOperator",
     "validate_operator",
     "spectrum",
+    "nearest",
     "root_subspace",
-    "endpoint_guard",
+    "selection",
     "gap_subspace",
     "complement_subspace",
     "gap_inertia",
@@ -59,23 +60,6 @@ __all__ = [
     "spectral_projection",
     "restrict_operator",
 ]
-
-#: |Im(lambda)| <= REALNESS_SCALE * max(1, |lambda|) snaps to the real axis
-REALNESS_SCALE = 1e-6
-
-#: ambiguity band around interval endpoints, times max(1, ||A||_F)
-ENDPOINT_GUARD_SCALE = 1e-6
-
-#: below this distance (times max(1, ||A||_F)) an eigenvalue is taken to
-#: sit exactly on the endpoint and is excluded from the open interval
-ENDPOINT_EXACT_SCALE = 1e-12
-
-#: singular values below ROOT_NULLITY_SCALE * max(1, ||A||_F) count as
-#: zero while growing root subspaces (absorbs defective-eigenvalue error)
-ROOT_NULLITY_SCALE = 1e-7
-
-#: tolerated invariance defect of a root-subspace union, times max(1, ||A||_F)
-_INVARIANCE_SLACK = 1e-5
 
 
 @dataclass(frozen=True)
@@ -179,12 +163,12 @@ def validate_operator(
     return JSelfadjointOperator(space=space, matrix=m.copy())
 
 
-def _pair_conjugates(values, matrix_norm_scale):
+def _pair_conjugates(values, matrix_norm_scale, tol: Tolerance):
     """Symmetrize non-real clusters into exact conjugate pairs."""
-    pair_tol = 10.0 * linalg.CLUSTERING_SCALE * matrix_norm_scale
+    pair_tol = tol.PAIRING_FACTOR * tol.CLUSTERING_SCALE * matrix_norm_scale
     reals, positive, negative = [], [], []
     for value, mult in values:
-        if abs(value.imag) <= REALNESS_SCALE * max(1.0, abs(value)):
+        if abs(value.imag) <= tol.REALNESS_SCALE * max(1.0, abs(value)):
             reals.append((complex(value.real, 0.0), mult))
         elif value.imag > 0:
             positive.append((value, mult))
@@ -223,7 +207,7 @@ def spectrum(op: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL) -> Spectrum
 
     def build():
         clusters = linalg.complex_eigen(op.matrix, tol)
-        symmetrized = _pair_conjugates(clusters, op.scale)
+        symmetrized = _pair_conjugates(clusters, op.scale, tol)
         entries = tuple(
             Eigenvalue(value=v, multiplicity=m)
             for v, m in sorted(symmetrized, key=lambda vm: (vm[0].real, vm[0].imag))
@@ -233,9 +217,14 @@ def spectrum(op: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL) -> Spectrum
     return op._cached(("spectrum", tol.rel, tol.abs), build)
 
 
-def endpoint_guard(op: JSelfadjointOperator) -> float:
-    """Half-width of the band around an endpoint where counting is ill-posed."""
-    return ENDPOINT_GUARD_SCALE * op.scale
+def nearest(
+    op: JSelfadjointOperator, x, tol: Tolerance = DEFAULT_TOL
+) -> tuple[int | None, float]:
+    """Index of the spectrum entry nearest ``x`` (the first on ties) and its
+    distance; ``(None, inf)`` for an empty spectrum."""
+    dists = [abs(e.value - x) for e in spectrum(op, tol).entries]
+    best = min(dists, default=math.inf)
+    return (dists.index(best) if dists else None), best
 
 
 @dataclass(frozen=True)
@@ -255,7 +244,7 @@ def _root_basis(op, entry: Eigenvalue, vectors, tol):
     if basis.shape[1] < entry.multiplicity:
         eye = np.eye(op.dim, dtype=complex)
         m_shift = op.matrix - entry.value * eye
-        kernel_tol = replace(tol, abs=min(ROOT_NULLITY_SCALE * op.scale, 0.1))
+        kernel_tol = replace(tol, abs=min(tol.ROOT_NULLITY_SCALE * op.scale, 0.1))
         while basis.shape[1] < entry.multiplicity:
             lifted = (eye - basis @ basis.conj().T) @ m_shift
             grown = linalg.null_space(lifted, kernel_tol)
@@ -276,9 +265,9 @@ def _table(op: JSelfadjointOperator, tol: Tolerance) -> _SpectralTable:
         # each eigenvector joins the entry nearest its own eigenvalue
         raw, vectors = linalg.eigenvectors(op.matrix)
         distances = np.abs(raw[:, None] - np.array([e.value for e in entries]))
-        nearest = distances.argmin(axis=1) if entries else []
+        owner = distances.argmin(axis=1) if entries else []
         bases = tuple(
-            _root_basis(op, entry, vectors[:, nearest == i], tol)
+            _root_basis(op, entry, vectors[:, owner == i], tol)
             for i, entry in enumerate(entries)
         )
         inertias = tuple(
@@ -300,30 +289,30 @@ def root_subspace(
     ``ker (A - lambda I)^k`` where the eigenvalue is defective; its
     dimension is the eigenvalue's algebraic multiplicity.
     """
-    entries = spectrum(op, tol).entries
-    if not entries:
-        raise NotAnEigenvalueError("operator has an empty spectrum")
     value = complex(value)
-    dists = [abs(e.value - value) for e in entries]
-    idx = int(np.argmin(dists))
-    if dists[idx] > linalg.clustering_threshold(op.matrix):
+    idx, dist = nearest(op, value, tol)
+    if idx is None:
+        raise NotAnEigenvalueError("operator has an empty spectrum")
+    if dist > tol.CLUSTERING_SCALE * op.scale:
         raise NotAnEigenvalueError(
             f"{value} is not within clustering distance of any eigenvalue "
-            f"(closest: {entries[idx].value})"
+            f"(closest: {spectrum(op, tol).entries[idx].value})"
         )
     return Subspace(op.dim, _table(op, tol).bases[idx])
 
 
-def _selection(op, interval: Interval, tol):
-    """Indices of spectrum entries counted inside the open interval.
+def selection(
+    op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
+) -> tuple[Spectrum, tuple[int, ...]]:
+    """The spectrum and the indices of its entries counted in the interval.
 
     Raises when a finite endpoint falls ambiguously close to an
     eigenvalue; an eigenvalue indistinguishable from the endpoint at
     machine resolution is treated as sitting on it (hence outside).
     """
     spec = spectrum(op, tol)
-    guard = endpoint_guard(op)
-    exact = ENDPOINT_EXACT_SCALE * op.scale
+    guard = tol.ENDPOINT_GUARD_SCALE * op.scale
+    exact = tol.ENDPOINT_EXACT_SCALE * op.scale
     included = []
     for idx, entry in enumerate(spec.entries):
         on_endpoint = False
@@ -364,7 +353,7 @@ def gap_subspace(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> Subspace:
     """Sum of root subspaces over real eigenvalues inside the interval."""
-    _, included = _selection(op, interval, tol)
+    _, included = selection(op, interval, tol)
     return Subspace(op.dim, _union_basis(op, included, tol))
 
 
@@ -372,7 +361,7 @@ def complement_subspace(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> Subspace:
     """Sum of root subspaces over all eigenvalues *not* counted inside."""
-    spec, included = _selection(op, interval, tol)
+    spec, included = selection(op, interval, tol)
     excluded = tuple(i for i in range(len(spec.entries)) if i not in included)
     return Subspace(op.dim, _union_basis(op, excluded, tol))
 
@@ -387,7 +376,7 @@ def _rows_add_up(op, tol) -> bool:
     that union has full rank, so has every window's: a subset of its
     columns cannot have a smaller least singular value."""
     whole = Interval(-math.inf, math.inf)
-    rows = _row_sum(op, _selection(op, whole, tol)[1], tol)
+    rows = _row_sum(op, selection(op, whole, tol)[1], tol)
     try:
         return rows == subspace_inertia(op.space, gap_subspace(op, whole, tol), tol)
     except NumericalDefectError:
@@ -404,7 +393,7 @@ def gap_inertia(
     operator on the whole real line; where the check fails, each
     window's union is stacked and counted instead.
     """
-    _, included = _selection(op, interval, tol)
+    _, included = selection(op, interval, tol)
     if op._cached(("additive", tol.rel, tol.abs), lambda: _rows_add_up(op, tol)):
         return _row_sum(op, included, tol)
     return subspace_inertia(op.space, gap_subspace(op, interval, tol), tol)
@@ -467,7 +456,7 @@ def restrict_operator(
     ab = op.matrix @ b
     compressed = b.conj().T @ ab
     residual = linalg.frob(ab - b @ compressed)
-    if residual > _INVARIANCE_SLACK * op.scale:
+    if residual > tol.INVARIANCE_SLACK * op.scale:
         raise NumericalDefectError(
             f"subspace is not invariant (residual {residual:.3e})"
         )

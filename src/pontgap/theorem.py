@@ -35,13 +35,13 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair
 from .spectral import (
     Interval,
-    JSelfadjointOperator,
     complement_subspace,
     gap_inertia,
     gap_subspace,
+    nearest,
     restrict_operator,
+    selection,
     spectrum,
-    _selection,
 )
 
 __all__ = [
@@ -49,12 +49,9 @@ __all__ = [
     "WitnessReport",
     "verify_main_theorem",
     "choose_delta_prime",
+    "sweep_windows",
     "proof_witness",
 ]
-
-#: inner-interval endpoints must clear each spectrum by this multiple of
-#: the operator's clustering threshold
-DELTA_PRIME_MARGIN_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -204,26 +201,22 @@ def choose_delta_prime(
 
     The result contains every eigenvalue of A1 counted in the outer
     interval (and, when the sweep allows, A2's as well, which makes
-    the witness informative), with both endpoints keeping a margin of
-    ``1e3 *`` clustering threshold from both spectra.
+    the witness informative), with both endpoints keeping
+    ``tol.DELTA_PRIME_MARGIN_FACTOR`` clustering bands from both spectra.
     """
     ops = (pair.op1, pair.op2)
     margins = [
-        DELTA_PRIME_MARGIN_FACTOR * linalg.clustering_threshold(op.matrix)
+        tol.DELTA_PRIME_MARGIN_FACTOR * (tol.CLUSTERING_SCALE * op.scale)
         for op in ops
     ]
 
     def admissible(x: float) -> bool:
-        if not interval.contains(x):
-            return False
-        for op, margin in zip(ops, margins):
-            for entry in spectrum(op, tol).entries:
-                if abs(entry.value - x) < margin:
-                    return False
-        return True
+        return interval.contains(x) and all(
+            nearest(op, x, tol)[1] >= margin for op, margin in zip(ops, margins)
+        )
 
     def counted_reals(op):
-        sp, included = _selection(op, interval, tol)
+        sp, included = selection(op, interval, tol)
         return [sp.entries[i].value.real for i in included]
 
     reals1 = counted_reals(pair.op1)
@@ -252,6 +245,26 @@ def choose_delta_prime(
         f"no admissible inner endpoints inside {interval} "
         f"after {tried} deterministic candidates"
     )
+
+
+def sweep_windows(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> list[Interval]:
+    """Full line plus the cuts between well-separated joint eigenvalues."""
+    values = spectrum(pair.op1, tol).values() + spectrum(pair.op2, tol).values()
+    guard = max(tol.ENDPOINT_GUARD_SCALE * op.scale for op in (pair.op1, pair.op2))
+    margin = tol.SWEEP_MARGIN_FACTOR * guard
+    reals = sorted(v.real for v in values if v.imag == 0.0)
+    cuts = []
+    for left, right in zip(reals, reals[1:]):
+        cut = 0.5 * (left + right)
+        if all(nearest(op, cut, tol)[1] >= margin for op in (pair.op1, pair.op2)):
+            if not cuts or cut - cuts[-1] > tol.SWEEP_CUT_SCALE * max(1.0, abs(cut)):
+                cuts.append(cut)
+    intervals = [Interval(-math.inf, math.inf)]
+    if cuts:
+        intervals.append(Interval(-math.inf, cuts[0]))
+        intervals.extend(Interval(a, b) for a, b in zip(cuts, cuts[1:]))
+        intervals.append(Interval(cuts[-1], math.inf))
+    return intervals
 
 
 def _sign_split(op, sub: Subspace, a: float, b: float, inside: bool, tol):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pontgap.cli import _sweep_intervals, main
+from pontgap.cli import main
 from pontgap.gapform import (
     GapCase,
     GapLocation,
@@ -30,7 +30,7 @@ from pontgap.instancefile import InstanceRecord, dumps_instance, parse_instance
 from pontgap.linalg import DEFAULT_TOL
 from pontgap.perturbation import resolvent_difference_rank, sample_admissible_points
 from pontgap.spectral import Interval, spectrum
-from pontgap.theorem import proof_witness, verify_main_theorem
+from pontgap.theorem import proof_witness, sweep_windows, verify_main_theorem
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -99,7 +99,7 @@ def test_criterion_3_ensemble_bounds(acceptance):
                 cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=n, seed=seed)
                 space = random_space(cfg)
                 pair = random_pair(space, cfg)
-                for interval in _sweep_intervals(pair, DEFAULT_TOL):
+                for interval in sweep_windows(pair, DEFAULT_TOL):
                     report = verify_main_theorem(pair, interval)
                     assert report.sig_bound_holds, (cfg, interval)
                     assert report.eig_bound_holds, (cfg, interval)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -300,3 +301,17 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "example1" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_witness_demo_script_runs(name):
+    root = Path(__file__).resolve().parent.parent
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src")] + ([path] if path else []))}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "witness_demo.py"), name],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("chain:") for line in proc.stdout.splitlines())

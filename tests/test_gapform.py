@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from pontgap.errors import NonHermitianError, PreconditionError
+from pontgap.errors import InertiaMismatchError, NonHermitianError, PreconditionError
 from pontgap.gapform import (
     GapCase,
     GapLocation,
@@ -15,7 +15,7 @@ from pontgap.gapform import (
 )
 from pontgap.gen import GenConfig, random_real_spectrum_operator, random_space
 from pontgap.indefinite import Inertia, subspace_inertia, validate_space
-from pontgap.spectral import spectrum, validate_operator
+from pontgap.spectral import JSelfadjointOperator, spectrum, validate_operator
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -83,6 +83,17 @@ def test_resolvent_gap_rejects_interval_touching_spectrum():
     _, a2 = _example1_a2()
     with pytest.raises(PreconditionError):
         decompose_resolvent_gap(a2, 0.75, 1.5)  # eigenvalue 1 inside
+
+
+def test_resolvent_gap_rejects_inertia_the_theory_does_not_force():
+    # spectrum {3, 4} clears [0, 1], but A is not selfadjoint for J = I, so
+    # the form's inertia is (1, 1, 0), not the forced (2, 0, 0); built
+    # directly, since validate_operator would reject A first
+    space = validate_space(np.eye(2, dtype=complex))
+    op = JSelfadjointOperator(space=space, matrix=np.array([[3, 100], [0, 4]], dtype=complex))
+    with pytest.raises(InertiaMismatchError) as info:
+        decompose_resolvent_gap(op, 0.0, 1.0)
+    assert info.value.inertia == Inertia(1, 1, 0)
 
 
 def test_resolvent_gap_with_nonreal_spectrum():

@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pontgap
 from pontgap.errors import (
     DimensionMismatchError,
     NonHermitianError,
@@ -47,6 +51,21 @@ def test_singular_cutoff_takes_max_of_floor_and_relative():
     tol = Tolerance(rel=1e-9, abs=1e-12)
     assert tol.singular_cutoff(1e6) == 1e6 * 1e-9
     assert tol.singular_cutoff(0.0) == 1e-12
+
+
+def test_every_band_lives_on_tolerance():
+    # a module-level *_SCALE/*_FACTOR/*_SLACK would be a band outside the policy
+    modules = [pontgap] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(pontgap.__path__, "pontgap.")
+    ]
+    scattered = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in vars(module)
+        if name.endswith(("_SCALE", "_FACTOR", "_SLACK"))
+    ]
+    assert scattered == []
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ from pontgap.errors import (
     NonHermitianError,
     NotAnEigenvalueError,
     NumericalDefectError,
+    SpectrumSymmetryError,
 )
-from pontgap.cli import _sweep_intervals
 from pontgap.indefinite import Inertia, Subspace, subspace_inertia, validate_space
 from pontgap.linalg import DEFAULT_TOL, Tolerance, null_space
+from pontgap.theorem import sweep_windows
 from pontgap import spectral
 from pontgap.spectral import (
     Interval,
+    JSelfadjointOperator,
     complement_subspace,
     eig_count,
     gap_inertia,
@@ -154,6 +156,22 @@ def test_spectrum_is_cached_per_operator():
     assert spectrum(a1) is spectrum(a1)
 
 
+@pytest.mark.parametrize(
+    "diagonal, message",
+    [
+        ([1 + 1j, 2], "no conjugate partner"),
+        ([1 + 1j, 1 + 1j, 1 - 1j], "multiplicities 2 != 1"),
+        ([1 - 1j, 2], "unpaired eigenvalues below the real axis"),
+    ],
+)
+def test_spectrum_rejects_unpaired_nonreal_eigenvalues(diagonal, message):
+    # built directly: validate_operator would reject these before spectrum()
+    space = validate_space(np.eye(len(diagonal), dtype=complex))
+    op = JSelfadjointOperator(space=space, matrix=np.diag(diagonal).astype(complex))
+    with pytest.raises(SpectrumSymmetryError, match=message):
+        spectrum(op)
+
+
 # ---------------------------------------------------------------------------
 # root subspaces
 
@@ -259,7 +277,7 @@ def test_gap_inertia_sums_match_union_inertia(d, kminus):
     for seed in range(3):
         space = helpers.make_space(d, kminus, 100 * d + seed)
         pair = helpers.make_rank_perturbed_pair(space, 7 * d + seed, rank=seed % 3)
-        windows = _sweep_intervals(pair, DEFAULT_TOL)
+        windows = sweep_windows(pair, DEFAULT_TOL)
         assert windows[0] == FULL_LINE
         for op in (pair.op1, pair.op2):
             assert spectral._rows_add_up(op, DEFAULT_TOL)
@@ -280,7 +298,7 @@ def test_gap_inertia_falls_back_to_each_windows_union(monkeypatch):
     expected = {
         (op, window): subspace_inertia(space, gap_subspace(op, window))
         for op in (pair.op1, pair.op2)
-        for window in _sweep_intervals(pair, DEFAULT_TOL)
+        for window in sweep_windows(pair, DEFAULT_TOL)
     }
     fresh = helpers.make_rank_perturbed_pair(space, 12, rank=2)
     monkeypatch.setattr(spectral, "_rows_add_up", lambda op, tol: False)

@@ -7,10 +7,9 @@ import helpers
 from pontgap.errors import DeltaPrimeSearchError
 from pontgap.gen import builtin_fixtures
 from pontgap.indefinite import Inertia
-from pontgap.linalg import clustering_threshold
+from pontgap.linalg import Tolerance, clustering_threshold
 from pontgap.spectral import Interval, spectrum
 from pontgap.theorem import (
-    DELTA_PRIME_MARGIN_FACTOR,
     choose_delta_prime,
     proof_witness,
     verify_main_theorem,
@@ -87,7 +86,7 @@ def test_choose_delta_prime_contract(d, n, seed):
             assert dp.lower < v.real < dp.upper
     # endpoints keep the advertised margin from both spectra
     for op in (pair.op1, pair.op2):
-        margin = DELTA_PRIME_MARGIN_FACTOR * clustering_threshold(op.matrix)
+        margin = Tolerance.DELTA_PRIME_MARGIN_FACTOR * clustering_threshold(op.matrix)
         for v in spectrum(op).values():
             assert abs(v - dp.lower) >= margin
             assert abs(v - dp.upper) >= margin
