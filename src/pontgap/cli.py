@@ -157,19 +157,11 @@ def cmd_analyze(args) -> int:
 
 
 def _report_expectations(expected: dict, report: GapReport) -> dict:
-    computed = {
-        "n": report.n,
-        "kappa": report.kappa,
-        "eig1": report.eig1,
-        "eig2": report.eig2,
-        "sig1": report.sig1,
-        "sig2": report.sig2,
-        "slack": report.slack,
-    }
+    """Mismatches of ``expected`` (keys are ``GapReport`` attributes)."""
     return {
-        key: {"expected": expected[key], "computed": computed[key]}
+        key: {"expected": expected[key], "computed": getattr(report, key)}
         for key in sorted(expected)
-        if computed[key] != expected[key]
+        if getattr(report, key) != expected[key]
     }
 
 
@@ -205,7 +197,8 @@ def cmd_verify(args) -> int:
     if record.name is not None:
         doc["name"] = record.name
     mismatches = {}
-    if record.expected is not None and reports:
+    # ``expected`` pins the instance's own first interval, not an override
+    if record.expected is not None and reports and not args.interval:
         mismatches = _report_expectations(record.expected, reports[0])
         doc["expectation"] = {
             "matches": not mismatches,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InertiaMismatchError, PreconditionError
-from .indefinite import Inertia, Subspace, inertia_of_hermitian
+from .indefinite import Inertia, Subspace
 from .linalg import DEFAULT_TOL, Tolerance
 from .spectral import JSelfadjointOperator, spectrum
 
@@ -178,13 +178,12 @@ def hilbert_gap_check(t, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Ga
     if not a < b:
         raise PreconditionError(f"check requires a < b, got a={a}, b={b}")
     t = linalg.as_complex_matrix(t, square=True)
-    # hermitian_eigen re-validates Hermiticity of t itself
+    # hermitian_eigen re-validates Hermiticity of t itself; (T - a)(T - b)
+    # has eigenvalues (w - a)(w - b), whose 2-norm is its Frobenius norm
     wt, _ = linalg.hermitian_eigen(t, tol)
-    eye = np.eye(t.shape[0], dtype=complex)
-    g = (t - a * eye) @ (t - b * eye)
-    g = 0.5 * (g + g.conj().T)
-    band = tol.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(g))
-    inertia = inertia_of_hermitian(g, band, tol)
+    mu = (wt - a) * (wt - b)
+    band = tol.INERTIA_ZERO_SCALE * max(1.0, float(np.linalg.norm(mu)))
+    inertia = Inertia.of_eigenvalues(mu, band)
     if inertia.minus == 0:
         return GapLocation.GAP_IN_RESOLVENT
     if inertia.plus == 0:

@@ -170,8 +170,9 @@ def random_pair(
         signs = np.array([rng.sign() for _ in range(n)], dtype=float)
         p = (v * signs) @ v.conj().T
         a2 = op1.matrix + linalg.solve(space.gram, 0.5 * (p + p.conj().T), tol)
-        if linalg.rank_tol(op1.matrix - a2, tol) == n and _margins_ok(a2, cfg.gap, tol):
-            return make_pair(op1, validate_operator(space, a2, tol), tol)
+        pair = make_pair(op1, validate_operator(space, a2, tol), tol)
+        if pair.n == n and _margins_ok(a2, cfg.gap, tol):
+            return pair
     raise ResampleBudgetError(
         f"no rank-{n} perturbation with margins {cfg.gap} in {RESAMPLE_BUDGET} draws"
     )

@@ -31,8 +31,8 @@ __all__ = [
 class OperatorPair:
     """Two J-selfadjoint operators with their difference data.
 
-    ``n`` is the rank of A1 - A2 and ``agreement`` its kernel; the
-    two always satisfy ``n + agreement.dim == dim``.
+    ``agreement`` is the kernel of A1 - A2 and ``n`` its rank, read off
+    the same SVD as ``dim - agreement.dim``.
     """
 
     op1: JSelfadjointOperator
@@ -57,9 +57,8 @@ def make_pair(
         raise DimensionMismatchError(
             "operators must live on the identical space (same Gram matrix)"
         )
-    diff = op1.matrix - op2.matrix
-    n = linalg.rank_tol(diff, tol)
-    agreement = Subspace(op1.dim, linalg.null_space(diff, tol))
+    agreement = Subspace(op1.dim, linalg.null_space(op1.matrix - op2.matrix, tol))
+    n = op1.dim - agreement.dim
     return OperatorPair(op1=op1, op2=op2, n=n, agreement=agreement)
 
 

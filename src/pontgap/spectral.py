@@ -30,13 +30,13 @@ from .errors import (
     NonHermitianError,
     NotAnEigenvalueError,
     NumericalDefectError,
-    SingularMatrixError,
     SpectrumSymmetryError,
 )
 from .indefinite import (
     IndefiniteSpace,
     Inertia,
     Subspace,
+    oblique_projection,
     subspace_inertia,
     validate_space,
 )
@@ -418,27 +418,13 @@ def spectral_projection(
 ) -> np.ndarray:
     """J-selfadjoint projection onto the interval's gap subspace.
 
-    Built by block change of basis: the projection acts as the
-    identity on the gap subspace and as zero on the sum of all other
-    root subspaces.  Requires both finite endpoints to be away from
-    the spectrum (enforced by the endpoint guard).
+    The oblique projection onto the gap subspace along the sum of all
+    other root subspaces.  Requires both finite endpoints to be away
+    from the spectrum (enforced by the endpoint guard).
     """
-    b_in = gap_subspace(op, interval, tol).basis
-    b_out = complement_subspace(op, interval, tol).basis
-    t = np.hstack([b_in, b_out])
-    if t.shape[1] != op.dim:
-        raise NumericalDefectError(
-            f"root subspaces span {t.shape[1]} of {op.dim} dimensions"
-        )
-    try:
-        t_inv = linalg.solve(t, np.eye(op.dim, dtype=complex), tol)
-    except SingularMatrixError as exc:
-        raise NumericalDefectError(
-            "root-subspace sum fails to span the space "
-            f"(sigma_min = {exc.smallest_singular_value:.3e})"
-        ) from exc
-    m = b_in.shape[1]
-    return t[:, :m] @ t_inv[:m, :]
+    return oblique_projection(
+        gap_subspace(op, interval, tol), complement_subspace(op, interval, tol), tol
+    )
 
 
 def restrict_operator(

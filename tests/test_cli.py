@@ -142,6 +142,16 @@ def test_verify_mislabeled_expectation(capsys, tmp_path):
     }
 
 
+def test_verify_interval_override_skips_expectation(capsys):
+    # example1's expected counts belong to (1/4, 2); on (-1, 1) eig1 is 2
+    code, out, _ = _run(capsys, "verify", str(EXAMPLE1), "--interval=-1,1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["all_bounds_hold"] is True
+    assert doc["reports"][0]["eig"] == {"a1": 2, "a2": 1}
+    assert "expectation" not in doc
+
+
 def test_verify_requires_second_operator(capsys, tmp_path):
     doc = json.loads(EXAMPLE1.read_text())
     del doc["a2"]

@@ -206,6 +206,10 @@ def test_hilbert_gap_check_three_outcomes():
     assert hilbert_gap_check(np.diag([0.0, 1.5, 3.0]), 1.0, 2.0) is (
         GapLocation.NEITHER
     )
+    # spectrum exactly {a, b}: both criteria hold and the resolvent wins
+    assert hilbert_gap_check(np.diag([1.0, 2.0]), 1.0, 2.0) is (
+        GapLocation.GAP_IN_RESOLVENT
+    )
 
 
 def test_hilbert_gap_check_rejects_non_hermitian():

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,19 +55,40 @@ def test_singular_cutoff_takes_max_of_floor_and_relative():
     assert tol.singular_cutoff(0.0) == 1e-12
 
 
-def test_every_band_lives_on_tolerance():
-    # a module-level *_SCALE/*_FACTOR/*_SLACK would be a band outside the policy
-    modules = [pontgap] + [
+def _pontgap_modules():
+    return [pontgap] + [
         importlib.import_module(info.name)
         for info in pkgutil.iter_modules(pontgap.__path__, "pontgap.")
     ]
+
+
+def test_every_band_lives_on_tolerance():
+    # a module-level *_SCALE/*_FACTOR/*_SLACK would be a band outside the policy
     scattered = [
         f"{module.__name__}.{name}"
-        for module in modules
+        for module in _pontgap_modules()
         for name in vars(module)
         if name.endswith(("_SCALE", "_FACTOR", "_SLACK"))
     ]
     assert scattered == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # stands in for a linter: an import neither read nor listed in __all__ is dead
+    unused = []
+    for module in _pontgap_modules():
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(getattr(module, "__all__", ()))
+        unused += [f"{module.__name__}.{name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+from pontgap import linalg
 from pontgap.errors import DimensionMismatchError, PreconditionError
-from pontgap.gen import builtin_fixtures
+from pontgap.gen import GenConfig, builtin_fixtures, random_pair, random_space
 from pontgap.indefinite import validate_space
 from pontgap.perturbation import (
     make_pair,
@@ -56,6 +57,41 @@ def test_make_pair_identical_operators():
     pair = make_pair(op, op)
     assert pair.n == 0
     assert pair.agreement.dim == 4
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_make_pair_factors_the_difference_once(monkeypatch):
+    space = helpers.make_space(5, 2, seed=8)
+    op1 = helpers.make_operator(space, seed=9)
+    op2 = helpers.make_operator(space, seed=10)
+    svd_calls = _count_calls(monkeypatch, np.linalg, "svd")
+    pair = make_pair(op1, op2)
+    assert len(svd_calls) == 1
+    assert pair.n + pair.agreement.dim == pair.dim
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_pair_reads_rank_off_the_agreement_kernel(monkeypatch, rank, seed):
+    cfg = GenConfig(dim=4, kappa_minus=1, pert_rank=rank, seed=seed)
+    space = random_space(cfg)
+    rank_calls = _count_calls(monkeypatch, linalg, "rank_tol")
+    kernel_calls = _count_calls(monkeypatch, linalg, "null_space")
+    pair = random_pair(space, cfg)
+    assert pair.n == rank
+    assert rank_calls == []
+    assert len(kernel_calls) == 1  # these seeds accept their first draw
 
 
 def test_resolvent_rank_at_hand_point():

@@ -352,6 +352,15 @@ def test_spectral_projection_full_line_is_identity():
     assert np.allclose(spectral_projection(a2, FULL_LINE), np.eye(2), atol=1e-10)
 
 
+def test_spectral_projection_rejects_subspaces_short_of_the_space(monkeypatch):
+    _, a1 = _example3_op1()
+    monkeypatch.setattr(
+        spectral, "complement_subspace", lambda op, interval, tol: Subspace.zero(op.dim)
+    )
+    with pytest.raises(NumericalDefectError):
+        spectral_projection(a1, Interval(-1.0, 1.0))
+
+
 @given(dims, seeds)
 def test_spectral_projection_random_invariants(d, seed):
     space = helpers.make_space(d, d // 3, seed)
