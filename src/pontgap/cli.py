@@ -239,6 +239,15 @@ def cmd_sweep(args) -> int:
     ranks = _parse_int_list(args.ranks, "--ranks")
     if args.seeds < 1:
         raise InstanceFormatError("--seeds must be at least 1")
+    for flag, values, least in (
+        ("--dims", dims, 1), ("--kappas", kappas, 0), ("--ranks", ranks, 0)
+    ):
+        if min(values) < least:
+            raise InstanceFormatError(f"{flag} values must be at least {least}")
+    if not any(k <= d and r <= d for d in dims for k in kappas for r in ranks):
+        raise InstanceFormatError(
+            "--dims, --kappas and --ranks leave no cell with kappa <= d and n <= d"
+        )
     rows = [CSV_HEADER]
     cells: dict[tuple[int, int], dict] = {}
     instances = 0

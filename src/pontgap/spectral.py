@@ -11,13 +11,17 @@ eigenvalue and, per real eigenvalue, the inertia of the Gram form on
 it.  The table costs one ``eig`` call of its own, for the eigenvectors.
 Window counts are sums of table rows, checked once per operator (see
 :func:`gap_inertia`); an operator whose spectrum is all its callers read
-never builds the table.  The memo never changes any result.
+never builds the table.  The memo also holds a sorted index of the
+spectrum, so that :func:`selection` and :func:`clear_of` bisect instead
+of scanning: a window costs O(log m + k) for m entries, k of them near
+an endpoint or counted.  The memo never changes any result.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +54,7 @@ __all__ = [
     "validate_operator",
     "spectrum",
     "nearest",
+    "clear_of",
     "root_subspace",
     "selection",
     "gap_subspace",
@@ -217,14 +222,71 @@ def spectrum(op: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL) -> Spectrum
     return op._cached(("spectrum", tol.rel, tol.abs), build)
 
 
+@dataclass(frozen=True)
+class _Index:
+    """The spectrum with its entries' values and two sorted keys: the real
+    parts of all entries, and the indices and real parts of the real
+    entries.  Entries are sorted by (real, imag), so both real-part lists
+    are non-decreasing."""
+
+    spectrum: Spectrum
+    values: tuple[complex, ...]
+    re: list[float]
+    real_indices: list[int]
+    real_re: list[float]
+
+    def near(self, x: float, radius: float) -> range:
+        """Indices of every entry within ``radius`` of the real point ``x``.
+
+        |lambda - x| >= |Re lambda - x|, so an entry within ``radius`` of x,
+        real or not, has its real part within ``radius`` of x and is found
+        by a bisect over all entries' real parts.  The bisect reaches out
+        to twice the radius, so that rounding ``x -/+ 2 radius`` cannot
+        drop such an entry: rounding moves it by half an ulp of x, and
+        where an entry can be near x, |x| is at most about
+        |lambda| <= ||A||_F <= ``op.scale``, whose ulp is far below the
+        bands (1e-6 ``op.scale`` and up).  Callers test each candidate
+        with the exact distance.
+        """
+        return range(
+            bisect_left(self.re, x - 2.0 * radius),
+            bisect_right(self.re, x + 2.0 * radius),
+        )
+
+
+def _index(op: JSelfadjointOperator, tol: Tolerance) -> _Index:
+    def build():
+        spec = spectrum(op, tol)
+        values = tuple(spec.values())
+        real_indices = [i for i, e in enumerate(spec.entries) if e.is_real]
+        return _Index(
+            spectrum=spec,
+            values=values,
+            re=[v.real for v in values],
+            real_indices=real_indices,
+            real_re=[values[i].real for i in real_indices],
+        )
+
+    return op._cached(("index", tol.rel, tol.abs), build)
+
+
 def nearest(
     op: JSelfadjointOperator, x, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[int | None, float]:
     """Index of the spectrum entry nearest ``x`` (the first on ties) and its
     distance; ``(None, inf)`` for an empty spectrum."""
-    dists = [abs(e.value - x) for e in spectrum(op, tol).entries]
+    dists = [abs(v - x) for v in _index(op, tol).values]
     best = min(dists, default=math.inf)
     return (dists.index(best) if dists else None), best
+
+
+def clear_of(
+    op: JSelfadjointOperator, x: float, margin: float, tol: Tolerance = DEFAULT_TOL
+) -> bool:
+    """Whether no spectrum entry lies within ``margin`` of the real point ``x``
+    (every entry at distance ``>= margin``)."""
+    index = _index(op, tol)
+    return all(abs(index.values[i] - x) >= margin for i in index.near(x, margin))
 
 
 @dataclass(frozen=True)
@@ -310,29 +372,33 @@ def selection(
     eigenvalue; an eigenvalue indistinguishable from the endpoint at
     machine resolution is treated as sitting on it (hence outside).
     """
-    spec = spectrum(op, tol)
+    index = _index(op, tol)
     guard = tol.ENDPOINT_GUARD_SCALE * op.scale
     exact = tol.ENDPOINT_EXACT_SCALE * op.scale
-    included = []
-    for idx, entry in enumerate(spec.entries):
-        on_endpoint = False
-        for endpoint in interval.finite_endpoints():
-            dist = abs(entry.value - endpoint)
+    on_endpoint = set()
+    ambiguous = None  # (entry index, endpoint, distance), lowest index first
+    for endpoint in interval.finite_endpoints():
+        for idx in index.near(endpoint, guard):
+            dist = abs(index.values[idx] - endpoint)
             if dist <= exact:
-                on_endpoint = True
-            elif dist <= guard:
-                raise EndpointInSpectrumError(
-                    f"eigenvalue {entry.value} lies within {dist:.3e} of "
-                    f"endpoint {endpoint}; counting over {interval} is ill-posed",
-                    endpoint=endpoint,
-                    eigenvalue=entry.value,
-                    distance=dist,
-                )
-        if on_endpoint or not entry.is_real:
-            continue
-        if interval.contains(entry.value.real):
-            included.append(idx)
-    return spec, tuple(included)
+                on_endpoint.add(idx)
+            elif dist <= guard and (ambiguous is None or idx < ambiguous[0]):
+                ambiguous = (idx, endpoint, dist)
+    if ambiguous is not None:
+        idx, endpoint, dist = ambiguous
+        raise EndpointInSpectrumError(
+            f"eigenvalue {index.values[idx]} lies within {dist:.3e} of "
+            f"endpoint {endpoint}; counting over {interval} is ill-posed",
+            endpoint=endpoint,
+            eigenvalue=index.values[idx],
+            distance=dist,
+        )
+    inside = index.real_indices[
+        bisect_right(index.real_re, interval.lower) : bisect_left(
+            index.real_re, interval.upper
+        )
+    ]
+    return index.spectrum, tuple(i for i in inside if i not in on_endpoint)
 
 
 def _union_basis(op, indices, tol) -> np.ndarray:
@@ -368,7 +434,11 @@ def complement_subspace(
 
 def _row_sum(op, included, tol) -> Inertia:
     inertias = _table(op, tol).inertias
-    return sum((inertias[i] for i in included), Inertia(0, 0, 0))
+    plus = minus = zero = 0
+    for i in included:
+        row = inertias[i]
+        plus, minus, zero = plus + row.plus, minus + row.minus, zero + row.zero
+    return Inertia(plus, minus, zero)
 
 
 def _rows_add_up(op, tol) -> bool:

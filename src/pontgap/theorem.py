@@ -35,10 +35,10 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair
 from .spectral import (
     Interval,
+    clear_of,
     complement_subspace,
     gap_inertia,
     gap_subspace,
-    nearest,
     restrict_operator,
     selection,
     spectrum,
@@ -212,7 +212,7 @@ def choose_delta_prime(
 
     def admissible(x: float) -> bool:
         return interval.contains(x) and all(
-            nearest(op, x, tol)[1] >= margin for op, margin in zip(ops, margins)
+            clear_of(op, x, margin, tol) for op, margin in zip(ops, margins)
         )
 
     def counted_reals(op):
@@ -256,7 +256,7 @@ def sweep_windows(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> list[Inte
     cuts = []
     for left, right in zip(reals, reals[1:]):
         cut = 0.5 * (left + right)
-        if all(nearest(op, cut, tol)[1] >= margin for op in (pair.op1, pair.op2)):
+        if all(clear_of(op, cut, margin, tol) for op in (pair.op1, pair.op2)):
             if not cuts or cut - cuts[-1] > tol.SWEEP_CUT_SCALE * max(1.0, abs(cut)):
                 cuts.append(cut)
     intervals = [Interval(-math.inf, math.inf)]

@@ -282,10 +282,17 @@ def test_sweep_dumps_violations(capsys, tmp_path, monkeypatch):
 
 
 def test_sweep_rejects_bad_grid(capsys, tmp_path):
-    code, _, err = _run(capsys, "sweep", "--dims", "two",
-                        "--out", str(tmp_path / "x.csv"))
-    assert code == 2
-    assert "--dims" in err
+    out = tmp_path / "x.csv"
+    for grid, flag in [
+        (("--dims", "two"), "--dims"),
+        (("--dims", "-2"), "--dims"),
+        (("--dims", "3", "--kappas", "7"), "--kappas"),
+        (("--dims", "3", "--ranks", "9"), "--ranks"),
+    ]:
+        code, _, err = _run(capsys, "sweep", *grid, "--out", str(out))
+        assert code == 2, grid
+        assert flag in err, grid
+        assert not out.exists(), grid
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,117 @@ def test_exact_endpoint_hit_is_excluded_not_an_error():
     assert eig_count(a2, Interval(0.5, 2.0)) == 1
 
 
+def _unsafe_pair_op():
+    """A non-real pair 0.5 +/- 8e-5i inside the endpoint guard (1e-4, since
+    ||A||_F ~ 100) and outside the realness band (1e-6)."""
+    gram = np.zeros((3, 3), dtype=complex)
+    gram[0, 1] = gram[1, 0] = gram[2, 2] = 1.0
+    a = np.zeros((3, 3), dtype=complex)
+    a[:2, :2] = [[0.5, 1.0], [-(8e-5) ** 2, 0.5]]
+    a[2, 2] = 100.0
+    return validate_operator(validate_space(gram), a)
+
+
+def test_nonreal_entry_inside_the_endpoint_guard_is_ambiguous():
+    op = _unsafe_pair_op()
+    assert [e.is_real for e in spectrum(op).entries] == [False, False, True]
+    with pytest.raises(EndpointInSpectrumError) as info:
+        eig_count(op, Interval(0.5, 200.0))
+    assert info.value.endpoint == 0.5
+    assert info.value.eigenvalue == pytest.approx(0.5 - 8e-5j, abs=1e-9)
+    assert info.value.eigenvalue.imag < 0
+    assert info.value.distance == pytest.approx(8e-5, rel=1e-4)
+    assert eig_count(op, Interval(0.5003, 200.0)) == 1
+    _assert_matches_full_scan(op, _probe_windows(op))
+
+
+def _reference_selection(op, interval, tol=DEFAULT_TOL):
+    """The per-entry loop that ``selection`` replaced, kept as its reference."""
+    spec = spectrum(op, tol)
+    guard = tol.ENDPOINT_GUARD_SCALE * op.scale
+    exact = tol.ENDPOINT_EXACT_SCALE * op.scale
+    included = []
+    for idx, entry in enumerate(spec.entries):
+        on_endpoint = False
+        for endpoint in interval.finite_endpoints():
+            dist = abs(entry.value - endpoint)
+            if dist <= exact:
+                on_endpoint = True
+            elif dist <= guard:
+                raise EndpointInSpectrumError(
+                    f"eigenvalue {entry.value} lies within {dist:.3e} of "
+                    f"endpoint {endpoint}; counting over {interval} is ill-posed",
+                    endpoint=endpoint,
+                    eigenvalue=entry.value,
+                    distance=dist,
+                )
+        if on_endpoint or not entry.is_real:
+            continue
+        if interval.contains(entry.value.real):
+            included.append(idx)
+    return spec, tuple(included)
+
+
+def _reference_clear_of(op, x, margin, tol=DEFAULT_TOL):
+    """The full distance scan that ``clear_of`` replaced."""
+    dists = [abs(e.value - x) for e in spectrum(op, tol).entries]
+    return min(dists, default=math.inf) >= margin
+
+
+def _selection_outcome(select, op, interval):
+    try:
+        return select(op, interval)[1]
+    except EndpointInSpectrumError as exc:
+        return type(exc), exc.endpoint, exc.eigenvalue, exc.distance, str(exc)
+
+
+def _probe_windows(op):
+    """Windows with an endpoint at each entry's real part, offset into and
+    across the exact band and the guard band."""
+    guard = DEFAULT_TOL.ENDPOINT_GUARD_SCALE * op.scale
+    exact = DEFAULT_TOL.ENDPOINT_EXACT_SCALE * op.scale
+    offsets = [0.0] + [
+        sign * step
+        for step in (exact / 2, guard / 2, guard, 1.5 * guard, 2.5 * guard)
+        for sign in (-1.0, 1.0)
+    ]
+    for entry in spectrum(op).entries:
+        centre = entry.value.real
+        yield Interval(centre - guard / 2, centre + guard / 2)
+        for x in (centre + offset for offset in offsets):
+            yield from (
+                Interval(x, math.inf), Interval(x, x + guard),
+                Interval(-math.inf, x), Interval(x - guard, x),
+            )
+
+
+def _assert_matches_full_scan(op, windows):
+    guard = DEFAULT_TOL.ENDPOINT_GUARD_SCALE * op.scale
+    margins = (
+        guard,
+        DEFAULT_TOL.SWEEP_MARGIN_FACTOR * guard,
+        DEFAULT_TOL.DELTA_PRIME_MARGIN_FACTOR * DEFAULT_TOL.CLUSTERING_SCALE * op.scale,
+    )
+    for window in windows:
+        assert _selection_outcome(spectral.selection, op, window) == (
+            _selection_outcome(_reference_selection, op, window)
+        ), window
+        for x in window.finite_endpoints():
+            for margin in margins:
+                assert spectral.clear_of(op, x, margin) == (
+                    _reference_clear_of(op, x, margin)
+                ), (x, margin)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("kminus", [0, 1, 2])
+def test_selection_and_clear_of_match_the_full_scan(d, kminus):
+    for _, pair in _ensemble(d, kminus):
+        windows = sweep_windows(pair, DEFAULT_TOL)
+        for op in (pair.op1, pair.op2):
+            _assert_matches_full_scan(op, windows + list(_probe_windows(op)))
+
+
 def _kernel_growth_root_basis(op, value):
     """Reference root basis without eigenvectors: ker (A - value)^k by growth."""
     d = op.dim
@@ -269,14 +380,19 @@ def _kernel_growth_root_basis(op, value):
         basis = grown
 
 
+def _ensemble(d, kminus):
+    """Three seeded pairs on one shape, with ranks 0, 1 and 2."""
+    for seed in range(3):
+        space = helpers.make_space(d, kminus, 100 * d + seed)
+        yield space, helpers.make_rank_perturbed_pair(space, 7 * d + seed, rank=seed % 3)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
 @pytest.mark.parametrize("kminus", [0, 1, 2])
 def test_gap_inertia_sums_match_union_inertia(d, kminus):
     # per-eigenvalue rows summed, against the inertia of the stacked union
     # and of a union of root bases grown from kernels alone
-    for seed in range(3):
-        space = helpers.make_space(d, kminus, 100 * d + seed)
-        pair = helpers.make_rank_perturbed_pair(space, 7 * d + seed, rank=seed % 3)
+    for space, pair in _ensemble(d, kminus):
         windows = sweep_windows(pair, DEFAULT_TOL)
         assert windows[0] == FULL_LINE
         for op in (pair.op1, pair.op2):
