@@ -218,12 +218,9 @@ def cmd_verify(args) -> int:
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part.strip()) for part in text.split(","))
+        return tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
         raise InstanceFormatError(f"{flag} expects comma-separated integers") from None
-    if not values:
-        raise InstanceFormatError(f"{flag} must not be empty")
-    return values
 
 
 def _csv_endpoint(x: float) -> str:

@@ -59,11 +59,6 @@ class Inertia:
             zero=int(np.sum(np.abs(w) <= zero_band)),
         )
 
-    def __add__(self, other: "Inertia") -> "Inertia":
-        return Inertia(
-            self.plus + other.plus, self.minus + other.minus, self.zero + other.zero
-        )
-
     @property
     def dim(self) -> int:
         return self.plus + self.minus + self.zero

@@ -283,7 +283,7 @@ def _complex(node, path: str) -> complex:
     return complex(_number(node[0], path + "[0]"), _number(node[1], path + "[1]"))
 
 
-def _matrix(node, path: str, *, square: bool) -> np.ndarray:
+def _matrix(node, path: str) -> np.ndarray:
     if not isinstance(node, list) or not node:
         _fail(path, "expected a non-empty array of rows")
     width = None
@@ -297,7 +297,7 @@ def _matrix(node, path: str, *, square: bool) -> np.ndarray:
             _fail(f"{path}[{i}]", f"row has {len(row)} entries, expected {width}")
         rows.append([_complex(z, f"{path}[{i}][{j}]") for j, z in enumerate(row)])
     try:
-        return as_complex_matrix(np.array(rows, dtype=complex), square=square)
+        return as_complex_matrix(np.array(rows, dtype=complex), square=True)
     except Exception as exc:
         _fail(path, str(exc))
 
@@ -368,13 +368,13 @@ def parse_instance(text: str) -> InstanceRecord:
     for required in ("gram", "a1", "intervals"):
         if required not in top:
             _fail("$", f"missing required key {required!r}")
-    gram = _matrix(top["gram"], "$.gram", square=True)
-    a1 = _matrix(top["a1"], "$.a1", square=True)
+    gram = _matrix(top["gram"], "$.gram")
+    a1 = _matrix(top["a1"], "$.a1")
     if a1.shape != gram.shape:
         _fail("$.a1", f"shape {a1.shape} does not match gram shape {gram.shape}")
     a2 = None
     if "a2" in top:
-        a2 = _matrix(top["a2"], "$.a2", square=True)
+        a2 = _matrix(top["a2"], "$.a2")
         if a2.shape != gram.shape:
             _fail("$.a2", f"shape {a2.shape} does not match gram shape {gram.shape}")
     if not isinstance(top["intervals"], list):

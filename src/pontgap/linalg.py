@@ -203,13 +203,16 @@ def _singular_values(m) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank_tol(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above ``max(abs, rel*sigma_max)``."""
-    m = as_complex_matrix(m)
-    s = _singular_values(m)
+def _rank(s: np.ndarray, tol: Tolerance) -> int:
+    """How many descending singular values ``s`` exceed the cutoff."""
     if s.size == 0:
         return 0
     return int(np.sum(s > tol.singular_cutoff(float(s[0]))))
+
+
+def rank_tol(m, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Numerical rank: singular values above ``max(abs, rel*sigma_max)``."""
+    return _rank(_singular_values(as_complex_matrix(m)), tol)
 
 
 def null_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -226,9 +229,7 @@ def null_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    cutoff = tol.singular_cutoff(float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
+    return vh[_rank(s, tol):].conj().T
 
 
 def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -247,8 +248,8 @@ def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             f"right-hand side has {b.shape[0]} rows, matrix has {m.shape[0]}"
         )
     s = _singular_values(m)
-    smallest = float(s[-1]) if s.size else 0.0
-    if m.shape[0] and smallest <= tol.singular_cutoff(float(s[0])):
+    if _rank(s, tol) < m.shape[0]:
+        smallest = float(s[-1])
         raise SingularMatrixError(
             f"matrix is singular to tolerance (sigma_min = {smallest:.3e})",
             smallest_singular_value=smallest,
@@ -264,6 +265,4 @@ def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if m.shape[1] == 0 or m.shape[0] == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    cutoff = tol.singular_cutoff(float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank]
+    return u[:, :_rank(s, tol)]

@@ -11,10 +11,11 @@ eigenvalue and, per real eigenvalue, the inertia of the Gram form on
 it.  The table costs one ``eig`` call of its own, for the eigenvectors.
 Window counts are sums of table rows, checked once per operator (see
 :func:`gap_inertia`); an operator whose spectrum is all its callers read
-never builds the table.  The memo also holds a sorted index of the
-spectrum, so that :func:`selection` and :func:`clear_of` bisect instead
-of scanning: a window costs O(log m + k) for m entries, k of them near
-an endpoint or counted.  The memo never changes any result.
+never builds the table.  So the memo holds three things: the spectrum,
+which carries its own sorted keys, the table, and the verdict of that
+check.  With the keys, :func:`selection` and :func:`clear_of` bisect
+instead of scanning: a window costs O(log m + k) for m entries, k of
+them near an endpoint or counted.  The memo never changes any result.
 """
 
 from __future__ import annotations
@@ -109,12 +110,47 @@ class Eigenvalue:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Clustered, conjugation-closed spectrum, sorted by (real, imag)."""
+    """Clustered, conjugation-closed spectrum, sorted by (real, imag).
+
+    Derived from the entries, and kept out of ``repr`` and equality, are
+    two sorted keys: ``re``, the real parts of all entries, and
+    ``real_indices`` with ``real_re``, the indices and real parts of the
+    real entries.  Entries are sorted by (real, imag), so both real-part
+    tuples are non-decreasing.
+    """
 
     entries: tuple[Eigenvalue, ...]
+    re: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    real_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    real_re: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        re = tuple(e.value.real for e in self.entries)
+        real_indices = tuple(i for i, e in enumerate(self.entries) if e.is_real)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "real_indices", real_indices)
+        object.__setattr__(self, "real_re", tuple(re[i] for i in real_indices))
 
     def values(self) -> list[complex]:
         return [e.value for e in self.entries]
+
+    def near(self, x: float, radius: float) -> range:
+        """Indices of every entry within ``radius`` of the real point ``x``.
+
+        |lambda - x| >= |Re lambda - x|, so an entry within ``radius`` of x,
+        real or not, has its real part within ``radius`` of x and is found
+        by a bisect over all entries' real parts.  The bisect reaches out
+        to twice the radius, so that rounding ``x -/+ 2 radius`` cannot
+        drop such an entry: rounding moves it by half an ulp of x, and
+        where an entry can be near x, |x| is at most about
+        |lambda| <= ||A||_F <= the operator's ``scale``, whose ulp is far
+        below the bands (1e-6 ``scale`` and up).  Callers test each candidate
+        with the exact distance.
+        """
+        return range(
+            bisect_left(self.re, x - 2.0 * radius),
+            bisect_right(self.re, x + 2.0 * radius),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,60 +258,12 @@ def spectrum(op: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL) -> Spectrum
     return op._cached(("spectrum", tol.rel, tol.abs), build)
 
 
-@dataclass(frozen=True)
-class _Index:
-    """The spectrum with its entries' values and two sorted keys: the real
-    parts of all entries, and the indices and real parts of the real
-    entries.  Entries are sorted by (real, imag), so both real-part lists
-    are non-decreasing."""
-
-    spectrum: Spectrum
-    values: tuple[complex, ...]
-    re: list[float]
-    real_indices: list[int]
-    real_re: list[float]
-
-    def near(self, x: float, radius: float) -> range:
-        """Indices of every entry within ``radius`` of the real point ``x``.
-
-        |lambda - x| >= |Re lambda - x|, so an entry within ``radius`` of x,
-        real or not, has its real part within ``radius`` of x and is found
-        by a bisect over all entries' real parts.  The bisect reaches out
-        to twice the radius, so that rounding ``x -/+ 2 radius`` cannot
-        drop such an entry: rounding moves it by half an ulp of x, and
-        where an entry can be near x, |x| is at most about
-        |lambda| <= ||A||_F <= ``op.scale``, whose ulp is far below the
-        bands (1e-6 ``op.scale`` and up).  Callers test each candidate
-        with the exact distance.
-        """
-        return range(
-            bisect_left(self.re, x - 2.0 * radius),
-            bisect_right(self.re, x + 2.0 * radius),
-        )
-
-
-def _index(op: JSelfadjointOperator, tol: Tolerance) -> _Index:
-    def build():
-        spec = spectrum(op, tol)
-        values = tuple(spec.values())
-        real_indices = [i for i, e in enumerate(spec.entries) if e.is_real]
-        return _Index(
-            spectrum=spec,
-            values=values,
-            re=[v.real for v in values],
-            real_indices=real_indices,
-            real_re=[values[i].real for i in real_indices],
-        )
-
-    return op._cached(("index", tol.rel, tol.abs), build)
-
-
 def nearest(
     op: JSelfadjointOperator, x, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[int | None, float]:
     """Index of the spectrum entry nearest ``x`` (the first on ties) and its
     distance; ``(None, inf)`` for an empty spectrum."""
-    dists = [abs(v - x) for v in _index(op, tol).values]
+    dists = [abs(v - x) for v in spectrum(op, tol).values()]
     best = min(dists, default=math.inf)
     return (dists.index(best) if dists else None), best
 
@@ -285,8 +273,8 @@ def clear_of(
 ) -> bool:
     """Whether no spectrum entry lies within ``margin`` of the real point ``x``
     (every entry at distance ``>= margin``)."""
-    index = _index(op, tol)
-    return all(abs(index.values[i] - x) >= margin for i in index.near(x, margin))
+    spec = spectrum(op, tol)
+    return all(abs(spec.entries[i].value - x) >= margin for i in spec.near(x, margin))
 
 
 @dataclass(frozen=True)
@@ -372,14 +360,14 @@ def selection(
     eigenvalue; an eigenvalue indistinguishable from the endpoint at
     machine resolution is treated as sitting on it (hence outside).
     """
-    index = _index(op, tol)
+    spec = spectrum(op, tol)
     guard = tol.ENDPOINT_GUARD_SCALE * op.scale
     exact = tol.ENDPOINT_EXACT_SCALE * op.scale
     on_endpoint = set()
     ambiguous = None  # (entry index, endpoint, distance), lowest index first
     for endpoint in interval.finite_endpoints():
-        for idx in index.near(endpoint, guard):
-            dist = abs(index.values[idx] - endpoint)
+        for idx in spec.near(endpoint, guard):
+            dist = abs(spec.entries[idx].value - endpoint)
             if dist <= exact:
                 on_endpoint.add(idx)
             elif dist <= guard and (ambiguous is None or idx < ambiguous[0]):
@@ -387,18 +375,18 @@ def selection(
     if ambiguous is not None:
         idx, endpoint, dist = ambiguous
         raise EndpointInSpectrumError(
-            f"eigenvalue {index.values[idx]} lies within {dist:.3e} of "
+            f"eigenvalue {spec.entries[idx].value} lies within {dist:.3e} of "
             f"endpoint {endpoint}; counting over {interval} is ill-posed",
             endpoint=endpoint,
-            eigenvalue=index.values[idx],
+            eigenvalue=spec.entries[idx].value,
             distance=dist,
         )
-    inside = index.real_indices[
-        bisect_right(index.real_re, interval.lower) : bisect_left(
-            index.real_re, interval.upper
+    inside = spec.real_indices[
+        bisect_right(spec.real_re, interval.lower) : bisect_left(
+            spec.real_re, interval.upper
         )
     ]
-    return index.spectrum, tuple(i for i in inside if i not in on_endpoint)
+    return spec, tuple(i for i in inside if i not in on_endpoint)
 
 
 def _union_basis(op, indices, tol) -> np.ndarray:

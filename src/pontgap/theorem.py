@@ -167,9 +167,10 @@ def verify_main_theorem(
     )
 
 
-def _dyadic(lo: float, hi: float, max_depth: int = 7):
-    """Deterministic interior sweep of a finite window, coarse first."""
-    for depth in range(1, max_depth + 1):
+def _dyadic(lo: float, hi: float):
+    """Deterministic interior sweep of a finite window, coarse first: the
+    odd multiples of 2**-depth for depth 1 to 7."""
+    for depth in range(1, 8):
         steps = 1 << depth
         for num in range(1, steps, 2):
             yield lo + (hi - lo) * (num / steps)
@@ -216,8 +217,8 @@ def choose_delta_prime(
         )
 
     def counted_reals(op):
-        sp, included = selection(op, interval, tol)
-        return [sp.entries[i].value.real for i in included]
+        spec, included = selection(op, interval, tol)
+        return [spec.re[i] for i in included]
 
     reals1 = counted_reals(pair.op1)
     reals2 = counted_reals(pair.op2)
@@ -249,10 +250,9 @@ def choose_delta_prime(
 
 def sweep_windows(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> list[Interval]:
     """Full line plus the cuts between well-separated joint eigenvalues."""
-    values = spectrum(pair.op1, tol).values() + spectrum(pair.op2, tol).values()
     guard = max(tol.ENDPOINT_GUARD_SCALE * op.scale for op in (pair.op1, pair.op2))
     margin = tol.SWEEP_MARGIN_FACTOR * guard
-    reals = sorted(v.real for v in values if v.imag == 0.0)
+    reals = sorted(spectrum(pair.op1, tol).real_re + spectrum(pair.op2, tol).real_re)
     cuts = []
     for left, right in zip(reals, reals[1:]):
         cut = 0.5 * (left + right)

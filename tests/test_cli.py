@@ -281,6 +281,36 @@ def test_sweep_dumps_violations(capsys, tmp_path, monkeypatch):
     assert record.name.startswith("violation-d2-k1-n1")
 
 
+def test_sweep_skips_cells_outside_the_grid(capsys, tmp_path):
+    # kappa 3 and n 4 fit no d = 2 instance, n 4 no d = 3 one
+    out_path = tmp_path / "skip.csv"
+    code, out, _ = _run(capsys, "sweep", "--dims", "2,3", "--kappas", "0,3",
+                        "--ranks", "0,4", "--seeds", "1", "--out", str(out_path))
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["instances"], summary["rows"]) == (3, 11)
+    assert [(c["kappa"], c["n"], c["rows"]) for c in summary["cells"]] == [
+        (0, 0, 7), (3, 0, 4),
+    ]
+    assert len(out_path.read_text().splitlines()) == 1 + 11
+
+
+def test_verify_exits_4_on_a_failed_bound(capsys, monkeypatch):
+    real = pontgap.cli.verify_main_theorem
+
+    def sabotaged(pair, interval, tol):
+        return dataclasses.replace(
+            real(pair, interval, tol), eig_bound_holds=False
+        )
+
+    monkeypatch.setattr(pontgap.cli, "verify_main_theorem", sabotaged)
+    code, out, _ = _run(capsys, "verify", str(EXAMPLE1), "--witness")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["all_bounds_hold"] is False
+    assert doc["reports"][0]["eig_bound_holds"] is False
+
+
 def test_sweep_rejects_bad_grid(capsys, tmp_path):
     out = tmp_path / "x.csv"
     for grid, flag in [
@@ -288,6 +318,8 @@ def test_sweep_rejects_bad_grid(capsys, tmp_path):
         (("--dims", "-2"), "--dims"),
         (("--dims", "3", "--kappas", "7"), "--kappas"),
         (("--dims", "3", "--ranks", "9"), "--ranks"),
+        (("--dims", ""), "--dims expects comma-separated integers"),
+        (("--seeds", "0"), "--seeds must be at least 1"),
     ]:
         code, _, err = _run(capsys, "sweep", *grid, "--out", str(out))
         assert code == 2, grid

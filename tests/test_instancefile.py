@@ -179,6 +179,19 @@ def test_parse_rejects_non_pair_entry():
         parse_instance(_doc(a1=[[[1.0]]]))
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([True, 0.0], r"\$\.a1\[0\]\[0\]\[0\]: expected a number, got True"),
+        (["1", 0.0], r"\$\.a1\[0\]\[0\]\[0\]: expected a number, got '1'"),
+        ([0.0, None], r"\$\.a1\[0\]\[0\]\[1\]: expected a number, got None"),
+    ],
+)
+def test_parse_rejects_non_number_entry(entry, message):
+    with pytest.raises(InstanceFormatError, match=message):
+        parse_instance(_doc(a1=[[entry]]))
+
+
 def test_parse_rejects_non_square_matrix():
     with pytest.raises(InstanceFormatError, match=r"\$\.gram"):
         parse_instance(_doc(gram=[[[1.0, 0.0], [0.0, 0.0]]]))

@@ -20,8 +20,10 @@ from pontgap.linalg import DEFAULT_TOL, Tolerance, null_space
 from pontgap.theorem import sweep_windows
 from pontgap import spectral
 from pontgap.spectral import (
+    Eigenvalue,
     Interval,
     JSelfadjointOperator,
+    Spectrum,
     complement_subspace,
     eig_count,
     gap_inertia,
@@ -154,6 +156,37 @@ def test_spectrum_is_conjugation_closed(d, kminus, seed):
 def test_spectrum_is_cached_per_operator():
     _, a1, _ = _example1_pair()
     assert spectrum(a1) is spectrum(a1)
+
+
+def test_spectrum_carries_its_sorted_keys():
+    entries = (
+        Eigenvalue(-1 - 2j, 1), Eigenvalue(-1 + 2j, 1),
+        Eigenvalue(0.5 + 0j, 2), Eigenvalue(3 + 0j, 1),
+    )
+    spec = Spectrum(entries=entries)
+    assert spec.re == (-1.0, -1.0, 0.5, 3.0)
+    assert spec.real_indices == (2, 3)
+    assert spec.real_re == (0.5, 3.0)
+    # the bisect reaches out to twice the radius; callers test distances
+    assert spec.near(-1.0, 0.1) == range(0, 2)
+    assert spec.near(1.0, 0.3) == range(2, 3)
+    assert spec.near(10.0, 1.0) == range(4, 4)
+    # equality, hashing and repr see the entries alone
+    twin = Spectrum(entries=entries)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert repr(spec) == f"Spectrum(entries={entries!r})"
+    assert spec != Spectrum(entries=entries[:3])
+
+
+def test_operator_memoizes_spectrum_table_and_verdict_only():
+    space = helpers.make_space(5, 1, 3)
+    pair = helpers.make_rank_perturbed_pair(space, 4, rank=1)
+    windows = sweep_windows(pair, DEFAULT_TOL)
+    assert len(windows) > 1
+    for op in (pair.op1, pair.op2):
+        for window in windows:
+            gap_inertia(op, window)
+        assert {key[0] for key in op._memo} == {"spectrum", "table", "additive"}
 
 
 @pytest.mark.parametrize(

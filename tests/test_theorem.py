@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 import helpers
 from pontgap.errors import DeltaPrimeSearchError
 from pontgap.gen import builtin_fixtures
-from pontgap.indefinite import Inertia
+from pontgap.indefinite import Inertia, validate_space
 from pontgap.linalg import Tolerance, clustering_threshold
-from pontgap.spectral import Interval, spectrum
+from pontgap.perturbation import make_pair
+from pontgap.spectral import Interval, spectrum, validate_operator
 from pontgap.theorem import (
     choose_delta_prime,
     proof_witness,
@@ -90,6 +91,18 @@ def test_choose_delta_prime_contract(d, n, seed):
         for v in spectrum(op).values():
             assert abs(v - dp.lower) >= margin
             assert abs(v - dp.upper) >= margin
+
+
+def test_choose_delta_prime_steps_off_zero_on_the_whole_line():
+    # A's eigenvalues +-1e-4 i lie within the margin (1e-3) of 0, so the
+    # search on the whole line moves on to -1 and then, going up from
+    # there, past 0 again to 1
+    space = validate_space(np.array([[0, 1], [1, 0]], dtype=complex))
+    a = np.array([[0, 1], [-((1e-4) ** 2), 0]], dtype=complex)
+    pair = make_pair(validate_operator(space, a), validate_operator(space, a))
+    whole = Interval(-np.inf, np.inf)
+    assert choose_delta_prime(pair, whole) == Interval(-1.0, 1.0)
+    assert proof_witness(pair, whole).all_hold
 
 
 def test_choose_delta_prime_exhausts_on_pinned_window():
