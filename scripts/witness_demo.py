@@ -30,6 +30,8 @@ def load(arg):
     record = parse_instance(Path(arg).read_text())
     if record.a2 is None:
         sys.exit("need an instance with both a1 and a2")
+    if not record.intervals:
+        sys.exit("need an instance with at least one interval")
     space = validate_space(record.gram)
     pair = make_pair(validate_operator(space, record.a1),
                      validate_operator(space, record.a2))

@@ -37,7 +37,7 @@ from .instancefile import (
     witness_report_node,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .perturbation import make_pair
+from .perturbation import OperatorPair, make_pair
 from .spectral import (
     Interval,
     JSelfadjointOperator,
@@ -90,12 +90,23 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _space_node(space: IndefiniteSpace) -> dict:
-    return {
-        "dim": space.dim,
-        "kappa_plus": space.kappa_plus,
-        "kappa_minus": space.kappa_minus,
+def _document(tol: Tolerance, space: IndefiniteSpace, record: InstanceRecord, body):
+    """The analyze and verify documents: one header around ``body``."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "tolerance": tolerance_node(tol),
+        "space": {"dim": space.dim, "kappa_plus": space.kappa_plus,
+                  "kappa_minus": space.kappa_minus},
+        **body,
     }
+    if record.name is not None:
+        doc["name"] = record.name
+    return doc
+
+
+def _pair_record(pair: OperatorPair, interval: Interval, name: str, expected=None):
+    return InstanceRecord(gram=pair.space.gram, a1=pair.op1.matrix, a2=pair.op2.matrix,
+                          intervals=(interval,), name=name, expected=expected)
 
 
 def _build_operators(
@@ -134,10 +145,7 @@ def cmd_analyze(args) -> int:
     ops = {"a1": op1}
     if op2 is not None:
         ops["a2"] = op2
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tolerance": tolerance_node(tol),
-        "space": _space_node(space),
+    doc = _document(tol, space, record, {
         "spectra": {
             label: spectrum_node(spectrum(op, tol)) for label, op in ops.items()
         },
@@ -145,9 +153,7 @@ def cmd_analyze(args) -> int:
             _interval_section(ops, interval, tol)
             for interval in _effective_intervals(record, args)
         ],
-    }
-    if record.name is not None:
-        doc["name"] = record.name
+    })
     _emit(stable_dumps(doc), args.out)
     return EXIT_OK
 
@@ -172,8 +178,11 @@ def cmd_verify(args) -> int:
     if op2 is None:
         print("error: verify needs an instance with both a1 and a2", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    pair = make_pair(op1, op2, tol)
     intervals = _effective_intervals(record, args)
+    if not intervals:
+        print("error: verify needs at least one interval", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    pair = make_pair(op1, op2, tol)
     reports, nodes, all_ok = [], [], True
     for interval in intervals:
         report = verify_main_theorem(pair, interval, tol)
@@ -185,20 +194,15 @@ def cmd_verify(args) -> int:
             node["witness"] = witness_report_node(witness)
             all_ok = all_ok and witness.all_hold
         nodes.append(node)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tolerance": tolerance_node(tol),
-        "space": _space_node(space),
+    doc = _document(tol, space, record, {
         "n": pair.n,
         "kappa": space.kappa_minus,
         "reports": nodes,
         "all_bounds_hold": all_ok,
-    }
-    if record.name is not None:
-        doc["name"] = record.name
+    })
     mismatches = {}
     # ``expected`` pins the instance's own first interval, not an override
-    if record.expected is not None and reports and not args.interval:
+    if record.expected is not None and not args.interval:
         mismatches = _report_expectations(record.expected, reports[0])
         doc["expectation"] = {
             "matches": not mismatches,
@@ -292,16 +296,8 @@ def cmd_sweep(args) -> int:
     csv_text = "\n".join(rows) + "\n"
     Path(args.out).write_text(csv_text)
     for index, (cfg, pair, interval, _) in enumerate(violations):
-        dump = InstanceRecord(
-            gram=pair.space.gram,
-            a1=pair.op1.matrix,
-            a2=pair.op2.matrix,
-            intervals=(interval,),
-            name=(
-                f"violation-d{cfg.dim}-k{cfg.kappa_minus}"
-                f"-n{cfg.pert_rank}-seed{cfg.seed}"
-            ),
-        )
+        dump = _pair_record(pair, interval, f"violation-d{cfg.dim}-k{cfg.kappa_minus}"
+                                            f"-n{cfg.pert_rank}-seed{cfg.seed}")
         path = Path(args.out).with_suffix(f".violation{index}.json")
         path.write_text(dumps_instance(dump))
         print(f"bound violation dumped to {path}", file=sys.stderr)
@@ -325,17 +321,6 @@ def cmd_sweep(args) -> int:
 # examples
 
 
-def _fixture_record(fixture) -> InstanceRecord:
-    return InstanceRecord(
-        gram=fixture.pair.space.gram,
-        a1=fixture.pair.op1.matrix,
-        a2=fixture.pair.op2.matrix,
-        intervals=(fixture.interval,),
-        name=fixture.name,
-        expected=fixture.expected,
-    )
-
-
 def cmd_examples(args) -> int:
     fixtures = {f.name: f for f in builtin_fixtures()}
     if args.name is not None:
@@ -344,7 +329,9 @@ def cmd_examples(args) -> int:
             print(f"error: unknown fixture {args.name!r}; valid: {names}",
                   file=sys.stderr)
             return EXIT_INPUT_ERROR
-        _emit(dumps_instance(_fixture_record(fixtures[args.name])), args.out)
+        fix = fixtures[args.name]
+        record = _pair_record(fix.pair, fix.interval, fix.name, fix.expected)
+        _emit(dumps_instance(record), args.out)
         return EXIT_OK
     all_match = True
     for name in sorted(fixtures):

@@ -130,8 +130,7 @@ def random_space(
         return validate_space(j0, tol)
     rng = Xoshiro256StarStar.substream(cfg.seed, _TAG_SPACE)
     u = _haar_unitary(rng, cfg.dim)
-    j = u @ j0 @ u.conj().T
-    return validate_space(0.5 * (j + j.conj().T), tol)
+    return validate_space(u @ j0 @ u.conj().T, tol)
 
 
 def random_operator(

@@ -274,7 +274,10 @@ def _reject_constant(token: str):
 def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a number, got {node!r}")
-    return float(node)
+    try:
+        return float(node)
+    except OverflowError:
+        _fail(path, "number does not fit in a double")
 
 
 def _complex(node, path: str) -> complex:
@@ -307,7 +310,10 @@ def _endpoint(node, path: str, infinite: str) -> float:
         if node != infinite:
             _fail(path, f'expected a number or "{infinite}", got {node!r}')
         return float(node.replace("+", ""))
-    return _number(node, path)
+    value = _number(node, path)
+    if math.isinf(value):
+        _fail(path, f'number does not fit in a double; write "{infinite}" for infinity')
+    return value
 
 
 def _interval(node, path: str) -> Interval:
@@ -354,6 +360,8 @@ def parse_instance(text: str) -> InstanceRecord:
         raise InstanceFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise InstanceFormatError("an integer literal does not fit in a double") from exc
     if not isinstance(top, dict):
         _fail("$", f"expected a top-level object, got {type(top).__name__}")
     extra = set(top) - _TOP_LEVEL_KEYS

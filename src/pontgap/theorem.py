@@ -211,35 +211,29 @@ def choose_delta_prime(
         for op in ops
     ]
 
-    def admissible(x: float) -> bool:
-        return interval.contains(x) and all(
-            clear_of(op, x, margin, tol) for op, margin in zip(ops, margins)
-        )
-
     def counted_reals(op):
         spec, included = selection(op, interval, tol)
         return [spec.re[i] for i in included]
 
-    reals1 = counted_reals(pair.op1)
-    reals2 = counted_reals(pair.op2)
     tried = 0
-    for targets in ((reals1 + reals2), reals1):
-        lo_limit = min(targets) if targets else interval.upper
-        a = None
-        for x in _window_candidates(interval.lower, lo_limit):
+
+    def walk(lo: float, hi: float, above: float):
+        """The first candidate of (lo, hi) above ``above`` clear of both spectra."""
+        nonlocal tried
+        for x in _window_candidates(lo, hi):
             tried += 1
-            if admissible(x):
-                a = x
-                break
+            if x > above and interval.contains(x) and all(
+                clear_of(op, x, margin, tol) for op, margin in zip(ops, margins)
+            ):
+                return x
+        return None
+
+    reals1, reals2 = counted_reals(pair.op1), counted_reals(pair.op2)
+    for targets in ((reals1 + reals2), reals1):
+        a = walk(interval.lower, min(targets) if targets else interval.upper, -math.inf)
         if a is None:
             continue
-        hi_limit = max(targets) if targets else a
-        b = None
-        for x in _window_candidates(hi_limit, interval.upper):
-            tried += 1
-            if x > a and admissible(x):
-                b = x
-                break
+        b = walk(max(targets) if targets else a, interval.upper, a)
         if b is not None:
             return Interval(a, b)
     raise DeltaPrimeSearchError(
@@ -267,21 +261,19 @@ def sweep_windows(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> list[Inte
     return intervals
 
 
-def _sign_split(op, sub: Subspace, a: float, b: float, inside: bool, tol):
+def _sign_split(op, sub: Subspace, a: float, b: float, decompose, tol):
     """Decompose an invariant subspace by the gap-form sign.
 
-    Returns ``(m_minus, m_plus)`` in ambient coordinates.  For the
-    inside piece the spectrum-interior splitting is used, outside the
-    resolvent-gap one; a zero subspace splits trivially.
+    ``decompose`` splits the compressed operator: the spectrum-interior
+    splitting inside, the resolvent-gap one outside.  Returns
+    ``(m_minus, m_plus)`` in ambient coordinates; a zero subspace splits
+    trivially.
     """
     d = op.dim
     if sub.dim == 0:
         return Subspace.zero(d), Subspace.zero(d)
     _, compressed = restrict_operator(op, sub, tol)
-    if inside:
-        dec = decompose_spectrum_inside(compressed, a, b, tol)
-    else:
-        dec = decompose_resolvent_gap(compressed, a, b, tol)
+    dec = decompose(compressed, a, b, tol)
     return (
         Subspace(d, sub.basis @ dec.m_minus.basis),
         Subspace(d, sub.basis @ dec.m_plus.basis),
@@ -315,8 +307,8 @@ def proof_witness(
         outside = complement_subspace(op, dp, tol)
         return (
             inside,
-            *_sign_split(op, inside, a, b, inside=True, tol=tol),
-            *_sign_split(op, outside, a, b, inside=False, tol=tol),
+            *_sign_split(op, inside, a, b, decompose_spectrum_inside, tol),
+            *_sign_split(op, outside, a, b, decompose_resolvent_gap, tol),
         )
 
     in1, minus_in1, plus_in1, minus_out1, plus_out1 = halves(pair.op1)

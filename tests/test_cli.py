@@ -162,6 +162,23 @@ def test_verify_requires_second_operator(capsys, tmp_path):
     assert "both a1 and a2" in err
 
 
+def test_verify_requires_an_interval(capsys, tmp_path):
+    # analyze still reports the spectra of an instance without intervals
+    doc = json.loads(EXAMPLE1.read_text())
+    doc["intervals"] = []
+    path = tmp_path / "no_intervals.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert "at least one interval" in err
+    code, out, _ = _run(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["intervals"] == []
+    proc = _run_demo(str(path))
+    assert proc.returncode == 1
+    assert "at least one interval" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -172,6 +189,15 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     code, _, err = _run(capsys, "analyze", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+def test_number_past_the_double_range_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    huge = '"lower": 1' + "0" * 400
+    path.write_text(EXAMPLE1.read_text().replace('"lower": 0.25', huge))
+    code, out, err = _run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert "$.intervals[0].lower: number does not fit in a double" in err
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -352,15 +378,19 @@ def test_module_entry_point_runs():
     assert "example1" in proc.stdout
 
 
-@pytest.mark.parametrize("name", ["example1", "example3"])
-def test_witness_demo_script_runs(name):
+def _run_demo(arg: str) -> subprocess.CompletedProcess:
     root = Path(__file__).resolve().parent.parent
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src")] + ([path] if path else []))}
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "witness_demo.py"), name],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "witness_demo.py"), arg],
         capture_output=True, text=True, env=env,
     )
+
+
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_witness_demo_script_runs(name):
+    proc = _run_demo(name)
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("chain:") for line in proc.stdout.splitlines())

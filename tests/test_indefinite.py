@@ -148,6 +148,17 @@ def test_neutral_vector_counts_as_zero():
     assert iso.contains(np.array([1.0, 1.0]) / np.sqrt(2))
 
 
+def test_neutral_subspace_of_a_large_gram_counts_as_zero():
+    # B^*JB is Hermitian only up to rounding of order eps ||J||; on a
+    # neutral subspace that rounding is all of B^*JB, so the compressed
+    # Gram is symmetrized before the eigensolver's Hermiticity check
+    q = helpers.haar_unitary(np.random.default_rng(0), 6)
+    space = validate_space(1e6 * (q @ np.diag([1.0, 1, 1, -1, -1, -1]) @ q.conj().T))
+    neutral = Subspace.from_columns(6, (q[:, :3] + q[:, 3:]) / np.sqrt(2))
+    assert subspace_inertia(space, neutral) == Inertia(0, 0, 3)
+    assert isotropic_part(space, neutral).dim == 3
+
+
 def test_isotropic_part_of_definite_subspace_is_zero():
     space = validate_space(J2)
     e1 = Subspace.from_columns(2, np.array([[1.0], [0.0]], dtype=complex))

@@ -210,6 +210,29 @@ def test_parse_rejects_infinity_literal():
         parse_instance(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # an integer past the double range, one past the int/str digit limit
+        ('"a1": [[[0.0', '"a1": [[[1' + "0" * 399,
+         r"\$\.a1\[0\]\[0\]\[0\]: number does not fit in a double"),
+        ('"a1": [[[0.0', '"a1": [[[' + "9" * 5000,
+         r"^an integer literal does not fit in a double"),
+        # a float literal that overflows: an infinite endpoint in disguise,
+        # but only a non-finite matrix entry
+        ('"lower": 0.0', '"lower": -1e400',
+         r'\$\.intervals\[0\]\.lower: number does not fit .*"-inf"'),
+        ('"a1": [[[0.0', '"a1": [[[1e400', r"\$\.a1: matrix entries must be finite"),
+    ],
+    ids=["int-past-double", "int-past-digit-limit", "endpoint-overflow", "entry-overflow"],
+)
+def test_parse_rejects_numbers_past_the_double_range(old, new, message):
+    text = _doc().replace(old, new)
+    assert text != _doc()
+    with pytest.raises(InstanceFormatError, match=message):
+        parse_instance(text)
+
+
 def test_parse_rejects_wrong_endpoint_string():
     with pytest.raises(InstanceFormatError, match=r"\$\.intervals\[0\]\.lower"):
         parse_instance(_doc(intervals=[{"lower": "+inf", "upper": 1.0}]))

@@ -96,13 +96,22 @@ def test_choose_delta_prime_contract(d, n, seed):
 def test_choose_delta_prime_steps_off_zero_on_the_whole_line():
     # A's eigenvalues +-1e-4 i lie within the margin (1e-3) of 0, so the
     # search on the whole line moves on to -1 and then, going up from
-    # there, past 0 again to 1
-    space = validate_space(np.array([[0, 1], [1, 0]], dtype=complex))
-    a = np.array([[0, 1], [-((1e-4) ** 2), 0]], dtype=complex)
-    pair = make_pair(validate_operator(space, a), validate_operator(space, a))
+    # there, past 0 again to 1.  A second block with eigenvalues
+    # -1 +- 1e-4 i rules out -1 as well, and the search takes +1, then 2.
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    block = np.array([[0, 1], [-((1e-4) ** 2), 0]], dtype=complex)
+    zero = np.zeros((2, 2))
+    cases = [
+        (flip, block, Interval(-1.0, 1.0)),
+        (np.block([[flip, zero], [zero, flip]]),
+         np.block([[block, zero], [zero, block - np.eye(2)]]), Interval(1.0, 2.0)),
+    ]
     whole = Interval(-np.inf, np.inf)
-    assert choose_delta_prime(pair, whole) == Interval(-1.0, 1.0)
-    assert proof_witness(pair, whole).all_hold
+    for gram, a, inner in cases:
+        space = validate_space(gram)
+        pair = make_pair(validate_operator(space, a), validate_operator(space, a))
+        assert choose_delta_prime(pair, whole) == inner
+        assert proof_witness(pair, whole).all_hold
 
 
 def test_choose_delta_prime_exhausts_on_pinned_window():
