@@ -27,7 +27,7 @@ def load(arg):
     if arg in fixtures:
         f = fixtures[arg]
         return f.name, f.pair, f.interval
-    record = parse_instance(Path(arg).read_text())
+    record = parse_instance(Path(arg).read_text(encoding="utf-8"))
     if record.a2 is None:
         sys.exit("need an instance with both a1 and a2")
     if not record.intervals:

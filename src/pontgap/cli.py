@@ -10,6 +10,7 @@ eigenvalue), 4 bound violation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -40,7 +41,6 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair, make_pair
 from .spectral import (
     Interval,
-    JSelfadjointOperator,
     gap_inertia,
     spectrum,
     validate_operator,
@@ -79,10 +79,6 @@ def _parse_cli_interval(text: str) -> Interval:
     return Interval(values[0], values[1])
 
 
-def _load_record(path: str) -> InstanceRecord:
-    return parse_instance(Path(path).read_text())
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -109,13 +105,20 @@ def _pair_record(pair: OperatorPair, interval: Interval, name: str, expected=Non
                           intervals=(interval,), name=name, expected=expected)
 
 
-def _build_operators(
-    record: InstanceRecord, tol: Tolerance
-) -> tuple[IndefiniteSpace, JSelfadjointOperator, JSelfadjointOperator | None]:
+def _instance(args):
+    """Tolerance, record, space and ``{"a1": op1[, "a2": op2]}`` of ``args.path``."""
+    tol = _tolerance(args)
+    try:
+        text = Path(args.path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            f"{args.path}: not UTF-8 at byte {exc.start}") from None
+    record = parse_instance(text)
     space = validate_space(record.gram, tol)
-    op1 = validate_operator(space, record.a1, tol)
-    op2 = validate_operator(space, record.a2, tol) if record.a2 is not None else None
-    return space, op1, op2
+    ops = {"a1": validate_operator(space, record.a1, tol)}
+    if record.a2 is not None:
+        ops["a2"] = validate_operator(space, record.a2, tol)
+    return tol, record, space, ops
 
 
 def _effective_intervals(record: InstanceRecord, args) -> tuple[Interval, ...]:
@@ -139,12 +142,7 @@ def _interval_section(ops: dict, interval: Interval, tol: Tolerance) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    tol = _tolerance(args)
-    record = _load_record(args.path)
-    space, op1, op2 = _build_operators(record, tol)
-    ops = {"a1": op1}
-    if op2 is not None:
-        ops["a2"] = op2
+    tol, record, space, ops = _instance(args)
     doc = _document(tol, space, record, {
         "spectra": {
             label: spectrum_node(spectrum(op, tol)) for label, op in ops.items()
@@ -172,17 +170,15 @@ def _report_expectations(expected: dict, report: GapReport) -> dict:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args)
-    record = _load_record(args.path)
-    space, op1, op2 = _build_operators(record, tol)
-    if op2 is None:
+    tol, record, space, ops = _instance(args)
+    if "a2" not in ops:
         print("error: verify needs an instance with both a1 and a2", file=sys.stderr)
         return EXIT_INPUT_ERROR
     intervals = _effective_intervals(record, args)
     if not intervals:
         print("error: verify needs at least one interval", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    pair = make_pair(op1, op2, tol)
+    pair = make_pair(ops["a1"], ops["a2"], tol)
     reports, nodes, all_ok = [], [], True
     for interval in intervals:
         report = verify_main_theorem(pair, interval, tol)
@@ -253,49 +249,34 @@ def cmd_sweep(args) -> int:
     cells: dict[tuple[int, int], dict] = {}
     instances = 0
     violations = []
-    for d in dims:
-        for kappa in kappas:
-            if kappa > d:
-                continue
-            for rank in ranks:
-                if rank > d:
-                    continue
-                for offset in range(args.seeds):
-                    cfg = GenConfig(
-                        dim=d,
-                        kappa_minus=kappa,
-                        pert_rank=rank,
-                        seed=args.seed + offset,
-                    )
-                    space = random_space(cfg, tol)
-                    pair = random_pair(space, cfg, tol)
-                    instances += 1
-                    for interval in sweep_windows(pair, tol):
-                        report = verify_main_theorem(pair, interval, tol)
-                        fields = (
-                            d, space.kappa_plus, space.kappa_minus, pair.n,
-                            _csv_endpoint(interval.lower),
-                            _csv_endpoint(interval.upper),
-                            report.eig1, report.eig2, report.sig1, report.sig2,
-                            report.slack,
-                        )
-                        rows.append(",".join(map(str, fields)))
-                        cell = cells.setdefault(
-                            (kappa, rank), {"min_slack": None, "rows": 0}
-                        )
-                        cell["rows"] += 1
-                        if cell["min_slack"] is None or report.slack < cell["min_slack"]:
-                            cell["min_slack"] = report.slack
-                            cell["attained_at"] = {
-                                "d": d,
-                                "seed": cfg.seed,
-                                **interval_node(interval),
-                            }
-                        if not report.all_hold:
-                            violations.append((cfg, pair, interval, report))
-    csv_text = "\n".join(rows) + "\n"
-    Path(args.out).write_text(csv_text)
-    for index, (cfg, pair, interval, _) in enumerate(violations):
+    grid = itertools.product(dims, kappas, ranks, range(args.seeds))
+    for d, kappa, rank, offset in grid:
+        if kappa > d or rank > d:
+            continue
+        cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank,
+                        seed=args.seed + offset)
+        space = random_space(cfg, tol)
+        pair = random_pair(space, cfg, tol)
+        instances += 1
+        # sweep_windows opens with the whole line, so every cell gets a row
+        cell = cells.setdefault((kappa, rank), {"min_slack": None, "rows": 0})
+        for interval in sweep_windows(pair, tol):
+            report = verify_main_theorem(pair, interval, tol)
+            fields = (
+                d, space.kappa_plus, space.kappa_minus, pair.n,
+                _csv_endpoint(interval.lower), _csv_endpoint(interval.upper),
+                report.eig1, report.eig2, report.sig1, report.sig2, report.slack,
+            )
+            rows.append(",".join(map(str, fields)))
+            cell["rows"] += 1
+            if cell["min_slack"] is None or report.slack < cell["min_slack"]:
+                cell["min_slack"] = report.slack
+                cell["attained_at"] = {"d": d, "seed": cfg.seed,
+                                       **interval_node(interval)}
+            if not report.all_hold:
+                violations.append((cfg, pair, interval))
+    Path(args.out).write_text("\n".join(rows) + "\n")
+    for index, (cfg, pair, interval) in enumerate(violations):
         dump = _pair_record(pair, interval, f"violation-d{cfg.dim}-k{cfg.kappa_minus}"
                                             f"-n{cfg.pert_rank}-seed{cfg.seed}")
         path = Path(args.out).with_suffix(f".violation{index}.json")
@@ -339,7 +320,7 @@ def cmd_examples(args) -> int:
         report = verify_main_theorem(fixture.pair, fixture.interval)
         mismatches = _report_expectations(fixture.expected, report)
         for key, want in sorted(fixture.expected.items()):
-            got = mismatches.get(key, {"computed": want})["computed"]
+            got = getattr(report, key)
             status = "MISMATCH" if key in mismatches else "ok"
             print(f"{name} {key}: expected {want} computed {got} {status}")
         all_match = all_match and not mismatches
@@ -366,29 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("path", help="instance file")
+    instance.add_argument("--interval", action="append", default=None,
+                          metavar="A,B",
+                          help="override instance intervals (repeatable; "
+                               "inf literals allowed)")
+    instance.add_argument("--out", default=None, help="write report here "
+                          "instead of stdout")
+    _add_tolerance_flags(instance)
+
     p_analyze = sub.add_parser(
-        "analyze", help="spectra and per-interval counts for one instance")
-    p_analyze.add_argument("path", help="instance file")
-    p_analyze.add_argument("--interval", action="append", default=None,
-                           metavar="A,B",
-                           help="override instance intervals (repeatable; "
-                                "inf literals allowed)")
-    p_analyze.add_argument("--out", default=None, help="write report here "
-                           "instead of stdout")
-    _add_tolerance_flags(p_analyze)
+        "analyze", parents=[instance],
+        help="spectra and per-interval counts for one instance")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_verify = sub.add_parser(
-        "verify", help="check the counting bounds on a two-operator instance")
-    p_verify.add_argument("path", help="instance file with a1 and a2")
-    p_verify.add_argument("--interval", action="append", default=None,
-                          metavar="A,B",
-                          help="override instance intervals (repeatable)")
+        "verify", parents=[instance],
+        help="check the counting bounds on a two-operator instance")
     p_verify.add_argument("--witness", action="store_true",
                           help="reconstruct and check the proof objects")
-    p_verify.add_argument("--out", default=None, help="write report here "
-                          "instead of stdout")
-    _add_tolerance_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser(

@@ -112,51 +112,37 @@ def _inline_list(node) -> bool:
     return True
 
 
-def _write(node, indent: int, out: list) -> None:
-    pad = " " * indent
-    inner = " " * (indent + 2)
+def _dumps(node, pad: str) -> str:
+    inner = pad + "  "
     if isinstance(node, dict):
         if not node:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(node)
-        for i, key in enumerate(keys):
+            return "{}"
+        items = []
+        for key in sorted(node):
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be strings, got {key!r}")
-            out.append(f"{inner}{json.dumps(key)}: ")
-            _write(node[key], indent + 2, out)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(node, (list, tuple)):
+            items.append(f"{inner}{json.dumps(key)}: {_dumps(node[key], inner)}")
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(node, (list, tuple)):
         if not node:
-            out.append("[]")
-            return
+            return "[]"
         if _inline_list(node):
-            parts = []
-            for item in node:
-                if isinstance(item, (list, tuple)):
-                    parts.append("[" + ", ".join(_scalar(x) for x in item) + "]")
-                else:
-                    parts.append(_scalar(item))
-            out.append("[" + ", ".join(parts) + "]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(node):
-            out.append(inner)
-            _write(item, indent + 2, out)
-            out.append(",\n" if i + 1 < len(node) else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_scalar(node))
+            # _scalar directly, not _dumps: a recursive call per matrix
+            # entry took a d = 32 instance from 17 to 26 ms, and the
+            # benchmark set-up that writes 113 of them past its bound
+            return "[" + ", ".join([
+                "[" + ", ".join(map(_scalar, item)) + "]"
+                if isinstance(item, (list, tuple)) else _scalar(item)
+                for item in node
+            ]) + "]"
+        items = [inner + _dumps(item, inner) for item in node]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return _scalar(node)
 
 
 def stable_dumps(node) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting."""
-    out: list = []
-    _write(node, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _dumps(node, "") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +348,8 @@ def parse_instance(text: str) -> InstanceRecord:
         ) from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise InstanceFormatError("an integer literal does not fit in a double") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("arrays or objects nested too deeply") from exc
     if not isinstance(top, dict):
         _fail("$", f"expected a top-level object, got {type(top).__name__}")
     extra = set(top) - _TOP_LEVEL_KEYS
@@ -377,14 +365,13 @@ def parse_instance(text: str) -> InstanceRecord:
         if required not in top:
             _fail("$", f"missing required key {required!r}")
     gram = _matrix(top["gram"], "$.gram")
-    a1 = _matrix(top["a1"], "$.a1")
-    if a1.shape != gram.shape:
-        _fail("$.a1", f"shape {a1.shape} does not match gram shape {gram.shape}")
-    a2 = None
-    if "a2" in top:
-        a2 = _matrix(top["a2"], "$.a2")
-        if a2.shape != gram.shape:
-            _fail("$.a2", f"shape {a2.shape} does not match gram shape {gram.shape}")
+    ops = {}
+    for key in ("a1", "a2"):
+        if key in top:
+            ops[key] = a = _matrix(top[key], f"$.{key}")
+            if a.shape != gram.shape:
+                _fail(f"$.{key}",
+                      f"shape {a.shape} does not match gram shape {gram.shape}")
     if not isinstance(top["intervals"], list):
         _fail("$.intervals", "expected an array of intervals")
     intervals = tuple(
@@ -395,5 +382,6 @@ def parse_instance(text: str) -> InstanceRecord:
         _fail("$.name", f"expected a string, got {name!r}")
     expected = _expected(top["expected"], "$.expected") if "expected" in top else None
     return InstanceRecord(
-        gram=gram, a1=a1, a2=a2, intervals=intervals, name=name, expected=expected
+        gram=gram, a1=ops["a1"], a2=ops.get("a2"), intervals=intervals, name=name,
+        expected=expected,
     )

@@ -16,6 +16,7 @@ from pontgap.spectral import Interval
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE1 = FIXTURES / "example1.json"
 EXAMPLE3 = FIXTURES / "example3.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _run(capsys, *argv):
@@ -127,6 +128,14 @@ def test_verify_example3_with_witness(capsys):
     assert witness["chain_holds"] is True
 
 
+def test_verify_witness_document_is_pinned(capsys):
+    # every number in it is exact: counts, the dyadic delta', the
+    # interval and the tolerances, so no LAPACK build can move a byte
+    code, out, _ = _run(capsys, "verify", str(EXAMPLE1), "--witness")
+    assert code == 0
+    assert out == (DATA / "example1.verify-witness.json").read_text()
+
+
 def test_verify_mislabeled_expectation(capsys, tmp_path):
     doc = json.loads(EXAMPLE1.read_text())
     doc["expected"]["eig2"] = 3
@@ -198,6 +207,27 @@ def test_number_past_the_double_range_exits_2(capsys, tmp_path):
     code, out, err = _run(capsys, "verify", str(path))
     assert (code, out) == (2, "")
     assert "$.intervals[0].lower: number does not fit in a double" in err
+
+
+def test_deeply_nested_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    deep = '"name": ' + "[" * 2000 + "]" * 2000
+    path.write_text(EXAMPLE1.read_text().replace('"name": "example1"', deep))
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: arrays or objects nested too deeply\n"
+
+
+def test_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + EXAMPLE1.read_text().encode("utf-16-le"))
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not UTF-8 at byte 0\n"
+    path.write_bytes(b'{"name": "\xe9"}')
+    code, out, err = _run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not UTF-8 at byte 10\n"
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

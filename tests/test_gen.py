@@ -85,6 +85,14 @@ def test_random_pair_rank_is_exact(d, n, seed):
     assert np.linalg.matrix_rank(pair.op1.matrix - pair.op2.matrix, tol=1e-8) == n
 
 
+def test_rank_zero_pair_is_a1_with_itself():
+    # one operator, so its spectrum and table are built once, not twice
+    cfg = GenConfig(dim=4, kappa_minus=1, pert_rank=0, seed=5)
+    pair = random_pair(random_space(cfg), cfg)
+    assert pair.op2 is pair.op1
+    assert (pair.n, pair.agreement.dim) == (0, 4)
+
+
 def test_random_pair_is_deterministic():
     cfg = GenConfig(dim=5, kappa_minus=2, pert_rank=2, seed=77)
     space = random_space(cfg)

@@ -68,6 +68,31 @@ def test_stable_dumps_empty_containers():
     assert stable_dumps([]) == "[]\n"
 
 
+scalars = st.none() | st.booleans() | st.integers() | finite | st.text(max_size=6)
+trees = st.recursive(
+    scalars,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _as_json(node):
+    """``node`` with every tuple made into a list, as ``json.loads`` returns it."""
+    if isinstance(node, dict):
+        return {key: _as_json(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_as_json(item) for item in node]
+    return node
+
+
+@given(trees)
+def test_stable_dumps_round_trips_through_json(tree):
+    text = stable_dumps(tree)
+    assert json.loads(text) == _as_json(tree)
+    assert stable_dumps(json.loads(text)) == text
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -230,6 +255,14 @@ def test_parse_rejects_numbers_past_the_double_range(old, new, message):
     text = _doc().replace(old, new)
     assert text != _doc()
     with pytest.raises(InstanceFormatError, match=message):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("key", ["gram", "name"])
+def test_parse_rejects_deep_nesting(key):
+    depth = 100_000
+    text = _doc(**{key: "@"}).replace('"@"', "[" * depth + "]" * depth)
+    with pytest.raises(InstanceFormatError, match=r"^arrays or objects nested too"):
         parse_instance(text)
 
 
