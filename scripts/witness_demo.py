@@ -9,11 +9,17 @@ Usage:
     python3 scripts/witness_demo.py                  # bundled example3
     python3 scripts/witness_demo.py example1
     python3 scripts/witness_demo.py path/to/instance.json
+
+Exit codes follow ``pontgap``: 0 ok, 2 input error (unreadable or
+malformed file, or no inner interval found), 3 ill-posed interval; 1
+for an instance without A2 or without an interval.
 """
 
 import sys
 from pathlib import Path
 
+from pontgap.cli import EXIT_ILL_POSED_INTERVAL, EXIT_INPUT_ERROR, EXIT_OK
+from pontgap.errors import EndpointInSpectrumError, IllPosedIntervalError, PontgapError
 from pontgap.gen import builtin_fixtures
 from pontgap.instancefile import parse_instance
 from pontgap.perturbation import make_pair
@@ -47,8 +53,7 @@ def fmt(z):
     return f"{re:g}{im:+g}i"
 
 
-def main():
-    name, pair, interval = load(sys.argv[1] if len(sys.argv) > 1 else "example3")
+def show(name, pair, interval):
     n, kappa = pair.n, pair.space.kappa_minus
     print(f"instance {name}: d={pair.dim}, kappa={kappa}, rank(A1-A2)={n}")
     for label, op in (("A1", pair.op1), ("A2", pair.op2)):
@@ -84,7 +89,18 @@ def main():
           f"({'ok' if w.chain_holds else 'VIOLATED'})")
     print(f"signature chain: sig difference <= n  "
           f"({'ok' if w.sig_chain_holds else 'VIOLATED'})")
-    return 0
+
+
+def main():
+    try:
+        show(*load(sys.argv[1] if len(sys.argv) > 1 else "example3"))
+    except (IllPosedIntervalError, EndpointInSpectrumError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ILL_POSED_INTERVAL
+    except (PontgapError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ def _tolerance(args) -> Tolerance:
 
 
 def _parse_cli_interval(text: str) -> Interval:
-    parts = text.split(",")
+    parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2:
         raise InstanceFormatError(
             f"--interval expects 'lower,upper', got {text!r}"
@@ -71,11 +71,19 @@ def _parse_cli_interval(text: str) -> Interval:
     values = []
     for part in parts:
         try:
-            values.append(float(part.strip()))
+            value = float(part)
         except ValueError:
             raise InstanceFormatError(
-                f"--interval endpoint {part.strip()!r} is not a number"
+                f"--interval endpoint {part!r} is not a number"
             ) from None
+        # like a file's number literals: only the inf spellings may be infinite
+        spelled_inf = part.lstrip("+-").lower() in ("inf", "infinity")
+        if not (math.isfinite(value) or spelled_inf):
+            raise InstanceFormatError(
+                f"--interval endpoint {part!r} is not a finite double; "
+                "write -inf or +inf for an infinite endpoint"
+            )
+        values.append(value)
     return Interval(values[0], values[1])
 
 

@@ -106,8 +106,8 @@ def _signed_eigenspaces(op, form: GapForm, expected, reason: str, tol):
             inertia=inertia,
         )
     # eigenvalues ascend: negative columns first, positive ones last
-    negative = Subspace(op.dim, v[:, : inertia.minus])
-    positive = Subspace(op.dim, v[:, inertia.minus + inertia.zero :])
+    negative = Subspace(v[:, : inertia.minus])
+    positive = Subspace(v[:, inertia.minus + inertia.zero :])
     return inertia, negative, positive
 
 

@@ -5,7 +5,7 @@ All randomness flows through the package's own xoshiro256** streams
 same seed, same bytes, on any host.  Generated operators are resampled
 until their spectra are unambiguous at the package's tolerance scales:
 pairwise eigenvalue gaps and distances from the real axis stay above
-``min_gap``.
+``Tolerance.GEN_MIN_GAP``.
 """
 
 from __future__ import annotations
@@ -43,19 +43,12 @@ _TAG_REAL_SPECTRUM = 4
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Shape, signature and seed of a generated instance.
-
-    ``min_gap`` defaults to ``1e-3 * scale``; it is both the smallest
-    accepted distance between distinct eigenvalues and the smallest
-    accepted distance of a non-real eigenvalue from the real axis.
-    """
+    """Shape, signature and seed of a generated instance."""
 
     dim: int
     kappa_minus: int
     pert_rank: int = 0
     seed: int = 0
-    min_gap: float | None = None
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -68,14 +61,6 @@ class GenConfig:
             raise ValidationError(
                 f"pert_rank must lie in [0, dim], got {self.pert_rank}"
             )
-        if not self.scale > 0:
-            raise ValidationError(f"scale must be positive, got {self.scale}")
-        if self.min_gap is not None and not self.min_gap > 0:
-            raise ValidationError(f"min_gap must be positive, got {self.min_gap}")
-
-    @property
-    def gap(self) -> float:
-        return self.min_gap if self.min_gap is not None else 1e-3 * self.scale
 
 
 @dataclass(frozen=True)
@@ -88,46 +73,41 @@ class Fixture:
     expected: dict
 
 
-def _complex_matrix(rng: Xoshiro256StarStar, rows: int, cols: int, scale: float):
+def _complex_matrix(rng: Xoshiro256StarStar, rows: int, cols: int):
     return np.array(
-        [[scale * rng.complex_normal() for _ in range(cols)] for _ in range(rows)],
+        [[rng.complex_normal() for _ in range(cols)] for _ in range(rows)],
         dtype=complex,
     ).reshape(rows, cols)
 
 
 def _haar_unitary(rng: Xoshiro256StarStar, d: int) -> np.ndarray:
-    g = _complex_matrix(rng, d, d, 1.0)
+    g = _complex_matrix(rng, d, d)
     q, r = np.linalg.qr(g)
     diag = np.diag(r)
     phases = diag / np.abs(diag)
     return q * phases.conj()
 
 
-def _margins_ok(matrix: np.ndarray, min_gap: float, tol: Tolerance) -> bool:
+def _margins_ok(matrix: np.ndarray, tol: Tolerance) -> bool:
     """Spectrum is unambiguous: clean realness calls and open gaps."""
     values = np.linalg.eigvals(matrix)
     band = tol.GEN_REALNESS_FACTOR * tol.REALNESS_SCALE
     for v in values:
         im = abs(v.imag)
-        if im > band * max(1.0, abs(v)) and im < min_gap:
+        if im > band * max(1.0, abs(v)) and im < tol.GEN_MIN_GAP:
             return False
     gaps = np.abs(values[:, None] - values[None, :])[np.triu_indices(len(values), 1)]
-    return not np.any(gaps < min_gap)
+    return not np.any(gaps < tol.GEN_MIN_GAP)
 
 
-def random_space(
-    cfg: GenConfig, tol: Tolerance = DEFAULT_TOL, *, diagonal: bool = False
-) -> IndefiniteSpace:
+def random_space(cfg: GenConfig, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
     """Gram matrix with the requested inertia.
 
-    With ``diagonal=True`` returns the canonical
-    ``diag(+1, ..., +1, -1, ..., -1)``; otherwise that matrix
-    conjugated by a seeded Haar unitary.
+    The canonical ``diag(+1, ..., +1, -1, ..., -1)`` conjugated by a
+    seeded Haar unitary.
     """
     kp = cfg.dim - cfg.kappa_minus
     j0 = np.diag(np.array([1.0] * kp + [-1.0] * cfg.kappa_minus, dtype=complex))
-    if diagonal:
-        return validate_space(j0, tol)
     rng = Xoshiro256StarStar.substream(cfg.seed, _TAG_SPACE)
     u = _haar_unitary(rng, cfg.dim)
     return validate_space(u @ j0 @ u.conj().T, tol)
@@ -139,13 +119,14 @@ def random_operator(
     """J-selfadjoint operator ``J^-1 H`` for a random Hermitian H."""
     rng = Xoshiro256StarStar.substream(cfg.seed, _TAG_OPERATOR)
     for _ in range(RESAMPLE_BUDGET):
-        g = _complex_matrix(rng, space.dim, space.dim, cfg.scale)
+        g = _complex_matrix(rng, space.dim, space.dim)
         h = 0.5 * (g + g.conj().T)
         a = linalg.solve(space.gram, h, tol)
-        if _margins_ok(a, cfg.gap, tol):
+        if _margins_ok(a, tol):
             return validate_operator(space, a, tol)
     raise ResampleBudgetError(
-        f"no operator with eigenvalue margins {cfg.gap} in {RESAMPLE_BUDGET} draws"
+        f"no operator with eigenvalue margins {tol.GEN_MIN_GAP} "
+        f"in {RESAMPLE_BUDGET} draws"
     )
 
 
@@ -165,34 +146,34 @@ def random_pair(
         return make_pair(op1, op1, tol)
     rng = Xoshiro256StarStar.substream(cfg.seed, _TAG_PAIR)
     for _ in range(RESAMPLE_BUDGET):
-        v = _complex_matrix(rng, space.dim, n, cfg.scale)
+        v = _complex_matrix(rng, space.dim, n)
         signs = np.array([rng.sign() for _ in range(n)], dtype=float)
         p = (v * signs) @ v.conj().T
         a2 = op1.matrix + linalg.solve(space.gram, 0.5 * (p + p.conj().T), tol)
         pair = make_pair(op1, validate_operator(space, a2, tol), tol)
-        if pair.n == n and _margins_ok(a2, cfg.gap, tol):
+        if pair.n == n and _margins_ok(a2, tol):
             return pair
     raise ResampleBudgetError(
-        f"no rank-{n} perturbation with margins {cfg.gap} in {RESAMPLE_BUDGET} draws"
+        f"no rank-{n} perturbation with margins {tol.GEN_MIN_GAP} "
+        f"in {RESAMPLE_BUDGET} draws"
     )
 
 
 def random_real_spectrum_operator(
     space: IndefiniteSpace,
     cfg: GenConfig,
-    bounds: tuple[float, float] | None = None,
+    bounds: tuple[float, float],
     tol: Tolerance = DEFAULT_TOL,
 ) -> JSelfadjointOperator:
     """Operator with prescribed-real, well-separated spectrum.
 
-    Eigenvalues are drawn uniformly in ``bounds`` (default
-    ``(-2 scale, 2 scale)``) and attached to a J-orthogonal eigenbasis
-    built from a Cayley transform, so the result is J-selfadjoint with
-    every eigenvalue real — the input situation of the
-    interior-spectrum decomposition.
+    Eigenvalues are drawn uniformly in ``bounds`` and attached to a
+    J-orthogonal eigenbasis built from a Cayley transform, so the result
+    is J-selfadjoint with every eigenvalue real — the input situation of
+    the interior-spectrum decomposition.
     """
     rng = Xoshiro256StarStar.substream(cfg.seed, _TAG_REAL_SPECTRUM)
-    lo, hi = bounds if bounds is not None else (-2.0 * cfg.scale, 2.0 * cfg.scale)
+    lo, hi = bounds
     if not lo < hi:
         raise ValidationError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
     d = space.dim
@@ -200,9 +181,9 @@ def random_real_spectrum_operator(
     eye = np.eye(d, dtype=complex)
     for _ in range(RESAMPLE_BUDGET):
         values = np.array(sorted(lo + (hi - lo) * rng.uniform() for _ in range(d)))
-        if d > 1 and np.min(np.diff(values)) < cfg.gap:
+        if d > 1 and np.min(np.diff(values)) < tol.GEN_MIN_GAP:
             continue
-        s = _complex_matrix(rng, d, d, 0.5)
+        s = 0.5 * _complex_matrix(rng, d, d)
         skew = 0.5 * (s - s.conj().T)
         k = (1.0 / w)[:, None] * skew
         try:
@@ -213,7 +194,8 @@ def random_real_spectrum_operator(
             continue
         return validate_operator(space, a, tol)
     raise ResampleBudgetError(
-        f"no real-spectrum operator with margins {cfg.gap} in {RESAMPLE_BUDGET} draws"
+        f"no real-spectrum operator with margins {tol.GEN_MIN_GAP} "
+        f"in {RESAMPLE_BUDGET} draws"
     )
 
 

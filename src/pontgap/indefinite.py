@@ -76,7 +76,6 @@ class IndefiniteSpace:
     ``gram`` is already symmetrized.
     """
 
-    dim: int
     gram: np.ndarray = field(repr=False)
     kappa_plus: int
     kappa_minus: int
@@ -86,6 +85,10 @@ class IndefiniteSpace:
     def __post_init__(self):
         self.gram.setflags(write=False)
         object.__setattr__(self, "scale", max(1.0, linalg.frob(self.gram)))
+
+    @property
+    def dim(self) -> int:
+        return self.gram.shape[0]
 
     @property
     def kappa(self) -> int:
@@ -106,15 +109,10 @@ class IndefiniteSpace:
 class Subspace:
     """A subspace of C^ambient_dim given by an orthonormal column basis."""
 
-    ambient_dim: int
     basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         b = self.basis
-        if b.shape[0] != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"basis has {b.shape[0]} rows, ambient dimension is {self.ambient_dim}"
-            )
         if b.shape[1] > 0:
             defect = float(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])))
             if defect > Tolerance.ORTHO_SLACK:
@@ -127,15 +125,19 @@ class Subspace:
     def from_columns(cls, ambient_dim: int, columns, tol: Tolerance = DEFAULT_TOL):
         """Span of arbitrary columns, orthonormalized by SVD."""
         cols = np.asarray(columns, dtype=complex).reshape(ambient_dim, -1)
-        return cls(ambient_dim, linalg.orthonormal_columns(cols, tol))
+        return cls(linalg.orthonormal_columns(cols, tol))
 
     @classmethod
     def zero(cls, ambient_dim: int):
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
+        return cls(np.zeros((ambient_dim, 0), dtype=complex))
 
     @classmethod
     def full(cls, ambient_dim: int):
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=complex))
+        return cls(np.eye(ambient_dim, dtype=complex))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:
@@ -172,7 +174,6 @@ def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
             smallest_singular_value=smallest,
         )
     return IndefiniteSpace(
-        dim=j.shape[0],
         gram=0.5 * (j + j.conj().T),
         kappa_plus=inertia.plus,
         kappa_minus=inertia.minus,
@@ -233,7 +234,7 @@ def isotropic_part(
     inertia = Inertia.of_eigenvalues(w, band)
     # eigenvalues ascend: negative columns first, then the zero band
     kernel = v[:, inertia.minus : inertia.minus + inertia.zero]
-    return Subspace(space.dim, sub.basis @ kernel)
+    return Subspace(sub.basis @ kernel)
 
 
 def sum_subspaces(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -241,7 +242,7 @@ def sum_subspaces(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> S
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatchError("subspaces live in different ambient spaces")
     stacked = np.hstack([s1.basis, s2.basis])
-    return Subspace(s1.ambient_dim, linalg.orthonormal_columns(stacked, tol))
+    return Subspace(linalg.orthonormal_columns(stacked, tol))
 
 
 def intersect_subspaces(
@@ -260,7 +261,7 @@ def intersect_subspaces(
         return Subspace.zero(d)
     eye = np.eye(d, dtype=complex)
     stacked = np.vstack([eye - s1.projector(), eye - s2.projector()])
-    return Subspace(d, linalg.null_space(stacked, tol))
+    return Subspace(linalg.null_space(stacked, tol))
 
 
 def j_complement(
@@ -271,7 +272,7 @@ def j_complement(
     if sub.dim == 0:
         return Subspace.full(space.dim)
     constraints = sub.basis.conj().T @ space.gram
-    return Subspace(space.dim, linalg.null_space(constraints, tol))
+    return Subspace(linalg.null_space(constraints, tol))
 
 
 def oblique_projection(

@@ -58,8 +58,10 @@ class Tolerance:
     PAIRING_FACTOR: ClassVar[float] = 10.0
     #: |Im(lambda)| <= this times max(1, |lambda|) snaps to the real axis
     REALNESS_SCALE: ClassVar[float] = 1e-6
-    #: generated |Im(lambda)| above this share of the realness band clears min_gap
+    #: generated |Im(lambda)| above this share of the realness band clears GEN_MIN_GAP
     GEN_REALNESS_FACTOR: ClassVar[float] = 0.1
+    #: generated eigenvalues stay this far apart and, if non-real, off the real axis
+    GEN_MIN_GAP: ClassVar[float] = 1e-3
     #: ambiguity band around interval endpoints, times ||A||_F
     ENDPOINT_GUARD_SCALE: ClassVar[float] = 1e-6
     #: closer to an endpoint than this times ||A||_F is on it (so outside)

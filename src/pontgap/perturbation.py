@@ -37,7 +37,6 @@ class OperatorPair:
 
     op1: JSelfadjointOperator
     op2: JSelfadjointOperator
-    n: int
     agreement: Subspace
 
     @property
@@ -48,6 +47,10 @@ class OperatorPair:
     def dim(self) -> int:
         return self.op1.dim
 
+    @property
+    def n(self) -> int:
+        return self.dim - self.agreement.dim
+
 
 def make_pair(
     op1: JSelfadjointOperator, op2: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL
@@ -57,9 +60,8 @@ def make_pair(
         raise DimensionMismatchError(
             "operators must live on the identical space (same Gram matrix)"
         )
-    agreement = Subspace(op1.dim, linalg.null_space(op1.matrix - op2.matrix, tol))
-    n = op1.dim - agreement.dim
-    return OperatorPair(op1=op1, op2=op2, n=n, agreement=agreement)
+    agreement = Subspace(linalg.null_space(op1.matrix - op2.matrix, tol))
+    return OperatorPair(op1=op1, op2=op2, agreement=agreement)
 
 
 def _check_admissible(pair: OperatorPair, point: complex, tol: Tolerance):

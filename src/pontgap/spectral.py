@@ -321,7 +321,7 @@ def _table(op: JSelfadjointOperator, tol: Tolerance) -> _SpectralTable:
             for i, entry in enumerate(entries)
         )
         inertias = tuple(
-            subspace_inertia(op.space, Subspace(op.dim, basis), tol)
+            subspace_inertia(op.space, Subspace(basis), tol)
             if entry.is_real else None
             for entry, basis in zip(entries, bases)
         )
@@ -348,7 +348,7 @@ def root_subspace(
             f"{value} is not within clustering distance of any eigenvalue "
             f"(closest: {spectrum(op, tol).entries[idx].value})"
         )
-    return Subspace(op.dim, _table(op, tol).bases[idx])
+    return Subspace(_table(op, tol).bases[idx])
 
 
 def selection(
@@ -408,7 +408,7 @@ def gap_subspace(
 ) -> Subspace:
     """Sum of root subspaces over real eigenvalues inside the interval."""
     _, included = selection(op, interval, tol)
-    return Subspace(op.dim, _union_basis(op, included, tol))
+    return Subspace(_union_basis(op, included, tol))
 
 
 def complement_subspace(
@@ -417,7 +417,7 @@ def complement_subspace(
     """Sum of root subspaces over all eigenvalues *not* counted inside."""
     spec, included = selection(op, interval, tol)
     excluded = tuple(i for i in range(len(spec.entries)) if i not in included)
-    return Subspace(op.dim, _union_basis(op, excluded, tol))
+    return Subspace(_union_basis(op, excluded, tol))
 
 
 def _row_sum(op, included, tol) -> Inertia:

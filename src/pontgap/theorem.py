@@ -269,14 +269,13 @@ def _sign_split(op, sub: Subspace, a: float, b: float, decompose, tol):
     ``(m_minus, m_plus)`` in ambient coordinates; a zero subspace splits
     trivially.
     """
-    d = op.dim
     if sub.dim == 0:
-        return Subspace.zero(d), Subspace.zero(d)
+        return Subspace.zero(op.dim), Subspace.zero(op.dim)
     _, compressed = restrict_operator(op, sub, tol)
     dec = decompose(compressed, a, b, tol)
     return (
-        Subspace(d, sub.basis @ dec.m_minus.basis),
-        Subspace(d, sub.basis @ dec.m_plus.basis),
+        Subspace(sub.basis @ dec.m_minus.basis),
+        Subspace(sub.basis @ dec.m_plus.basis),
     )
 
 

@@ -25,7 +25,7 @@ from pontgap.gen import (
     random_real_spectrum_operator,
     random_space,
 )
-from pontgap.indefinite import Inertia
+from pontgap.indefinite import Inertia, validate_space
 from pontgap.instancefile import InstanceRecord, dumps_instance, parse_instance
 from pontgap.linalg import DEFAULT_TOL
 from pontgap.perturbation import resolvent_difference_rank, sample_admissible_points
@@ -166,7 +166,7 @@ def test_criterion_5_hilbert_reduction(acceptance):
             for n in range(0, min(3, d) + 1):
                 for seed in range(11):
                     cfg = GenConfig(dim=d, kappa_minus=0, pert_rank=n, seed=seed)
-                    space = random_space(cfg, diagonal=True)
+                    space = validate_space(np.eye(d, dtype=complex))
                     assert np.array_equal(space.gram, np.eye(d))
                     pair = random_pair(space, cfg)
                     report = verify_main_theorem(pair, Interval(-np.inf, np.inf))

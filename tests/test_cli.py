@@ -399,6 +399,15 @@ def test_parse_cli_interval_values():
         _parse_cli_interval("2,1")
 
 
+@pytest.mark.parametrize("endpoints", ["-1e400,0", "0,1e400", "nan,1"])
+def test_interval_flag_rejects_non_finite_literals(capsys, endpoints):
+    # as in an instance file, only an inf spelling may stand for infinity
+    code, out, err = _run(capsys, "analyze", str(EXAMPLE1), f"--interval={endpoints}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --interval endpoint")
+    assert "-inf or +inf" in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pontgap", "examples"],
@@ -424,3 +433,25 @@ def test_witness_demo_script_runs(name):
     proc = _run_demo(name)
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("chain:") for line in proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", None],
+                         ids=["truncated", "not-utf8", "missing"])
+def test_witness_demo_script_reports_bad_input(tmp_path, content):
+    path = tmp_path / "instance.json"
+    if content is not None:
+        path.write_bytes(content)
+    proc = _run_demo(str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_witness_demo_script_reports_ill_posed_interval(tmp_path):
+    doc = json.loads(EXAMPLE1.read_text())
+    doc["intervals"] = [{"lower": 2.0, "upper": 1.0}]
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_demo(str(path))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")

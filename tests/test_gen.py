@@ -15,6 +15,7 @@ from pontgap.gen import (
     random_space,
 )
 from pontgap.instancefile import InstanceRecord, dumps_instance
+from pontgap.linalg import Tolerance
 from pontgap.spectral import Interval, spectrum
 
 DATA = Path(__file__).parent / "data"
@@ -30,25 +31,11 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
         dict(dim=3, kappa_minus=4),
         dict(dim=3, kappa_minus=-1),
         dict(dim=3, kappa_minus=1, pert_rank=4),
-        dict(dim=3, kappa_minus=1, scale=0.0),
-        dict(dim=3, kappa_minus=1, min_gap=-1.0),
     ],
 )
 def test_genconfig_rejects_bad_shapes(kwargs):
     with pytest.raises(ValidationError):
         GenConfig(**kwargs)
-
-
-def test_genconfig_gap_default_tracks_scale():
-    assert GenConfig(dim=2, kappa_minus=0).gap == pytest.approx(1e-3)
-    assert GenConfig(dim=2, kappa_minus=0, scale=10.0).gap == pytest.approx(1e-2)
-    assert GenConfig(dim=2, kappa_minus=0, min_gap=0.5).gap == 0.5
-
-
-def test_random_space_diagonal_is_canonical():
-    cfg = GenConfig(dim=2, kappa_minus=1, seed=9)
-    space = random_space(cfg, diagonal=True)
-    assert np.array_equal(space.gram, np.diag([1.0, -1.0]))
 
 
 @given(dims, st.integers(min_value=0, max_value=6), seeds)
@@ -67,10 +54,10 @@ def test_random_operator_margins(d, seed):
     op = random_operator(random_space(cfg), cfg)
     values = np.array(list(spectrum(op).values()))
     real = values[np.abs(values.imag) < 1e-7]
-    # accepted draws keep distinct eigenvalues separated by the config gap
+    # accepted draws keep distinct eigenvalues separated by the generator gap
     for i in range(len(real)):
         for j in range(i + 1, len(real)):
-            assert abs(real[i] - real[j]) > cfg.gap * 0.999
+            assert abs(real[i] - real[j]) > Tolerance.GEN_MIN_GAP * 0.999
 
 
 @given(dims, st.integers(min_value=0, max_value=3), seeds)
@@ -102,8 +89,9 @@ def test_random_pair_is_deterministic():
     assert np.array_equal(p1.op2.matrix, p2.op2.matrix)
 
 
-def test_resample_budget_exhausts_on_impossible_gap():
-    cfg = GenConfig(dim=6, kappa_minus=1, seed=0, min_gap=50.0)
+def test_resample_budget_exhausts_on_impossible_gap(monkeypatch):
+    monkeypatch.setattr(Tolerance, "GEN_MIN_GAP", 50.0)
+    cfg = GenConfig(dim=6, kappa_minus=1, seed=0)
     space = random_space(cfg)
     with pytest.raises(ResampleBudgetError):
         random_operator(space, cfg)
@@ -117,12 +105,13 @@ def test_real_spectrum_operator_respects_bounds():
     assert all(abs(v.imag) < 1e-7 for v in values)
     assert all(-1.0 < v.real < 1.0 for v in values)
     for lo, hi in zip(values, values[1:]):
-        assert hi.real - lo.real > cfg.gap * 0.999
+        assert hi.real - lo.real > Tolerance.GEN_MIN_GAP * 0.999
 
 
-def test_real_spectrum_operator_impossible_packing():
+def test_real_spectrum_operator_impossible_packing(monkeypatch):
     # five eigenvalues pairwise 0.5 apart cannot fit in a unit interval
-    cfg = GenConfig(dim=5, kappa_minus=1, seed=0, min_gap=0.5)
+    monkeypatch.setattr(Tolerance, "GEN_MIN_GAP", 0.5)
+    cfg = GenConfig(dim=5, kappa_minus=1, seed=0)
     space = random_space(cfg)
     with pytest.raises(ResampleBudgetError):
         random_real_spectrum_operator(space, cfg, bounds=(0.0, 1.0))

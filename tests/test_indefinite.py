@@ -90,7 +90,7 @@ def test_same_space():
 
 def test_subspace_requires_orthonormal_basis():
     with pytest.raises(ValidationError):
-        Subspace(2, np.array([[1.0], [1.0]], dtype=complex))
+        Subspace(np.array([[1.0], [1.0]], dtype=complex))
 
 
 def test_from_columns_orthonormalizes():
@@ -110,7 +110,7 @@ def test_zero_and_full():
 def test_projector_is_hermitian_idempotent(d, seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, d + 1))
-    sub = Subspace(d, helpers.random_orthonormal(rng, d, k))
+    sub = Subspace(helpers.random_orthonormal(rng, d, k))
     p = sub.projector()
     assert np.allclose(p, p.conj().T, atol=1e-12)
     assert np.allclose(p @ p, p, atol=1e-12)
@@ -172,7 +172,7 @@ def test_subspace_inertia_dim_consistency(d, seed):
     space = helpers.make_space(d, min(1, d - 1) if d > 1 else 0, seed)
     rng = np.random.default_rng(seed + 3)
     k = int(rng.integers(0, d + 1))
-    sub = Subspace(d, helpers.random_orthonormal(rng, d, k))
+    sub = Subspace(helpers.random_orthonormal(rng, d, k))
     inertia = subspace_inertia(space, sub)
     assert inertia.dim == k
     assert isotropic_part(space, sub).dim == inertia.zero
@@ -195,8 +195,8 @@ def test_sum_and_intersection_dimension_formula(d, seed):
     extra1 = int(rng.integers(0, d - shared + 1))
     extra2 = int(rng.integers(0, d - shared - extra1 + 1))
     basis = helpers.random_orthonormal(rng, d, shared + extra1 + extra2)
-    s1 = Subspace(d, basis[:, : shared + extra1])
-    s2 = Subspace(d, np.hstack([basis[:, :shared], basis[:, shared + extra1 :]]))
+    s1 = Subspace(basis[:, : shared + extra1])
+    s2 = Subspace(np.hstack([basis[:, :shared], basis[:, shared + extra1 :]]))
     both = intersect_subspaces(s1, s2)
     union = sum_subspaces(s1, s2)
     assert both.dim == shared
@@ -207,8 +207,8 @@ def test_sum_and_intersection_dimension_formula(d, seed):
 def test_intersection_is_contained_in_both():
     rng = np.random.default_rng(17)
     basis = helpers.random_orthonormal(rng, 4, 3)
-    s1 = Subspace(4, basis[:, :2])
-    s2 = Subspace(4, basis[:, 1:])
+    s1 = Subspace(basis[:, :2])
+    s2 = Subspace(basis[:, 1:])
     got = intersect_subspaces(s1, s2)
     assert got.dim == 1
     for col in got.basis.T:
@@ -221,7 +221,7 @@ def test_j_complement_dimension_and_orthogonality(d, seed):
     space = helpers.make_space(d, d // 2, seed)
     rng = np.random.default_rng(seed + 7)
     k = int(rng.integers(0, d + 1))
-    sub = Subspace(d, helpers.random_orthonormal(rng, d, k))
+    sub = Subspace(helpers.random_orthonormal(rng, d, k))
     comp = j_complement(space, sub)
     assert comp.dim == d - k
     if sub.dim and comp.dim:

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,17 @@ def test_every_band_lives_on_tolerance():
         if name.endswith(("_SCALE", "_FACTOR", "_SLACK"))
     ]
     assert scattered == []
+
+
+def test_no_settable_value_the_data_already_fixes():
+    # generator knobs are the instance's shape and seed; bands live on Tolerance
+    assert [f.name for f in fields(pontgap.GenConfig)] == [
+        "dim", "kappa_minus", "pert_rank", "seed",
+    ]
+    # dimensions and ranks are read off the arrays, so they cannot disagree
+    derived = {"ambient_dim", "dim", "n"}
+    for cls in (pontgap.Subspace, pontgap.IndefiniteSpace, pontgap.OperatorPair):
+        assert derived.isdisjoint(f.name for f in fields(cls) if f.init), cls.__name__
 
 
 def test_no_module_imports_a_name_it_never_uses():
