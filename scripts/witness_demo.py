@@ -11,15 +11,20 @@ Usage:
     python3 scripts/witness_demo.py path/to/instance.json
 
 Exit codes follow ``pontgap``: 0 ok, 2 input error (unreadable or
-malformed file, or no inner interval found), 3 ill-posed interval; 1
-for an instance without A2 or without an interval.
+malformed file, an instance without A2 or without an interval, or no
+inner interval found), 3 ill-posed interval.
 """
 
 import sys
 from pathlib import Path
 
 from pontgap.cli import EXIT_ILL_POSED_INTERVAL, EXIT_INPUT_ERROR, EXIT_OK
-from pontgap.errors import EndpointInSpectrumError, IllPosedIntervalError, PontgapError
+from pontgap.errors import (
+    EndpointInSpectrumError,
+    IllPosedIntervalError,
+    InstanceFormatError,
+    PontgapError,
+)
 from pontgap.gen import builtin_fixtures
 from pontgap.instancefile import parse_instance
 from pontgap.perturbation import make_pair
@@ -35,9 +40,9 @@ def load(arg):
         return f.name, f.pair, f.interval
     record = parse_instance(Path(arg).read_text(encoding="utf-8"))
     if record.a2 is None:
-        sys.exit("need an instance with both a1 and a2")
+        raise InstanceFormatError("need an instance with both a1 and a2")
     if not record.intervals:
-        sys.exit("need an instance with at least one interval")
+        raise InstanceFormatError("need an instance with at least one interval")
     space = validate_space(record.gram)
     pair = make_pair(validate_operator(space, record.a1),
                      validate_operator(space, record.a2))

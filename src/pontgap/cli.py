@@ -10,6 +10,7 @@ eigenvalue), 4 bound violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -22,7 +23,7 @@ from .errors import (
     InstanceFormatError,
     PontgapError,
 )
-from .gen import GenConfig, builtin_fixtures, random_pair, random_space
+from .gen import GenConfig, builtin_fixtures, random_operator, random_pair, random_space
 from .indefinite import IndefiniteSpace, validate_space
 from .instancefile import (
     SCHEMA_VERSION,
@@ -244,6 +245,11 @@ def cmd_sweep(args) -> int:
     ranks = _parse_int_list(args.ranks, "--ranks")
     if args.seeds < 1:
         raise InstanceFormatError("--seeds must be at least 1")
+    # instance seeds run from --seed to --seed + --seeds - 1
+    if args.seed < 0 or args.seed + args.seeds > 2**64:
+        raise InstanceFormatError(
+            "--seed and --seed + --seeds - 1 must lie in [0, 2**64)"
+        )
     for flag, values, least in (
         ("--dims", dims, 1), ("--kappas", kappas, 0), ("--ranks", ranks, 0)
     ):
@@ -257,21 +263,29 @@ def cmd_sweep(args) -> int:
     cells: dict[tuple[int, int], dict] = {}
     instances = 0
     violations = []
+
+    # J and A1 depend on (d, kappa, seed), not on the rank.  The grid runs
+    # a (d, kappa)'s ranks over the same --seeds seeds, so keeping the last
+    # --seeds A1s (each holds its J) builds each once for all ranks
+    @functools.lru_cache(maxsize=args.seeds)
+    def first(d, kappa, seed):
+        cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
+        return random_operator(random_space(cfg, tol), cfg, tol)
+
     grid = itertools.product(dims, kappas, ranks, range(args.seeds))
     for d, kappa, rank, offset in grid:
         if kappa > d or rank > d:
             continue
         cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank,
                         seed=args.seed + offset)
-        space = random_space(cfg, tol)
-        pair = random_pair(space, cfg, tol)
+        pair = random_pair(first(d, kappa, cfg.seed), cfg, tol)
         instances += 1
         # sweep_windows opens with the whole line, so every cell gets a row
         cell = cells.setdefault((kappa, rank), {"min_slack": None, "rows": 0})
         for interval in sweep_windows(pair, tol):
             report = verify_main_theorem(pair, interval, tol)
             fields = (
-                d, space.kappa_plus, space.kappa_minus, pair.n,
+                d, pair.space.kappa_plus, pair.space.kappa_minus, pair.n,
                 _csv_endpoint(interval.lower), _csv_endpoint(interval.upper),
                 report.eig1, report.eig2, report.sig1, report.sig2, report.slack,
             )

@@ -61,6 +61,10 @@ class GenConfig:
             raise ValidationError(
                 f"pert_rank must lie in [0, dim], got {self.pert_rank}"
             )
+        # the streams reduce seeds modulo 2**64; outside that range two
+        # seeds would name one instance
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -131,16 +135,31 @@ def random_operator(
 
 
 def random_pair(
-    space: IndefiniteSpace, cfg: GenConfig, tol: Tolerance = DEFAULT_TOL
+    first: IndefiniteSpace | JSelfadjointOperator,
+    cfg: GenConfig,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> OperatorPair:
     """A1 plus a rank-``pert_rank`` J-selfadjoint perturbation.
+
+    ``first`` is the space to draw A1 in, or an A1 that
+    :func:`random_operator` already drew for ``cfg``: A1 does not depend
+    on ``pert_rank``, so pairs of several ranks can share one A1 and its
+    memoized spectrum.
 
     The perturbation is ``J^-1 sum_i c_i v_i v_i^*`` with signs
     ``c_i`` and vectors ``v_i`` from the pair stream; draws are
     rejected until the difference has exact rank ``pert_rank`` and A2
     passes the same margin checks as A1.
     """
-    op1 = random_operator(space, cfg, tol)
+    if isinstance(first, JSelfadjointOperator):
+        if first.dim != cfg.dim:
+            raise ValidationError(
+                f"A1 has dimension {first.dim}, the config asks for {cfg.dim}"
+            )
+        op1 = first
+    else:
+        op1 = random_operator(first, cfg, tol)
+    space = op1.space
     n = cfg.pert_rank
     if n == 0:
         return make_pair(op1, op1, tol)

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -8,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import pontgap.cli
-from pontgap.cli import CSV_HEADER, _parse_cli_interval, main
+import pontgap.gen
+from pontgap.cli import CSV_HEADER, _csv_endpoint, _parse_cli_interval, main
 from pontgap.errors import IllPosedIntervalError, InstanceFormatError
+from pontgap.gen import GenConfig, random_pair, random_space
 from pontgap.instancefile import parse_instance
 from pontgap.spectral import Interval
+from pontgap.theorem import sweep_windows, verify_main_theorem
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE1 = FIXTURES / "example1.json"
@@ -169,6 +174,10 @@ def test_verify_requires_second_operator(capsys, tmp_path):
     code, _, err = _run(capsys, "verify", str(path))
     assert code == 2
     assert "both a1 and a2" in err
+    proc = _run_demo(str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "both a1 and a2" in proc.stderr
 
 
 def test_verify_requires_an_interval(capsys, tmp_path):
@@ -184,7 +193,8 @@ def test_verify_requires_an_interval(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["intervals"] == []
     proc = _run_demo(str(path))
-    assert proc.returncode == 1
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
     assert "at least one interval" in proc.stderr
 
 
@@ -351,6 +361,46 @@ def test_sweep_skips_cells_outside_the_grid(capsys, tmp_path):
     assert len(out_path.read_text().splitlines()) == 1 + 11
 
 
+def test_sweep_equals_its_cell_by_cell_build(capsys, tmp_path):
+    # repeated and unsorted grid values; every cell draws its own J and A1
+    dims, kappas, ranks, seeds, base = (3, 2, 3), (1, 0, 1), (2, 0, 2), 3, 7
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = _run(capsys, "sweep", "--dims", "3,2,3", "--kappas", "1,0,1",
+                      "--ranks", "2,0,2", "--seeds", str(seeds),
+                      "--seed", str(base), "--out", str(out_path))
+    assert code == 0
+    expected = [CSV_HEADER]
+    for d, kappa, rank, offset in itertools.product(dims, kappas, ranks, range(seeds)):
+        if kappa > d or rank > d:
+            continue
+        cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=base + offset)
+        space = random_space(cfg)
+        pair = random_pair(space, cfg)
+        for interval in sweep_windows(pair):
+            r = verify_main_theorem(pair, interval)
+            expected.append(",".join(map(str, (
+                d, space.kappa_plus, space.kappa_minus, pair.n,
+                _csv_endpoint(interval.lower), _csv_endpoint(interval.upper),
+                r.eig1, r.eig2, r.sig1, r.sig2, r.slack,
+            ))))
+    assert out_path.read_text().splitlines() == expected
+
+
+def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
+    calls = collections.Counter()
+    for module in (pontgap.cli, pontgap.gen):
+        for name in ("random_space", "random_operator", "random_pair"):
+            def counted(*args, _real=getattr(pontgap.gen, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    # the default grid: 3 dims x 2 kappas x 10 seeds, each with 3 ranks
+    code, out, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
+    assert code == 0
+    assert json.loads(out)["instances"] == 180
+    assert calls == {"random_space": 60, "random_operator": 60, "random_pair": 180}
+
+
 def test_verify_exits_4_on_a_failed_bound(capsys, monkeypatch):
     real = pontgap.cli.verify_main_theorem
 
@@ -376,6 +426,9 @@ def test_sweep_rejects_bad_grid(capsys, tmp_path):
         (("--dims", "3", "--ranks", "9"), "--ranks"),
         (("--dims", ""), "--dims expects comma-separated integers"),
         (("--seeds", "0"), "--seeds must be at least 1"),
+        # seeds are taken modulo 2**64, so these would alias other seeds
+        (("--seed", "-1"), "--seed"),
+        (("--seed", str(2**64 - 2), "--seeds", "3"), "--seed"),
     ]:
         code, _, err = _run(capsys, "sweep", *grid, "--out", str(out))
         assert code == 2, grid

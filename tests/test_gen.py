@@ -31,6 +31,9 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
         dict(dim=3, kappa_minus=4),
         dict(dim=3, kappa_minus=-1),
         dict(dim=3, kappa_minus=1, pert_rank=4),
+        # the streams reduce seeds modulo 2**64, so -1 would alias 2**64 - 1
+        dict(dim=3, kappa_minus=1, seed=-1),
+        dict(dim=3, kappa_minus=1, seed=2**64),
     ],
 )
 def test_genconfig_rejects_bad_shapes(kwargs):
@@ -87,6 +90,26 @@ def test_random_pair_is_deterministic():
     p2 = random_pair(space, cfg)
     assert np.array_equal(p1.op1.matrix, p2.op1.matrix)
     assert np.array_equal(p1.op2.matrix, p2.op2.matrix)
+
+
+@pytest.mark.parametrize(
+    "d, kappa, n, seed", [(1, 0, 1, 0), (3, 1, 0, 5), (4, 1, 2, 3), (6, 2, 3, 11)]
+)
+def test_random_pair_from_a1_equals_pair_from_space(d, kappa, n, seed):
+    cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=n, seed=seed)
+    from_space = random_pair(random_space(cfg), cfg)
+    op1 = random_operator(random_space(cfg), cfg)
+    from_a1 = random_pair(op1, cfg)
+    assert from_a1.op1 is op1
+    assert from_a1.op2.matrix.tobytes() == from_space.op2.matrix.tobytes()
+    assert from_a1.n == from_space.n == n
+
+
+def test_random_pair_rejects_a1_of_another_dimension():
+    cfg = GenConfig(dim=3, kappa_minus=1, seed=2)
+    op1 = random_operator(random_space(cfg), cfg)
+    with pytest.raises(ValidationError):
+        random_pair(op1, GenConfig(dim=4, kappa_minus=1, pert_rank=1, seed=2))
 
 
 def test_resample_budget_exhausts_on_impossible_gap(monkeypatch):
