@@ -78,10 +78,8 @@ class Fixture:
 
 
 def _complex_matrix(rng: Xoshiro256StarStar, rows: int, cols: int):
-    return np.array(
-        [[rng.complex_normal() for _ in range(cols)] for _ in range(rows)],
-        dtype=complex,
-    ).reshape(rows, cols)
+    """Row-major matrix of the stream's next ``rows * cols`` complex normals."""
+    return rng.complex_normals(rows * cols).reshape(rows, cols)
 
 
 def _haar_unitary(rng: Xoshiro256StarStar, d: int) -> np.ndarray:
@@ -92,9 +90,8 @@ def _haar_unitary(rng: Xoshiro256StarStar, d: int) -> np.ndarray:
     return q * phases.conj()
 
 
-def _margins_ok(matrix: np.ndarray, tol: Tolerance) -> bool:
-    """Spectrum is unambiguous: clean realness calls and open gaps."""
-    values = np.linalg.eigvals(matrix)
+def _margins_ok(values: np.ndarray, tol: Tolerance) -> bool:
+    """Raw eigenvalues are unambiguous: clean realness calls and open gaps."""
     band = tol.GEN_REALNESS_FACTOR * tol.REALNESS_SCALE
     for v in values:
         im = abs(v.imag)
@@ -102,6 +99,15 @@ def _margins_ok(matrix: np.ndarray, tol: Tolerance) -> bool:
             return False
     gaps = np.abs(values[:, None] - values[None, :])[np.triu_indices(len(values), 1)]
     return not np.any(gaps < tol.GEN_MIN_GAP)
+
+
+def _check_space(space: IndefiniteSpace, cfg: GenConfig) -> None:
+    """The space has the dimension and negative index ``cfg`` names."""
+    if (space.dim, space.kappa_minus) != (cfg.dim, cfg.kappa_minus):
+        raise ValidationError(
+            f"space has dimension {space.dim} and kappa {space.kappa_minus}, "
+            f"the config asks for {cfg.dim} and {cfg.kappa_minus}"
+        )
 
 
 def random_space(cfg: GenConfig, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
@@ -121,13 +127,15 @@ def random_operator(
     space: IndefiniteSpace, cfg: GenConfig, tol: Tolerance = DEFAULT_TOL
 ) -> JSelfadjointOperator:
     """J-selfadjoint operator ``J^-1 H`` for a random Hermitian H."""
+    _check_space(space, cfg)
     rng = Xoshiro256StarStar.substream(cfg.seed, _TAG_OPERATOR)
     for _ in range(RESAMPLE_BUDGET):
         g = _complex_matrix(rng, space.dim, space.dim)
         h = 0.5 * (g + g.conj().T)
-        a = linalg.solve(space.gram, h, tol)
-        if _margins_ok(a, tol):
-            return validate_operator(space, a, tol)
+        op = validate_operator(space, linalg.solve(space.gram, h, tol), tol)
+        # the margin check's eigenvalues are the ones spectrum(op) clusters
+        if _margins_ok(op.raw_eigenvalues(), tol):
+            return op
     raise ResampleBudgetError(
         f"no operator with eigenvalue margins {tol.GEN_MIN_GAP} "
         f"in {RESAMPLE_BUDGET} draws"
@@ -152,10 +160,7 @@ def random_pair(
     passes the same margin checks as A1.
     """
     if isinstance(first, JSelfadjointOperator):
-        if first.dim != cfg.dim:
-            raise ValidationError(
-                f"A1 has dimension {first.dim}, the config asks for {cfg.dim}"
-            )
+        _check_space(first.space, cfg)
         op1 = first
     else:
         op1 = random_operator(first, cfg, tol)
@@ -170,7 +175,7 @@ def random_pair(
         p = (v * signs) @ v.conj().T
         a2 = op1.matrix + linalg.solve(space.gram, 0.5 * (p + p.conj().T), tol)
         pair = make_pair(op1, validate_operator(space, a2, tol), tol)
-        if pair.n == n and _margins_ok(a2, tol):
+        if pair.n == n and _margins_ok(pair.op2.raw_eigenvalues(), tol):
             return pair
     raise ResampleBudgetError(
         f"no rank-{n} perturbation with margins {tol.GEN_MIN_GAP} "
@@ -191,6 +196,7 @@ def random_real_spectrum_operator(
     is J-selfadjoint with every eigenvalue real — the input situation of
     the interior-spectrum decomposition.
     """
+    _check_space(space, cfg)
     rng = Xoshiro256StarStar.substream(cfg.seed, _TAG_REAL_SPECTRUM)
     lo, hi = bounds
     if not lo < hi:

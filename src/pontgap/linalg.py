@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_TOL",
     "as_complex_matrix",
     "frob",
-    "clustering_threshold",
     "hermitian_eigen",
     "complex_eigen",
     "eigenvectors",
@@ -113,11 +112,6 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-def clustering_threshold(m, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Distance below which two computed eigenvalues of ``m`` merge."""
-    return tol.CLUSTERING_SCALE * max(1.0, frob(m))
-
-
 def hermitian_eigen(h, tol: Tolerance = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -149,34 +143,24 @@ def hermitian_eigen(h, tol: Tolerance = DEFAULT_TOL):
     return w, v
 
 
-def complex_eigen(m, tol: Tolerance = DEFAULT_TOL) -> list[tuple[complex, int]]:
-    """Clustered eigenvalues of a general complex matrix.
+def complex_eigen(values, threshold: float) -> list[tuple[complex, int]]:
+    """Cluster computed eigenvalues.
 
-    Raw eigenvalues closer than ``clustering_threshold(m)`` are merged
-    (transitively) into a single value with summed multiplicity; the
-    reported value is the mean of the cluster.  Returned sorted by
-    ``(real, imag)``; multiplicities always sum to the dimension.
+    Values closer than ``threshold`` are merged (transitively) into a
+    single value with summed multiplicity; the reported value is the
+    mean of the cluster.  Returned sorted by ``(real, imag)``;
+    multiplicities always sum to ``len(values)``.
     """
-    m = as_complex_matrix(m, square=True)
-    d = m.shape[0]
-    if d == 0:
-        return []
-    try:
-        raw = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
-    thresh = clustering_threshold(m, tol)
-
     # transitive merge of raw values, then of cluster means, so that
     # distinct reported values always differ by more than the threshold
-    clusters = [(value, 1) for value in raw]
+    clusters = [(value, 1) for value in values]
     merged = True
     while merged:
         merged = False
         out: list[tuple[complex, int]] = []
         for value, count in sorted(clusters, key=lambda vc: (vc[0].real, vc[0].imag)):
             for i, (ov, oc) in enumerate(out):
-                if abs(value - ov) <= thresh:
+                if abs(value - ov) <= threshold:
                     total = oc + count
                     out[i] = ((ov * oc + value * count) / total, total)
                     merged = True
@@ -191,7 +175,7 @@ def complex_eigen(m, tol: Tolerance = DEFAULT_TOL) -> list[tuple[complex, int]]:
 def eigenvectors(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit eigenvector columns of a general complex matrix.
 
-    Its eigenvalues can differ from :func:`complex_eigen`'s in the last bits.
+    Its eigenvalues can differ from ``np.linalg.eigvals``'s in the last bits.
     """
     try:
         return np.linalg.eig(as_complex_matrix(m, square=True))

@@ -5,17 +5,21 @@ Hermitian.  Its spectrum is closed under conjugation; eigenvalue counts
 over an open real interval are taken with algebraic multiplicity, via
 the dimension of the corresponding sum of root subspaces.
 
-Each operator memoizes per tolerance, behind a lock, its clustered
-spectrum (one ``eigvals`` call) and a spectral table: a root basis per
-eigenvalue and, per real eigenvalue, the inertia of the Gram form on
-it.  The table costs one ``eig`` call of its own, for the eigenvectors.
-Window counts are sums of table rows, checked once per operator (see
-:func:`gap_inertia`); an operator whose spectrum is all its callers read
-never builds the table.  So the memo holds three things: the spectrum,
-which carries its own sorted keys, the table, and the verdict of that
-check.  With the keys, :func:`selection` and :func:`clear_of` bisect
-instead of scanning: a window costs O(log m + k) for m entries, k of
-them near an endpoint or counted.  The memo never changes any result.
+Each operator memoizes, behind a lock, its raw eigenvalues (one
+``eigvals`` call, whatever the tolerance; the generator's margin check
+reads the same values) and, per tolerance, its clustered spectrum and a
+spectral table: a root basis per eigenvalue and, per real eigenvalue,
+the inertia of the Gram form on it.  The spectrum clusters the raw
+values within a band of ``CLUSTERING_SCALE`` times the operator's
+``scale``, so it takes no norm of its own.  The table costs one ``eig``
+call of its own, for the eigenvectors.  Window counts are sums of table
+rows, checked once per operator (see :func:`gap_inertia`); an operator
+whose spectrum is all its callers read never builds the table.  So the
+memo holds four things: the raw eigenvalues, the spectrum, which
+carries its own sorted keys, the table, and the verdict of that check.
+With the keys, :func:`selection` and :func:`clear_of` bisect instead of
+scanning: a window costs O(log m + k) for m entries, k of them near an
+endpoint or counted.  The memo never changes any result.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    EigensolverError,
     EndpointInSpectrumError,
     IllPosedIntervalError,
     NonHermitianError,
@@ -184,6 +189,19 @@ class JSelfadjointOperator:
         with self._lock:
             return self._memo.setdefault(key, value)
 
+    def raw_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``matrix`` from one ``eigvals`` call, unclustered."""
+
+        def build():
+            try:
+                values = np.linalg.eigvals(self.matrix)
+            except np.linalg.LinAlgError as exc:
+                raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
+            values.setflags(write=False)
+            return values
+
+        return self._cached(("raw",), build)
+
 
 def validate_operator(
     space: IndefiniteSpace, a, tol: Tolerance = DEFAULT_TOL
@@ -247,7 +265,9 @@ def spectrum(op: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL) -> Spectrum
     """Clustered spectrum with realness snapping and conjugate pairing."""
 
     def build():
-        clusters = linalg.complex_eigen(op.matrix, tol)
+        clusters = linalg.complex_eigen(
+            op.raw_eigenvalues(), tol.CLUSTERING_SCALE * op.scale
+        )
         symmetrized = _pair_conjugates(clusters, op.scale, tol)
         entries = tuple(
             Eigenvalue(value=v, multiplicity=m)

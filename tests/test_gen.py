@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pontgap import gen
 from pontgap.errors import ResampleBudgetError, ValidationError
 from pontgap.gen import (
     GenConfig,
@@ -16,7 +18,7 @@ from pontgap.gen import (
 )
 from pontgap.instancefile import InstanceRecord, dumps_instance
 from pontgap.linalg import Tolerance
-from pontgap.spectral import Interval, spectrum
+from pontgap.spectral import Interval, spectrum, validate_operator
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,6 +114,61 @@ def test_random_pair_rejects_a1_of_another_dimension():
         random_pair(op1, GenConfig(dim=4, kappa_minus=1, pert_rank=1, seed=2))
 
 
+@pytest.mark.parametrize(
+    "other",
+    [
+        GenConfig(dim=4, kappa_minus=2, pert_rank=1, seed=2),  # both differ
+        GenConfig(dim=4, kappa_minus=1, pert_rank=1, seed=2),  # dimension
+        GenConfig(dim=3, kappa_minus=2, pert_rank=1, seed=2),  # kappa
+    ],
+)
+def test_generators_reject_a_space_the_config_does_not_name(other):
+    cfg = GenConfig(dim=3, kappa_minus=1, seed=2)
+    space = random_space(cfg)
+    op1 = random_operator(space, cfg)
+    with pytest.raises(ValidationError):
+        random_operator(space, other)
+    with pytest.raises(ValidationError):
+        random_pair(space, other)
+    with pytest.raises(ValidationError):
+        random_pair(op1, other)
+    with pytest.raises(ValidationError):
+        random_real_spectrum_operator(space, other, bounds=(-1.0, 1.0))
+
+
+def _count_eigvals(monkeypatch) -> list:
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generated_operator_solves_its_eigenvalues_once(monkeypatch, seed):
+    cfg = GenConfig(dim=5, kappa_minus=2, seed=seed)
+    space = random_space(cfg)
+    calls = _count_eigvals(monkeypatch)
+    op = random_operator(space, cfg)
+    spectrum(op)
+    # the margin check's eigenvalues are the ones the spectrum clusters
+    assert calls == [(5, 5)]
+
+
+def test_validated_operator_solves_its_eigenvalues_on_first_spectrum(monkeypatch):
+    space = random_space(GenConfig(dim=4, kappa_minus=1, seed=0))
+    op = validate_operator(space, np.linalg.solve(space.gram, np.eye(4, dtype=complex)))
+    calls = _count_eigvals(monkeypatch)
+    assert calls == []
+    spectrum(op)
+    spectrum(op, Tolerance(rel=1e-8))
+    assert calls == [(4, 4)]
+
+
 def test_resample_budget_exhausts_on_impossible_gap(monkeypatch):
     monkeypatch.setattr(Tolerance, "GEN_MIN_GAP", 50.0)
     cfg = GenConfig(dim=6, kappa_minus=1, seed=0)
@@ -153,6 +210,50 @@ def test_golden_instance_bytes():
         name="gen-seed42-d4-k1-n1",
     )
     assert dumps_instance(record) == (DATA / "gen_seed42.json").read_text()
+
+
+def _sha256(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "d, kappa, n, seed, min_gap, verdicts, golden",
+    [
+        # a d = 96 pair: every matrix draw is 9,216 complex normals
+        (96, 2, 2, 3, None, [True, True], (
+            "9aad584a1af4608e94eaa7635f16039c559f0c4abcc5e366cbd7ffd41a72632c",
+            "a0f09adf77b9e4181e1916bb6e217c91cbf127f38053deed03f31d5ff05ee740",
+            "60114a0baa6f950ef4830f87e98af80e0def3f038d98f6b82b19c9e8a9496aa1",
+        )),
+        # the first A1 draw and the first A2 draw are both rejected, so A1
+        # and A2 come from the streams' continuations after a resample.
+        # At the default gap not one of 40,000 draws at d = 2 was
+        # rejected, so the gap is widened to reach a rejection.
+        (16, 2, 2, 85, 0.2, [False, True, False, True], (
+            "db35dbd2009f878b62d9d577d627485d9e89c7e786262e281f705159d48a7074",
+            "bf993cd9a1a007dfaadbbb62d77fbe9d99b6e9408b526a37594ffd4413a6ab2b",
+            "442382afb6a7dec38b5f4e33c02f6f68e304c59b022c79865252ae819849677c",
+        )),
+    ],
+)
+def test_golden_matrix_bytes(monkeypatch, d, kappa, n, seed, min_gap, verdicts, golden):
+    """Gram, A1 and A2 bytes are frozen, including after rejected draws."""
+    if min_gap is not None:
+        monkeypatch.setattr(Tolerance, "GEN_MIN_GAP", min_gap)
+    seen = []
+    margins_ok = gen._margins_ok
+
+    def counting(*args):
+        seen.append(margins_ok(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(gen, "_margins_ok", counting)
+    cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=n, seed=seed)
+    space = random_space(cfg)
+    pair = random_pair(space, cfg)
+    got = (_sha256(space.gram), _sha256(pair.op1.matrix), _sha256(pair.op2.matrix))
+    assert seen == verdicts
+    assert got == golden
 
 
 def test_builtin_fixtures_literals():

@@ -20,7 +20,6 @@ from pontgap.linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_complex_matrix,
-    clustering_threshold,
     complex_eigen,
     frob,
     hermitian_eigen,
@@ -155,8 +154,17 @@ def test_hermitian_eigen_tolerates_roundoff_asymmetry():
 # complex_eigen
 
 
+def _band(m) -> float:
+    """The clustering band an operator with matrix ``m`` uses."""
+    return Tolerance.CLUSTERING_SCALE * max(1.0, frob(m))
+
+
+def _clusters(m):
+    return complex_eigen(np.linalg.eigvals(m), _band(m))
+
+
 def test_complex_eigen_exact_diagonal():
-    got = complex_eigen(np.diag([2.0, -1.0, 2.0]).astype(complex))
+    got = _clusters(np.diag([2.0, -1.0, 2.0]).astype(complex))
     assert got == [(-1.0 + 0j, 1), (2.0 + 0j, 2)]
 
 
@@ -164,16 +172,16 @@ def test_complex_eigen_merges_defective_cluster():
     # Jordan block: the two computed eigenvalues split by ~sqrt(eps)
     # around 0 and must come back as one cluster of multiplicity 2
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    got = complex_eigen(m)
+    got = _clusters(m)
     assert len(got) == 1
     value, mult = got[0]
     assert mult == 2
-    assert abs(value) <= clustering_threshold(m)
+    assert abs(value) <= _band(m)
 
 
 def test_complex_eigen_merges_near_duplicates():
     m = np.diag([1.0, 1.0 + 1e-9, 5.0]).astype(complex)
-    got = complex_eigen(m)
+    got = _clusters(m)
     assert [mult for _, mult in got] == [2, 1]
 
 
@@ -181,14 +189,14 @@ def test_complex_eigen_merges_near_duplicates():
 def test_complex_eigen_multiplicities_sum_to_dimension(d, seed):
     rng = np.random.default_rng(seed)
     m = _random_complex(rng, d, d)
-    got = complex_eigen(m)
+    got = _clusters(m)
     assert sum(mult for _, mult in got) == d
     values = [v for v, _ in got]
     assert values == sorted(values, key=lambda z: (z.real, z.imag))
     # reported values are pairwise separated
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            assert abs(values[i] - values[j]) > clustering_threshold(m)
+            assert abs(values[i] - values[j]) > _band(m)
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,37 @@ def test_substreams_differ_and_are_deterministic():
     seq2 = [second.next_u64() for _ in range(10)]
     assert seq1 != seq2
     assert seq1 == [again.next_u64() for _ in range(10)]
+
+
+def _prepared(seed, prefix):
+    """A stream that has made the draws ``prefix`` names, in order."""
+    rng = Xoshiro256StarStar(seed)
+    for method in prefix:
+        getattr(rng, method)()
+    return rng
+
+
+@given(
+    st.integers(min_value=0, max_value=_MASK),
+    st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=3, max_value=300)),
+    st.sampled_from([(), ("sign", "uniform"), ("normal",), ("sign", "normal", "uniform")]),
+)
+def test_complex_normals_equal_the_scalar_path(seed, count, prefix):
+    # ("normal",) leaves a spare pending, which the bulk draw uses first
+    scalar, bulk = _prepared(seed, prefix), _prepared(seed, prefix)
+    expected = np.array([scalar.complex_normal() for _ in range(count)], dtype=complex)
+    got = bulk.complex_normals(count)
+    assert got.dtype == np.complex128 and got.shape == (count,)
+    assert got.tobytes() == expected.tobytes()
+    assert bulk._s == scalar._s
+    assert repr(bulk._spare_normal) == repr(scalar._spare_normal)
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("spare", [-0.0, 0.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_complex_normals_keep_a_signed_zero_spare(seed, spare):
+    scalar, bulk = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    scalar._spare_normal = bulk._spare_normal = spare
+    expected = np.array([scalar.complex_normal() for _ in range(3)], dtype=complex)
+    assert bulk.complex_normals(3).tobytes() == expected.tobytes()

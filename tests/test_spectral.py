@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from pontgap.errors import (
     DimensionMismatchError,
+    EigensolverError,
     EndpointInSpectrumError,
     IllPosedIntervalError,
     NonHermitianError,
@@ -178,7 +179,7 @@ def test_spectrum_carries_its_sorted_keys():
     assert spec != Spectrum(entries=entries[:3])
 
 
-def test_operator_memoizes_spectrum_table_and_verdict_only():
+def test_operator_memoizes_raw_values_spectrum_table_and_verdict_only():
     space = helpers.make_space(5, 1, 3)
     pair = helpers.make_rank_perturbed_pair(space, 4, rank=1)
     windows = sweep_windows(pair, DEFAULT_TOL)
@@ -186,7 +187,20 @@ def test_operator_memoizes_spectrum_table_and_verdict_only():
     for op in (pair.op1, pair.op2):
         for window in windows:
             gap_inertia(op, window)
-        assert {key[0] for key in op._memo} == {"spectrum", "table", "additive"}
+        assert {key[0] for key in op._memo} == {"raw", "spectrum", "table", "additive"}
+
+
+def test_failed_eigenvalue_iteration_is_a_typed_error(monkeypatch):
+    space = validate_space(np.diag([1.0, -1.0]).astype(complex))
+    op = validate_operator(space, np.diag([1.0, 2.0]).astype(complex))
+
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(EigensolverError):
+        spectrum(op)
+    assert op._memo == {}
 
 
 @pytest.mark.parametrize(

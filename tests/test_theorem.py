@@ -7,7 +7,7 @@ import helpers
 from pontgap.errors import DeltaPrimeSearchError
 from pontgap.gen import builtin_fixtures
 from pontgap.indefinite import Inertia, validate_space
-from pontgap.linalg import Tolerance, clustering_threshold
+from pontgap.linalg import Tolerance
 from pontgap.perturbation import make_pair
 from pontgap.spectral import Interval, spectrum, validate_operator
 from pontgap.theorem import (
@@ -87,7 +87,8 @@ def test_choose_delta_prime_contract(d, n, seed):
             assert dp.lower < v.real < dp.upper
     # endpoints keep the advertised margin from both spectra
     for op in (pair.op1, pair.op2):
-        margin = Tolerance.DELTA_PRIME_MARGIN_FACTOR * clustering_threshold(op.matrix)
+        band = Tolerance.CLUSTERING_SCALE * max(1.0, np.linalg.norm(op.matrix))
+        margin = Tolerance.DELTA_PRIME_MARGIN_FACTOR * band
         for v in spectrum(op).values():
             assert abs(v - dp.lower) >= margin
             assert abs(v - dp.upper) >= margin
