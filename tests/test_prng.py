@@ -4,14 +4,23 @@ transcription of the published reference algorithms (reproduced inline
 as the oracle), so any drift in the package implementation fails here.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pontgap.prng import Xoshiro256StarStar, splitmix64
+from pontgap.prng import (
+    _LANE,
+    _LANE_MIN_WORDS,
+    Xoshiro256StarStar,
+    _jump,
+    _lane_walk,
+    _walk,
+    splitmix64,
+)
 
 _MASK = (1 << 64) - 1
 
@@ -148,13 +157,21 @@ def _prepared(seed, prefix):
     return rng
 
 
+#: normal counts whose 2 * count words fall just below and at the lane crossover
+_CROSSOVER_COUNTS = [_LANE_MIN_WORDS // 2 - 1, _LANE_MIN_WORDS // 2]
+
+
 @given(
     st.integers(min_value=0, max_value=_MASK),
-    st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=3, max_value=300)),
+    st.one_of(
+        st.sampled_from([0, 1, 2, *_CROSSOVER_COUNTS]),
+        st.integers(min_value=3, max_value=_LANE_MIN_WORDS),
+    ),
     st.sampled_from([(), ("sign", "uniform"), ("normal",), ("sign", "normal", "uniform")]),
 )
 def test_complex_normals_equal_the_scalar_path(seed, count, prefix):
-    # ("normal",) leaves a spare pending, which the bulk draw uses first
+    # ("normal",) leaves a spare pending, which the bulk draw uses first;
+    # counts from _LANE_MIN_WORDS // 2 on walk their words as lanes
     scalar, bulk = _prepared(seed, prefix), _prepared(seed, prefix)
     expected = np.array([scalar.complex_normal() for _ in range(count)], dtype=complex)
     got = bulk.complex_normals(count)
@@ -165,10 +182,101 @@ def test_complex_normals_equal_the_scalar_path(seed, count, prefix):
     assert bulk.next_u64() == scalar.next_u64()
 
 
-@pytest.mark.parametrize("spare", [-0.0, 0.0])
-@pytest.mark.parametrize("seed", range(4))
-def test_complex_normals_keep_a_signed_zero_spare(seed, spare):
+#: first complex normal after a signed-zero spare, as (real, imag) in
+#: float.hex, recorded with CPython 3.11's complex quotient.  At seed 4 the
+#: next normal is positive, so a -0.0 spare gives a +0.0 real part, where
+#: a componentwise division (CPython 3.14's) would keep -0.0.  (A list,
+#: not a dict: -0.0 and 0.0 are equal keys.)
+_SIGNED_ZERO_FIRST = [
+    (0, -0.0, "-0x0.0p+0", "-0x1.46dc775996cd2p-7"),
+    (0, 0.0, "0x0.0p+0", "-0x1.46dc775996cd2p-7"),
+    (1, -0.0, "-0x0.0p+0", "-0x1.2d7c0ef1a5622p-1"),
+    (1, 0.0, "0x0.0p+0", "-0x1.2d7c0ef1a5622p-1"),
+    (2, -0.0, "-0x0.0p+0", "-0x1.d9efd4cf85680p-3"),
+    (2, 0.0, "0x0.0p+0", "-0x1.d9efd4cf85680p-3"),
+    (3, -0.0, "-0x0.0p+0", "-0x1.8b5ae04704978p-2"),
+    (3, 0.0, "0x0.0p+0", "-0x1.8b5ae04704978p-2"),
+    (4, -0.0, "0x0.0p+0", "0x1.f65001a0f2216p-1"),
+    (4, 0.0, "0x0.0p+0", "0x1.f65001a0f2216p-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,spare,re,im",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _SIGNED_ZERO_FIRST],
+)
+def test_complex_normals_keep_a_signed_zero_spare(seed, spare, re, im):
     scalar, bulk = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
     scalar._spare_normal = bulk._spare_normal = spare
     expected = np.array([scalar.complex_normal() for _ in range(3)], dtype=complex)
-    assert bulk.complex_normals(3).tobytes() == expected.tobytes()
+    got = bulk.complex_normals(3)
+    assert got.tobytes() == expected.tobytes()
+    first = np.array([complex(float.fromhex(re), float.fromhex(im))])
+    assert got[:1].tobytes() == first.tobytes()
+
+
+#: (seed, draws before, count, SHA-256 of the normals' bytes, final state),
+#: recorded with the one-word-at-a-time walk.  131,072 words fill 2,048
+#: whole lanes; the third stream has a spare pending and a partial last lane
+_LONG_STREAMS = [
+    (
+        0, (), 65_536,
+        "27016f02545a117b444c493b23c2fc96b479bf464c7eaf00b94bd136ae6b924c",
+        [0x7DDB25481D84B665, 0x89DF6BD8BC02CD0F, 0xAB70BAED01FEAD17, 0x388F1E6C5BB911BE],
+    ),
+    (
+        2026, (), 65_536,
+        "fe2c3d50599a8c47b6722ca1f40a1582054a844a0f87437c66e7ae83681f4b09",
+        [0x8231D4023F555C81, 0xA349839ECC05FE81, 0xD1ACFF7720B569F5, 0xA84C6F78413D083A],
+    ),
+    (
+        12345, ("normal",), 65_539,
+        "e33c2184f62acd825b01a3c4cee4440d9211bc28cad934a1e52b2eeab3465f8c",
+        [0x552E3F6EAEDE69D5, 0xFC7E7857F78803AE, 0xE48475175D6A0222, 0xE1BA37A48514CA32],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,prefix,count,digest,state",
+    [pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in _LONG_STREAMS],
+)
+def test_golden_long_stream(seed, prefix, count, digest, state):
+    rng = _prepared(seed, prefix)
+    assert hashlib.sha256(rng.complex_normals(count).tobytes()).hexdigest() == digest
+    assert rng._s == state
+
+
+_STATES = st.lists(st.integers(min_value=0, max_value=_MASK), min_size=4, max_size=4)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_STATES)
+@pytest.mark.parametrize(
+    "count",
+    [
+        0, 1,
+        _LANE_MIN_WORDS - 1, _LANE_MIN_WORDS, _LANE_MIN_WORDS + 1,
+        _LANE - 1, _LANE, _LANE + 1, 3 * _LANE - 1, 3 * _LANE + 1,
+        18_432, 18_433,  # one 96x96 draw, and one word more
+    ],
+)
+def test_lane_walk_equals_the_scalar_walk(count, state):
+    scalar, lanes = list(state), list(state)
+    expected = np.empty(count, dtype=np.uint64)
+    got = np.empty(count, dtype=np.uint64)
+    _walk(scalar, expected)
+    _lane_walk(lanes, got)
+    assert got.tobytes() == expected.tobytes()
+    assert lanes == scalar
+
+
+def _packed(state):
+    return b"".join(word.to_bytes(8, "little") for word in state)
+
+
+@given(_STATES)
+def test_one_jump_is_a_lane_of_steps(state):
+    stepped = list(state)
+    _walk(stepped, [0] * _LANE)
+    assert _jump(_packed(state)) == _packed(stepped)
