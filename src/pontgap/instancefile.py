@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -272,7 +273,38 @@ def _complex(node, path: str) -> complex:
     return complex(_number(node[0], path + "[0]"), _number(node[1], path + "[1]"))
 
 
+def _bulk_matrix(node) -> np.ndarray | None:
+    """The matrix of a square ``[[[re, im], ...], ...]`` node of finite
+    floats and ints, from one ``np.array`` call; None for any other node.
+
+    Its numbers convert as ``float`` converts them, so the matrix is the
+    one the per-entry walk builds.  Only that walk names faults, so a
+    node this declines, such as a bool, a ragged row or an integer past
+    the double range, gets the walk's message.
+    """
+    if type(node) is not list or not node:
+        return None
+    d = len(node)
+    if {*map(type, node)} != {list} or {*map(len, node)} != {d}:
+        return None
+    entries = [*chain.from_iterable(node)]
+    if {*map(type, entries)} != {list} or {*map(len, entries)} != {2}:
+        return None
+    if not {*map(type, chain.from_iterable(entries))} <= {float, int}:
+        return None
+    try:
+        pairs = np.array(entries, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex).reshape(d, d)
+
+
 def _matrix(node, path: str) -> np.ndarray:
+    bulk = _bulk_matrix(node)
+    if bulk is not None:
+        return bulk
     if not isinstance(node, list) or not node:
         _fail(path, "expected a non-empty array of rows")
     width = None

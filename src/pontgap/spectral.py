@@ -12,7 +12,10 @@ spectral table: a root basis per eigenvalue and, per real eigenvalue,
 the inertia of the Gram form on it.  The spectrum clusters the raw
 values within a band of ``CLUSTERING_SCALE`` times the operator's
 ``scale``, so it takes no norm of its own.  The table costs one ``eig``
-call of its own, for the eigenvectors.  Window counts are sums of table
+call of its own, for the eigenvectors, then one stacked SVD per number
+of eigenvectors an entry owns and one stacked ``eigh`` per real root
+basis width (for a generic operator, one of each), plus kernel SVDs
+where an eigenvalue is defective.  Window counts are sums of table
 rows, checked once per operator (see :func:`gap_inertia`); an operator
 whose spectrum is all its callers read never builds the table.  So the
 memo holds four things: the raw eigenvalues, the spectrum, which
@@ -41,6 +44,7 @@ from .errors import (
     NotAnEigenvalueError,
     NumericalDefectError,
     SpectrumSymmetryError,
+    ValidationError,
 )
 from .indefinite import (
     IndefiniteSpace,
@@ -307,10 +311,11 @@ class _SpectralTable:
     inertias: tuple[Inertia | None, ...]
 
 
-def _root_basis(op, entry: Eigenvalue, vectors, tol):
-    """Span of the eigenvectors; at a defective eigenvalue, grown one power
-    of ``A - lambda I`` at a time through re-orthonormalized kernels."""
-    basis = linalg.orthonormal_columns(vectors, tol)
+def _root_basis(op, entry: Eigenvalue, start: np.ndarray, tol):
+    """The orthonormal ``start`` (the eigenvectors' span); at a defective
+    eigenvalue, grown one power of ``A - lambda I`` at a time through
+    re-orthonormalized kernels."""
+    basis = start
     if basis.shape[1] < entry.multiplicity:
         eye = np.eye(op.dim, dtype=complex)
         m_shift = op.matrix - entry.value * eye
@@ -329,23 +334,110 @@ def _root_basis(op, entry: Eigenvalue, vectors, tol):
     return basis
 
 
+def _by_width(widths) -> list[tuple[int, list[int]]]:
+    """Each distinct width, ascending, with the indices that have it."""
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(widths):
+        groups.setdefault(w, []).append(i)
+    return sorted(groups.items())
+
+
+def _starts(
+    vectors: np.ndarray, owner: list[int], count: int, tol: Tolerance
+) -> list[np.ndarray | None]:
+    """Per entry, the orthonormal span of the eigenvectors it owns, or None
+    where they are not finite.
+
+    One stacked SVD per number of owned eigenvectors.  Each matrix goes to
+    the same LAPACK routine as in :func:`linalg.orthonormal_columns`, and
+    the rank is cut per matrix as there, so each span is bitwise that one.
+    A LAPACK failure raises from the stacked call, before any entry grows.
+    """
+    d = vectors.shape[0]
+    columns = [[] for _ in range(count)]
+    for j, i in enumerate(owner):
+        columns[i].append(j)
+    finite_columns = np.isfinite(vectors).all(axis=0)
+    starts = [np.zeros((d, 0), dtype=complex) for _ in range(count)]
+    for k, members in _by_width([len(c) for c in columns]):
+        if k == 0:
+            continue
+        index = [columns[i] for i in members]
+        finite = finite_columns[index].all(axis=1)
+        members = np.array(members)
+        for i in members[~finite]:
+            starts[i] = None
+        # stack[j] is vectors[:, owner == members[j]]
+        stack = np.moveaxis(vectors[:, index], 0, 1)[finite]
+        u, s, _ = np.linalg.svd(stack, full_matrices=False)
+        ranks = (s > np.maximum(tol.abs, tol.rel * s[:, :1])).sum(axis=1)
+        for i, basis, rank in zip(members[finite], u, ranks):
+            starts[i] = basis[:, :rank]
+    return starts
+
+
+def _inertias(space: IndefiniteSpace, bases, tol: Tolerance) -> list[Inertia]:
+    """:func:`subspace_inertia` of each basis (each with a column or more),
+    its checks included: one stacked ``B^* J B`` and one stacked ``eigh``
+    per basis width.  The first basis, in order, that fails a check raises
+    what ``subspace_inertia`` raises for it."""
+    band = tol.INERTIA_ZERO_SCALE * space.scale
+    groups, faults = [], {}
+    for w, members in _by_width([b.shape[1] for b in bases]):
+        b = np.stack([bases[i] for i in members])
+        bh = b.conj().swapaxes(1, 2)
+        defects = np.linalg.norm(bh @ b - np.eye(w), axis=(1, 2))
+        g = bh @ (space.gram @ b)
+        # symmetrized once: the result is exactly Hermitian, so the defect
+        # linalg.hermitian_eigen would measure is 0 and its own
+        # symmetrization would change no bit; neither is repeated here
+        g = 0.5 * (g + g.conj().swapaxes(1, 2))
+        skew = defects > tol.ORTHO_SLACK
+        for j in np.flatnonzero(skew | ~np.isfinite(g).all(axis=(1, 2))):
+            faults[members[j]] = ValidationError(
+                f"basis columns are not orthonormal (defect {defects[j]:.3e})"
+                if skew[j] else "matrix entries must be finite"
+            )
+        groups.append((members, g))
+    if faults:
+        raise faults[min(faults)]
+    inertias = [None] * len(bases)
+    for members, g in groups:
+        try:
+            values = np.linalg.eigh(g)[0]
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
+        counts = zip(
+            members,
+            (values > band).sum(axis=1).tolist(),
+            (values < -band).sum(axis=1).tolist(),
+            (np.abs(values) <= band).sum(axis=1).tolist(),
+        )
+        for i, plus, minus, zero in counts:
+            inertias[i] = Inertia(plus, minus, zero)
+    return inertias
+
+
 def _table(op: JSelfadjointOperator, tol: Tolerance) -> _SpectralTable:
     def build():
         entries = spectrum(op, tol).entries
         # each eigenvector joins the entry nearest its own eigenvalue
         raw, vectors = linalg.eigenvectors(op.matrix)
         distances = np.abs(raw[:, None] - np.array([e.value for e in entries]))
-        owner = distances.argmin(axis=1) if entries else []
-        bases = tuple(
-            _root_basis(op, entry, vectors[:, owner == i], tol)
-            for i, entry in enumerate(entries)
-        )
-        inertias = tuple(
-            subspace_inertia(op.space, Subspace(basis), tol)
-            if entry.is_real else None
-            for entry, basis in zip(entries, bases)
-        )
-        return _SpectralTable(bases, inertias)
+        owner = distances.argmin(axis=1).tolist() if entries else []
+        bases = []
+        for entry, start in zip(entries, _starts(vectors, owner, len(entries), tol)):
+            if start is None:
+                raise ValidationError("matrix entries must be finite")
+            bases.append(_root_basis(op, entry, start, tol))
+        reals = [i for i, entry in enumerate(entries) if entry.is_real]
+        inertias = [None] * len(entries)
+        real_bases = [bases[i] for i in reals]
+        for i, inertia in zip(reals, _inertias(op.space, real_bases, tol)):
+            inertias[i] = inertia
+        for basis in bases:
+            basis.setflags(write=False)
+        return _SpectralTable(tuple(bases), tuple(inertias))
 
     return op._cached(("table", tol.rel, tol.abs), build)
 

@@ -51,3 +51,16 @@ def random_orthonormal(rng, d, k):
     g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
     q, _ = np.linalg.qr(g)
     return q[:, :k]
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one each time ``owner.name`` is called."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls

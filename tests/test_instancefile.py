@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pontgap import instancefile
 from pontgap.errors import IllPosedIntervalError, InstanceFormatError
 from pontgap.instancefile import (
     InstanceRecord,
@@ -256,6 +257,76 @@ def test_parse_rejects_numbers_past_the_double_range(old, new, message):
     assert text != _doc()
     with pytest.raises(InstanceFormatError, match=message):
         parse_instance(text)
+
+
+def _a1_doc(a1, literal=None):
+    """A 2 x 2 document; ``literal`` replaces the number -7 in the text."""
+    gram = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    text = _doc(gram=gram, a1=a1)
+    return text if literal is None else text.replace("-7", literal)
+
+
+def _walk_only(text):
+    """The error ``parse_instance`` gives when every matrix takes the walk."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instancefile, "_bulk_matrix", lambda node: None)
+        with pytest.raises(InstanceFormatError) as walked:
+            parse_instance(text)
+    return str(walked.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_a1_doc([[[1.0, 0.0], [0, 2]], [[0.5, True], [3.0, 0.0]]]),
+         "$.a1[1][0][1]: expected a number, got True"),
+        (_a1_doc([[[1.0, 0.0], [0, 2]], [[0.5, "1"], [3.0, 0.0]]]),
+         "$.a1[1][0][1]: expected a number, got '1'"),
+        (_a1_doc([[[1.0, 0.0], [0, 2]], [[0.5, None], [3.0, 0.0]]]),
+         "$.a1[1][0][1]: expected a number, got None"),
+        (_a1_doc([[[1.0, 0.0], [0, 2]], [[0.5, -1]]]),
+         "$.a1[1]: row has 1 entries, expected 2"),
+        (_a1_doc([[[1.0, 0.0], [0, 2]], [[0.5, -1, 7], [3.0, 0.0]]]),
+         "$.a1[1][0]: expected a two-element [re, im] array, got [0.5, -1, 7]"),
+        (_a1_doc([[[1.0, 0.0], [0, 2], [1, 1]], [[0.5, -1], [3.0, 0.0], [1, 1]]]),
+         "$.a1: expected a square matrix, got shape (2, 3)"),
+        (_a1_doc([[[1.0, 0.0], [0, 2]], [[0.5, -7], [3.0, 0.0]]], "1e400"),
+         "$.a1: matrix entries must be finite"),
+        (_a1_doc([[[1.0, 0.0], [0, 2]], [[0.5, -7], [3.0, 0.0]]], "1" + "0" * 399),
+         "$.a1[1][0][1]: number does not fit in a double"),
+    ],
+    ids=["true", "string", "null", "ragged", "three-element", "non-square",
+         "float-overflow", "int-past-double"],
+)
+def test_bulk_matrix_path_keeps_the_walks_messages(text, message):
+    # the messages were recorded before matrices had a bulk path
+    with pytest.raises(InstanceFormatError) as parsed:
+        parse_instance(text)
+    assert str(parsed.value) == _walk_only(text) == message
+    assert instancefile._bulk_matrix(json.loads(text)["a1"]) is None
+
+
+#: the largest integer that rounds to a finite double
+BIGGEST = 2**1024 - 2**970 - 1
+#: doubles, and integers that fit one, around 2**53 too (rounded there)
+numbers = (
+    finite
+    | st.integers(min_value=-BIGGEST, max_value=BIGGEST)
+    | st.integers(min_value=-(2**54), max_value=2**54)
+)
+
+
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_bulk_matrix_path_builds_the_walks_matrix(d, data):
+    entry = st.lists(numbers, min_size=2, max_size=2)
+    row = st.lists(entry, min_size=d, max_size=d)
+    node = data.draw(st.lists(row, min_size=d, max_size=d))
+    bulk = instancefile._bulk_matrix(json.loads(json.dumps(node)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instancefile, "_bulk_matrix", lambda node: None)
+        walked = instancefile._matrix(json.loads(json.dumps(node)), "$.a1")
+    assert bulk.dtype == walked.dtype and bulk.shape == walked.shape == (d, d)
+    assert bulk.tobytes() == walked.tobytes()
 
 
 @pytest.mark.parametrize("key", ["gram", "name"])

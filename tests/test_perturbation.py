@@ -59,23 +59,11 @@ def test_make_pair_identical_operators():
     assert pair.agreement.dim == 4
 
 
-def _count_calls(monkeypatch, owner, name):
-    calls = []
-    inner = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(name)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
 def test_make_pair_factors_the_difference_once(monkeypatch):
     space = helpers.make_space(5, 2, seed=8)
     op1 = helpers.make_operator(space, seed=9)
     op2 = helpers.make_operator(space, seed=10)
-    svd_calls = _count_calls(monkeypatch, np.linalg, "svd")
+    svd_calls = helpers.count_calls(monkeypatch, np.linalg, "svd")
     pair = make_pair(op1, op2)
     assert len(svd_calls) == 1
     assert pair.n + pair.agreement.dim == pair.dim
@@ -86,8 +74,8 @@ def test_make_pair_factors_the_difference_once(monkeypatch):
 def test_random_pair_reads_rank_off_the_agreement_kernel(monkeypatch, rank, seed):
     cfg = GenConfig(dim=4, kappa_minus=1, pert_rank=rank, seed=seed)
     space = random_space(cfg)
-    rank_calls = _count_calls(monkeypatch, linalg, "rank_tol")
-    kernel_calls = _count_calls(monkeypatch, linalg, "null_space")
+    rank_calls = helpers.count_calls(monkeypatch, linalg, "rank_tol")
+    kernel_calls = helpers.count_calls(monkeypatch, linalg, "null_space")
     pair = random_pair(space, cfg)
     assert pair.n == rank
     assert rank_calls == []

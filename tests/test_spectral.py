@@ -15,7 +15,10 @@ from pontgap.errors import (
     NotAnEigenvalueError,
     NumericalDefectError,
     SpectrumSymmetryError,
+    ValidationError,
 )
+from pontgap import linalg
+from pontgap.gen import GenConfig, random_pair, random_space
 from pontgap.indefinite import Inertia, Subspace, subspace_inertia, validate_space
 from pontgap.linalg import DEFAULT_TOL, Tolerance, null_space
 from pontgap.theorem import sweep_windows
@@ -484,6 +487,200 @@ def test_root_basis_defect_at_any_entry_fails_every_count(monkeypatch):
     monkeypatch.setattr(spectral, "_root_basis", failing)
     with pytest.raises(NumericalDefectError, match="injected"):
         eig_count(a1, Interval(-1.0, 1.0))
+
+
+def _per_entry_table(op, tol=DEFAULT_TOL):
+    """The table as built before its factorizations were stacked: one SVD,
+    ``Subspace`` and ``subspace_inertia`` per entry.  ``_root_basis`` then
+    took the owned eigenvectors and orthonormalized them itself."""
+    entries = spectrum(op, tol).entries
+    # each eigenvector joins the entry nearest its own eigenvalue
+    raw, vectors = linalg.eigenvectors(op.matrix)
+    distances = np.abs(raw[:, None] - np.array([e.value for e in entries]))
+    owner = distances.argmin(axis=1) if entries else []
+    bases = tuple(
+        spectral._root_basis(
+            op, entry, linalg.orthonormal_columns(vectors[:, owner == i], tol), tol
+        )
+        for i, entry in enumerate(entries)
+    )
+    inertias = tuple(
+        subspace_inertia(op.space, Subspace(basis), tol)
+        if entry.is_real else None
+        for entry, basis in zip(entries, bases)
+    )
+    return bases, inertias
+
+
+def _outcome(build):
+    """Shapes and bytes of the bases with the inertias, or the error."""
+    try:
+        bases, inertias = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(b.shape, b.tobytes()) for b in bases], inertias
+
+
+def _assert_stacked_table_is_per_entry(op):
+    # a twin, so that neither build reads the other's memo
+    twin = validate_operator(op.space, op.matrix)
+
+    def stacked():
+        table = spectral._table(twin, DEFAULT_TOL)
+        return table.bases, table.inertias
+
+    outcome = _outcome(stacked)
+    assert outcome == _outcome(lambda: _per_entry_table(op))
+    return outcome
+
+
+def _flip(k):
+    return np.eye(k)[::-1]
+
+
+def _block_diag(*blocks):
+    d = sum(len(b) for b in blocks)
+    out = np.zeros((d, d), dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def _jordan(value, k):
+    return value * np.eye(k) + np.eye(k, k=1)
+
+
+#: (J, A) by hand: A is J-selfadjoint, since J A is real and symmetric
+HAND_BUILT = {
+    # 2 is semisimple of multiplicity 2, and its root space is indefinite
+    "semisimple-double": (np.diag([1.0, -1.0, 1.0]), np.diag([2.0, 2.0, 3.0])),
+    # Jordan chains at 0.5: the root basis grows past the eigenvectors' span
+    "jordan-2": (
+        _block_diag(_flip(2), np.diag([1.0, -1.0])),
+        _block_diag(_jordan(0.5, 2), np.diag([2.0, -3.0])),
+    ),
+    "jordan-3": (
+        _block_diag(_flip(3), np.eye(1)),
+        _block_diag(_jordan(0.5, 3), 2.0 * np.eye(1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("kminus", [0, 1, 2])
+def test_stacked_table_equals_the_per_entry_build(d, kminus):
+    for _, pair in _ensemble(d, kminus):
+        for op in (pair.op1, pair.op2):
+            _assert_stacked_table_is_per_entry(op)
+
+
+def test_stacked_table_equals_the_per_entry_build_at_d96():
+    cfg = GenConfig(dim=96, kappa_minus=2, pert_rank=2, seed=3)
+    pair = random_pair(random_space(cfg), cfg)
+    for op in (pair.op1, pair.op2):
+        _assert_stacked_table_is_per_entry(op)
+
+
+@pytest.mark.parametrize("case", list(HAND_BUILT))
+def test_stacked_table_equals_the_per_entry_build_by_hand(case):
+    gram, matrix = HAND_BUILT[case]
+    op = validate_operator(validate_space(gram.astype(complex)), matrix)
+    _assert_stacked_table_is_per_entry(op)
+    widths = sorted(b.shape[1] for b in spectral._table(op, DEFAULT_TOL).bases)
+    assert widths == {"semisimple-double": [1, 2], "jordan-2": [1, 1, 2],
+                      "jordan-3": [1, 3]}[case]
+
+
+def _eye_with_nan(row, col):
+    vectors = np.eye(3, dtype=complex)
+    vectors[row, col] = np.nan
+    return vectors
+
+
+@pytest.mark.parametrize(
+    "raw, vectors, error",
+    [
+        # 1 owns no eigenvector and grows from a kernel; 2 owns two parallel ones
+        ([2.0, 2.0, 3.0], np.eye(3, dtype=complex)[:, [1, 1, 2]], None),
+        # 1 owns two independent eigenvectors but has multiplicity 1
+        ([1.0, 1.0, 3.0], np.eye(3, dtype=complex), NumericalDefectError),
+        # 1 owns none and grows; then 2 owns two independent ones
+        ([2.0, 2.0, 3.0], np.eye(3, dtype=complex), NumericalDefectError),
+        # 1 owns two eigenvectors, one of them not finite
+        ([1.0, 1.0, 3.0], _eye_with_nan(0, 1), ValidationError),
+    ],
+    ids=["own-0-and-2", "own-2-too-many", "own-0-then-too-many", "non-finite"],
+)
+def test_stacked_table_equals_the_per_entry_build_on_odd_owners(
+    monkeypatch, raw, vectors, error
+):
+    # eig is replaced, so that entries own no eigenvector or two of them
+    space = validate_space(np.diag([1.0, -1.0, 1.0]).astype(complex))
+    op = validate_operator(space, np.diag([1.0, 2.0, 3.0]))
+    monkeypatch.setattr(
+        linalg, "eigenvectors", lambda m: (np.array(raw, dtype=complex), vectors)
+    )
+    outcome = _assert_stacked_table_is_per_entry(op)
+    assert outcome[0] is error if error else len(outcome[0]) == 3
+
+
+SPOIL = {"skew": lambda b: 2.0 * b, "nan": lambda b: np.full_like(b, np.nan)}
+
+
+@pytest.mark.parametrize(
+    "spoiled, message",
+    [
+        ({2.0: "skew"}, "basis columns are not orthonormal"),
+        ({3.0: "nan"}, "matrix entries must be finite"),
+        # the first entry in order fails first, though its width comes later
+        ({2.0: "nan", 3.0: "skew"}, "matrix entries must be finite"),
+    ],
+    ids=["skew", "nan", "nan-then-skew"],
+)
+def test_stacked_inertias_check_each_basis_in_order(monkeypatch, spoiled, message):
+    # root bases that fail the orthonormality or the finiteness check
+    gram, matrix = HAND_BUILT["semisimple-double"]
+    op = validate_operator(validate_space(gram.astype(complex)), matrix)
+    build = spectral._root_basis
+
+    def spoiling(op, entry, start, tol):
+        basis = build(op, entry, start, tol)
+        how = spoiled.get(entry.value.real)
+        return basis if how is None else SPOIL[how](basis)
+
+    monkeypatch.setattr(spectral, "_root_basis", spoiling)
+    error, text = _assert_stacked_table_is_per_entry(op)
+    assert error is ValidationError and text.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "gram, matrix, svds, eighs",
+    [
+        # generic: every entry owns one eigenvector and has a one-column basis
+        (helpers.make_space(32, 2, 5).gram, None, 1, 1),
+        # the double eigenvalue owns two eigenvectors, and its basis has two columns
+        (*HAND_BUILT["semisimple-double"], 2, 2),
+    ],
+    ids=["generic-d32", "semisimple-double"],
+)
+def test_table_factors_once_per_width(monkeypatch, gram, matrix, svds, eighs):
+    space = validate_space(gram.astype(complex))
+    op = (
+        helpers.make_operator(space, 6) if matrix is None
+        else validate_operator(space, matrix)
+    )
+    spectrum(op)
+    calls = {
+        name: helpers.count_calls(monkeypatch, np.linalg, name)
+        for name in ("eig", "svd", "eigh")
+    }
+    table = spectral._table(op, DEFAULT_TOL)
+    assert len(calls["eig"]) == 1
+    assert len(calls["svd"]) == svds
+    assert len(calls["eigh"]) == eighs
+    assert any(inertia is not None for inertia in table.inertias)
 
 
 def test_gap_and_complement_subspaces_partition():
