@@ -361,7 +361,14 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"absolute floor of {reach} (default %(default)g)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built once per process.
+
+    Parsing leaves it unchanged: ``--interval`` appends to a fresh list,
+    and each ``func`` looks its ``cmd_*`` up when called, so a rebinding
+    of that name after the first build still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="pontgap",
         description="Eigenvalue counting in spectral gaps on indefinite "
@@ -382,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser(
         "analyze", parents=[instance],
         help="spectra and per-interval counts for one instance")
-    p_analyze.set_defaults(func=cmd_analyze)
+    p_analyze.set_defaults(func=lambda args: cmd_analyze(args))
 
     p_verify = sub.add_parser(
         "verify", parents=[instance],
         help="check the counting bounds on a two-operator instance")
     p_verify.add_argument("--witness", action="store_true",
                           help="reconstruct and check the proof objects")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=lambda args: cmd_verify(args))
 
     p_sweep = sub.add_parser(
         "sweep", help="seeded random ensemble; CSV rows plus summary")
@@ -408,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="sweep.csv",
                          help="CSV output path (default %(default)s)")
     _add_tolerance_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=lambda args: cmd_sweep(args))
 
     p_examples = sub.add_parser(
         "examples", help="verify the bundled fixtures, or emit one by name")
@@ -416,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="fixture to emit as an instance file")
     p_examples.add_argument("--out", default=None,
                             help="write the instance file here")
-    p_examples.set_defaults(func=cmd_examples)
+    p_examples.set_defaults(func=lambda args: cmd_examples(args))
     return parser
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "stable_dumps",
     "format_float",
     "complex_node",
-    "matrix_node",
     "interval_node",
     "tolerance_node",
     "inertia_node",
@@ -113,6 +112,27 @@ def _inline_list(node) -> bool:
     return True
 
 
+def _matrix_text(m, pad: str) -> str:
+    """A complex matrix as ``_dumps`` writes its rows of ``[re, im]``
+    lists, with one ``%`` call per row.
+
+    The first non-finite number, row-major and the real part before the
+    imaginary part, raises the ``ValueError`` of :func:`format_float`.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    if not m.size:
+        return _dumps(m.tolist(), pad)
+    pairs = m.view(float).reshape(len(m), -1)
+    finite = np.isfinite(pairs)
+    if not finite.all():
+        format_float(pairs[~finite][0])
+    # -0.0 + 0.0 is 0.0 and every other double is unchanged, so each zero
+    # prints as format_float's "0"
+    pairs = pairs + 0.0
+    row = pad + "  [" + ", ".join(["[%.17g, %.17g]"] * m.shape[1]) + "]"
+    return "[\n" + ",\n".join([row % tuple(r) for r in pairs.tolist()]) + "\n" + pad + "]"
+
+
 def _dumps(node, pad: str) -> str:
     inner = pad + "  "
     if isinstance(node, dict):
@@ -124,25 +144,24 @@ def _dumps(node, pad: str) -> str:
                 raise TypeError(f"document keys must be strings, got {key!r}")
             items.append(f"{inner}{json.dumps(key)}: {_dumps(node[key], inner)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(node, np.ndarray):
+        return _matrix_text(node, pad)
     if isinstance(node, (list, tuple)):
         if not node:
             return "[]"
+        items = [_dumps(item, inner) for item in node]
         if _inline_list(node):
-            # _scalar directly, not _dumps: a recursive call per matrix
-            # entry took a d = 32 instance from 17 to 26 ms, and the
-            # benchmark set-up that writes 113 of them past its bound
-            return "[" + ", ".join([
-                "[" + ", ".join(map(_scalar, item)) + "]"
-                if isinstance(item, (list, tuple)) else _scalar(item)
-                for item in node
-            ]) + "]"
-        items = [inner + _dumps(item, inner) for item in node]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return _scalar(node)
 
 
 def stable_dumps(node) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting."""
+    """Deterministic JSON text: sorted keys, fixed float formatting.
+
+    A numpy array node is a complex matrix, written as the rows of
+    ``[re, im]`` lists that :func:`parse_instance` reads.
+    """
     return _dumps(node, "") + "\n"
 
 
@@ -153,10 +172,6 @@ def stable_dumps(node) -> str:
 def complex_node(z: complex) -> list:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def matrix_node(m: np.ndarray) -> list:
-    return [[complex_node(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def interval_node(interval: Interval) -> dict:
@@ -226,12 +241,12 @@ def witness_report_node(witness: WitnessReport) -> dict:
 def instance_node(record: InstanceRecord) -> dict:
     node = {
         "schema_version": SCHEMA_VERSION,
-        "gram": matrix_node(record.gram),
-        "a1": matrix_node(record.a1),
+        "gram": np.asarray(record.gram),
+        "a1": np.asarray(record.a1),
         "intervals": [interval_node(iv) for iv in record.intervals],
     }
     if record.a2 is not None:
-        node["a2"] = matrix_node(record.a2)
+        node["a2"] = np.asarray(record.a2)
     if record.name is not None:
         node["name"] = record.name
     if record.expected is not None:
@@ -258,6 +273,19 @@ def _reject_constant(token: str):
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads``'s object hook: a key given twice is an error, so no
+    value silently replaces another."""
+    node = dict(pairs)
+    if len(node) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InstanceFormatError(f"duplicate key {json.dumps(key)}")
+            seen.add(key)
+    return node
+
+
 def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a number, got {node!r}")
@@ -275,7 +303,7 @@ def _complex(node, path: str) -> complex:
 
 def _bulk_matrix(node) -> np.ndarray | None:
     """The matrix of a square ``[[[re, im], ...], ...]`` node of finite
-    floats and ints, from one ``np.array`` call; None for any other node.
+    floats and ints, from one ``np.fromiter`` call; None for any other node.
 
     Its numbers convert as ``float`` converts them, so the matrix is the
     one the per-entry walk builds.  Only that walk names faults, so a
@@ -293,7 +321,7 @@ def _bulk_matrix(node) -> np.ndarray | None:
     if not {*map(type, chain.from_iterable(entries))} <= {float, int}:
         return None
     try:
-        pairs = np.array(entries, dtype=float)
+        pairs = np.fromiter(chain.from_iterable(entries), float, 2 * d * d)
     except OverflowError:
         return None
     if not np.isfinite(pairs).all():
@@ -368,12 +396,14 @@ def parse_instance(text: str) -> InstanceRecord:
     """Parse and structurally validate an instance document.
 
     Format violations raise :class:`InstanceFormatError` with the JSON
-    path (or line/column for syntax errors); an interval with
+    path (or line/column for syntax errors, or the key given twice in
+    one object); an interval with
     ``lower >= upper`` raises :class:`IllPosedIntervalError` so callers
     can report it as ill-posed rather than malformed.
     """
     try:
-        top = json.loads(text, parse_constant=_reject_constant)
+        top = json.loads(text, parse_constant=_reject_constant,
+                         object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"

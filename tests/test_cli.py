@@ -240,6 +240,14 @@ def test_file_that_is_not_utf8_exits_2(capsys, tmp_path):
     assert err == f"error: {path}: not UTF-8 at byte 10\n"
 
 
+def test_duplicate_key_exits_2(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(EXAMPLE1.read_text().replace("{", '{"a1": [[[1, 0]]], ', 1))
+    code, out, err = _run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == 'error: duplicate key "a1"\n'
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = _run(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 2
@@ -459,6 +467,26 @@ def test_interval_flag_rejects_non_finite_literals(capsys, endpoints):
     assert (code, out) == (2, "")
     assert err.startswith("error: --interval endpoint")
     assert "-inf or +inf" in err
+
+
+def test_parser_is_built_once():
+    assert pontgap.cli.build_parser() is pontgap.cli.build_parser()
+
+
+def test_main_calls_share_no_interval_list(capsys):
+    # the parser is shared, so a list left in its defaults would carry
+    # one call's --interval values into the next
+    runs = [
+        (["--interval=-inf,0", "--interval=0,inf"],
+         [{"lower": "-inf", "upper": 0}, {"lower": 0, "upper": "+inf"}]),
+        (["--interval=1.25,1.5"], [{"lower": 1.25, "upper": 1.5}]),
+        ([], [{"lower": 0.25, "upper": 2}]),  # the file's own interval
+    ]
+    for flags, intervals in runs:
+        code, out, _ = _run(capsys, "analyze", str(EXAMPLE1), *flags)
+        assert code == 0
+        assert [s["interval"] for s in json.loads(out)["intervals"]] == intervals
+    assert pontgap.cli.build_parser().get_default("interval") is None
 
 
 def test_module_entry_point_runs():

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from pontgap import instancefile
 from pontgap.errors import IllPosedIntervalError, InstanceFormatError
+from pontgap.gen import GenConfig, random_pair, random_space
 from pontgap.instancefile import (
     InstanceRecord,
     dumps_instance,
@@ -92,6 +95,117 @@ def test_stable_dumps_round_trips_through_json(tree):
     text = stable_dumps(tree)
     assert json.loads(text) == _as_json(tree)
     assert stable_dumps(json.loads(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# matrices, written in bulk
+
+
+def _reference_dumps(record):
+    """``dumps_instance`` with every matrix entry written on its own
+    through ``format_float``, as the writer did before it went by rows."""
+    node = instancefile.instance_node(record)
+    for key in ("gram", "a1", "a2"):
+        if key in node:
+            node[key] = [[instancefile.complex_node(z) for z in row] for row in node[key]]
+    return stable_dumps(node)
+
+
+def _generated(d, seed):
+    cfg = GenConfig(dim=d, kappa_minus=2, pert_rank=2, seed=seed)
+    space = random_space(cfg)
+    pair = random_pair(space, cfg)
+    return InstanceRecord(
+        gram=space.gram, a1=pair.op1.matrix, a2=pair.op2.matrix,
+        intervals=(Interval(-np.inf, -0.5), Interval(0.25, np.inf)),
+        name=f"gen-d{d}-seed{seed}", expected={"n": 2, "kappa": 2},
+    )
+
+
+@pytest.mark.parametrize(
+    "d, seed, size, digest",
+    [
+        (32, 0, 139_830, "9845ee654ce23c84f3db6b796f1e4b5a1adf82ab24c38b9ddc39947a4ed46743"),
+        (96, 3, 1_262_907, "838eee2605e578b10100b5e33ddd3f46c1d499ae363886a1dac4accc7e82b074"),
+    ],
+)
+def test_generated_instance_text_is_pinned(d, seed, size, digest):
+    # recorded with the per-entry writer, before matrices went by rows
+    text = dumps_instance(_generated(d, seed))
+    assert len(text) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+#: doubles whose text is easy to get wrong: signed zeros, subnormals, the
+#: extremes, integers around 2**53 and forms that print with an exponent
+EDGES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.1125369292536007e-308,
+    sys.float_info.max, -sys.float_info.max, 1.0, -3.0, 2.0**53, 2.0**53 + 2,
+    -(2.0**63), 1e15, 1e16, 1e17, 1e22, 1e-5, 1e-4, 0.1, 123456789.0, -1e-300,
+])
+doubles = finite | EDGES | st.integers(-(2**60), 2**60).map(float)
+
+
+def _matrices(d):
+    return st.lists(doubles, min_size=2 * d * d, max_size=2 * d * d).map(
+        lambda xs: np.array(xs).view(complex).reshape(d, d))
+
+
+@given(st.integers(min_value=1, max_value=8), st.data())
+def test_bulk_writer_is_the_per_entry_writer(d, data):
+    record = InstanceRecord(
+        gram=data.draw(_matrices(d)),
+        a1=data.draw(_matrices(d)),
+        a2=data.draw(st.none() | _matrices(d)),
+        intervals=(Interval(-np.inf, 0.0),),
+        name="x",
+    )
+    assert dumps_instance(record) == _reference_dumps(record)
+
+
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_bulk_writer_names_the_first_non_finite_number(d, data):
+    # each matrix may hold non-finite numbers in real or imaginary parts;
+    # a1 comes first in the document, then a2, then gram
+    def matrix():
+        floats = np.arange(1.0, 2 * d * d + 1)
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, floats.size - 1))
+            floats[at] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return floats.view(complex).reshape(d, d)
+
+    record = InstanceRecord(gram=matrix(), a1=matrix(), a2=matrix(), intervals=())
+    try:
+        want = _reference_dumps(record)
+    except ValueError as exc:
+        want = str(exc)
+    try:
+        got = dumps_instance(record)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
+
+
+def test_bulk_writer_names_the_first_of_three_non_finite_matrices():
+    a1, a2, gram = (np.ones((2, 2), dtype=complex) for _ in range(3))
+    a1[1, 0] = complex(1.0, -math.inf)
+    a1[1, 1] = complex(math.nan, 1.0)
+    a2[0, 0] = complex(math.nan, 1.0)
+    gram[0, 1] = complex(math.inf, 1.0)
+    record = InstanceRecord(gram=gram, a1=a1, a2=a2, intervals=())
+    message = "non-finite float -inf cannot appear in a document"
+    for dumps in (dumps_instance, _reference_dumps):
+        with pytest.raises(ValueError) as raised:
+            dumps(record)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("shape, text", [((0, 0), "[]"), ((2, 0), "[[], []]")])
+def test_empty_matrix_writes_as_before(shape, text):
+    record = InstanceRecord(gram=np.zeros(shape, dtype=complex),
+                            a1=np.zeros(shape), a2=None, intervals=())
+    assert f'"gram": {text},' in dumps_instance(record)
+    assert dumps_instance(record) == _reference_dumps(record)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +476,25 @@ def test_parse_rejects_bad_expected_fields():
         parse_instance(_doc(expected={"n": True}))
     with pytest.raises(InstanceFormatError, match=r"\$\.expected\.eig1"):
         parse_instance(_doc(expected={"eig1": 1.5}))
+
+
+def test_parse_rejects_a_key_given_twice():
+    # json.loads alone keeps the last value, here a 1 x 1 a1
+    text = (FIXTURES / "example1.json").read_text()
+    with pytest.raises(InstanceFormatError, match=r'^duplicate key "a1"$'):
+        parse_instance(text.replace("{", '{\n  "a1": [[[1, 0]]],', 1))
+
+
+def test_parse_rejects_an_interval_bound_given_twice():
+    text = _doc().replace('"lower": 0.0', '"lower": 0.0, "lower": -1.0')
+    with pytest.raises(InstanceFormatError, match=r'^duplicate key "lower"$'):
+        parse_instance(text)
+
+
+def test_parse_rejects_an_expected_field_given_twice():
+    text = _doc(expected={"n": 1}).replace('"n": 1', '"n": 1, "n": 2')
+    with pytest.raises(InstanceFormatError, match=r'^duplicate key "n"$'):
+        parse_instance(text)
 
 
 def test_parse_rejects_non_string_name():

@@ -19,7 +19,13 @@ from pontgap.errors import (
 )
 from pontgap import linalg
 from pontgap.gen import GenConfig, random_pair, random_space
-from pontgap.indefinite import Inertia, Subspace, subspace_inertia, validate_space
+from pontgap.indefinite import (
+    IndefiniteSpace,
+    Inertia,
+    Subspace,
+    subspace_inertia,
+    validate_space,
+)
 from pontgap.linalg import DEFAULT_TOL, Tolerance, null_space
 from pontgap.theorem import sweep_windows
 from pontgap import spectral
@@ -653,6 +659,17 @@ def test_stacked_inertias_check_each_basis_in_order(monkeypatch, spoiled, messag
     monkeypatch.setattr(spectral, "_root_basis", spoiling)
     error, text = _assert_stacked_table_is_per_entry(op)
     assert error is ValidationError and text.startswith(message)
+
+
+def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
+    # ||J||_F < 1, so the scale is 1 and the band is INERTIA_ZERO_SCALE
+    # itself; on e1 the compressed Gram is that band, exactly
+    gram = np.diag([Tolerance.INERTIA_ZERO_SCALE, 0.5, -0.5]).astype(complex)
+    space = IndefiniteSpace(gram, kappa_plus=1, kappa_minus=1)
+    e1 = np.eye(3, 1, dtype=complex)
+    assert space.scale == 1.0
+    assert spectral._inertias(space, [e1], DEFAULT_TOL) == [Inertia(0, 0, 1)]
+    assert subspace_inertia(space, Subspace(e1)) == Inertia(0, 0, 1)
 
 
 @pytest.mark.parametrize(
