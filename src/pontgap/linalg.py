@@ -151,9 +151,15 @@ def complex_eigen(values, threshold: float) -> list[tuple[complex, int]]:
     mean of the cluster.  Returned sorted by ``(real, imag)``;
     multiplicities always sum to ``len(values)``.
     """
+    ordered = sorted(values, key=lambda v: (v.real, v.imag))
+    # |lambda - mu| >= |Re lambda - Re mu|, so each value is tested only
+    # against the following ones whose real part lies within the threshold;
+    # with no pair within it, the loop below would merge nothing
+    if not _has_near_pair(ordered, threshold):
+        return [(complex(v), 1) for v in ordered]
     # transitive merge of raw values, then of cluster means, so that
     # distinct reported values always differ by more than the threshold
-    clusters = [(value, 1) for value in values]
+    clusters = [(value, 1) for value in ordered]
     merged = True
     while merged:
         merged = False
@@ -172,10 +178,24 @@ def complex_eigen(values, threshold: float) -> list[tuple[complex, int]]:
     return [(complex(v), int(c)) for v, c in clusters]
 
 
+def _has_near_pair(ordered, threshold: float) -> bool:
+    """Whether two of the values, sorted by real part, lie within
+    ``threshold`` of each other by ``complex_eigen``'s own test."""
+    for i, value in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            other = ordered[j]
+            if other.real - value.real > threshold:
+                break
+            if abs(other - value) <= threshold:
+                return True
+    return False
+
+
 def eigenvectors(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit eigenvector columns of a general complex matrix.
 
-    Its eigenvalues can differ from ``np.linalg.eigvals``'s in the last bits.
+    Above order 75 (``spectral.SHARED_EIG_MAX_DIM``), its eigenvalues can
+    differ from ``np.linalg.eigvals``'s in the last bits.
     """
     try:
         return np.linalg.eig(as_complex_matrix(m, square=True))

@@ -5,24 +5,33 @@ Hermitian.  Its spectrum is closed under conjugation; eigenvalue counts
 over an open real interval are taken with algebraic multiplicity, via
 the dimension of the corresponding sum of root subspaces.
 
-Each operator memoizes, behind a lock, its raw eigenvalues (one
-``eigvals`` call, whatever the tolerance; the generator's margin check
-reads the same values) and, per tolerance, its clustered spectrum and a
-spectral table: a root basis per eigenvalue and, per real eigenvalue,
-the inertia of the Gram form on it.  The spectrum clusters the raw
-values within a band of ``CLUSTERING_SCALE`` times the operator's
-``scale``, so it takes no norm of its own.  The table costs one ``eig``
-call of its own, for the eigenvectors, then one stacked SVD per number
-of eigenvectors an entry owns and one stacked ``eigh`` per real root
-basis width (for a generic operator, one of each), plus kernel SVDs
-where an eigenvalue is defective.  Window counts are sums of table
+Each operator memoizes, behind a lock, its raw eigenvalues (whatever
+the tolerance; the generator's margin check reads the same values) and,
+per tolerance, its clustered spectrum and a spectral table: a root
+basis per eigenvalue and, per real eigenvalue, the inertia of the Gram
+form on it.  The spectrum clusters the raw values within a band of
+``CLUSTERING_SCALE`` times the operator's ``scale``, so it takes no norm
+of its own.  The table needs the eigenvectors, then one stacked SVD per
+number of eigenvectors an entry owns and one stacked ``eigh`` per real
+root basis width (for a generic operator, one of each), plus kernel
+SVDs where an eigenvalue is defective.  Window counts are sums of table
 rows, checked once per operator (see :func:`gap_inertia`); an operator
-whose spectrum is all its callers read never builds the table.  So the
-memo holds four things: the raw eigenvalues, the spectrum, which
-carries its own sorted keys, the table, and the verdict of that check.
-With the keys, :func:`selection` and :func:`clear_of` bisect instead of
-scanning: a window costs O(log m + k) for m entries, k of them near an
-endpoint or counted.  The memo never changes any result.
+whose spectrum is all its callers read never builds the table.
+
+The counting entry points (:func:`gap_inertia` and the gap and
+complement subspace builders) first ask the operator for one shared
+``eig`` call (:meth:`JSelfadjointOperator.share_eig`): up to order
+``SHARED_EIG_MAX_DIM`` it gives both the raw eigenvalues and the table's
+eigenvectors.  Otherwise the raw eigenvalues come from one ``eigvals``
+call, and a table makes one ``eig`` call of its own: above that order,
+and where the raw eigenvalues were memoized first (by a margin check or
+a printed spectrum).  So the memo holds five things: the raw
+eigenvalues, the shared eigenvectors where they were computed, the
+spectrum, which carries its own sorted keys, the table, and the verdict
+of that check.  With the keys, :func:`selection` and :func:`clear_of`
+bisect instead of scanning: a window costs O(log m + k) for m entries,
+k of them near an endpoint or counted.  The memo never changes any
+result.
 """
 
 from __future__ import annotations
@@ -75,6 +84,16 @@ __all__ = [
     "spectral_projection",
     "restrict_operator",
 ]
+
+
+#: Largest order at which one ``eig`` call gives an operator's raw
+#: eigenvalues as well as its eigenvectors.  LAPACK's xHSEQR hands a matrix
+#: of order N <= NMIN = 75 to xLAHQR, where asking for the Schur form and
+#: vectors only widens which rows and columns outside the active block are
+#: updated, so ``eig`` and ``eigvals`` return the same bits.  Above it,
+#: xLAQR0's aggressive early deflation (Braman, Byers & Mathias, SIAM J.
+#: Matrix Anal. Appl. 23(4), 2002) lets their last bits differ.
+SHARED_EIG_MAX_DIM = 75
 
 
 @dataclass(frozen=True)
@@ -193,18 +212,49 @@ class JSelfadjointOperator:
         with self._lock:
             return self._memo.setdefault(key, value)
 
+    def _geev(self, solve):
+        try:
+            return solve(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
+
     def raw_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of ``matrix`` from one ``eigvals`` call, unclustered."""
+        """Eigenvalues of ``matrix``, unclustered: those of the shared ``eig``
+        call if :meth:`share_eig` made it first, else of one ``eigvals`` call."""
 
         def build():
-            try:
-                values = np.linalg.eigvals(self.matrix)
-            except np.linalg.LinAlgError as exc:
-                raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
+            values = self._geev(np.linalg.eigvals)
             values.setflags(write=False)
             return values
 
         return self._cached(("raw",), build)
+
+    def share_eig(self) -> None:
+        """Memoize the raw eigenvalues together with the eigenvectors of one
+        ``eig`` call, if the order is at most ``SHARED_EIG_MAX_DIM`` and no
+        raw eigenvalues are memoized yet.  The eigenvectors are checked only
+        where the table reads them."""
+        if self.dim > SHARED_EIG_MAX_DIM:
+            return
+        with self._lock:
+            if ("raw",) in self._memo:
+                return
+        values, vectors = self._geev(np.linalg.eig)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        with self._lock:
+            if ("raw",) not in self._memo:
+                self._memo[("raw",)] = values
+                self._memo[("vectors",)] = vectors
+
+    def eigenvectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Raw eigenvalues and unit eigenvector columns: the shared ``eig``
+        call's where :meth:`share_eig` made it, else one ``eig`` call's own,
+        not memoized."""
+        with self._lock:
+            if ("vectors",) in self._memo:
+                return self._memo[("raw",)], self._memo[("vectors",)]
+        return linalg.eigenvectors(self.matrix)
 
 
 def validate_operator(
@@ -422,7 +472,7 @@ def _table(op: JSelfadjointOperator, tol: Tolerance) -> _SpectralTable:
     def build():
         entries = spectrum(op, tol).entries
         # each eigenvector joins the entry nearest its own eigenvalue
-        raw, vectors = linalg.eigenvectors(op.matrix)
+        raw, vectors = op.eigenvectors()
         distances = np.abs(raw[:, None] - np.array([e.value for e in entries]))
         owner = distances.argmin(axis=1).tolist() if entries else []
         bases = []
@@ -519,6 +569,7 @@ def gap_subspace(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> Subspace:
     """Sum of root subspaces over real eigenvalues inside the interval."""
+    op.share_eig()
     _, included = selection(op, interval, tol)
     return Subspace(_union_basis(op, included, tol))
 
@@ -527,6 +578,7 @@ def complement_subspace(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> Subspace:
     """Sum of root subspaces over all eigenvalues *not* counted inside."""
+    op.share_eig()
     spec, included = selection(op, interval, tol)
     excluded = tuple(i for i in range(len(spec.entries)) if i not in included)
     return Subspace(_union_basis(op, excluded, tol))
@@ -563,6 +615,7 @@ def gap_inertia(
     operator on the whole real line; where the check fails, each
     window's union is stacked and counted instead.
     """
+    op.share_eig()
     _, included = selection(op, interval, tol)
     if op._cached(("additive", tol.rel, tol.abs), lambda: _rows_add_up(op, tol)):
         return _row_sum(op, included, tol)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -14,7 +15,7 @@ import pontgap.gen
 from pontgap.cli import CSV_HEADER, _csv_endpoint, _parse_cli_interval, main
 from pontgap.errors import IllPosedIntervalError, InstanceFormatError
 from pontgap.gen import GenConfig, random_pair, random_space
-from pontgap.instancefile import parse_instance
+from pontgap.instancefile import InstanceRecord, dumps_instance, parse_instance
 from pontgap.spectral import Interval
 from pontgap.theorem import sweep_windows, verify_main_theorem
 
@@ -139,6 +140,40 @@ def test_verify_witness_document_is_pinned(capsys):
     code, out, _ = _run(capsys, "verify", str(EXAMPLE1), "--witness")
     assert code == 0
     assert out == (DATA / "example1.verify-witness.json").read_text()
+
+
+def _generated_window_file(tmp_path, d, window):
+    """A generated d x d, kappa = 2, n = 2 seed-0 pair on one of its sweep windows."""
+    cfg = GenConfig(dim=d, kappa_minus=2, pert_rank=2, seed=0)
+    space = random_space(cfg)
+    pair = random_pair(space, cfg)
+    record = InstanceRecord(
+        gram=space.gram, a1=pair.op1.matrix, a2=pair.op2.matrix,
+        intervals=(sweep_windows(pair)[window],), name=f"d{d}-seed0-w{window}",
+    )
+    path = tmp_path / f"d{d}.json"
+    path.write_text(dumps_instance(record))
+    return path
+
+
+@pytest.mark.parametrize(
+    "d, window, command, digest",
+    [
+        (32, 6, "verify", "156d0e1590929568a380c95086638e827369c57849c2726ac39cbe799e720c8c"),
+        (32, 6, "analyze", "05602a76304997dec194072d5bfd868764e4708cf08a578b14f6605b220b2547"),
+        # above d = 75 an operator read from a file takes eigvals and eig apart
+        (80, 0, "verify", "b6b69b048c262deb42d8ad2cbab12f87ff931b9ce9d912819f1a5727d16fc892"),
+        (80, 0, "analyze", "1b98ba0ef50c1850d63c3eeae6a3e6dfa0387554abce1f0bc2e2d8f8a798ff93"),
+    ],
+)
+def test_generated_documents_are_pinned(capsys, tmp_path, d, window, command, digest):
+    # SHA-256 of the whole stdout, recorded when every operator still took
+    # one eigvals call for its spectrum and one eig call for its table
+    path = _generated_window_file(tmp_path, d, window)
+    argv = [command, str(path)] + (["--witness"] if command == "verify" else [])
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_mislabeled_expectation(capsys, tmp_path):

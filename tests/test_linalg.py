@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pontgap
@@ -197,6 +197,96 @@ def test_complex_eigen_multiplicities_sum_to_dimension(d, seed):
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             assert abs(values[i] - values[j]) > _band(m)
+
+
+def _merge_loop(values, threshold):
+    """``complex_eigen`` before its early exit: the merge loop alone, which
+    tests every value against every cluster found so far, pass after pass."""
+    clusters = [(value, 1) for value in values]
+    merged = True
+    while merged:
+        merged = False
+        out = []
+        for value, count in sorted(clusters, key=lambda vc: (vc[0].real, vc[0].imag)):
+            for i, (ov, oc) in enumerate(out):
+                if abs(value - ov) <= threshold:
+                    total = oc + count
+                    out[i] = ((ov * oc + value * count) / total, total)
+                    merged = True
+                    break
+            else:
+                out.append((value, count))
+        clusters = out
+    clusters.sort(key=lambda vc: (vc[0].real, vc[0].imag))
+    return [(complex(v), int(c)) for v, c in clusters]
+
+
+def _bits(clusters):
+    return [(v.real.hex(), v.imag.hex(), c) for v, c in clusters]
+
+
+#: a power of two and the band, five of them: lattice points differ by
+#: exact multiples of UNIT, so that a step of one band along an axis, or
+#: of (3, 4) units, lies exactly on the band
+UNIT = 2.0**-20
+BAND = 5 * UNIT
+
+#: points one band apart along each axis, some shifted by (3, 4) units
+lattice_points = st.builds(
+    lambda re, im, shift: complex(
+        (5 * re + 3 * shift) * UNIT, (5 * im + 4 * shift) * UNIT
+    ),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1),
+)
+#: real parts a unit apart, imaginary parts 0 or far apart: near pairs
+#: that other values separate in (real, imag) order
+column_points = st.builds(
+    lambda re, im: complex(re * UNIT, im),
+    st.integers(-3, 3), st.sampled_from([0.0, 1.0, -1.0]),
+)
+scattered_points = st.builds(
+    complex, st.floats(-1e-4, 1e-4), st.floats(-1e-4, 1e-4)
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(lattice_points, column_points, scattered_points),
+            st.sampled_from([1, 1, 1, 2]),  # duplicates
+            st.booleans(),  # the conjugate too
+        ),
+        max_size=10,
+    )
+)
+@settings(max_examples=300)
+def test_complex_eigen_early_exit_is_the_merge_loop(draws):
+    values = []
+    for z, copies, conjugate in draws:
+        values += [z] * copies + ([z.conjugate()] if conjugate else [])
+    values = np.array(values, dtype=complex)
+    assert _bits(complex_eigen(values, BAND)) == _bits(_merge_loop(values, BAND))
+
+
+@pytest.mark.parametrize(
+    "values, threshold, merged",
+    [
+        # a near pair that is not adjacent in (real, imag) order
+        ([0.0, 1e-7 + 5j, 2e-7], 1e-6, True),
+        # ties exactly on the band, along the axis and along a (3, 4) step
+        ([0.0, BAND], BAND, True),
+        ([0.0, complex(3 * UNIT, 4 * UNIT)], BAND, True),
+        ([0.0, complex(BAND, 1e-3)], BAND, False),
+        ([0.0, np.nextafter(BAND, 1.0)], BAND, False),
+        ([1j, -1j, 2 + 3j, 2 - 3j], BAND, False),
+        ([], BAND, False),
+    ],
+)
+def test_complex_eigen_early_exit_on_hand_picked_values(values, threshold, merged):
+    values = np.array(values, dtype=complex)
+    got = complex_eigen(values, threshold)
+    assert _bits(got) == _bits(_merge_loop(values, threshold))
+    assert (len(got) < len(values)) == merged
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ from pontgap.errors import (
     ValidationError,
 )
 from pontgap import linalg
-from pontgap.gen import GenConfig, random_pair, random_space
+from pontgap.gen import (
+    GenConfig,
+    builtin_fixtures,
+    random_operator,
+    random_pair,
+    random_space,
+)
 from pontgap.indefinite import (
     IndefiniteSpace,
     Inertia,
@@ -193,23 +199,41 @@ def test_operator_memoizes_raw_values_spectrum_table_and_verdict_only():
     pair = helpers.make_rank_perturbed_pair(space, 4, rank=1)
     windows = sweep_windows(pair, DEFAULT_TOL)
     assert len(windows) > 1
+    # spectra first: the raw values come from eigvals, the table's eig is its own
     for op in (pair.op1, pair.op2):
         for window in windows:
             gap_inertia(op, window)
         assert {key[0] for key in op._memo} == {"raw", "spectrum", "table", "additive"}
+    # counted cold: one shared eig call also leaves its eigenvectors
+    for op in (pair.op1, pair.op2):
+        twin = validate_operator(space, op.matrix)
+        for window in windows:
+            gap_inertia(twin, window)
+        assert {key[0] for key in twin._memo} == {
+            "raw", "vectors", "spectrum", "table", "additive"
+        }
 
 
 def test_failed_eigenvalue_iteration_is_a_typed_error(monkeypatch):
+    # spectrum() fails in eigvals; a count fails in the shared eig call,
+    # with the same class and message
     space = validate_space(np.diag([1.0, -1.0]).astype(complex))
-    op = validate_operator(space, np.diag([1.0, 2.0]).astype(complex))
 
     def failing(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", failing)
-    with pytest.raises(EigensolverError):
-        spectrum(op)
-    assert op._memo == {}
+    for solver, count in (
+        ("eigvals", spectrum), ("eig", lambda op: gap_inertia(op, FULL_LINE))
+    ):
+        op = validate_operator(space, np.diag([1.0, 2.0]).astype(complex))
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, solver, failing)
+            with pytest.raises(EigensolverError) as caught:
+                count(op)
+        assert str(caught.value) == (
+            "eigenvalue iteration failed: Eigenvalues did not converge"
+        )
+        assert op._memo == {}
 
 
 @pytest.mark.parametrize(
@@ -773,3 +797,146 @@ def test_restrict_operator_rejects_non_invariant_subspace():
     skew = Subspace.from_columns(2, np.array([[1.0], [0.5]], dtype=complex))
     with pytest.raises(NumericalDefectError):
         restrict_operator(a1, skew)
+
+
+# ---------------------------------------------------------------------------
+# one eig call per operator up to order SHARED_EIG_MAX_DIM
+
+
+def _similar(rng, blocks):
+    """S B S^-1 for the block diagonal B and S = I + 0.3 * complex Gaussian."""
+    b = _block_diag(*blocks)
+    g = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+    s = np.eye(len(b)) + 0.3 * g
+    return s @ b @ np.linalg.inv(s)
+
+
+STRESS_FAMILIES = ("jordan", "scaled", "triangular", "sparse", "huge", "tiny")
+
+
+def _stress_matrices(family):
+    """Matrices of one family, at orders from 2 up to SHARED_EIG_MAX_DIM."""
+    rng = np.random.default_rng(STRESS_FAMILIES.index(family))
+    orders = (2, 3, 8, 17, 40, spectral.SHARED_EIG_MAX_DIM)
+
+    def gaussian(d):
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    if family == "jordan":
+        # chains of length 2-4 at 0.5, alone or beside random diagonal entries
+        return [
+            _similar(rng, [_jordan(0.5, k), np.diag(rng.normal(size=extra))])
+            for k in (2, 3, 4) for extra in (0, 3, 12, spectral.SHARED_EIG_MAX_DIM - k)
+        ]
+    if family == "scaled":
+        # row and column scales over 16 decades, which balancing undoes
+        out = []
+        for d in orders:
+            scales = 10.0 ** rng.uniform(-8, 8, size=d)
+            out.append(scales[:, None] * gaussian(d) / scales[None, :])
+        return out
+    if family == "triangular":
+        return [np.triu(gaussian(d)) for d in orders] + [np.tril(gaussian(d)) for d in orders]
+    if family == "sparse":
+        return [gaussian(d) * (rng.random((d, d)) < 0.15) for d in orders]
+    factor = {"huge": 1e150, "tiny": 1e-150}[family]
+    return [factor * gaussian(d) for d in orders]
+
+
+def _eig_matches_eigvals(m):
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.eig(m)[0].tobytes() == np.linalg.eigvals(m).tobytes()
+
+
+def test_eig_and_eigvals_agree_bitwise_on_generated_pairs_up_to_the_bound():
+    # the assumption behind one shared eig call: if a LAPACK build breaks
+    # it, this fails rather than letting counts or documents move
+    for d in range(1, spectral.SHARED_EIG_MAX_DIM + 1):
+        k = min(2, d)
+        cfg = GenConfig(dim=d, kappa_minus=k, pert_rank=k, seed=0)
+        pair = random_pair(random_space(cfg), cfg)
+        assert _eig_matches_eigvals(pair.op1.matrix), d
+        assert _eig_matches_eigvals(pair.op2.matrix), d
+
+
+def test_eig_and_eigvals_agree_bitwise_on_the_fixtures():
+    for fixture in builtin_fixtures():
+        assert _eig_matches_eigvals(fixture.pair.op1.matrix), fixture.name
+        assert _eig_matches_eigvals(fixture.pair.op2.matrix), fixture.name
+
+
+@pytest.mark.parametrize("family", STRESS_FAMILIES)
+def test_eig_and_eigvals_agree_bitwise_on_stress_matrices(family):
+    matrices = _stress_matrices(family)
+    assert max(len(m) for m in matrices) == spectral.SHARED_EIG_MAX_DIM
+    for m in matrices:
+        assert _eig_matches_eigvals(m), (family, len(m))
+
+
+def _count_geev(monkeypatch):
+    return {
+        name: helpers.count_calls(monkeypatch, np.linalg, name)
+        for name in ("eig", "eigvals")
+    }
+
+
+@pytest.mark.parametrize("d, eigvals", [(32, 0), (80, 1)])
+def test_validated_operator_counts_with_one_shared_eig_up_to_the_bound(
+    monkeypatch, d, eigvals
+):
+    space = helpers.make_space(d, 2, d)
+    pair = helpers.make_rank_perturbed_pair(space, d + 1, rank=2)
+    windows = sweep_windows(pair, DEFAULT_TOL)
+    # a cold twin, so that the windows' spectra are not in its memo
+    op = validate_operator(space, pair.op1.matrix)
+    calls = _count_geev(monkeypatch)
+    counts = [gap_inertia(op, window) for window in windows]
+    assert len(calls["eig"]) == 1
+    assert len(calls["eigvals"]) == eigvals
+    assert counts == [gap_inertia(pair.op1, window) for window in windows]
+
+
+def test_generated_operator_keeps_its_margin_check_and_one_table_eig(monkeypatch):
+    cfg = GenConfig(dim=32, kappa_minus=2, seed=4)
+    space = random_space(cfg)
+    calls = _count_geev(monkeypatch)
+    op = random_operator(space, cfg)
+    assert (len(calls["eigvals"]), len(calls["eig"])) == (1, 0)
+    gap_inertia(op, FULL_LINE)
+    gap_subspace(op, FULL_LINE)
+    assert (len(calls["eigvals"]), len(calls["eig"])) == (1, 1)
+
+
+def test_spectrum_alone_takes_eigvals_only(monkeypatch):
+    op = helpers.make_operator(helpers.make_space(12, 1, 3), 4)
+    calls = _count_geev(monkeypatch)
+    spectrum(op)
+    assert (len(calls["eigvals"]), len(calls["eig"])) == (1, 0)
+    assert ("vectors",) not in op._memo
+
+
+@pytest.mark.parametrize("build", [gap_subspace, complement_subspace])
+def test_subspace_builders_share_the_eig_call(monkeypatch, build):
+    op = helpers.make_operator(helpers.make_space(6, 1, 8), 9)
+    calls = _count_geev(monkeypatch)
+    build(op, FULL_LINE)
+    gap_inertia(op, Interval(-1.0, 1.0))
+    assert (len(calls["eigvals"]), len(calls["eig"])) == (0, 1)
+
+
+def test_shared_eig_vectors_are_checked_after_the_endpoints(monkeypatch):
+    # non-finite eigenvectors from the shared call fail only the table,
+    # after selection has checked the endpoints
+    space = validate_space(np.diag([1.0, -1.0, 1.0]).astype(complex))
+    op = validate_operator(space, np.diag([1.0, 2.0, 3.0]))
+    eig = np.linalg.eig
+
+    def spoiled(a):
+        values, vectors = eig(a)
+        return values, np.full_like(vectors, np.nan)
+
+    monkeypatch.setattr(np.linalg, "eig", spoiled)
+    with pytest.raises(EndpointInSpectrumError):
+        gap_inertia(op, Interval(2.0 + 1e-7, 5.0))
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
+        gap_inertia(op, Interval(0.0, 5.0))
