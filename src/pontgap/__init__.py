@@ -34,12 +34,8 @@ from .indefinite import (
     IndefiniteSpace,
     Inertia,
     Subspace,
-    inertia_of_hermitian,
     intersect_subspaces,
-    isotropic_part,
-    j_complement,
     oblique_projection,
-    signature,
     subspace_inertia,
     sum_subspaces,
     validate_space,
@@ -58,12 +54,8 @@ from .spectral import (
     JSelfadjointOperator,
     Spectrum,
     complement_subspace,
-    eig_count,
-    gap_signature,
     gap_subspace,
     restrict_operator,
-    root_subspace,
-    spectral_projection,
     spectrum,
     validate_operator,
 )
@@ -86,13 +78,9 @@ __all__ = [
     "IndefiniteSpace",
     "Subspace",
     "validate_space",
-    "inertia_of_hermitian",
     "subspace_inertia",
-    "signature",
-    "isotropic_part",
     "sum_subspaces",
     "intersect_subspaces",
-    "j_complement",
     "oblique_projection",
     "Interval",
     "Eigenvalue",
@@ -100,12 +88,8 @@ __all__ = [
     "JSelfadjointOperator",
     "validate_operator",
     "spectrum",
-    "root_subspace",
     "gap_subspace",
     "complement_subspace",
-    "eig_count",
-    "gap_signature",
-    "spectral_projection",
     "restrict_operator",
     "GapForm",
     "GapCase",

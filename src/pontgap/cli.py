@@ -152,6 +152,10 @@ def _interval_section(ops: dict, interval: Interval, tol: Tolerance) -> dict:
 
 def cmd_analyze(args) -> int:
     tol, record, space, ops = _instance(args)
+    # before the spectra, so that up to its SHARED_EIG_MAX_DIM an operator
+    # takes one eig call for its spectrum and its table, as in verify
+    for op in ops.values():
+        op.share_eig()
     doc = _document(tol, space, record, {
         "spectra": {
             label: spectrum_node(spectrum(op, tol)) for label, op in ops.items()

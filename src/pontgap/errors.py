@@ -36,10 +36,6 @@ class EigensolverError(PontgapError):
     """The underlying eigenvalue iteration failed to converge."""
 
 
-class NotAnEigenvalueError(PontgapError):
-    """Requested point is not within tolerance of any eigenvalue."""
-
-
 class IllPosedIntervalError(ValidationError):
     """Interval bounds do not describe a nonempty open interval."""
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    EigensolverError,
     NumericalDefectError,
     SingularMatrixError,
     ValidationError,
@@ -27,13 +28,9 @@ __all__ = [
     "IndefiniteSpace",
     "Subspace",
     "validate_space",
-    "inertia_of_hermitian",
     "subspace_inertia",
-    "signature",
-    "isotropic_part",
     "sum_subspaces",
     "intersect_subspaces",
-    "j_complement",
     "oblique_projection",
 ]
 
@@ -180,61 +177,75 @@ def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
     )
 
 
-def inertia_of_hermitian(h, zero_band: float, tol: Tolerance = DEFAULT_TOL) -> Inertia:
-    """Inertia of a Hermitian matrix with an explicit zero band."""
-    w, _ = linalg.hermitian_eigen(h, tol)
-    return Inertia.of_eigenvalues(w, zero_band)
+def _by_width(widths) -> list[tuple[int, list[int]]]:
+    """Each distinct width, ascending, with the indices that have it."""
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(widths):
+        groups.setdefault(w, []).append(i)
+    return sorted(groups.items())
 
 
-def _check_ambient(space_dim: int, sub: Subspace):
-    if sub.ambient_dim != space_dim:
-        raise DimensionMismatchError(
-            f"subspace lives in C^{sub.ambient_dim}, space is C^{space_dim}"
-        )
+def _inertias(space: IndefiniteSpace, bases, tol: Tolerance) -> list[Inertia]:
+    """Inertia of the Gram form compressed to each basis (each with a column
+    or more): one stacked ``B^* J B`` and one stacked ``eigh`` per basis
+    width.  The zero band scales with the ambient ``space.scale``, not the
+    compressed norm, so neutral subspaces report their zeros.
 
-
-def _compressed_gram(space: IndefiniteSpace, sub: Subspace, tol: Tolerance):
-    """Symmetrized ``B^* J B`` for the orthonormal basis B, and its zero band.
-
-    The band scales with the ambient ``space.scale``, not the compressed
-    norm, so neutral subspaces report their zeros.
+    Each basis is checked for orthonormality and each compressed Gram for
+    finiteness; the first basis, in order, that fails raises.
     """
-    _check_ambient(space.dim, sub)
-    g = sub.basis.conj().T @ (space.gram @ sub.basis)
-    return 0.5 * (g + g.conj().T), tol.INERTIA_ZERO_SCALE * space.scale
+    band = tol.INERTIA_ZERO_SCALE * space.scale
+    groups, faults = [], {}
+    for w, members in _by_width([b.shape[1] for b in bases]):
+        # a lone basis is viewed, not copied, so its products keep the bits
+        # of the unstacked ones
+        b = bases[members[0]][None] if len(members) == 1 else np.stack(
+            [bases[i] for i in members]
+        )
+        bh = b.conj().swapaxes(1, 2)
+        gap = bh @ b - np.eye(w)
+        # np.linalg.norm's own formula over the last two axes, without its checks
+        defects = np.sqrt(np.add.reduce((gap.conj() * gap).real, axis=(1, 2)))
+        g = bh @ (space.gram @ b)
+        # 0.5 (g + g^*) is exactly Hermitian, so it needs no Hermiticity
+        # check, and symmetrizing it again would change no bit
+        g = 0.5 * (g + g.conj().swapaxes(1, 2))
+        skew = defects > tol.ORTHO_SLACK
+        bad = skew | ~np.isfinite(g).all(axis=(1, 2))
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                faults[members[j]] = ValidationError(
+                    f"basis columns are not orthonormal (defect {defects[j]:.3e})"
+                    if skew[j] else "matrix entries must be finite"
+                )
+        groups.append((w, members, g))
+    if faults:
+        raise faults[min(faults)]
+    inertias = [None] * len(bases)
+    for w, members, g in groups:
+        try:
+            values = np.linalg.eigh(g)[0]
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
+        # g is finite, so are its eigenvalues: the rest of each row is the zero band
+        plus = (values > band).sum(axis=1).tolist()
+        minus = (values < -band).sum(axis=1).tolist()
+        for i, p, m in zip(members, plus, minus):
+            inertias[i] = Inertia(p, m, w - p - m)
+    return inertias
 
 
 def subspace_inertia(
     space: IndefiniteSpace, sub: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> Inertia:
     """Inertia of the Gram form compressed to ``sub``."""
-    return inertia_of_hermitian(*_compressed_gram(space, sub, tol), tol)
-
-
-def signature(
-    space: IndefiniteSpace, sub: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> int:
-    """sig = kappa_plus - kappa_minus of the form restricted to ``sub``."""
-    return subspace_inertia(space, sub, tol).sig
-
-
-def isotropic_part(
-    space: IndefiniteSpace, sub: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> Subspace:
-    """Vectors of ``sub`` J-orthogonal to all of ``sub``.
-
-    Computed as the kernel of the compressed Gram, mapped back through
-    the basis; its dimension equals the zero inertia component.
-    """
-    _check_ambient(space.dim, sub)
+    if sub.ambient_dim != space.dim:
+        raise DimensionMismatchError(
+            f"subspace lives in C^{sub.ambient_dim}, space is C^{space.dim}"
+        )
     if sub.dim == 0:
-        return Subspace.zero(space.dim)
-    g, band = _compressed_gram(space, sub, tol)
-    w, v = linalg.hermitian_eigen(g, tol)
-    inertia = Inertia.of_eigenvalues(w, band)
-    # eigenvalues ascend: negative columns first, then the zero band
-    kernel = v[:, inertia.minus : inertia.minus + inertia.zero]
-    return Subspace(sub.basis @ kernel)
+        return Inertia(0, 0, 0)
+    return _inertias(space, [sub.basis], tol)[0]
 
 
 def sum_subspaces(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -262,17 +273,6 @@ def intersect_subspaces(
     eye = np.eye(d, dtype=complex)
     stacked = np.vstack([eye - s1.projector(), eye - s2.projector()])
     return Subspace(linalg.null_space(stacked, tol))
-
-
-def j_complement(
-    space: IndefiniteSpace, sub: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> Subspace:
-    """J-orthogonal companion: all x with [x, s] = 0 for s in ``sub``."""
-    _check_ambient(space.dim, sub)
-    if sub.dim == 0:
-        return Subspace.full(space.dim)
-    constraints = sub.basis.conj().T @ space.gram
-    return Subspace(linalg.null_space(constraints, tol))
 
 
 def oblique_projection(

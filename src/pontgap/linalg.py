@@ -1,8 +1,10 @@
 """Dense complex linear-algebra kernels with explicit tolerances.
 
 Everything downstream (inertia, spectra, gap subspaces) reduces to the
-handful of primitives here.  Eigenvalue and singular-value work is
-delegated to LAPACK through numpy.  :class:`Tolerance` is the whole
+handful of primitives here.  Hermitian eigenvalue and singular-value
+work is delegated to LAPACK through numpy; the general eigenproblem of
+an operator is solved where its result is memoized, in
+:mod:`pontgap.spectral`.  :class:`Tolerance` is the whole
 tolerance policy: when a singular value counts as zero, when two
 eigenvalues count as one, when an imaginary part counts as noise, and
 every other numeric band of the package.
@@ -30,7 +32,6 @@ __all__ = [
     "frob",
     "hermitian_eigen",
     "complex_eigen",
-    "eigenvectors",
     "rank_tol",
     "null_space",
     "solve",
@@ -189,18 +190,6 @@ def _has_near_pair(ordered, threshold: float) -> bool:
             if abs(other - value) <= threshold:
                 return True
     return False
-
-
-def eigenvectors(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit eigenvector columns of a general complex matrix.
-
-    Above order 75 (``spectral.SHARED_EIG_MAX_DIM``), its eigenvalues can
-    differ from ``np.linalg.eigvals``'s in the last bits.
-    """
-    try:
-        return np.linalg.eig(as_complex_matrix(m, square=True))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigenvector iteration failed: {exc}") from exc
 
 
 def _singular_values(m) -> np.ndarray:

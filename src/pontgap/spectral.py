@@ -12,11 +12,14 @@ basis per eigenvalue and, per real eigenvalue, the inertia of the Gram
 form on it.  The spectrum clusters the raw values within a band of
 ``CLUSTERING_SCALE`` times the operator's ``scale``, so it takes no norm
 of its own.  The table needs the eigenvectors, then one stacked SVD per
-number of eigenvectors an entry owns and one stacked ``eigh`` per real
-root basis width (for a generic operator, one of each), plus kernel
-SVDs where an eigenvalue is defective.  Window counts are sums of table
-rows, checked once per operator (see :func:`gap_inertia`); an operator
-whose spectrum is all its callers read never builds the table.
+number of eigenvectors an entry owns, plus kernel SVDs where an
+eigenvalue is defective, and the inertias of its real root bases from
+the package's one inertia routine, which makes one stacked ``eigh`` per
+basis width (for a generic operator, one SVD and one ``eigh``;
+:func:`~pontgap.indefinite.subspace_inertia` runs the same routine on
+one basis).  Window counts are sums of table rows, checked once per
+operator (see :func:`gap_inertia`); an operator whose spectrum is all
+its callers read never builds the table.
 
 The counting entry points (:func:`gap_inertia` and the gap and
 complement subspace builders) first ask the operator for one shared
@@ -25,13 +28,14 @@ complement subspace builders) first ask the operator for one shared
 eigenvectors.  Otherwise the raw eigenvalues come from one ``eigvals``
 call, and a table makes one ``eig`` call of its own: above that order,
 and where the raw eigenvalues were memoized first (by a margin check or
-a printed spectrum).  So the memo holds five things: the raw
-eigenvalues, the shared eigenvectors where they were computed, the
-spectrum, which carries its own sorted keys, the table, and the verdict
-of that check.  With the keys, :func:`selection` and :func:`clear_of`
-bisect instead of scanning: a window costs O(log m + k) for m entries,
-k of them near an endpoint or counted.  The memo never changes any
-result.
+a printed spectrum).  Both go through one wrapper, so a failed
+iteration raises the same error at every order.  The memo thus holds
+five things: the raw eigenvalues, the shared eigenvectors where they were
+computed, the spectrum, which carries its own sorted keys, the table,
+and the verdict of that check.  With the keys, :func:`selection` and
+:func:`clear_of` bisect instead of scanning: a window costs O(log m + k)
+for m entries, k of them near an endpoint or counted.  The memo never
+changes any result.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .errors import (
     EndpointInSpectrumError,
     IllPosedIntervalError,
     NonHermitianError,
-    NotAnEigenvalueError,
     NumericalDefectError,
     SpectrumSymmetryError,
     ValidationError,
@@ -59,7 +62,8 @@ from .indefinite import (
     IndefiniteSpace,
     Inertia,
     Subspace,
-    oblique_projection,
+    _by_width,
+    _inertias,
     subspace_inertia,
     validate_space,
 )
@@ -74,14 +78,10 @@ __all__ = [
     "spectrum",
     "nearest",
     "clear_of",
-    "root_subspace",
     "selection",
     "gap_subspace",
     "complement_subspace",
     "gap_inertia",
-    "eig_count",
-    "gap_signature",
-    "spectral_projection",
     "restrict_operator",
 ]
 
@@ -92,7 +92,9 @@ __all__ = [
 #: vectors only widens which rows and columns outside the active block are
 #: updated, so ``eig`` and ``eigvals`` return the same bits.  Above it,
 #: xLAQR0's aggressive early deflation (Braman, Byers & Mathias, SIAM J.
-#: Matrix Anal. Appl. 23(4), 2002) lets their last bits differ.
+#: Matrix Anal. Appl. 23(4), 2002) lets their last bits differ, so above it
+#: the spectrum keeps its own ``eigvals`` call and the table makes its own
+#: ``eig`` call.
 SHARED_EIG_MAX_DIM = 75
 
 
@@ -250,11 +252,12 @@ class JSelfadjointOperator:
     def eigenvectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Raw eigenvalues and unit eigenvector columns: the shared ``eig``
         call's where :meth:`share_eig` made it, else one ``eig`` call's own,
-        not memoized."""
+        not memoized.  Above ``SHARED_EIG_MAX_DIM`` those eigenvalues can
+        differ from :meth:`raw_eigenvalues` in the last bits."""
         with self._lock:
             if ("vectors",) in self._memo:
                 return self._memo[("raw",)], self._memo[("vectors",)]
-        return linalg.eigenvectors(self.matrix)
+        return self._geev(np.linalg.eig)
 
 
 def validate_operator(
@@ -384,14 +387,6 @@ def _root_basis(op, entry: Eigenvalue, start: np.ndarray, tol):
     return basis
 
 
-def _by_width(widths) -> list[tuple[int, list[int]]]:
-    """Each distinct width, ascending, with the indices that have it."""
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(widths):
-        groups.setdefault(w, []).append(i)
-    return sorted(groups.items())
-
-
 def _starts(
     vectors: np.ndarray, owner: list[int], count: int, tol: Tolerance
 ) -> list[np.ndarray | None]:
@@ -426,48 +421,6 @@ def _starts(
     return starts
 
 
-def _inertias(space: IndefiniteSpace, bases, tol: Tolerance) -> list[Inertia]:
-    """:func:`subspace_inertia` of each basis (each with a column or more),
-    its checks included: one stacked ``B^* J B`` and one stacked ``eigh``
-    per basis width.  The first basis, in order, that fails a check raises
-    what ``subspace_inertia`` raises for it."""
-    band = tol.INERTIA_ZERO_SCALE * space.scale
-    groups, faults = [], {}
-    for w, members in _by_width([b.shape[1] for b in bases]):
-        b = np.stack([bases[i] for i in members])
-        bh = b.conj().swapaxes(1, 2)
-        defects = np.linalg.norm(bh @ b - np.eye(w), axis=(1, 2))
-        g = bh @ (space.gram @ b)
-        # symmetrized once: the result is exactly Hermitian, so the defect
-        # linalg.hermitian_eigen would measure is 0 and its own
-        # symmetrization would change no bit; neither is repeated here
-        g = 0.5 * (g + g.conj().swapaxes(1, 2))
-        skew = defects > tol.ORTHO_SLACK
-        for j in np.flatnonzero(skew | ~np.isfinite(g).all(axis=(1, 2))):
-            faults[members[j]] = ValidationError(
-                f"basis columns are not orthonormal (defect {defects[j]:.3e})"
-                if skew[j] else "matrix entries must be finite"
-            )
-        groups.append((members, g))
-    if faults:
-        raise faults[min(faults)]
-    inertias = [None] * len(bases)
-    for members, g in groups:
-        try:
-            values = np.linalg.eigh(g)[0]
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
-        counts = zip(
-            members,
-            (values > band).sum(axis=1).tolist(),
-            (values < -band).sum(axis=1).tolist(),
-            (np.abs(values) <= band).sum(axis=1).tolist(),
-        )
-        for i, plus, minus, zero in counts:
-            inertias[i] = Inertia(plus, minus, zero)
-    return inertias
-
-
 def _table(op: JSelfadjointOperator, tol: Tolerance) -> _SpectralTable:
     def build():
         entries = spectrum(op, tol).entries
@@ -490,27 +443,6 @@ def _table(op: JSelfadjointOperator, tol: Tolerance) -> _SpectralTable:
         return _SpectralTable(tuple(bases), tuple(inertias))
 
     return op._cached(("table", tol.rel, tol.abs), build)
-
-
-def root_subspace(
-    op: JSelfadjointOperator, value, tol: Tolerance = DEFAULT_TOL
-) -> Subspace:
-    """Root subspace of the eigenvalue nearest ``value``, from the spectral table.
-
-    That is the span of the eigenvalue's eigenvectors, grown through
-    ``ker (A - lambda I)^k`` where the eigenvalue is defective; its
-    dimension is the eigenvalue's algebraic multiplicity.
-    """
-    value = complex(value)
-    idx, dist = nearest(op, value, tol)
-    if idx is None:
-        raise NotAnEigenvalueError("operator has an empty spectrum")
-    if dist > tol.CLUSTERING_SCALE * op.scale:
-        raise NotAnEigenvalueError(
-            f"{value} is not within clustering distance of any eigenvalue "
-            f"(closest: {spectrum(op, tol).entries[idx].value})"
-        )
-    return Subspace(_table(op, tol).bases[idx])
 
 
 def selection(
@@ -620,34 +552,6 @@ def gap_inertia(
     if op._cached(("additive", tol.rel, tol.abs), lambda: _rows_add_up(op, tol)):
         return _row_sum(op, included, tol)
     return subspace_inertia(op.space, gap_subspace(op, interval, tol), tol)
-
-
-def eig_count(
-    op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
-) -> int:
-    """Number of eigenvalues in the open interval, with multiplicity."""
-    return gap_inertia(op, interval, tol).dim
-
-
-def gap_signature(
-    op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
-) -> int:
-    """Signature of the Gram form on the interval's gap subspace."""
-    return gap_inertia(op, interval, tol).sig
-
-
-def spectral_projection(
-    op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """J-selfadjoint projection onto the interval's gap subspace.
-
-    The oblique projection onto the gap subspace along the sum of all
-    other root subspaces.  Requires both finite endpoints to be away
-    from the spectrum (enforced by the endpoint guard).
-    """
-    return oblique_projection(
-        gap_subspace(op, interval, tol), complement_subspace(op, interval, tol), tol
-    )
 
 
 def restrict_operator(

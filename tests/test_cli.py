@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import helpers
 import pontgap.cli
 import pontgap.gen
 from pontgap.cli import CSV_HEADER, _csv_endpoint, _parse_cli_interval, main
@@ -76,6 +78,15 @@ def test_analyze_document_shape(capsys):
     assert section["eig"] == {"a1": 0, "a2": 2}
     assert section["sig"] == {"a1": 0, "a2": 0}
     assert section["inertia"]["a2"] == {"plus": 1, "minus": 1, "zero": 0}
+
+
+def test_analyze_document_is_pinned(capsys):
+    # recorded when analyze still took eigvals for its spectra; its one
+    # inexact number, a1's double eigenvalue -1.1102230246251565e-16, is
+    # the mean of geev's two values, which eig and eigvals give alike
+    code, out, _ = _run(capsys, "analyze", str(EXAMPLE1))
+    assert code == 0
+    assert out == (DATA / "example1.analyze.json").read_text()
 
 
 def test_analyze_single_operator_instance(capsys, tmp_path):
@@ -174,6 +185,22 @@ def test_generated_documents_are_pinned(capsys, tmp_path, d, window, command, di
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("d, window, eigvals", [(32, 6, 0), (80, 0, 2)])
+def test_analyze_shares_each_operators_eig_up_to_the_bound(
+    monkeypatch, capsys, tmp_path, d, window, eigvals
+):
+    # up to SHARED_EIG_MAX_DIM one eig call per operator gives its spectrum
+    # and its table; above it each spectrum takes its own eigvals call
+    path = _generated_window_file(tmp_path, d, window)
+    calls = {
+        name: helpers.count_calls(monkeypatch, np.linalg, name)
+        for name in ("eig", "eigvals")
+    }
+    code, _, _ = _run(capsys, "analyze", str(path))
+    assert code == 0
+    assert (len(calls["eig"]), len(calls["eigvals"])) == (2, eigvals)
 
 
 def test_verify_mislabeled_expectation(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import helpers
 from pontgap.errors import (
     DimensionMismatchError,
+    EigensolverError,
     NonHermitianError,
     NumericalDefectError,
     SingularMatrixError,
@@ -14,12 +15,8 @@ from pontgap.errors import (
 from pontgap.indefinite import (
     Inertia,
     Subspace,
-    inertia_of_hermitian,
     intersect_subspaces,
-    isotropic_part,
-    j_complement,
     oblique_projection,
-    signature,
     subspace_inertia,
     sum_subspaces,
     validate_space,
@@ -121,11 +118,6 @@ def test_projector_is_hermitian_idempotent(d, seed):
 # inertia of subspaces
 
 
-def test_inertia_of_hermitian_with_zero_band():
-    got = inertia_of_hermitian(np.diag([2.0, -3.0, 1e-12]), zero_band=1e-8)
-    assert got == Inertia(plus=1, minus=1, zero=1)
-
-
 def test_subspace_inertia_coordinate_spans():
     space = validate_space(J2)
     e1 = Subspace.from_columns(2, np.array([[1.0], [0.0]], dtype=complex))
@@ -133,8 +125,8 @@ def test_subspace_inertia_coordinate_spans():
     assert subspace_inertia(space, e1) == Inertia(1, 0, 0)
     assert subspace_inertia(space, e2) == Inertia(0, 1, 0)
     assert subspace_inertia(space, Subspace.full(2)) == Inertia(1, 1, 0)
-    assert signature(space, e1) == 1
-    assert signature(space, e2) == -1
+    assert subspace_inertia(space, e1).sig == 1
+    assert subspace_inertia(space, e2).sig == -1
 
 
 def test_neutral_vector_counts_as_zero():
@@ -143,9 +135,6 @@ def test_neutral_vector_counts_as_zero():
         2, np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2)
     )
     assert subspace_inertia(space, neutral) == Inertia(0, 0, 1)
-    iso = isotropic_part(space, neutral)
-    assert iso.dim == 1
-    assert iso.contains(np.array([1.0, 1.0]) / np.sqrt(2))
 
 
 def test_neutral_subspace_of_a_large_gram_counts_as_zero():
@@ -156,15 +145,6 @@ def test_neutral_subspace_of_a_large_gram_counts_as_zero():
     space = validate_space(1e6 * (q @ np.diag([1.0, 1, 1, -1, -1, -1]) @ q.conj().T))
     neutral = Subspace.from_columns(6, (q[:, :3] + q[:, 3:]) / np.sqrt(2))
     assert subspace_inertia(space, neutral) == Inertia(0, 0, 3)
-    assert isotropic_part(space, neutral).dim == 3
-
-
-def test_isotropic_part_of_definite_subspace_is_zero():
-    space = validate_space(J2)
-    e1 = Subspace.from_columns(2, np.array([[1.0], [0.0]], dtype=complex))
-    assert isotropic_part(space, e1).dim == 0
-    # the whole space is nondegenerate since J is invertible
-    assert isotropic_part(space, Subspace.full(2)).dim == 0
 
 
 @given(dims, seeds)
@@ -173,15 +153,38 @@ def test_subspace_inertia_dim_consistency(d, seed):
     rng = np.random.default_rng(seed + 3)
     k = int(rng.integers(0, d + 1))
     sub = Subspace(helpers.random_orthonormal(rng, d, k))
-    inertia = subspace_inertia(space, sub)
-    assert inertia.dim == k
-    assert isotropic_part(space, sub).dim == inertia.zero
+    assert subspace_inertia(space, sub).dim == k
 
 
 def test_subspace_inertia_checks_ambient_dim():
     space = validate_space(J2)
-    with pytest.raises(DimensionMismatchError):
-        subspace_inertia(space, Subspace.full(3))
+    for sub in (Subspace.full(3), Subspace.zero(3)):
+        with pytest.raises(DimensionMismatchError, match=r"lives in C\^3, space is C\^2"):
+            subspace_inertia(space, sub)
+
+
+def test_subspace_inertia_of_no_columns_solves_nothing(monkeypatch):
+    space = validate_space(J2)
+    calls = helpers.count_calls(monkeypatch, np.linalg, "eigh")
+    assert subspace_inertia(space, Subspace.zero(2)) == Inertia(0, 0, 0)
+    assert calls == []
+
+
+def test_subspace_inertia_errors_keep_their_class_and_message(monkeypatch):
+    space = validate_space(J2)
+    # a basis of NaNs passes the Subspace check, since NaN > slack is false
+    with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+        subspace_inertia(space, Subspace(np.full((2, 1), np.nan, dtype=complex)))
+
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(EigensolverError) as caught:
+        subspace_inertia(space, Subspace.full(2))
+    assert str(caught.value) == (
+        "hermitian eigensolver failed: Eigenvalues did not converge"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +217,6 @@ def test_intersection_is_contained_in_both():
     for col in got.basis.T:
         assert s1.contains(col)
         assert s2.contains(col)
-
-
-@given(dims, seeds)
-def test_j_complement_dimension_and_orthogonality(d, seed):
-    space = helpers.make_space(d, d // 2, seed)
-    rng = np.random.default_rng(seed + 7)
-    k = int(rng.integers(0, d + 1))
-    sub = Subspace(helpers.random_orthonormal(rng, d, k))
-    comp = j_complement(space, sub)
-    assert comp.dim == d - k
-    if sub.dim and comp.dim:
-        cross = sub.basis.conj().T @ space.gram @ comp.basis
-        assert np.max(np.abs(cross)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from pontgap.errors import (
     EndpointInSpectrumError,
     IllPosedIntervalError,
     NonHermitianError,
-    NotAnEigenvalueError,
     NumericalDefectError,
     SpectrumSymmetryError,
     ValidationError,
 )
-from pontgap import linalg
+from pontgap import indefinite, linalg
 from pontgap.gen import (
     GenConfig,
     builtin_fixtures,
@@ -29,6 +28,7 @@ from pontgap.indefinite import (
     IndefiniteSpace,
     Inertia,
     Subspace,
+    oblique_projection,
     subspace_inertia,
     validate_space,
 )
@@ -41,13 +41,9 @@ from pontgap.spectral import (
     JSelfadjointOperator,
     Spectrum,
     complement_subspace,
-    eig_count,
     gap_inertia,
-    gap_signature,
     gap_subspace,
     restrict_operator,
-    root_subspace,
-    spectral_projection,
     spectrum,
     validate_operator,
 )
@@ -234,6 +230,16 @@ def test_failed_eigenvalue_iteration_is_a_typed_error(monkeypatch):
             "eigenvalue iteration failed: Eigenvalues did not converge"
         )
         assert op._memo == {}
+    # above SHARED_EIG_MAX_DIM the spectrum takes eigvals and the table its
+    # own eig call, whose failure reads the same
+    op = helpers.make_operator(helpers.make_space(80, 2, 1), 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eig", failing)
+        with pytest.raises(EigensolverError) as caught:
+            gap_inertia(op, FULL_LINE)
+    assert str(caught.value) == (
+        "eigenvalue iteration failed: Eigenvalues did not converge"
+    )
 
 
 @pytest.mark.parametrize(
@@ -256,9 +262,17 @@ def test_spectrum_rejects_unpaired_nonreal_eigenvalues(diagonal, message):
 # root subspaces
 
 
+def _root_subspace(op, value):
+    """The table's root basis at the spectrum entry nearest ``value``."""
+    values = spectrum(op).values()
+    idx = min(range(len(values)), key=lambda i: abs(values[i] - value))
+    assert abs(values[idx] - value) < 1e-9
+    return Subspace(spectral._table(op, DEFAULT_TOL).bases[idx])
+
+
 def test_root_subspace_of_defective_eigenvalue_fills_the_plane():
     _, a1, _ = _example1_pair()
-    sub = root_subspace(a1, 0.0)
+    sub = _root_subspace(a1, 0.0)
     assert sub.dim == 2
     # the kernel itself is only one-dimensional
     kernel_dim = 2 - np.linalg.matrix_rank(a1.matrix)
@@ -267,25 +281,18 @@ def test_root_subspace_of_defective_eigenvalue_fills_the_plane():
 
 def test_root_subspace_simple_eigenvalue():
     _, _, a2 = _example1_pair()
-    sub = root_subspace(a2, 0.5)
+    sub = _root_subspace(a2, 0.5)
     assert sub.dim == 1
     assert sub.contains(np.array([1.0, 0.0]))
-
-
-def test_root_subspace_rejects_non_eigenvalue():
-    _, _, a2 = _example1_pair()
-    with pytest.raises(NotAnEigenvalueError):
-        root_subspace(a2, 0.3)
 
 
 @given(dims, seeds)
 def test_root_subspaces_partition_dimension(d, seed):
     space = helpers.make_space(d, d // 3, seed)
     op = helpers.make_operator(space, seed + 2)
-    total = sum(
-        root_subspace(op, e.value).dim for e in spectrum(op).entries
-    )
-    assert total == d
+    bases = spectral._table(op, DEFAULT_TOL).bases
+    assert len(bases) == len(spectrum(op).entries)
+    assert sum(basis.shape[1] for basis in bases) == d
 
 
 def test_root_subspace_of_length_three_jordan_chain():
@@ -293,13 +300,13 @@ def test_root_subspace_of_length_three_jordan_chain():
     # eig returns three parallel eigenvectors, so the kernel must grow
     space = validate_space(np.fliplr(np.eye(3)).astype(complex))
     op = validate_operator(space, np.eye(3, k=1) + 0.5 * np.eye(3))
-    assert root_subspace(op, 0.5).dim == 3
+    assert _root_subspace(op, 0.5).dim == 3
     assert gap_inertia(op, Interval(0.0, 1.0)) == Inertia(2, 1, 0)
 
 
 def test_root_subspace_is_invariant():
     _, a1 = _example3_op1()
-    sub = root_subspace(a1, 100j)
+    sub = _root_subspace(a1, 100j)
     image = a1.matrix @ sub.basis
     coeff = sub.basis.conj().T @ image
     assert np.allclose(image, sub.basis @ coeff, atol=1e-8)
@@ -312,28 +319,28 @@ def test_root_subspace_is_invariant():
 def test_eig_count_example1_hand_values():
     _, a1, a2 = _example1_pair()
     delta = Interval(0.25, 2.0)
-    assert eig_count(a1, delta) == 0
-    assert eig_count(a2, delta) == 2
-    assert gap_signature(a1, delta) == 0
-    assert gap_signature(a2, delta) == 0
+    assert gap_inertia(a1, delta).dim == 0
+    assert gap_inertia(a2, delta).dim == 2
+    assert gap_inertia(a1, delta).sig == 0
+    assert gap_inertia(a2, delta).sig == 0
 
 
 def test_eig_count_ignores_nonreal_eigenvalues():
     _, a1 = _example3_op1()
-    assert eig_count(a1, FULL_LINE) == 1  # only the real eigenvalue 0
-    assert eig_count(a1, Interval(0.0, math.inf)) == 0  # 0 sits on the endpoint
+    assert gap_inertia(a1, FULL_LINE).dim == 1  # only the real eigenvalue 0
+    assert gap_inertia(a1, Interval(0.0, math.inf)).dim == 0  # 0 sits on the endpoint
 
 
 def test_endpoint_guard_raises_in_ambiguous_band():
     _, _, a2 = _example1_pair()
     with pytest.raises(EndpointInSpectrumError) as info:
-        eig_count(a2, Interval(0.50000001, 2.0))
+        gap_inertia(a2, Interval(0.50000001, 2.0))
     assert info.value.distance == pytest.approx(1e-8, rel=1e-3)
 
 
 def test_exact_endpoint_hit_is_excluded_not_an_error():
     _, _, a2 = _example1_pair()
-    assert eig_count(a2, Interval(0.5, 2.0)) == 1
+    assert gap_inertia(a2, Interval(0.5, 2.0)).dim == 1
 
 
 def _unsafe_pair_op():
@@ -351,12 +358,12 @@ def test_nonreal_entry_inside_the_endpoint_guard_is_ambiguous():
     op = _unsafe_pair_op()
     assert [e.is_real for e in spectrum(op).entries] == [False, False, True]
     with pytest.raises(EndpointInSpectrumError) as info:
-        eig_count(op, Interval(0.5, 200.0))
+        gap_inertia(op, Interval(0.5, 200.0))
     assert info.value.endpoint == 0.5
     assert info.value.eigenvalue == pytest.approx(0.5 - 8e-5j, abs=1e-9)
     assert info.value.eigenvalue.imag < 0
     assert info.value.distance == pytest.approx(8e-5, rel=1e-4)
-    assert eig_count(op, Interval(0.5003, 200.0)) == 1
+    assert gap_inertia(op, Interval(0.5003, 200.0)).dim == 1
     _assert_matches_full_scan(op, _probe_windows(op))
 
 
@@ -516,16 +523,26 @@ def test_root_basis_defect_at_any_entry_fails_every_count(monkeypatch):
 
     monkeypatch.setattr(spectral, "_root_basis", failing)
     with pytest.raises(NumericalDefectError, match="injected"):
-        eig_count(a1, Interval(-1.0, 1.0))
+        gap_inertia(a1, Interval(-1.0, 1.0))
+
+
+def _reference_inertia(space, basis, tol=DEFAULT_TOL):
+    """The inertia routine unstacked, as its reference: one ``Subspace``
+    (the orthonormality check), one ``B^* J B`` and one ``hermitian_eigen``
+    (the finiteness check) per basis."""
+    b = Subspace(basis).basis
+    g = b.conj().T @ (space.gram @ b)
+    w, _ = linalg.hermitian_eigen(0.5 * (g + g.conj().T), tol)
+    return Inertia.of_eigenvalues(w, tol.INERTIA_ZERO_SCALE * space.scale)
 
 
 def _per_entry_table(op, tol=DEFAULT_TOL):
-    """The table as built before its factorizations were stacked: one SVD,
-    ``Subspace`` and ``subspace_inertia`` per entry.  ``_root_basis`` then
-    took the owned eigenvectors and orthonormalized them itself."""
+    """The table as built before its factorizations were stacked: one SVD
+    and one reference inertia per entry.  ``_root_basis`` then took the
+    owned eigenvectors and orthonormalized them itself."""
     entries = spectrum(op, tol).entries
     # each eigenvector joins the entry nearest its own eigenvalue
-    raw, vectors = linalg.eigenvectors(op.matrix)
+    raw, vectors = op.eigenvectors()
     distances = np.abs(raw[:, None] - np.array([e.value for e in entries]))
     owner = distances.argmin(axis=1) if entries else []
     bases = tuple(
@@ -535,7 +552,7 @@ def _per_entry_table(op, tol=DEFAULT_TOL):
         for i, entry in enumerate(entries)
     )
     inertias = tuple(
-        subspace_inertia(op.space, Subspace(basis), tol)
+        _reference_inertia(op.space, basis, tol)
         if entry.is_real else None
         for entry, basis in zip(entries, bases)
     )
@@ -650,7 +667,8 @@ def test_stacked_table_equals_the_per_entry_build_on_odd_owners(
     space = validate_space(np.diag([1.0, -1.0, 1.0]).astype(complex))
     op = validate_operator(space, np.diag([1.0, 2.0, 3.0]))
     monkeypatch.setattr(
-        linalg, "eigenvectors", lambda m: (np.array(raw, dtype=complex), vectors)
+        JSelfadjointOperator, "eigenvectors",
+        lambda self: (np.array(raw, dtype=complex), vectors),
     )
     outcome = _assert_stacked_table_is_per_entry(op)
     assert outcome[0] is error if error else len(outcome[0]) == 3
@@ -692,8 +710,9 @@ def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
     space = IndefiniteSpace(gram, kappa_plus=1, kappa_minus=1)
     e1 = np.eye(3, 1, dtype=complex)
     assert space.scale == 1.0
-    assert spectral._inertias(space, [e1], DEFAULT_TOL) == [Inertia(0, 0, 1)]
+    assert indefinite._inertias(space, [e1], DEFAULT_TOL) == [Inertia(0, 0, 1)]
     assert subspace_inertia(space, Subspace(e1)) == Inertia(0, 0, 1)
+    assert _reference_inertia(space, e1) == Inertia(0, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -736,13 +755,22 @@ def test_gap_and_complement_subspaces_partition():
 # spectral projection
 
 
+def _spectral_projection(op, interval):
+    """The J-selfadjoint projection onto the gap subspace along the sum of
+    all other root subspaces."""
+    return oblique_projection(
+        spectral.gap_subspace(op, interval, DEFAULT_TOL),
+        spectral.complement_subspace(op, interval, DEFAULT_TOL),
+    )
+
+
 def test_spectral_projection_properties_example3():
     _, a1 = _example3_op1()
     delta = Interval(-1.0, 1.0)
-    e = spectral_projection(a1, delta)
+    e = _spectral_projection(a1, delta)
     assert np.allclose(e @ e, e, atol=1e-10)
     assert np.allclose(e @ a1.matrix, a1.matrix @ e, atol=1e-8)
-    assert np.linalg.matrix_rank(e) == eig_count(a1, delta) == 1
+    assert np.linalg.matrix_rank(e) == gap_inertia(a1, delta).dim == 1
     # J-selfadjointness of the projection: J E = E^* J
     j = a1.space.gram
     assert np.allclose(j @ e, e.conj().T @ j, atol=1e-8)
@@ -750,7 +778,7 @@ def test_spectral_projection_properties_example3():
 
 def test_spectral_projection_full_line_is_identity():
     _, _, a2 = _example1_pair()
-    assert np.allclose(spectral_projection(a2, FULL_LINE), np.eye(2), atol=1e-10)
+    assert np.allclose(_spectral_projection(a2, FULL_LINE), np.eye(2), atol=1e-10)
 
 
 def test_spectral_projection_rejects_subspaces_short_of_the_space(monkeypatch):
@@ -759,7 +787,7 @@ def test_spectral_projection_rejects_subspaces_short_of_the_space(monkeypatch):
         spectral, "complement_subspace", lambda op, interval, tol: Subspace.zero(op.dim)
     )
     with pytest.raises(NumericalDefectError):
-        spectral_projection(a1, Interval(-1.0, 1.0))
+        _spectral_projection(a1, Interval(-1.0, 1.0))
 
 
 @given(dims, seeds)
@@ -774,9 +802,15 @@ def test_spectral_projection_random_invariants(d, seed):
     cut = reals[0] + 1.0 if len(reals) == 1 else 0.5 * (reals[0] + reals[1])
     if any(abs(v - cut) < 1e-4 for v in spectrum(op).values()):
         return
-    e = spectral_projection(op, Interval(-math.inf, cut))
-    assert np.allclose(e @ e, e, atol=1e-7)
-    assert np.allclose(e @ op.matrix, op.matrix @ e, atol=1e-7)
+    # the gap and complement subspaces fill C^d and are J-orthogonal, so
+    # the projection onto one along the other is J-selfadjoint
+    interval = Interval(-math.inf, cut)
+    inside = gap_subspace(op, interval)
+    outside = complement_subspace(op, interval)
+    assert inside.dim + outside.dim == d
+    assert np.linalg.matrix_rank(np.hstack([inside.basis, outside.basis])) == d
+    cross = inside.basis.conj().T @ space.gram @ outside.basis
+    assert np.allclose(cross, 0.0, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
