@@ -96,8 +96,11 @@ def build_gap_form(
 def _signed_eigenspaces(op, form: GapForm, expected, reason: str, tol):
     """Inertia of the form, which must be ``expected``, and its negative
     and positive eigenspaces."""
-    w, v = linalg.hermitian_eigen(form.matrix, tol)
-    band = tol.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(form.matrix))
+    # G is exactly Hermitian (build_gap_form symmetrizes it), but it can
+    # overflow from finite A and J
+    g = linalg.as_complex_matrix(form.matrix)
+    w, v = linalg.hermitian_eigen(g)
+    band = tol.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(g))
     inertia = Inertia.of_eigenvalues(w, band)
     if (inertia.plus, inertia.minus, inertia.zero) != expected:
         raise InertiaMismatchError(
@@ -177,10 +180,9 @@ def hilbert_gap_check(t, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Ga
     a, b = float(a), float(b)
     if not a < b:
         raise PreconditionError(f"check requires a < b, got a={a}, b={b}")
-    t = linalg.as_complex_matrix(t, square=True)
-    # hermitian_eigen re-validates Hermiticity of t itself; (T - a)(T - b)
-    # has eigenvalues (w - a)(w - b), whose 2-norm is its Frobenius norm
-    wt, _ = linalg.hermitian_eigen(t, tol)
+    # (T - a)(T - b) has eigenvalues (w - a)(w - b), whose 2-norm is its
+    # Frobenius norm
+    wt, _ = linalg.hermitian_eigen(linalg.as_hermitian(t, tol)[0])
     mu = (wt - a) * (wt - b)
     band = tol.INERTIA_ZERO_SCALE * max(1.0, float(np.linalg.norm(mu)))
     inertia = Inertia.of_eigenvalues(mu, band)

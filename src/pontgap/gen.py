@@ -202,7 +202,7 @@ def random_real_spectrum_operator(
     if not lo < hi:
         raise ValidationError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
     d = space.dim
-    w, q = linalg.hermitian_eigen(space.gram, tol)
+    w, q = linalg.hermitian_eigen(space.gram)
     eye = np.eye(d, dtype=complex)
     for _ in range(RESAMPLE_BUDGET):
         values = np.array(sorted(lo + (hi - lo) * rng.uniform() for _ in range(d)))

@@ -16,7 +16,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
-    EigensolverError,
     NumericalDefectError,
     SingularMatrixError,
     ValidationError,
@@ -76,12 +75,15 @@ class IndefiniteSpace:
     gram: np.ndarray = field(repr=False)
     kappa_plus: int
     kappa_minus: int
-    #: ``max(1, ||gram||_F)``, the unit of the inertia zero band
+    #: ``||gram||_F``, taken once at construction
+    norm: float = field(init=False, repr=False, compare=False)
+    #: ``max(1, norm)``, the unit of the inertia zero band
     scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.gram.setflags(write=False)
-        object.__setattr__(self, "scale", max(1.0, linalg.frob(self.gram)))
+        object.__setattr__(self, "norm", linalg.frob(self.gram))
+        object.__setattr__(self, "scale", max(1.0, self.norm))
 
     @property
     def dim(self) -> int:
@@ -112,7 +114,8 @@ class Subspace:
         b = self.basis
         if b.shape[1] > 0:
             defect = float(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])))
-            if defect > Tolerance.ORTHO_SLACK:
+            # written so that a NaN defect (a basis with NaNs) fails
+            if not defect <= Tolerance.ORTHO_SLACK:
                 raise ValidationError(
                     f"basis columns are not orthonormal (defect {defect:.3e})"
                 )
@@ -158,11 +161,12 @@ def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
 
     Returns the space with its inertia.  A Gram eigenvalue inside the
     zero band ``tol.INERTIA_ZERO_SCALE * max(1, ||J||_F)`` makes the form
-    degenerate and is rejected.
+    degenerate and is rejected, and so is a Gram whose ``||J||_F``
+    overflows.
     """
-    j = linalg.as_complex_matrix(gram, square=True)
-    w, _ = linalg.hermitian_eigen(j, tol)
-    band = tol.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(j))
+    j, norm = linalg.as_hermitian(gram, tol)
+    w, _ = linalg.hermitian_eigen(j)
+    band = tol.INERTIA_ZERO_SCALE * max(1.0, norm)
     inertia = Inertia.of_eigenvalues(w, band)
     if inertia.zero:
         smallest = float(np.min(np.abs(w)))
@@ -171,7 +175,7 @@ def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
             smallest_singular_value=smallest,
         )
     return IndefiniteSpace(
-        gram=0.5 * (j + j.conj().T),
+        gram=j,
         kappa_plus=inertia.plus,
         kappa_minus=inertia.minus,
     )
@@ -210,6 +214,7 @@ def _inertias(space: IndefiniteSpace, bases, tol: Tolerance) -> list[Inertia]:
         # 0.5 (g + g^*) is exactly Hermitian, so it needs no Hermiticity
         # check, and symmetrizing it again would change no bit
         g = 0.5 * (g + g.conj().swapaxes(1, 2))
+        # a NaN defect passes this test, and the finiteness test fails it
         skew = defects > tol.ORTHO_SLACK
         bad = skew | ~np.isfinite(g).all(axis=(1, 2))
         if bad.any():
@@ -223,10 +228,7 @@ def _inertias(space: IndefiniteSpace, bases, tol: Tolerance) -> list[Inertia]:
         raise faults[min(faults)]
     inertias = [None] * len(bases)
     for w, members, g in groups:
-        try:
-            values = np.linalg.eigh(g)[0]
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
+        values = linalg.hermitian_eigen(g)[0]
         # g is finite, so are its eigenvalues: the rest of each row is the zero band
         plus = (values > band).sum(axis=1).tolist()
         minus = (values < -band).sum(axis=1).tolist()

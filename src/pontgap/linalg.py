@@ -4,7 +4,10 @@ Everything downstream (inertia, spectra, gap subspaces) reduces to the
 handful of primitives here.  Hermitian eigenvalue and singular-value
 work is delegated to LAPACK through numpy; the general eigenproblem of
 an operator is solved where its result is memoized, in
-:mod:`pontgap.spectral`.  :class:`Tolerance` is the whole
+:mod:`pontgap.spectral`.  A matrix from outside is checked for
+Hermiticity once, by :func:`as_hermitian`, at the boundary that takes
+it in; every matrix handed to :func:`hermitian_eigen`, the one ``eigh``
+call, is exactly Hermitian by construction.  :class:`Tolerance` is the whole
 tolerance policy: when a singular value counts as zero, when two
 eigenvalues count as one, when an imaginary part counts as noise, and
 every other numeric band of the package.
@@ -12,6 +15,7 @@ every other numeric band of the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -30,6 +34,7 @@ __all__ = [
     "DEFAULT_TOL",
     "as_complex_matrix",
     "frob",
+    "as_hermitian",
     "hermitian_eigen",
     "complex_eigen",
     "rank_tol",
@@ -113,35 +118,37 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-def hermitian_eigen(h, tol: Tolerance = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+def as_hermitian(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """The Hermitian part ``0.5 (h + h^*)`` of an outside matrix, and ``||h||_F``.
 
-    Parameters
-    ----------
-    h : array_like
-        Square matrix with ``||h - h^*||_F <= tol.rel * ||h||_F``
-        (plus the absolute floor).  It is symmetrized before solving.
-    tol : Tolerance
-
-    Returns
-    -------
-    (w, v) : ndarray, ndarray
-        Real eigenvalues in ascending order and a unitary matrix of
-        eigenvectors, column ``v[:, i]`` belonging to ``w[i]``.
+    The package's one Hermiticity check, run once where a matrix comes in:
+    ``||h - h^*||_F`` must lie within ``tol.singular_cutoff(||h||_F)``
+    (else :class:`NonHermitianError`), and ``||h||_F`` must not overflow
+    (else :class:`ValidationError`; the symmetrization would overflow too).
     """
     h = as_complex_matrix(h, square=True)
+    norm = frob(h)
+    if not math.isfinite(norm):
+        raise ValidationError(f"matrix norm overflows: ||h||_F = {norm}")
     defect = frob(h - h.conj().T)
-    if defect > tol.singular_cutoff(frob(h)):
+    # written so that a NaN defect fails
+    if not defect <= tol.singular_cutoff(norm):
         raise NonHermitianError(
             f"matrix is not Hermitian: ||h - h^*||_F = {defect:.3e}"
         )
-    if h.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
+    return 0.5 * (h + h.conj().T), norm
+
+
+def hermitian_eigen(h):
+    """Ascending real eigenvalues and unitary eigenvectors (as columns) of
+    an exactly Hermitian matrix, or of a stack of them: the package's one
+    ``eigh`` call.  A LAPACK failure raises :class:`EigensolverError`."""
+    if h.shape[-1] == 0:
+        return np.zeros(h.shape[:-1]), np.zeros(h.shape, dtype=complex)
     try:
-        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
-    return w, v
 
 
 def complex_eigen(values, threshold: float) -> list[tuple[complex, int]]:

@@ -193,14 +193,17 @@ class JSelfadjointOperator:
 
     space: IndefiniteSpace
     matrix: np.ndarray = field(repr=False)
-    #: ``max(1, ||A||_F)``, the unit of the spectral bands
+    #: ``||A||_F``, taken once at construction
+    norm: float = field(init=False, repr=False)
+    #: ``max(1, norm)``, the unit of the spectral bands
     scale: float = field(init=False, repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-        object.__setattr__(self, "scale", max(1.0, linalg.frob(self.matrix)))
+        object.__setattr__(self, "norm", linalg.frob(self.matrix))
+        object.__setattr__(self, "scale", max(1.0, self.norm))
 
     @property
     def dim(self) -> int:
@@ -263,20 +266,30 @@ class JSelfadjointOperator:
 def validate_operator(
     space: IndefiniteSpace, a, tol: Tolerance = DEFAULT_TOL
 ) -> JSelfadjointOperator:
-    """Check shape and J-selfadjointness (``J A`` Hermitian to tolerance)."""
+    """Check shape and J-selfadjointness (``J A`` Hermitian to tolerance).
+
+    An operator whose ``||A||_F`` or defect overflows cannot be checked
+    and is rejected with a :class:`ValidationError`.
+    """
     m = linalg.as_complex_matrix(a, square=True)
     if m.shape[0] != space.dim:
         raise DimensionMismatchError(
             f"operator is {m.shape[0]}x{m.shape[1]}, space has dimension {space.dim}"
         )
-    ja = space.gram @ m
+    op = JSelfadjointOperator(space=space, matrix=m.copy())
+    if not math.isfinite(op.norm):
+        raise ValidationError(f"operator norm overflows: ||A||_F = {op.norm}")
+    ja = space.gram @ op.matrix
     defect = linalg.frob(ja - ja.conj().T)
-    scale = linalg.frob(space.gram) * linalg.frob(m)
-    if defect > tol.singular_cutoff(scale):
+    if not math.isfinite(defect):
+        raise ValidationError(
+            f"J-selfadjointness defect overflows: ||JA - (JA)^*||_F = {defect}"
+        )
+    if not defect <= tol.singular_cutoff(space.norm * op.norm):
         raise NonHermitianError(
             f"operator is not J-selfadjoint: ||JA - (JA)^*||_F = {defect:.3e}"
         )
-    return JSelfadjointOperator(space=space, matrix=m.copy())
+    return op
 
 
 def _pair_conjugates(values, matrix_norm_scale, tol: Tolerance):

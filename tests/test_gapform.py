@@ -4,7 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from pontgap.errors import InertiaMismatchError, NonHermitianError, PreconditionError
+from pontgap import linalg
+from pontgap.errors import (
+    InertiaMismatchError,
+    NonHermitianError,
+    PreconditionError,
+    ValidationError,
+)
 from pontgap.gapform import (
     GapCase,
     GapLocation,
@@ -60,6 +66,40 @@ def test_build_gap_form_rejects_bad_endpoints():
         build_gap_form(a2, 2.0, 0.25)
     with pytest.raises(PreconditionError):
         build_gap_form(a2, 0.0, np.inf)
+
+
+@given(dims, st.integers(min_value=0, max_value=2), seeds)
+def test_gap_form_and_gram_are_exactly_hermitian(d, kminus, seed):
+    # the precondition for handing both to the eigensolver unchecked:
+    # each equals its conjugate transpose, so symmetrizing it changes no bit
+    kminus = min(kminus, d)
+    u = helpers.haar_unitary(np.random.default_rng(seed), d)
+    # Hermitian up to rounding only, as outside input is
+    space = validate_space(u @ np.diag([1.0] * (d - kminus) + [-1.0] * kminus) @ u.conj().T)
+    op = helpers.make_operator(space, seed + 1)
+    form = build_gap_form(op, -0.5, 0.75)
+    for m in (space.gram, form.matrix):
+        assert np.array_equal(m, m.conj().T)
+        assert (0.5 * (m + m.conj().T)).tobytes() == m.tobytes()
+
+
+def test_gap_split_takes_one_norm(monkeypatch):
+    # ||G||_F, once, for the zero band; the operator's spectrum is memoized
+    _, a2 = _example1_a2()
+    spectrum(a2)
+    calls = helpers.count_calls(monkeypatch, linalg, "frob")
+    decompose_resolvent_gap(a2, 1.25, 1.5)
+    assert len(calls) == 1
+
+
+def test_gap_split_rejects_a_form_that_overflows():
+    # A and J are finite and A is J-selfadjoint, but J A^2 overflows
+    space = validate_space(np.diag([1e100, -1e100]).astype(complex))
+    op = validate_operator(space, np.diag([1e150, 2e150]).astype(complex))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValidationError, match="^matrix entries must be finite$"
+    ):
+        decompose_resolvent_gap(op, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from pontgap.errors import (
     SingularMatrixError,
     ValidationError,
 )
+from pontgap import linalg
 from pontgap.indefinite import (
+    IndefiniteSpace,
     Inertia,
     Subspace,
     intersect_subspaces,
@@ -57,6 +59,26 @@ def test_validate_space_rejects_non_hermitian():
         validate_space(np.array([[1.0, 1.0], [0.0, -1.0]]))
 
 
+def test_validate_space_rejects_a_gram_whose_norm_overflows():
+    # ||J||_F overflows, and so would the symmetrization, whose NaN
+    # eigenvalues fall into no inertia bin (kappa_plus = kappa_minus = 0)
+    with np.errstate(over="ignore"), pytest.raises(
+        ValidationError, match=r"^matrix norm overflows: \|\|h\|\|_F = inf$"
+    ):
+        validate_space(np.diag([1e308, -1e308]))
+
+
+def test_validate_space_takes_three_norms(monkeypatch):
+    # ||J||_F and the Hermiticity defect in the boundary check, and the
+    # norm the space stores with its symmetrized Gram; the zero band
+    # reuses the boundary check's ||J||_F
+    calls = helpers.count_calls(monkeypatch, linalg, "frob")
+    space = validate_space(np.array([[2.0, 1.0 + 1e-14j], [1.0 - 0.9e-14j, -3.0]]))
+    assert len(calls) == 3
+    assert space.norm == linalg.frob(space.gram)
+    assert space.scale == max(1.0, space.norm)
+
+
 def test_inner_product_hand_value():
     # [x, x] = |2|^2 - |i|^2 = 3 for x = (2, i) against diag(1, -1)
     space = validate_space(J2)
@@ -88,6 +110,12 @@ def test_same_space():
 def test_subspace_requires_orthonormal_basis():
     with pytest.raises(ValidationError):
         Subspace(np.array([[1.0], [1.0]], dtype=complex))
+
+
+def test_subspace_rejects_a_basis_of_nans():
+    # its defect is NaN, which must fail the orthonormality test
+    with pytest.raises(ValidationError, match=r"^basis columns are not orthonormal \(defect nan\)$"):
+        Subspace(np.full((2, 1), np.nan, dtype=complex))
 
 
 def test_from_columns_orthonormalizes():
@@ -171,10 +199,14 @@ def test_subspace_inertia_of_no_columns_solves_nothing(monkeypatch):
 
 
 def test_subspace_inertia_errors_keep_their_class_and_message(monkeypatch):
+    # built directly, past validate_space: B^* J B is finite, and its
+    # symmetrization overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = IndefiniteSpace(np.diag([1e308, -1e308]).astype(complex), 1, 1)
+        with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+            subspace_inertia(huge, Subspace.full(2))
+
     space = validate_space(J2)
-    # a basis of NaNs passes the Subspace check, since NaN > slack is false
-    with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
-        subspace_inertia(space, Subspace(np.full((2, 1), np.nan, dtype=complex)))
 
     def failing(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

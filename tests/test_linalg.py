@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 import pontgap
 from pontgap.errors import (
     DimensionMismatchError,
+    EigensolverError,
     NonHermitianError,
     SingularMatrixError,
     ValidationError,
 )
+from pontgap.gapform import decompose_resolvent_gap, hilbert_gap_check
+from pontgap.indefinite import Subspace, subspace_inertia, validate_space
 from pontgap.linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_complex_matrix,
+    as_hermitian,
     complex_eigen,
     frob,
     hermitian_eigen,
@@ -28,6 +32,7 @@ from pontgap.linalg import (
     rank_tol,
     solve,
 )
+from pontgap.spectral import spectrum, validate_operator
 
 dims = st.integers(min_value=1, max_value=7)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -125,7 +130,7 @@ def test_as_complex_matrix_accepts_noncontiguous_views():
 
 
 # ---------------------------------------------------------------------------
-# hermitian_eigen
+# as_hermitian, the boundary check, and hermitian_eigen, the one eigh call
 
 
 @given(dims, seeds)
@@ -139,15 +144,53 @@ def test_hermitian_eigen_matches_eigvalsh(d, seed):
     assert np.allclose(h @ v, v @ np.diag(w), atol=1e-10 * max(1.0, frob(h)))
 
 
-def test_hermitian_eigen_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+@pytest.mark.parametrize(
+    "check",
+    [as_hermitian, validate_space, lambda h: hilbert_gap_check(h, 0.0, 1.0)],
+    ids=["as_hermitian", "validate_space", "hilbert_gap_check"],
+)
+def test_as_hermitian_rejects_non_hermitian(check):
+    # each outside matrix meets the one boundary check, with its message
+    with pytest.raises(
+        NonHermitianError, match=r"^matrix is not Hermitian: \|\|h - h\^\*\|\|_F = 1\.414e\+00$"
+    ):
+        check(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_hermitian_eigen_tolerates_roundoff_asymmetry():
+def _eigh_callers():
+    """Each caller of the eigh wrapper, on inputs built before eigh fails."""
+    space = validate_space(np.diag([1.0, -1.0]))
+    op = validate_operator(space, np.diag([0.5, 1.0]))
+    spectrum(op)
+    return {
+        "validate_space": lambda: validate_space(np.diag([1.0, -1.0])),
+        "decompose_resolvent_gap": lambda: decompose_resolvent_gap(op, 1.25, 1.5),
+        "subspace_inertia": lambda: subspace_inertia(space, Subspace.full(2)),
+    }
+
+
+@pytest.mark.parametrize("caller", ["validate_space", "decompose_resolvent_gap", "subspace_inertia"])
+def test_eigh_failure_reads_the_same_through_every_caller(monkeypatch, caller):
+    run = _eigh_callers()[caller]
+
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(
+        EigensolverError, match="^hermitian eigensolver failed: Eigenvalues did not converge$"
+    ):
+        run()
+
+
+def test_as_hermitian_tolerates_roundoff_asymmetry():
     h = np.array([[2.0, 1.0 + 1e-14j], [1.0 - 0.9e-14j, 3.0]])
-    w, _ = hermitian_eigen(h)
-    assert np.all(np.isreal(w))
+    sym, norm = as_hermitian(h)
+    assert np.array_equal(sym, 0.5 * (h + h.conj().T))
+    assert np.array_equal(sym, sym.conj().T)
+    assert norm == frob(h)
+    w, _ = hermitian_eigen(sym)
+    assert np.array_equal(w, np.linalg.eigvalsh(sym))
 
 
 # ---------------------------------------------------------------------------

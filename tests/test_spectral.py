@@ -119,6 +119,40 @@ def test_validate_operator_checks_dimension():
         validate_operator(space, np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "gram, matrix, message",
+    [
+        # JA overflows, and so does ||J||_F ||A||_F, so an inf defect would
+        # pass an inf cutoff; here ||A||_F overflows first
+        ([1e150, -1e150], [[0, 1e200], [0, 0]], r"operator norm overflows: \|\|A\|\|_F = inf"),
+        # J-selfadjoint, but with ||A||_F = inf every spectral band would be inf
+        ([1.0, -1.0], [[1e200, 0], [0, 1e200]], r"operator norm overflows: \|\|A\|\|_F = inf"),
+        # both norms are finite, but the defect overflows, so it says nothing
+        ([1e150, -1e150], [[0, 1e100], [0, 0]],
+         r"J-selfadjointness defect overflows: \|\|JA - \(JA\)\^\*\|\|_F = inf"),
+    ],
+    ids=["ja-overflows", "norm-overflows", "defect-overflows"],
+)
+def test_validate_operator_rejects_what_overflows(gram, matrix, message):
+    space = validate_space(np.diag(gram))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValidationError, match=f"^{message}$"
+    ):
+        validate_operator(space, matrix)
+
+
+def test_validate_operator_takes_two_norms(monkeypatch):
+    # ||A||_F, which the operator stores, and the defect; ||J||_F is the
+    # space's stored norm
+    space = validate_space(np.diag([0.25, -0.5]))
+    calls = helpers.count_calls(monkeypatch, linalg, "frob")
+    # J^-1 H for H = [[0.1, 0.05], [0.05, 0.2]], with ||A||_F below 1
+    op = validate_operator(space, np.array([[0.4, 0.2], [-0.1, -0.4]]))
+    assert len(calls) == 2
+    assert op.norm == linalg.frob(op.matrix)
+    assert op.scale == 1.0
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -527,12 +561,19 @@ def test_root_basis_defect_at_any_entry_fails_every_count(monkeypatch):
 
 
 def _reference_inertia(space, basis, tol=DEFAULT_TOL):
-    """The inertia routine unstacked, as its reference: one ``Subspace``
-    (the orthonormality check), one ``B^* J B`` and one ``hermitian_eigen``
-    (the finiteness check) per basis."""
-    b = Subspace(basis).basis
-    g = b.conj().T @ (space.gram @ b)
-    w, _ = linalg.hermitian_eigen(0.5 * (g + g.conj().T), tol)
+    """The inertia routine unstacked, as its reference, per basis: the
+    orthonormality check (a NaN defect passes it, as in the routine, and
+    the finiteness check that follows catches it), one ``B^* J B``, one
+    finiteness check and one ``np.linalg.eigh``, so that the reference
+    shares no code with the wrapper under test."""
+    defect = float(np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])))
+    if defect > tol.ORTHO_SLACK:
+        raise ValidationError(
+            f"basis columns are not orthonormal (defect {defect:.3e})"
+        )
+    g = basis.conj().T @ (space.gram @ basis)
+    g = linalg.as_complex_matrix(0.5 * (g + g.conj().T))
+    w = np.linalg.eigh(g)[0]
     return Inertia.of_eigenvalues(w, tol.INERTIA_ZERO_SCALE * space.scale)
 
 
