@@ -42,6 +42,7 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair, make_pair
 from .spectral import (
     Interval,
+    _tables,
     gap_inertia,
     spectrum,
     validate_operator,
@@ -57,6 +58,13 @@ EXIT_ILL_POSED_INTERVAL = 3
 EXIT_BOUND_VIOLATION = 4
 
 CSV_HEADER = "d,kplus,kminus,n,lower,upper,eig1,eig2,sig1,sig2,slack"
+
+#: Most matrix entries, 2 d**2 per pair, that ``sweep`` collects before it
+#: builds the collected pairs' spectral tables in one batch and writes their
+#: rows.  Stacked LAPACK calls save per-call overhead on small matrices, and
+#: the bound keeps the stacked copies small: the default grid, 3,480
+#: entries, is one batch, and a pair of order 46 or more is a batch alone.
+SWEEP_BATCH_ENTRIES = 4096
 
 
 def _tolerance(args) -> Tolerance:
@@ -276,31 +284,51 @@ def cmd_sweep(args) -> int:
         cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
         return random_operator(random_space(cfg, tol), cfg, tol)
 
+    batch, entries = [], 0
+
+    def flush():
+        """Build the batch's spectral tables together, then write its rows."""
+        nonlocal batch, entries, instances
+        _tables([op for _, pair in batch for op in (pair.op1, pair.op2)], tol)
+        for cfg, pair in batch:
+            instances += 1
+            # sweep_windows opens with the whole line, so every cell gets a row
+            cell = cells.setdefault((cfg.kappa_minus, cfg.pert_rank),
+                                    {"min_slack": None, "rows": 0})
+            for interval in sweep_windows(pair, tol):
+                report = verify_main_theorem(pair, interval, tol)
+                fields = (
+                    cfg.dim, pair.space.kappa_plus, pair.space.kappa_minus, pair.n,
+                    _csv_endpoint(interval.lower), _csv_endpoint(interval.upper),
+                    report.eig1, report.eig2, report.sig1, report.sig2, report.slack,
+                )
+                rows.append(",".join(map(str, fields)))
+                cell["rows"] += 1
+                if cell["min_slack"] is None or report.slack < cell["min_slack"]:
+                    cell["min_slack"] = report.slack
+                    cell["attained_at"] = {"d": cfg.dim, "seed": cfg.seed,
+                                           **interval_node(interval)}
+                if not report.all_hold:
+                    violations.append((cfg, pair, interval))
+        batch, entries = [], 0
+
     grid = itertools.product(dims, kappas, ranks, range(args.seeds))
     for d, kappa, rank, offset in grid:
         if kappa > d or rank > d:
             continue
+        if batch and entries + 2 * d * d > SWEEP_BATCH_ENTRIES:
+            flush()
         cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank,
                         seed=args.seed + offset)
-        pair = random_pair(first(d, kappa, cfg.seed), cfg, tol)
-        instances += 1
-        # sweep_windows opens with the whole line, so every cell gets a row
-        cell = cells.setdefault((kappa, rank), {"min_slack": None, "rows": 0})
-        for interval in sweep_windows(pair, tol):
-            report = verify_main_theorem(pair, interval, tol)
-            fields = (
-                d, pair.space.kappa_plus, pair.space.kappa_minus, pair.n,
-                _csv_endpoint(interval.lower), _csv_endpoint(interval.upper),
-                report.eig1, report.eig2, report.sig1, report.sig2, report.slack,
-            )
-            rows.append(",".join(map(str, fields)))
-            cell["rows"] += 1
-            if cell["min_slack"] is None or report.slack < cell["min_slack"]:
-                cell["min_slack"] = report.slack
-                cell["attained_at"] = {"d": d, "seed": cfg.seed,
-                                       **interval_node(interval)}
-            if not report.all_hold:
-                violations.append((cfg, pair, interval))
+        try:
+            pair = random_pair(first(d, kappa, cfg.seed), cfg, tol)
+        except Exception:
+            # the batch's pairs come first in grid order, and so do their errors
+            flush()
+            raise
+        batch.append((cfg, pair))
+        entries += 2 * d * d
+    flush()
     Path(args.out).write_text("\n".join(rows) + "\n")
     for index, (cfg, pair, interval) in enumerate(violations):
         dump = _pair_record(pair, interval, f"violation-d{cfg.dim}-k{cfg.kappa_minus}"

@@ -97,8 +97,11 @@ def _margins_ok(values: np.ndarray, tol: Tolerance) -> bool:
         im = abs(v.imag)
         if im > band * max(1.0, abs(v)) and im < tol.GEN_MIN_GAP:
             return False
-    gaps = np.abs(values[:, None] - values[None, :])[np.triu_indices(len(values), 1)]
-    return not np.any(gaps < tol.GEN_MIN_GAP)
+    # |a - b| = |b - a| exactly, since negation is exact, so the full table
+    # holds each gap of the upper triangle twice; its diagonal of zeros is masked
+    gaps = np.abs(values[:, None] - values[None, :])
+    gaps.flat[:: len(values) + 1] = np.inf
+    return not (gaps < tol.GEN_MIN_GAP).any()
 
 
 def _check_space(space: IndefiniteSpace, cfg: GenConfig) -> None:

@@ -181,30 +181,32 @@ def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
     )
 
 
-def _by_width(widths) -> list[tuple[int, list[int]]]:
-    """Each distinct width, ascending, with the indices that have it."""
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(widths):
-        groups.setdefault(w, []).append(i)
+def _grouped(keys) -> list[tuple]:
+    """Each distinct key, ascending, with the indices that have it."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     return sorted(groups.items())
 
 
-def _inertias(space: IndefiniteSpace, bases, tol: Tolerance) -> list[Inertia]:
-    """Inertia of the Gram form compressed to each basis (each with a column
-    or more): one stacked ``B^* J B`` and one stacked ``eigh`` per basis
-    width.  The zero band scales with the ambient ``space.scale``, not the
-    compressed norm, so neutral subspaces report their zeros.
+def _inertias(items, tol: Tolerance) -> list[Inertia]:
+    """Inertia of the Gram form of each ``(space, basis)`` item compressed
+    to its basis (each basis with a column or more).  The items may lie in
+    different spaces: per order and basis width, one stacked ``B^* J B`` per
+    space and one stacked ``eigh`` over all spaces.  Each item's zero band
+    scales with its ambient ``space.scale``, not the compressed norm, so
+    neutral subspaces report their zeros.
 
     Each basis is checked for orthonormality and each compressed Gram for
-    finiteness; the first basis, in order, that fails raises.
+    finiteness; the first item, in order, that fails raises.
     """
-    band = tol.INERTIA_ZERO_SCALE * space.scale
-    groups, faults = [], {}
-    for w, members in _by_width([b.shape[1] for b in bases]):
+    groups, faults = {}, {}
+    for ((_, w), _), members in _grouped((b.shape, id(space)) for space, b in items):
+        space = items[members[0]][0]
         # a lone basis is viewed, not copied, so its products keep the bits
         # of the unstacked ones
-        b = bases[members[0]][None] if len(members) == 1 else np.stack(
-            [bases[i] for i in members]
+        b = items[members[0]][1][None] if len(members) == 1 else np.stack(
+            [items[i][1] for i in members]
         )
         bh = b.conj().swapaxes(1, 2)
         gap = bh @ b - np.eye(w)
@@ -223,16 +225,22 @@ def _inertias(space: IndefiniteSpace, bases, tol: Tolerance) -> list[Inertia]:
                     f"basis columns are not orthonormal (defect {defects[j]:.3e})"
                     if skew[j] else "matrix entries must be finite"
                 )
-        groups.append((w, members, g))
+        # the keys sort by shape first, so the shapes come in ascending order
+        order, grams, bands = groups.setdefault(b.shape[1:], ([], [], []))
+        order += members
+        grams.append(g)
+        bands.append(np.full(len(members), tol.INERTIA_ZERO_SCALE * space.scale))
     if faults:
         raise faults[min(faults)]
-    inertias = [None] * len(bases)
-    for w, members, g in groups:
+    inertias = [None] * len(items)
+    for (_, w), (order, grams, bands) in groups.items():
+        g = grams[0] if len(grams) == 1 else np.concatenate(grams)
+        band = (bands[0] if len(bands) == 1 else np.concatenate(bands))[:, None]
         values = linalg.hermitian_eigen(g)[0]
         # g is finite, so are its eigenvalues: the rest of each row is the zero band
         plus = (values > band).sum(axis=1).tolist()
         minus = (values < -band).sum(axis=1).tolist()
-        for i, p, m in zip(members, plus, minus):
+        for i, p, m in zip(order, plus, minus):
             inertias[i] = Inertia(p, m, w - p - m)
     return inertias
 
@@ -247,7 +255,7 @@ def subspace_inertia(
         )
     if sub.dim == 0:
         return Inertia(0, 0, 0)
-    return _inertias(space, [sub.basis], tol)[0]
+    return _inertias([(space, sub.basis)], tol)[0]
 
 
 def sum_subspaces(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -126,17 +126,19 @@ def as_hermitian(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     (else :class:`NonHermitianError`), and ``||h||_F`` must not overflow
     (else :class:`ValidationError`; the symmetrization would overflow too).
     """
-    h = as_complex_matrix(h, square=True)
-    norm = frob(h)
-    if not math.isfinite(norm):
-        raise ValidationError(f"matrix norm overflows: ||h||_F = {norm}")
-    defect = frob(h - h.conj().T)
-    # written so that a NaN defect fails
-    if not defect <= tol.singular_cutoff(norm):
-        raise NonHermitianError(
-            f"matrix is not Hermitian: ||h - h^*||_F = {defect:.3e}"
-        )
-    return 0.5 * (h + h.conj().T), norm
+    # an overflow is reported by the typed error below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = as_complex_matrix(h, square=True)
+        norm = frob(h)
+        if not math.isfinite(norm):
+            raise ValidationError(f"matrix norm overflows: ||h||_F = {norm}")
+        defect = frob(h - h.conj().T)
+        # written so that a NaN defect fails
+        if not defect <= tol.singular_cutoff(norm):
+            raise NonHermitianError(
+                f"matrix is not Hermitian: ||h - h^*||_F = {defect:.3e}"
+            )
+        return 0.5 * (h + h.conj().T), norm
 
 
 def hermitian_eigen(h):

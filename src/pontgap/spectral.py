@@ -11,31 +11,35 @@ per tolerance, its clustered spectrum and a spectral table: a root
 basis per eigenvalue and, per real eigenvalue, the inertia of the Gram
 form on it.  The spectrum clusters the raw values within a band of
 ``CLUSTERING_SCALE`` times the operator's ``scale``, so it takes no norm
-of its own.  The table needs the eigenvectors, then one stacked SVD per
-number of eigenvectors an entry owns, plus kernel SVDs where an
-eigenvalue is defective, and the inertias of its real root bases from
-the package's one inertia routine, which makes one stacked ``eigh`` per
-basis width (for a generic operator, one SVD and one ``eigh``;
-:func:`~pontgap.indefinite.subspace_inertia` runs the same routine on
-one basis).  Window counts are sums of table rows, checked once per
-operator (see :func:`gap_inertia`); an operator whose spectrum is all
-its callers read never builds the table.
+of its own.  The table needs the eigenvectors, then the span of the
+eigenvectors each entry owns, kernel SVDs where an eigenvalue is
+defective, and the inertias of its real root bases from the package's
+one inertia routine.  One builder, :func:`_tables`, builds the tables of
+a list of operators together, such as the batches of a sweep: one
+stacked ``eig`` per order, one stacked SVD per order and number of
+owned eigenvectors, and one call of the inertia routine, whose bases
+may lie in different spaces and which stacks one ``eigh`` per order and
+basis width (for one generic operator, one ``eig``, one SVD and one
+``eigh``; :func:`~pontgap.indefinite.subspace_inertia` runs the same
+routine on one basis).  Window counts are sums of table rows, checked
+once per operator (see :func:`gap_inertia`); an operator whose spectrum
+is all its callers read never builds the table.
 
 The counting entry points (:func:`gap_inertia` and the gap and
 complement subspace builders) first ask the operator for one shared
 ``eig`` call (:meth:`JSelfadjointOperator.share_eig`): up to order
 ``SHARED_EIG_MAX_DIM`` it gives both the raw eigenvalues and the table's
 eigenvectors.  Otherwise the raw eigenvalues come from one ``eigvals``
-call, and a table makes one ``eig`` call of its own: above that order,
-and where the raw eigenvalues were memoized first (by a margin check or
-a printed spectrum).  Both go through one wrapper, so a failed
-iteration raises the same error at every order.  The memo thus holds
-five things: the raw eigenvalues, the shared eigenvectors where they were
-computed, the spectrum, which carries its own sorted keys, the table,
-and the verdict of that check.  With the keys, :func:`selection` and
-:func:`clear_of` bisect instead of scanning: a window costs O(log m + k)
-for m entries, k of them near an endpoint or counted.  The memo never
-changes any result.
+call, and the table's eigenvectors from the stacked ``eig`` call of its
+build: above that order, and where the raw eigenvalues were memoized
+first (by a margin check or a printed spectrum).  All go through one
+wrapper, so a failed iteration raises the same error at every order.
+The memo thus holds five things: the raw eigenvalues, the shared
+eigenvectors where they were computed, the spectrum, which carries its
+own sorted keys, the table, and the verdict of that check.  With the
+keys, :func:`selection` and :func:`clear_of` bisect instead of scanning:
+a window costs O(log m + k) for m entries, k of them near an endpoint or
+counted.  The memo never changes any result.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .errors import (
     IllPosedIntervalError,
     NonHermitianError,
     NumericalDefectError,
+    PontgapError,
     SpectrumSymmetryError,
     ValidationError,
 )
@@ -62,7 +67,7 @@ from .indefinite import (
     IndefiniteSpace,
     Inertia,
     Subspace,
-    _by_width,
+    _grouped,
     _inertias,
     subspace_inertia,
     validate_space,
@@ -217,18 +222,12 @@ class JSelfadjointOperator:
         with self._lock:
             return self._memo.setdefault(key, value)
 
-    def _geev(self, solve):
-        try:
-            return solve(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
-
     def raw_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of ``matrix``, unclustered: those of the shared ``eig``
         call if :meth:`share_eig` made it first, else of one ``eigvals`` call."""
 
         def build():
-            values = self._geev(np.linalg.eigvals)
+            values = _geev(np.linalg.eigvals, self.matrix)
             values.setflags(write=False)
             return values
 
@@ -244,7 +243,7 @@ class JSelfadjointOperator:
         with self._lock:
             if ("raw",) in self._memo:
                 return
-        values, vectors = self._geev(np.linalg.eig)
+        values, vectors = _geev(np.linalg.eig, self.matrix)
         values.setflags(write=False)
         vectors.setflags(write=False)
         with self._lock:
@@ -252,15 +251,15 @@ class JSelfadjointOperator:
                 self._memo[("raw",)] = values
                 self._memo[("vectors",)] = vectors
 
-    def eigenvectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raw eigenvalues and unit eigenvector columns: the shared ``eig``
-        call's where :meth:`share_eig` made it, else one ``eig`` call's own,
-        not memoized.  Above ``SHARED_EIG_MAX_DIM`` those eigenvalues can
-        differ from :meth:`raw_eigenvalues` in the last bits."""
-        with self._lock:
-            if ("vectors",) in self._memo:
-                return self._memo[("raw",)], self._memo[("vectors",)]
-        return self._geev(np.linalg.eig)
+
+def _geev(solve, a):
+    """``solve(a)`` for ``np.linalg.eig`` or ``eigvals``, on a matrix or a
+    stack of them: the package's one geev wrapper.  A failed iteration
+    raises :class:`EigensolverError`."""
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
 
 
 def validate_operator(
@@ -271,25 +270,27 @@ def validate_operator(
     An operator whose ``||A||_F`` or defect overflows cannot be checked
     and is rejected with a :class:`ValidationError`.
     """
-    m = linalg.as_complex_matrix(a, square=True)
-    if m.shape[0] != space.dim:
-        raise DimensionMismatchError(
-            f"operator is {m.shape[0]}x{m.shape[1]}, space has dimension {space.dim}"
-        )
-    op = JSelfadjointOperator(space=space, matrix=m.copy())
-    if not math.isfinite(op.norm):
-        raise ValidationError(f"operator norm overflows: ||A||_F = {op.norm}")
-    ja = space.gram @ op.matrix
-    defect = linalg.frob(ja - ja.conj().T)
-    if not math.isfinite(defect):
-        raise ValidationError(
-            f"J-selfadjointness defect overflows: ||JA - (JA)^*||_F = {defect}"
-        )
-    if not defect <= tol.singular_cutoff(space.norm * op.norm):
-        raise NonHermitianError(
-            f"operator is not J-selfadjoint: ||JA - (JA)^*||_F = {defect:.3e}"
-        )
-    return op
+    # an overflow is reported by the typed errors below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = linalg.as_complex_matrix(a, square=True)
+        if m.shape[0] != space.dim:
+            raise DimensionMismatchError(
+                f"operator is {m.shape[0]}x{m.shape[1]}, space has dimension {space.dim}"
+            )
+        op = JSelfadjointOperator(space=space, matrix=m.copy())
+        if not math.isfinite(op.norm):
+            raise ValidationError(f"operator norm overflows: ||A||_F = {op.norm}")
+        ja = space.gram @ op.matrix
+        defect = linalg.frob(ja - ja.conj().T)
+        if not math.isfinite(defect):
+            raise ValidationError(
+                f"J-selfadjointness defect overflows: ||JA - (JA)^*||_F = {defect}"
+            )
+        if not defect <= tol.singular_cutoff(space.norm * op.norm):
+            raise NonHermitianError(
+                f"operator is not J-selfadjoint: ||JA - (JA)^*||_F = {defect:.3e}"
+            )
+        return op
 
 
 def _pair_conjugates(values, matrix_norm_scale, tol: Tolerance):
@@ -367,11 +368,12 @@ def clear_of(
     return all(abs(spec.entries[i].value - x) >= margin for i in spec.near(x, margin))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SpectralTable:
     """Per spectrum entry: orthonormal root basis and, if the entry is real,
     its compressed-Gram inertia.  All bases are built at once, so a defective
-    root basis at any entry fails every count of the operator."""
+    root basis at any entry fails every count of the operator.  Tables
+    compare by identity."""
 
     bases: tuple[np.ndarray, ...]
     inertias: tuple[Inertia | None, ...]
@@ -400,62 +402,122 @@ def _root_basis(op, entry: Eigenvalue, start: np.ndarray, tol):
     return basis
 
 
-def _starts(
-    vectors: np.ndarray, owner: list[int], count: int, tol: Tolerance
-) -> list[np.ndarray | None]:
-    """Per entry, the orthonormal span of the eigenvectors it owns, or None
-    where they are not finite.
+#: What a table build raises where it fails: the typed errors, and the
+#: LAPACK failures of its SVDs, which escape untyped
+_BUILD_ERRORS = (PontgapError, np.linalg.LinAlgError)
 
-    One stacked SVD per number of owned eigenvectors.  Each matrix goes to
-    the same LAPACK routine as in :func:`linalg.orthonormal_columns`, and
-    the rank is cut per matrix as there, so each span is bitwise that one.
-    A LAPACK failure raises from the stacked call, before any entry grows.
+
+def _tables(ops, tol: Tolerance) -> list[_SpectralTable | None]:
+    """The spectral table of each operator in ``ops``, memoized; those not
+    memoized yet are built together (see :func:`_build_tables`).
+
+    A call that names one operator raises where its build fails.  In a call
+    that names several, a failed build raises nothing and memoizes nothing,
+    and every operator gets None unless memoized before.  The error is
+    deferred, not dropped: each operator then builds alone where it is
+    first counted, so the first error in counting order surfaces there,
+    with the class and message of that operator's own build.
     """
-    d = vectors.shape[0]
-    columns = [[] for _ in range(count)]
-    for j, i in enumerate(owner):
-        columns[i].append(j)
-    finite_columns = np.isfinite(vectors).all(axis=0)
-    starts = [np.zeros((d, 0), dtype=complex) for _ in range(count)]
-    for k, members in _by_width([len(c) for c in columns]):
-        if k == 0:
-            continue
-        index = [columns[i] for i in members]
-        finite = finite_columns[index].all(axis=1)
-        members = np.array(members)
-        for i in members[~finite]:
-            starts[i] = None
-        # stack[j] is vectors[:, owner == members[j]]
-        stack = np.moveaxis(vectors[:, index], 0, 1)[finite]
+    key = ("table", tol.rel, tol.abs)
+    found = []
+    for op in ops:
+        with op._lock:
+            found.append(op._memo.get(key))
+    if None not in found:
+        return found
+    pending = list(dict.fromkeys(op for op, table in zip(ops, found) if table is None))
+    try:
+        tables = _build_tables(pending, tol)
+    except _BUILD_ERRORS:
+        if len(set(ops)) > 1:
+            return found
+        raise
+    built = {}
+    for op, table in zip(pending, tables):
+        with op._lock:
+            built[op] = op._memo.setdefault(key, table)
+    return [built.get(op, table) for op, table in zip(ops, found)]
+
+
+def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
+    """The tables of distinct operators, built together: one stacked ``eig``
+    per order, for the operators without shared eigenvectors; one stacked
+    SVD per order and number of eigenvectors an entry owns, for the
+    orthonormal span of each entry's eigenvectors; kernel SVDs where an
+    eigenvalue is defective; and one call of the inertia routine over every
+    real root basis, which stacks one ``eigh`` per order and basis width.
+    Each LAPACK routine runs matrix by matrix, and each rank is cut per
+    matrix as in :func:`linalg.orthonormal_columns`, so a table is bitwise
+    the one its operator builds alone.
+
+    A failure raises: a stacked call's before any entry grows, then the
+    first entry's in order.
+    """
+    entries = [spectrum(op, tol).entries for op in ops]
+    eigen = [None] * len(ops)
+    for j, op in enumerate(ops):
+        with op._lock:
+            if ("vectors",) in op._memo:
+                eigen[j] = op._memo[("raw",)], op._memo[("vectors",)]
+    unshared = [j for j in range(len(ops)) if eigen[j] is None]
+    for _, members in _grouped([ops[j].dim for j in unshared]):
+        members = [unshared[i] for i in members]
+        stack = np.stack([ops[j].matrix for j in members])
+        for j, values, vectors in zip(members, *_geev(np.linalg.eig, stack)):
+            eigen[j] = values, vectors
+
+    # per (order, owned width): each operator's entries and their owned columns
+    owned, starts = {}, []
+    for op_entries, (raw, vectors) in zip(entries, eigen):
+        d = len(vectors)
+        # each eigenvector joins the entry nearest its own eigenvalue
+        distances = np.abs(raw[:, None] - np.array([e.value for e in op_entries]))
+        owner = distances.argmin(axis=1).tolist() if op_entries else []
+        columns = [[] for _ in op_entries]
+        for c, i in enumerate(owner):
+            columns[i].append(c)
+        finite_columns = np.isfinite(vectors).all(axis=0)
+        start = [np.zeros((d, 0), dtype=complex) for _ in columns]
+        for k, members in _grouped([len(c) for c in columns]):
+            if k == 0:
+                continue
+            index = [columns[i] for i in members]
+            finite = finite_columns[index].all(axis=1)
+            members = np.array(members)
+            for i in members[~finite]:
+                start[i] = None
+            # stack[m] is vectors[:, owner == members[m]]
+            stack = np.moveaxis(vectors[:, index], 0, 1)[finite]
+            owned.setdefault((d, k), []).append((start, members[finite], stack))
+        starts.append(start)
+    for _, parts in sorted(owned.items()):
+        stack = parts[0][2] if len(parts) == 1 else np.concatenate(
+            [stack for _, _, stack in parts]
+        )
         u, s, _ = np.linalg.svd(stack, full_matrices=False)
         ranks = (s > np.maximum(tol.abs, tol.rel * s[:, :1])).sum(axis=1)
-        for i, basis, rank in zip(members[finite], u, ranks):
-            starts[i] = basis[:, :rank]
-    return starts
+        at = 0
+        for start, members, _ in parts:
+            for i, basis, rank in zip(members, u[at:], ranks[at:]):
+                start[i] = basis[:, :rank]
+            at += len(members)
 
-
-def _table(op: JSelfadjointOperator, tol: Tolerance) -> _SpectralTable:
-    def build():
-        entries = spectrum(op, tol).entries
-        # each eigenvector joins the entry nearest its own eigenvalue
-        raw, vectors = op.eigenvectors()
-        distances = np.abs(raw[:, None] - np.array([e.value for e in entries]))
-        owner = distances.argmin(axis=1).tolist() if entries else []
-        bases = []
-        for entry, start in zip(entries, _starts(vectors, owner, len(entries), tol)):
+    bases = []
+    for op, op_entries, op_starts in zip(ops, entries, starts):
+        bases.append([])
+        for entry, start in zip(op_entries, op_starts):
             if start is None:
                 raise ValidationError("matrix entries must be finite")
-            bases.append(_root_basis(op, entry, start, tol))
-        reals = [i for i, entry in enumerate(entries) if entry.is_real]
-        inertias = [None] * len(entries)
-        real_bases = [bases[i] for i in reals]
-        for i, inertia in zip(reals, _inertias(op.space, real_bases, tol)):
-            inertias[i] = inertia
-        for basis in bases:
+            bases[-1].append(_root_basis(op, entry, start, tol))
+    reals = [(j, i) for j in range(len(ops)) for i, e in enumerate(entries[j]) if e.is_real]
+    rows = [[None] * len(e) for e in entries]
+    items = [(ops[j].space, bases[j][i]) for j, i in reals]
+    for (j, i), inertia in zip(reals, _inertias(items, tol)):
+        rows[j][i] = inertia
+    for op_bases in bases:
+        for basis in op_bases:
             basis.setflags(write=False)
-        return _SpectralTable(tuple(bases), tuple(inertias))
-
-    return op._cached(("table", tol.rel, tol.abs), build)
+    return [_SpectralTable(tuple(b), tuple(r)) for b, r in zip(bases, rows)]
 
 
 def selection(
@@ -500,7 +562,7 @@ def _union_basis(op, indices, tol) -> np.ndarray:
     """Orthonormal basis of the sum of the listed entries' root subspaces."""
     if not indices:
         return np.zeros((op.dim, 0), dtype=complex)
-    blocks = [_table(op, tol).bases[i] for i in indices]
+    blocks = [_tables([op], tol)[0].bases[i] for i in indices]
     basis = linalg.orthonormal_columns(np.hstack(blocks), tol)
     want = sum(block.shape[1] for block in blocks)
     if basis.shape[1] != want:
@@ -530,7 +592,7 @@ def complement_subspace(
 
 
 def _row_sum(op, included, tol) -> Inertia:
-    inertias = _table(op, tol).inertias
+    inertias = _tables([op], tol)[0].inertias
     plus = minus = zero = 0
     for i in included:
         row = inertias[i]

@@ -14,14 +14,21 @@ import pytest
 import helpers
 import pontgap.cli
 import pontgap.gen
+import pontgap.spectral
 from pontgap.cli import CSV_HEADER, _csv_endpoint, _parse_cli_interval, main
-from pontgap.errors import IllPosedIntervalError, InstanceFormatError
+from pontgap.errors import (
+    IllPosedIntervalError,
+    InstanceFormatError,
+    NumericalDefectError,
+    ResampleBudgetError,
+)
 from pontgap.gen import GenConfig, random_pair, random_space
 from pontgap.instancefile import InstanceRecord, dumps_instance, parse_instance
 from pontgap.spectral import Interval
 from pontgap.theorem import sweep_windows, verify_main_theorem
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 EXAMPLE1 = FIXTURES / "example1.json"
 EXAMPLE3 = FIXTURES / "example3.json"
 DATA = Path(__file__).resolve().parent / "data"
@@ -323,6 +330,25 @@ def test_gram_whose_norm_overflows_exits_2(capsys, tmp_path):
     assert err == "error: matrix norm overflows: ||h||_F = inf\n"
 
 
+@pytest.mark.parametrize(
+    "gram, a1_00, message",
+    [
+        (1e308, 1.0, "matrix norm overflows: ||h||_F = inf"),
+        (1e150, 1e200, "operator norm overflows: ||A||_F = inf"),
+    ],
+    ids=["gram", "operator"],
+)
+def test_overflow_is_one_error_line_without_numpy_warnings(tmp_path, gram, a1_00, message):
+    doc = json.loads(EXAMPLE1.read_text())
+    doc["gram"] = [[[gram, 0], [0, 0]], [[0, 0], [-gram, 0]]]
+    doc["a1"][0][0] = [a1_00, 0]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_module("verify", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = _run(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 2
@@ -445,11 +471,12 @@ def test_sweep_skips_cells_outside_the_grid(capsys, tmp_path):
 
 
 def test_sweep_equals_its_cell_by_cell_build(capsys, tmp_path):
-    # repeated and unsorted grid values; every cell draws its own J and A1
-    dims, kappas, ranks, seeds, base = (3, 2, 3), (1, 0, 1), (2, 0, 2), 3, 7
+    # repeated and unsorted grid values; every cell draws its own J and A1,
+    # and the sweep builds the tables of many pairs of mixed orders together
+    dims, kappas, ranks, seeds, base = (3, 12, 2, 7, 3), (1, 3, 0, 1), (2, 0, 3), 3, 7
     out_path = tmp_path / "grid.csv"
-    code, _, _ = _run(capsys, "sweep", "--dims", "3,2,3", "--kappas", "1,0,1",
-                      "--ranks", "2,0,2", "--seeds", str(seeds),
+    code, _, _ = _run(capsys, "sweep", "--dims", "3,12,2,7,3", "--kappas", "1,3,0,1",
+                      "--ranks", "2,0,3", "--seeds", str(seeds),
                       "--seed", str(base), "--out", str(out_path))
     assert code == 0
     expected = [CSV_HEADER]
@@ -482,6 +509,88 @@ def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out)["instances"] == 180
     assert calls == {"random_space": 60, "random_operator": 60, "random_pair": 180}
+
+
+def _count_table_batches(monkeypatch):
+    """The distinct operators of each ``_tables`` call that ``sweep`` makes."""
+    batches = []
+    build = pontgap.cli._tables
+
+    def counted(ops, tol):
+        batches.append(len(set(ops)))
+        return build(ops, tol)
+
+    monkeypatch.setattr(pontgap.cli, "_tables", counted)
+    return batches
+
+
+def test_sweep_builds_the_default_grid_in_one_batch(capsys, tmp_path, monkeypatch):
+    batches = _count_table_batches(monkeypatch)
+    code, _, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
+    assert code == 0
+    # 60 A1s, and an A2 for each of the 120 pairs of rank 1 or 2
+    assert batches == [180]
+
+
+def test_sweep_batches_at_most_its_budget_of_entries(capsys, tmp_path, monkeypatch):
+    # a d = 64 pair holds 2 * 64**2 = 8192 entries, more than the budget
+    assert 2 * 64**2 > pontgap.cli.SWEEP_BATCH_ENTRIES >= 2 * 45**2
+    batches = _count_table_batches(monkeypatch)
+    code, out, _ = _run(capsys, "sweep", "--dims", "64", "--seeds", "3",
+                        "--out", str(tmp_path / "d64.csv"))
+    assert code == 0
+    assert json.loads(out)["instances"] == len(batches) == 18
+    # one operator for each rank-0 pair, whose A2 is its A1
+    assert batches == [1, 1, 1, 2, 2, 2, 2, 2, 2] * 2
+
+
+def _inject_table_failure(monkeypatch, d, kappa, rank, seed):
+    """Every root basis of the A2 of that generated pair fails."""
+    cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
+    target = random_pair(random_space(cfg), cfg).op2.matrix
+    build = pontgap.spectral._root_basis
+
+    def failing(op, entry, start, tol):
+        if np.array_equal(op.matrix, target):
+            raise NumericalDefectError("injected table failure")
+        return build(op, entry, start, tol)
+
+    monkeypatch.setattr(pontgap.spectral, "_root_basis", failing)
+
+
+def _inject_generation_failure(monkeypatch, d, kappa, rank, seed):
+    """Drawing that pair fails."""
+    real = pontgap.cli.random_pair
+
+    def failing(first, cfg, tol):
+        if (cfg.dim, cfg.kappa_minus, cfg.pert_rank, cfg.seed) == (d, kappa, rank, seed):
+            raise ResampleBudgetError("injected generation failure")
+        return real(first, cfg, tol)
+
+    monkeypatch.setattr(pontgap.cli, "random_pair", failing)
+
+
+@pytest.mark.parametrize(
+    "table, generation, message",
+    [
+        (True, False, "injected table failure"),
+        # the table of seed 4 fails before seed 7 is drawn, in grid order
+        (True, True, "injected table failure"),
+        (False, True, "injected generation failure"),
+    ],
+    ids=["table", "table-then-generation", "generation"],
+)
+def test_sweep_reports_the_first_failure_in_grid_order(
+    capsys, tmp_path, monkeypatch, table, generation, message
+):
+    if table:
+        _inject_table_failure(monkeypatch, 3, 1, 2, 4)
+    if generation:
+        _inject_generation_failure(monkeypatch, 3, 1, 2, 7)
+    out_path = tmp_path / "grid.csv"
+    code, out, err = _run(capsys, "sweep", "--out", str(out_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
 
 
 def test_verify_exits_4_on_a_failed_bound(capsys, monkeypatch):
@@ -573,15 +682,21 @@ def test_module_entry_point_runs():
     assert "example1" in proc.stdout
 
 
-def _run_demo(arg: str) -> subprocess.CompletedProcess:
-    root = Path(__file__).resolve().parent.parent
+def _run_python(*argv) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's pontgap."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src")] + ([path] if path else []))}
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / "witness_demo.py"), arg],
-        capture_output=True, text=True, env=env,
-    )
+        [str(ROOT / "src")] + ([path] if path else []))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env)
+
+
+def _run_module(*argv) -> subprocess.CompletedProcess:
+    return _run_python("-m", "pontgap", *argv)
+
+
+def _run_demo(arg: str) -> subprocess.CompletedProcess:
+    return _run_python(str(ROOT / "scripts" / "witness_demo.py"), arg)
 
 
 @pytest.mark.parametrize("name", ["example1", "example3"])

@@ -169,6 +169,37 @@ def test_validated_operator_solves_its_eigenvalues_on_first_spectrum(monkeypatch
     assert calls == [(4, 4)]
 
 
+def _margins_ok_by_triangle(values, tol):
+    """The margin check as first written: the gaps of the upper triangle."""
+    band = tol.GEN_REALNESS_FACTOR * tol.REALNESS_SCALE
+    for v in values:
+        im = abs(v.imag)
+        if im > band * max(1.0, abs(v)) and im < tol.GEN_MIN_GAP:
+            return False
+    gaps = np.abs(values[:, None] - values[None, :])[np.triu_indices(len(values), 1)]
+    return not np.any(gaps < tol.GEN_MIN_GAP)
+
+
+def test_margin_check_matches_the_upper_triangle_formula():
+    tol = Tolerance()
+    gap = tol.GEN_MIN_GAP
+    cases = [
+        [0.5],  # d = 1: no gap at all
+        [0.0, gap], [0.0, 1j * gap], [0.0, np.nextafter(gap, 0.0)],  # on the gap
+        [2.0, 2.0], [1 + 2j, 1 - 2j, 1 + 2j],  # equal values
+    ]
+    rng = np.random.default_rng(7)
+    for d in range(1, 7):
+        for scale in (1e-4, 1e-3, 1e-2, 1.0):
+            cases.append(scale * (rng.normal(size=d) + 1j * rng.normal(size=d)))
+            cases.append(scale * rng.normal(size=d))
+    verdicts = [gen._margins_ok(np.asarray(c, dtype=complex), tol) for c in cases]
+    assert verdicts == [
+        _margins_ok_by_triangle(np.asarray(c, dtype=complex), tol) for c in cases
+    ]
+    assert verdicts[:6] == [True, True, True, False, False, False]
+
+
 def test_resample_budget_exhausts_on_impossible_gap(monkeypatch):
     monkeypatch.setattr(Tolerance, "GEN_MIN_GAP", 50.0)
     cfg = GenConfig(dim=6, kappa_minus=1, seed=0)

@@ -301,7 +301,7 @@ def _root_subspace(op, value):
     values = spectrum(op).values()
     idx = min(range(len(values)), key=lambda i: abs(values[i] - value))
     assert abs(values[idx] - value) < 1e-9
-    return Subspace(spectral._table(op, DEFAULT_TOL).bases[idx])
+    return Subspace(spectral._tables([op], DEFAULT_TOL)[0].bases[idx])
 
 
 def test_root_subspace_of_defective_eigenvalue_fills_the_plane():
@@ -324,7 +324,7 @@ def test_root_subspace_simple_eigenvalue():
 def test_root_subspaces_partition_dimension(d, seed):
     space = helpers.make_space(d, d // 3, seed)
     op = helpers.make_operator(space, seed + 2)
-    bases = spectral._table(op, DEFAULT_TOL).bases
+    bases = spectral._tables([op], DEFAULT_TOL)[0].bases
     assert len(bases) == len(spectrum(op).entries)
     assert sum(basis.shape[1] for basis in bases) == d
 
@@ -578,12 +578,13 @@ def _reference_inertia(space, basis, tol=DEFAULT_TOL):
 
 
 def _per_entry_table(op, tol=DEFAULT_TOL):
-    """The table as built before its factorizations were stacked: one SVD
-    and one reference inertia per entry.  ``_root_basis`` then took the
-    owned eigenvectors and orthonormalized them itself."""
+    """The table as built before its factorizations were stacked: one
+    unstacked ``eig``, one SVD and one reference inertia per entry.
+    ``_root_basis`` then took the owned eigenvectors and orthonormalized
+    them itself."""
     entries = spectrum(op, tol).entries
     # each eigenvector joins the entry nearest its own eigenvalue
-    raw, vectors = op.eigenvectors()
+    raw, vectors = np.linalg.eig(op.matrix)
     distances = np.abs(raw[:, None] - np.array([e.value for e in entries]))
     owner = distances.argmin(axis=1) if entries else []
     bases = tuple(
@@ -609,15 +610,14 @@ def _outcome(build):
     return [(b.shape, b.tobytes()) for b in bases], inertias
 
 
+def _parts(table):
+    return table.bases, table.inertias
+
+
 def _assert_stacked_table_is_per_entry(op):
     # a twin, so that neither build reads the other's memo
     twin = validate_operator(op.space, op.matrix)
-
-    def stacked():
-        table = spectral._table(twin, DEFAULT_TOL)
-        return table.bases, table.inertias
-
-    outcome = _outcome(stacked)
+    outcome = _outcome(lambda: _parts(spectral._tables([twin], DEFAULT_TOL)[0]))
     assert outcome == _outcome(lambda: _per_entry_table(op))
     return outcome
 
@@ -676,7 +676,7 @@ def test_stacked_table_equals_the_per_entry_build_by_hand(case):
     gram, matrix = HAND_BUILT[case]
     op = validate_operator(validate_space(gram.astype(complex)), matrix)
     _assert_stacked_table_is_per_entry(op)
-    widths = sorted(b.shape[1] for b in spectral._table(op, DEFAULT_TOL).bases)
+    widths = sorted(b.shape[1] for b in spectral._tables([op], DEFAULT_TOL)[0].bases)
     assert widths == {"semisimple-double": [1, 2], "jordan-2": [1, 1, 2],
                       "jordan-3": [1, 3]}[case]
 
@@ -704,13 +704,14 @@ def _eye_with_nan(row, col):
 def test_stacked_table_equals_the_per_entry_build_on_odd_owners(
     monkeypatch, raw, vectors, error
 ):
-    # eig is replaced, so that entries own no eigenvector or two of them
+    # eig is replaced, so that entries own no eigenvector or two of them; a
+    # stack of matrices gets them once per matrix
     space = validate_space(np.diag([1.0, -1.0, 1.0]).astype(complex))
     op = validate_operator(space, np.diag([1.0, 2.0, 3.0]))
-    monkeypatch.setattr(
-        JSelfadjointOperator, "eigenvectors",
-        lambda self: (np.array(raw, dtype=complex), vectors),
-    )
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (
+        np.broadcast_to(np.array(raw, dtype=complex), a.shape[:-1]),
+        np.broadcast_to(vectors, a.shape),
+    ))
     outcome = _assert_stacked_table_is_per_entry(op)
     assert outcome[0] is error if error else len(outcome[0]) == 3
 
@@ -742,6 +743,37 @@ def test_stacked_inertias_check_each_basis_in_order(monkeypatch, spoiled, messag
     monkeypatch.setattr(spectral, "_root_basis", spoiling)
     error, text = _assert_stacked_table_is_per_entry(op)
     assert error is ValidationError and text.startswith(message)
+    # built with another operator, the spoiled one memoizes nothing; built
+    # alone, where it is first counted, it fails as before
+    other = helpers.make_operator(helpers.make_space(4, 1, 5), 6)
+    twin = validate_operator(op.space, op.matrix)
+    assert spectral._tables([other, twin], DEFAULT_TOL)[1] is None
+    assert not any(key[0] == "table" for key in twin._memo)
+    with pytest.raises(ValidationError) as caught:
+        gap_inertia(twin, FULL_LINE)
+    assert (type(caught.value), str(caught.value)) == (error, text)
+    assert _outcome(lambda: _parts(spectral._tables([other], DEFAULT_TOL)[0])) == (
+        _outcome(lambda: _per_entry_table(other))
+    )
+
+
+def test_stacked_inertias_of_several_spaces_keep_each_band_and_order():
+    # e1 spans a positive form of 1e-7 in both spaces: above the zero band
+    # of the first (scale 1), inside that of the second (scale about 707)
+    small = IndefiniteSpace(np.diag([1e-7, 0.5, -0.5]).astype(complex), 1, 1)
+    large = IndefiniteSpace(np.diag([1e-7, 500.0, -500.0]).astype(complex), 1, 1)
+    e1, plane = np.eye(3, 1, dtype=complex), np.eye(3, 2, dtype=complex)
+    items = [(small, e1), (large, plane), (large, e1), (small, plane)]
+    assert indefinite._inertias(items, DEFAULT_TOL) == [
+        Inertia(1, 0, 0), Inertia(1, 0, 1), Inertia(0, 0, 1), Inertia(2, 0, 0)
+    ]
+    assert [_reference_inertia(space, b) for space, b in items] == (
+        indefinite._inertias(items, DEFAULT_TOL)
+    )
+    # the first item in order that fails raises, though its width comes later
+    spoiled = [(small, 2.0 * plane), (large, np.full_like(e1, np.nan))]
+    with pytest.raises(ValidationError, match="^basis columns are not orthonormal"):
+        indefinite._inertias(items + spoiled, DEFAULT_TOL)
 
 
 def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
@@ -751,7 +783,7 @@ def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
     space = IndefiniteSpace(gram, kappa_plus=1, kappa_minus=1)
     e1 = np.eye(3, 1, dtype=complex)
     assert space.scale == 1.0
-    assert indefinite._inertias(space, [e1], DEFAULT_TOL) == [Inertia(0, 0, 1)]
+    assert indefinite._inertias([(space, e1)], DEFAULT_TOL) == [Inertia(0, 0, 1)]
     assert subspace_inertia(space, Subspace(e1)) == Inertia(0, 0, 1)
     assert _reference_inertia(space, e1) == Inertia(0, 0, 1)
 
@@ -777,11 +809,102 @@ def test_table_factors_once_per_width(monkeypatch, gram, matrix, svds, eighs):
         name: helpers.count_calls(monkeypatch, np.linalg, name)
         for name in ("eig", "svd", "eigh")
     }
-    table = spectral._table(op, DEFAULT_TOL)
+    table = spectral._tables([op], DEFAULT_TOL)[0]
     assert len(calls["eig"]) == 1
     assert len(calls["svd"]) == svds
     assert len(calls["eigh"]) == eighs
     assert any(inertia is not None for inertia in table.inertias)
+
+
+# ---------------------------------------------------------------------------
+# tables built together
+
+
+def _twin(op, shared):
+    """A cold copy of ``op``; with ``shared``, its shared eig call made."""
+    twin = validate_operator(op.space, op.matrix)
+    if shared:
+        twin.share_eig()
+    return twin
+
+
+def _generated_ops():
+    """A1 and A2 of generated pairs of d = 1-12 and kappa = 0-3, two seeds
+    each, and of one d = 96 pair; a rank-0 pair's A2 is its A1."""
+    cfgs = [
+        GenConfig(dim=d, kappa_minus=kappa, pert_rank=(d + kappa + seed) % min(d + 1, 3),
+                  seed=seed)
+        for d in range(1, 13) for kappa in range(min(d, 3) + 1) for seed in range(2)
+    ] + [GenConfig(dim=96, kappa_minus=2, pert_rank=2, seed=3)]
+    for cfg in cfgs:
+        pair = random_pair(random_space(cfg), cfg)
+        yield from (pair.op1, pair.op2)
+
+
+def test_tables_built_together_equal_each_built_alone():
+    ops = list(_generated_ops())
+    assert any(op1 is op2 for op1, op2 in zip(ops[::2], ops[1::2]))
+    # half the operators read the vectors of their shared eig call, and the
+    # rest take one stacked eig per order
+    twins = {}
+    for i, op in enumerate(ops):
+        twins.setdefault(op, _twin(op, shared=i % 4 < 2))
+    batch = [twins[op] for op in ops]
+    assert any(("vectors",) in t._memo for t in batch)
+    assert any(("vectors",) not in t._memo for t in batch)
+    tables = spectral._tables(batch, DEFAULT_TOL)
+    for op, twin, table in zip(ops, batch, tables):
+        alone = spectral._tables([_twin(op, ("vectors",) in twin._memo)], DEFAULT_TOL)[0]
+        assert _outcome(lambda: _parts(table)) == _outcome(lambda: _parts(alone))
+        assert spectral._tables([twin], DEFAULT_TOL)[0] is table
+
+
+@pytest.mark.parametrize("d", [*range(2, 13), 75, 76, 96])
+def test_stacked_eig_across_operators_gives_each_its_unstacked_bits(d):
+    # the assumption behind one eig call per order across operators: geev
+    # runs matrix by matrix, so its neighbours in the stack change no bit
+    matrices = []
+    for seed in range(2):
+        cfg = GenConfig(dim=d, kappa_minus=2, pert_rank=2, seed=seed)
+        pair = random_pair(random_space(cfg), cfg)
+        matrices += [pair.op1.matrix, pair.op2.matrix]
+    values, vectors = np.linalg.eig(np.stack(matrices))
+    for m, w, v in zip(matrices, values, vectors):
+        alone = np.linalg.eig(m)
+        assert (w.tobytes(), v.tobytes()) == (alone[0].tobytes(), alone[1].tobytes())
+
+
+def test_tables_defer_a_failed_build_to_each_operator_alone(monkeypatch):
+    # one operator's spectrum fails, and so does the stacked eig of order 4:
+    # the call raises nothing and memoizes nothing, and built alone, each
+    # operator raises its own error or builds its table
+    memoized = helpers.make_operator(helpers.make_space(2, 1, 8), 9)
+    table = spectral._tables([memoized], DEFAULT_TOL)[0]
+    fine = helpers.make_operator(helpers.make_space(3, 1, 3), 4)
+    fours = [helpers.make_operator(helpers.make_space(4, 1, 5), seed) for seed in (6, 7)]
+    unpaired = JSelfadjointOperator(
+        space=validate_space(np.eye(2, dtype=complex)),
+        matrix=np.diag([1 + 1j, 2]).astype(complex),
+    )
+    eig = np.linalg.eig
+
+    def failing(a):
+        if a.shape[-1] == 4:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    tables = spectral._tables([unpaired, *fours, fine, memoized], DEFAULT_TOL)
+    assert [t is None for t in tables] == [True] * 4 + [False]
+    assert tables[4] is table
+    for op in (unpaired, *fours, fine):
+        assert not any(key[0] == "table" for key in op._memo)
+    with pytest.raises(SpectrumSymmetryError, match="no conjugate partner"):
+        spectral._tables([unpaired], DEFAULT_TOL)
+    with pytest.raises(EigensolverError, match="Eigenvalues did not converge"):
+        spectral._tables([fours[1], fours[1]], DEFAULT_TOL)
+    _assert_stacked_table_is_per_entry(fine)
+    assert spectral._tables([fine], DEFAULT_TOL)[0] is not None
 
 
 def test_gap_and_complement_subspaces_partition():
