@@ -160,18 +160,16 @@ def _interval_section(ops: dict, interval: Interval, tol: Tolerance) -> dict:
 
 def cmd_analyze(args) -> int:
     tol, record, space, ops = _instance(args)
-    # before the spectra, so that up to its SHARED_EIG_MAX_DIM an operator
-    # takes one eig call for its spectrum and its table, as in verify
-    for op in ops.values():
-        op.share_eig()
+    # the counts come before the spectra, so that up to its
+    # SHARED_EIG_MAX_DIM an operator takes one eig call for its spectrum
+    # and its table, as in verify; stable_dumps sorts the keys
+    intervals = [
+        _interval_section(ops, interval, tol)
+        for interval in _effective_intervals(record, args)
+    ]
     doc = _document(tol, space, record, {
-        "spectra": {
-            label: spectrum_node(spectrum(op, tol)) for label, op in ops.items()
-        },
-        "intervals": [
-            _interval_section(ops, interval, tol)
-            for interval in _effective_intervals(record, args)
-        ],
+        "spectra": {label: spectrum_node(spectrum(op)) for label, op in ops.items()},
+        "intervals": intervals,
     })
     _emit(stable_dumps(doc), args.out)
     return EXIT_OK
@@ -295,7 +293,7 @@ def cmd_sweep(args) -> int:
             # sweep_windows opens with the whole line, so every cell gets a row
             cell = cells.setdefault((cfg.kappa_minus, cfg.pert_rank),
                                     {"min_slack": None, "rows": 0})
-            for interval in sweep_windows(pair, tol):
+            for interval in sweep_windows(pair):
                 report = verify_main_theorem(pair, interval, tol)
                 fields = (
                     cfg.dim, pair.space.kappa_plus, pair.space.kappa_minus, pair.n,

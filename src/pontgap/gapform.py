@@ -39,9 +39,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapForm:
-    """Interval data (a, b) and the Hermitian matrix of the form."""
+    """Interval data (a, b) and the Hermitian matrix of the form.  Forms
+    compare and hash by identity."""
 
     a: float
     b: float
@@ -61,9 +62,10 @@ class GapCase(enum.Enum):
     SPECTRUM_INSIDE = "spectrum_inside"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapDecomposition:
-    """Direct splitting of the space by the sign of the gap form."""
+    """Direct splitting of the space by the sign of the gap form.
+    Decompositions compare and hash by identity."""
 
     case: GapCase
     form: GapForm
@@ -78,9 +80,7 @@ class GapLocation(enum.Enum):
     NEITHER = "neither"
 
 
-def build_gap_form(
-    op: JSelfadjointOperator, a: float, b: float, tol: Tolerance = DEFAULT_TOL
-) -> GapForm:
+def build_gap_form(op: JSelfadjointOperator, a: float, b: float) -> GapForm:
     """Assemble ``G = J (A - a)(A - b)``, symmetrized."""
     a, b = float(a), float(b)
     if not a < b:
@@ -93,14 +93,14 @@ def build_gap_form(
     return GapForm(a=a, b=b, matrix=0.5 * (g + g.conj().T))
 
 
-def _signed_eigenspaces(op, form: GapForm, expected, reason: str, tol):
+def _signed_eigenspaces(form: GapForm, expected, reason: str):
     """Inertia of the form, which must be ``expected``, and its negative
     and positive eigenspaces."""
     # G is exactly Hermitian (build_gap_form symmetrizes it), but it can
     # overflow from finite A and J
     g = linalg.as_complex_matrix(form.matrix)
     w, v = linalg.hermitian_eigen(g)
-    band = tol.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(g))
+    band = Tolerance.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(g))
     inertia = Inertia.of_eigenvalues(w, band)
     if (inertia.plus, inertia.minus, inertia.zero) != expected:
         raise InertiaMismatchError(
@@ -115,7 +115,7 @@ def _signed_eigenspaces(op, form: GapForm, expected, reason: str, tol):
 
 
 def decompose_resolvent_gap(
-    op: JSelfadjointOperator, a: float, b: float, tol: Tolerance = DEFAULT_TOL
+    op: JSelfadjointOperator, a: float, b: float
 ) -> GapDecomposition:
     """Sign splitting when ``[a, b]`` lies in the resolvent set.
 
@@ -124,24 +124,24 @@ def decompose_resolvent_gap(
     ``(d - kappa, kappa, 0)``; ``m_minus`` (negative form values) then
     has dimension kappa and ``m_plus`` fills the rest.
     """
-    form = build_gap_form(op, a, b, tol)
-    for entry in spectrum(op, tol).entries:
+    form = build_gap_form(op, a, b)
+    for entry in spectrum(op).entries:
         # distance from the eigenvalue to the real segment [a, b]
         dist = abs(entry.value - min(max(entry.value.real, form.a), form.b))
-        if dist <= tol.ENDPOINT_GUARD_SCALE * op.scale:
+        if dist <= Tolerance.ENDPOINT_GUARD_SCALE * op.scale:
             raise PreconditionError(
                 f"eigenvalue {entry.value} is within {dist:.3e} of "
                 f"[{form.a}, {form.b}]; the segment must lie in the resolvent set"
             )
     kappa = op.space.kappa_minus
     inertia, negative, positive = _signed_eigenspaces(
-        op, form, (op.dim - kappa, kappa, 0), "a resolvent gap", tol
+        form, (op.dim - kappa, kappa, 0), "a resolvent gap"
     )
     return GapDecomposition(GapCase.RESOLVENT_GAP, form, inertia, negative, positive)
 
 
 def decompose_spectrum_inside(
-    op: JSelfadjointOperator, a: float, b: float, tol: Tolerance = DEFAULT_TOL
+    op: JSelfadjointOperator, a: float, b: float
 ) -> GapDecomposition:
     """Sign splitting when the whole spectrum is real inside ``(a, b)``.
 
@@ -149,9 +149,9 @@ def decompose_spectrum_inside(
     ``m_minus`` carries *positive* form values (dimension kappa) and
     ``m_plus`` negative ones, mirroring the resolvent-gap case.
     """
-    form = build_gap_form(op, a, b, tol)
-    margin = tol.ENDPOINT_GUARD_SCALE * op.scale
-    for entry in spectrum(op, tol).entries:
+    form = build_gap_form(op, a, b)
+    margin = Tolerance.ENDPOINT_GUARD_SCALE * op.scale
+    for entry in spectrum(op).entries:
         if not entry.is_real:
             raise PreconditionError(
                 f"spectrum must be real, found eigenvalue {entry.value}"
@@ -163,7 +163,7 @@ def decompose_spectrum_inside(
             )
     kappa = op.space.kappa_minus
     inertia, negative, positive = _signed_eigenspaces(
-        op, form, (kappa, op.dim - kappa, 0), "an interior spectrum", tol
+        form, (kappa, op.dim - kappa, 0), "an interior spectrum"
     )
     return GapDecomposition(GapCase.SPECTRUM_INSIDE, form, inertia, positive, negative)
 

@@ -67,9 +67,10 @@ class GenConfig:
             raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fixture:
-    """A bundled pair with hand-checked counts for its interval."""
+    """A bundled pair with hand-checked counts for its interval.  Fixtures
+    compare and hash by identity."""
 
     name: str
     pair: OperatorPair
@@ -90,18 +91,18 @@ def _haar_unitary(rng: Xoshiro256StarStar, d: int) -> np.ndarray:
     return q * phases.conj()
 
 
-def _margins_ok(values: np.ndarray, tol: Tolerance) -> bool:
+def _margins_ok(values: np.ndarray) -> bool:
     """Raw eigenvalues are unambiguous: clean realness calls and open gaps."""
-    band = tol.GEN_REALNESS_FACTOR * tol.REALNESS_SCALE
+    band = Tolerance.GEN_REALNESS_FACTOR * Tolerance.REALNESS_SCALE
     for v in values:
         im = abs(v.imag)
-        if im > band * max(1.0, abs(v)) and im < tol.GEN_MIN_GAP:
+        if im > band * max(1.0, abs(v)) and im < Tolerance.GEN_MIN_GAP:
             return False
     # |a - b| = |b - a| exactly, since negation is exact, so the full table
     # holds each gap of the upper triangle twice; its diagonal of zeros is masked
     gaps = np.abs(values[:, None] - values[None, :])
     gaps.flat[:: len(values) + 1] = np.inf
-    return not (gaps < tol.GEN_MIN_GAP).any()
+    return not (gaps < Tolerance.GEN_MIN_GAP).any()
 
 
 def _check_space(space: IndefiniteSpace, cfg: GenConfig) -> None:
@@ -137,7 +138,7 @@ def random_operator(
         h = 0.5 * (g + g.conj().T)
         op = validate_operator(space, linalg.solve(space.gram, h, tol), tol)
         # the margin check's eigenvalues are the ones spectrum(op) clusters
-        if _margins_ok(op.raw_eigenvalues(), tol):
+        if _margins_ok(op.raw_eigenvalues()):
             return op
     raise ResampleBudgetError(
         f"no operator with eigenvalue margins {tol.GEN_MIN_GAP} "
@@ -178,7 +179,7 @@ def random_pair(
         p = (v * signs) @ v.conj().T
         a2 = op1.matrix + linalg.solve(space.gram, 0.5 * (p + p.conj().T), tol)
         pair = make_pair(op1, validate_operator(space, a2, tol), tol)
-        if pair.n == n and _margins_ok(pair.op2.raw_eigenvalues(), tol):
+        if pair.n == n and _margins_ok(pair.op2.raw_eigenvalues()):
             return pair
     raise ResampleBudgetError(
         f"no rank-{n} perturbation with margins {tol.GEN_MIN_GAP} "

@@ -64,21 +64,22 @@ class Inertia:
         return self.plus - self.minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndefiniteSpace:
     """C^dim with Gram matrix ``gram`` (Hermitian, invertible).
 
     Construct through :func:`validate_space`; the constructor assumes
-    ``gram`` is already symmetrized.
+    ``gram`` is already symmetrized.  Spaces compare and hash by
+    identity; :meth:`same_space` compares their Gram matrices.
     """
 
     gram: np.ndarray = field(repr=False)
     kappa_plus: int
     kappa_minus: int
     #: ``||gram||_F``, taken once at construction
-    norm: float = field(init=False, repr=False, compare=False)
+    norm: float = field(init=False, repr=False)
     #: ``max(1, norm)``, the unit of the inertia zero band
-    scale: float = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.gram.setflags(write=False)
@@ -104,9 +105,10 @@ class IndefiniteSpace:
         return self.dim == other.dim and np.array_equal(self.gram, other.gram)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^ambient_dim given by an orthonormal column basis."""
+    """A subspace of C^ambient_dim given by an orthonormal column basis.
+    Subspaces compare and hash by identity."""
 
     basis: np.ndarray = field(repr=False)
 
@@ -189,7 +191,7 @@ def _grouped(keys) -> list[tuple]:
     return sorted(groups.items())
 
 
-def _inertias(items, tol: Tolerance) -> list[Inertia]:
+def _inertias(items) -> list[Inertia]:
     """Inertia of the Gram form of each ``(space, basis)`` item compressed
     to its basis (each basis with a column or more).  The items may lie in
     different spaces: per order and basis width, one stacked ``B^* J B`` per
@@ -217,7 +219,7 @@ def _inertias(items, tol: Tolerance) -> list[Inertia]:
         # check, and symmetrizing it again would change no bit
         g = 0.5 * (g + g.conj().swapaxes(1, 2))
         # a NaN defect passes this test, and the finiteness test fails it
-        skew = defects > tol.ORTHO_SLACK
+        skew = defects > Tolerance.ORTHO_SLACK
         bad = skew | ~np.isfinite(g).all(axis=(1, 2))
         if bad.any():
             for j in np.flatnonzero(bad):
@@ -229,7 +231,7 @@ def _inertias(items, tol: Tolerance) -> list[Inertia]:
         order, grams, bands = groups.setdefault(b.shape[1:], ([], [], []))
         order += members
         grams.append(g)
-        bands.append(np.full(len(members), tol.INERTIA_ZERO_SCALE * space.scale))
+        bands.append(np.full(len(members), Tolerance.INERTIA_ZERO_SCALE * space.scale))
     if faults:
         raise faults[min(faults)]
     inertias = [None] * len(items)
@@ -245,9 +247,7 @@ def _inertias(items, tol: Tolerance) -> list[Inertia]:
     return inertias
 
 
-def subspace_inertia(
-    space: IndefiniteSpace, sub: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> Inertia:
+def subspace_inertia(space: IndefiniteSpace, sub: Subspace) -> Inertia:
     """Inertia of the Gram form compressed to ``sub``."""
     if sub.ambient_dim != space.dim:
         raise DimensionMismatchError(
@@ -255,7 +255,7 @@ def subspace_inertia(
         )
     if sub.dim == 0:
         return Inertia(0, 0, 0)
-    return _inertias([(space, sub.basis)], tol)[0]
+    return _inertias([(space, sub.basis)])[0]
 
 
 def sum_subspaces(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

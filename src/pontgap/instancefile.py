@@ -53,12 +53,13 @@ _TOP_LEVEL_KEYS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceRecord:
     """Parsed contents of an instance file.
 
     ``a2`` is absent for single-operator (analyze-only) files;
     ``expected`` optionally pins integer report fields for verify.
+    Records compare and hash by identity.
     """
 
     gram: np.ndarray

@@ -50,8 +50,10 @@ class Tolerance:
     ``rel`` scales with the data (``rel * sigma_max`` for rank cuts),
     ``abs`` is the floor; both lie in (0, 1) and reach only rank cuts and
     Hermiticity checks (root growth floors at ``ROOT_NULLITY_SCALE``).
-    The bands below are class constants, not fields.  ``||A||_F`` in
-    their comments stands for the unit ``max(1, ||A||_F)``.
+    The bands below are class constants, not fields, and a function that
+    reads only bands takes no ``Tolerance``: it reads them here, as
+    ``Tolerance.X``.  ``||A||_F`` in their comments stands for the unit
+    ``max(1, ||A||_F)``.
     """
 
     rel: float = 1e-9

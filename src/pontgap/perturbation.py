@@ -17,7 +17,7 @@ from . import linalg
 from .errors import DimensionMismatchError, PreconditionError
 from .indefinite import Subspace
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import JSelfadjointOperator, nearest, spectrum
+from .spectral import JSelfadjointOperator, spectrum
 
 __all__ = [
     "OperatorPair",
@@ -27,12 +27,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
     """Two J-selfadjoint operators with their difference data.
 
     ``agreement`` is the kernel of A1 - A2 and ``n`` its rank, read off
-    the same SVD as ``dim - agreement.dim``.
+    the same SVD as ``dim - agreement.dim``.  Pairs compare and hash by
+    identity.
     """
 
     op1: JSelfadjointOperator
@@ -64,15 +65,17 @@ def make_pair(
     return OperatorPair(op1=op1, op2=op2, agreement=agreement)
 
 
-def _check_admissible(pair: OperatorPair, point: complex, tol: Tolerance):
+def _check_admissible(pair: OperatorPair, point: complex):
     for op in (pair.op1, pair.op2):
-        thresh = tol.CLUSTERING_SCALE * op.scale
-        idx, dist = nearest(op, point, tol)
-        if dist <= thresh:
+        thresh = Tolerance.CLUSTERING_SCALE * op.scale
+        # the nearest entry; min keeps the first on ties
+        entry = min(
+            spectrum(op).entries, key=lambda e: abs(e.value - point), default=None
+        )
+        if entry is not None and abs(entry.value - point) <= thresh:
             raise PreconditionError(
                 f"point {point} lies within {thresh:.3e} of eigenvalue "
-                f"{spectrum(op, tol).entries[idx].value}; "
-                "the resolvents do not both exist there"
+                f"{entry.value}; the resolvents do not both exist there"
             )
 
 
@@ -81,16 +84,14 @@ def resolvent_difference_rank(
 ) -> int:
     """Rank of (A1 - z)^-1 - (A2 - z)^-1 at an admissible z."""
     z = complex(point)
-    _check_admissible(pair, z, tol)
+    _check_admissible(pair, z)
     eye = np.eye(pair.dim, dtype=complex)
     r1 = linalg.solve(pair.op1.matrix - z * eye, eye, tol)
     r2 = linalg.solve(pair.op2.matrix - z * eye, eye, tol)
     return linalg.rank_tol(r1 - r2, tol)
 
 
-def sample_admissible_points(
-    pair: OperatorPair, count: int = 10, tol: Tolerance = DEFAULT_TOL
-) -> list[complex]:
+def sample_admissible_points(pair: OperatorPair, count: int = 10) -> list[complex]:
     """Deterministic sample of resolvent points for invariance checks.
 
     Points sit on the circle of radius ``2 * max(||A1||, ||A2||) + 1``
@@ -109,7 +110,7 @@ def sample_admissible_points(
             math.sin(2.0 * math.pi * (k + 0.5) / count),
         )
         try:
-            _check_admissible(pair, z, tol)
+            _check_admissible(pair, z)
         except PreconditionError:
             continue
         points.append(z)

@@ -5,14 +5,18 @@ Hermitian.  Its spectrum is closed under conjugation; eigenvalue counts
 over an open real interval are taken with algebraic multiplicity, via
 the dimension of the corresponding sum of root subspaces.
 
-Each operator memoizes, behind a lock, its raw eigenvalues (whatever
-the tolerance; the generator's margin check reads the same values) and,
-per tolerance, its clustered spectrum and a spectral table: a root
-basis per eigenvalue and, per real eigenvalue, the inertia of the Gram
-form on it.  The spectrum clusters the raw values within a band of
-``CLUSTERING_SCALE`` times the operator's ``scale``, so it takes no norm
-of its own.  The table needs the eigenvectors, then the span of the
-eigenvectors each entry owns, kernel SVDs where an eigenvalue is
+Each operator memoizes, behind a lock, its raw eigenvalues (the
+generator's margin check reads the same values) and its clustered
+spectrum, both whatever the tolerance, and, per tolerance, a spectral
+table: a root basis per eigenvalue and, per real eigenvalue, the
+inertia of the Gram form on it.  The spectrum clusters the raw values
+within a band of ``CLUSTERING_SCALE`` times the operator's ``scale``,
+so it takes no norm of its own.  It, the window searches and the
+gap-form splits read only bands, the class constants of
+:class:`~pontgap.linalg.Tolerance`, and take no tolerance: ``rel`` and
+``abs`` reach the table's rank cuts and the checks that take a ``tol``.
+The table needs the eigenvectors, then the span of the eigenvectors
+each entry owns, kernel SVDs where an eigenvalue is
 defective, and the inertias of its real root bases from the package's
 one inertia routine.  One builder, :func:`_tables`, builds the tables of
 a list of operators together, such as the batches of a sweep: one
@@ -25,9 +29,9 @@ routine on one basis).  Window counts are sums of table rows, checked
 once per operator (see :func:`gap_inertia`); an operator whose spectrum
 is all its callers read never builds the table.
 
-The counting entry points (:func:`gap_inertia` and the gap and
-complement subspace builders) first ask the operator for one shared
-``eig`` call (:meth:`JSelfadjointOperator.share_eig`): up to order
+:func:`selection`, behind every count and every gap and complement
+subspace, first asks the operator for one shared ``eig`` call
+(:meth:`JSelfadjointOperator.share_eig`): up to order
 ``SHARED_EIG_MAX_DIM`` it gives both the raw eigenvalues and the table's
 eigenvectors.  Otherwise the raw eigenvalues come from one ``eigvals``
 call, and the table's eigenvectors from the stacked ``eig`` call of its
@@ -36,7 +40,8 @@ first (by a margin check or a printed spectrum).  All go through one
 wrapper, so a failed iteration raises the same error at every order.
 The memo thus holds five things: the raw eigenvalues, the shared
 eigenvectors where they were computed, the spectrum, which carries its
-own sorted keys, the table, and the verdict of that check.  With the
+own sorted keys, and, one of each per tolerance, the table and the
+verdict of that check.  With the
 keys, :func:`selection` and :func:`clear_of` bisect instead of scanning:
 a window costs O(log m + k) for m entries, k of them near an endpoint or
 counted.  The memo never changes any result.
@@ -81,7 +86,6 @@ __all__ = [
     "JSelfadjointOperator",
     "validate_operator",
     "spectrum",
-    "nearest",
     "clear_of",
     "selection",
     "gap_subspace",
@@ -293,12 +297,12 @@ def validate_operator(
         return op
 
 
-def _pair_conjugates(values, matrix_norm_scale, tol: Tolerance):
+def _pair_conjugates(values, matrix_norm_scale):
     """Symmetrize non-real clusters into exact conjugate pairs."""
-    pair_tol = tol.PAIRING_FACTOR * tol.CLUSTERING_SCALE * matrix_norm_scale
+    pair_tol = Tolerance.PAIRING_FACTOR * Tolerance.CLUSTERING_SCALE * matrix_norm_scale
     reals, positive, negative = [], [], []
     for value, mult in values:
-        if abs(value.imag) <= tol.REALNESS_SCALE * max(1.0, abs(value)):
+        if abs(value.imag) <= Tolerance.REALNESS_SCALE * max(1.0, abs(value)):
             reals.append((complex(value.real, 0.0), mult))
         elif value.imag > 0:
             positive.append((value, mult))
@@ -332,39 +336,27 @@ def _pair_conjugates(values, matrix_norm_scale, tol: Tolerance):
     return reals + paired
 
 
-def spectrum(op: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
+def spectrum(op: JSelfadjointOperator) -> Spectrum:
     """Clustered spectrum with realness snapping and conjugate pairing."""
 
     def build():
         clusters = linalg.complex_eigen(
-            op.raw_eigenvalues(), tol.CLUSTERING_SCALE * op.scale
+            op.raw_eigenvalues(), Tolerance.CLUSTERING_SCALE * op.scale
         )
-        symmetrized = _pair_conjugates(clusters, op.scale, tol)
+        symmetrized = _pair_conjugates(clusters, op.scale)
         entries = tuple(
             Eigenvalue(value=v, multiplicity=m)
             for v, m in sorted(symmetrized, key=lambda vm: (vm[0].real, vm[0].imag))
         )
         return Spectrum(entries=entries)
 
-    return op._cached(("spectrum", tol.rel, tol.abs), build)
+    return op._cached(("spectrum",), build)
 
 
-def nearest(
-    op: JSelfadjointOperator, x, tol: Tolerance = DEFAULT_TOL
-) -> tuple[int | None, float]:
-    """Index of the spectrum entry nearest ``x`` (the first on ties) and its
-    distance; ``(None, inf)`` for an empty spectrum."""
-    dists = [abs(v - x) for v in spectrum(op, tol).values()]
-    best = min(dists, default=math.inf)
-    return (dists.index(best) if dists else None), best
-
-
-def clear_of(
-    op: JSelfadjointOperator, x: float, margin: float, tol: Tolerance = DEFAULT_TOL
-) -> bool:
+def clear_of(op: JSelfadjointOperator, x: float, margin: float) -> bool:
     """Whether no spectrum entry lies within ``margin`` of the real point ``x``
     (every entry at distance ``>= margin``)."""
-    spec = spectrum(op, tol)
+    spec = spectrum(op)
     return all(abs(spec.entries[i].value - x) >= margin for i in spec.near(x, margin))
 
 
@@ -453,7 +445,7 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
     A failure raises: a stacked call's before any entry grows, then the
     first entry's in order.
     """
-    entries = [spectrum(op, tol).entries for op in ops]
+    entries = [spectrum(op).entries for op in ops]
     eigen = [None] * len(ops)
     for j, op in enumerate(ops):
         with op._lock:
@@ -512,7 +504,7 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
     reals = [(j, i) for j in range(len(ops)) for i, e in enumerate(entries[j]) if e.is_real]
     rows = [[None] * len(e) for e in entries]
     items = [(ops[j].space, bases[j][i]) for j, i in reals]
-    for (j, i), inertia in zip(reals, _inertias(items, tol)):
+    for (j, i), inertia in zip(reals, _inertias(items)):
         rows[j][i] = inertia
     for op_bases in bases:
         for basis in op_bases:
@@ -521,17 +513,20 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
 
 
 def selection(
-    op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
+    op: JSelfadjointOperator, interval: Interval
 ) -> tuple[Spectrum, tuple[int, ...]]:
     """The spectrum and the indices of its entries counted in the interval.
 
     Raises when a finite endpoint falls ambiguously close to an
     eigenvalue; an eigenvalue indistinguishable from the endpoint at
     machine resolution is treated as sitting on it (hence outside).
+    A count reads the table next, so the spectrum comes from the shared
+    ``eig`` call where the operator allows one.
     """
-    spec = spectrum(op, tol)
-    guard = tol.ENDPOINT_GUARD_SCALE * op.scale
-    exact = tol.ENDPOINT_EXACT_SCALE * op.scale
+    op.share_eig()
+    spec = spectrum(op)
+    guard = Tolerance.ENDPOINT_GUARD_SCALE * op.scale
+    exact = Tolerance.ENDPOINT_EXACT_SCALE * op.scale
     on_endpoint = set()
     ambiguous = None  # (entry index, endpoint, distance), lowest index first
     for endpoint in interval.finite_endpoints():
@@ -576,8 +571,7 @@ def gap_subspace(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> Subspace:
     """Sum of root subspaces over real eigenvalues inside the interval."""
-    op.share_eig()
-    _, included = selection(op, interval, tol)
+    _, included = selection(op, interval)
     return Subspace(_union_basis(op, included, tol))
 
 
@@ -585,8 +579,7 @@ def complement_subspace(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> Subspace:
     """Sum of root subspaces over all eigenvalues *not* counted inside."""
-    op.share_eig()
-    spec, included = selection(op, interval, tol)
+    spec, included = selection(op, interval)
     excluded = tuple(i for i in range(len(spec.entries)) if i not in included)
     return Subspace(_union_basis(op, excluded, tol))
 
@@ -605,9 +598,9 @@ def _rows_add_up(op, tol) -> bool:
     that union has full rank, so has every window's: a subset of its
     columns cannot have a smaller least singular value."""
     whole = Interval(-math.inf, math.inf)
-    rows = _row_sum(op, selection(op, whole, tol)[1], tol)
+    rows = _row_sum(op, selection(op, whole)[1], tol)
     try:
-        return rows == subspace_inertia(op.space, gap_subspace(op, whole, tol), tol)
+        return rows == subspace_inertia(op.space, gap_subspace(op, whole, tol))
     except NumericalDefectError:
         return False
 
@@ -622,11 +615,10 @@ def gap_inertia(
     operator on the whole real line; where the check fails, each
     window's union is stacked and counted instead.
     """
-    op.share_eig()
-    _, included = selection(op, interval, tol)
+    _, included = selection(op, interval)
     if op._cached(("additive", tol.rel, tol.abs), lambda: _rows_add_up(op, tol)):
         return _row_sum(op, included, tol)
-    return subspace_inertia(op.space, gap_subspace(op, interval, tol), tol)
+    return subspace_inertia(op.space, gap_subspace(op, interval, tol))
 
 
 def restrict_operator(

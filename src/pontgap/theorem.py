@@ -195,24 +195,23 @@ def _window_candidates(lo: float, hi: float):
             yield x
 
 
-def choose_delta_prime(
-    pair: OperatorPair, interval: Interval, tol: Tolerance = DEFAULT_TOL
-) -> Interval:
+def choose_delta_prime(pair: OperatorPair, interval: Interval) -> Interval:
     """Pick an inner interval (a, b) with [a, b] inside ``interval``.
 
     The result contains every eigenvalue of A1 counted in the outer
     interval (and, when the sweep allows, A2's as well, which makes
     the witness informative), with both endpoints keeping
-    ``tol.DELTA_PRIME_MARGIN_FACTOR`` clustering bands from both spectra.
+    ``Tolerance.DELTA_PRIME_MARGIN_FACTOR`` clustering bands from both
+    spectra.
     """
     ops = (pair.op1, pair.op2)
     margins = [
-        tol.DELTA_PRIME_MARGIN_FACTOR * (tol.CLUSTERING_SCALE * op.scale)
+        Tolerance.DELTA_PRIME_MARGIN_FACTOR * (Tolerance.CLUSTERING_SCALE * op.scale)
         for op in ops
     ]
 
     def counted_reals(op):
-        spec, included = selection(op, interval, tol)
+        spec, included = selection(op, interval)
         return [spec.re[i] for i in included]
 
     tried = 0
@@ -223,7 +222,7 @@ def choose_delta_prime(
         for x in _window_candidates(lo, hi):
             tried += 1
             if x > above and interval.contains(x) and all(
-                clear_of(op, x, margin, tol) for op, margin in zip(ops, margins)
+                clear_of(op, x, margin) for op, margin in zip(ops, margins)
             ):
                 return x
         return None
@@ -242,16 +241,17 @@ def choose_delta_prime(
     )
 
 
-def sweep_windows(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> list[Interval]:
+def sweep_windows(pair: OperatorPair) -> list[Interval]:
     """Full line plus the cuts between well-separated joint eigenvalues."""
-    guard = max(tol.ENDPOINT_GUARD_SCALE * op.scale for op in (pair.op1, pair.op2))
-    margin = tol.SWEEP_MARGIN_FACTOR * guard
-    reals = sorted(spectrum(pair.op1, tol).real_re + spectrum(pair.op2, tol).real_re)
+    ops = (pair.op1, pair.op2)
+    guard = max(Tolerance.ENDPOINT_GUARD_SCALE * op.scale for op in ops)
+    margin = Tolerance.SWEEP_MARGIN_FACTOR * guard
+    reals = sorted(spectrum(pair.op1).real_re + spectrum(pair.op2).real_re)
     cuts = []
     for left, right in zip(reals, reals[1:]):
         cut = 0.5 * (left + right)
-        if all(clear_of(op, cut, margin, tol) for op in (pair.op1, pair.op2)):
-            if not cuts or cut - cuts[-1] > tol.SWEEP_CUT_SCALE * max(1.0, abs(cut)):
+        if all(clear_of(op, cut, margin) for op in ops):
+            if not cuts or cut - cuts[-1] > Tolerance.SWEEP_CUT_SCALE * max(1.0, abs(cut)):
                 cuts.append(cut)
     intervals = [Interval(-math.inf, math.inf)]
     if cuts:
@@ -272,7 +272,7 @@ def _sign_split(op, sub: Subspace, a: float, b: float, decompose, tol):
     if sub.dim == 0:
         return Subspace.zero(op.dim), Subspace.zero(op.dim)
     _, compressed = restrict_operator(op, sub, tol)
-    dec = decompose(compressed, a, b, tol)
+    dec = decompose(compressed, a, b)
     return (
         Subspace(sub.basis @ dec.m_minus.basis),
         Subspace(sub.basis @ dec.m_plus.basis),
@@ -296,7 +296,7 @@ def proof_witness(
     stays injective on K.  Combining both yields the count chain
     ``eig2(delta') <= n + 2 kappa + eig1(delta)``.
     """
-    dp = choose_delta_prime(pair, interval, tol)
+    dp = choose_delta_prime(pair, interval)
     a, b = dp.lower, dp.upper
 
     def halves(op):

@@ -27,7 +27,6 @@ from pontgap.gen import (
 )
 from pontgap.indefinite import Inertia, validate_space
 from pontgap.instancefile import InstanceRecord, dumps_instance, parse_instance
-from pontgap.linalg import DEFAULT_TOL
 from pontgap.perturbation import resolvent_difference_rank, sample_admissible_points
 from pontgap.spectral import Interval, spectrum
 from pontgap.theorem import proof_witness, sweep_windows, verify_main_theorem
@@ -99,7 +98,7 @@ def test_criterion_3_ensemble_bounds(acceptance):
                 cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=n, seed=seed)
                 space = random_space(cfg)
                 pair = random_pair(space, cfg)
-                for interval in sweep_windows(pair, DEFAULT_TOL):
+                for interval in sweep_windows(pair):
                     report = verify_main_theorem(pair, interval)
                     assert report.sig_bound_holds, (cfg, interval)
                     assert report.eig_bound_holds, (cfg, interval)

@@ -96,6 +96,14 @@ def test_analyze_document_is_pinned(capsys):
     assert out == (DATA / "example1.analyze.json").read_text()
 
 
+def test_example3_analyze_document_is_pinned(capsys):
+    # its spectra carry geev's last bits (a1's 1.7763568394002505e-15),
+    # which eig and eigvals give alike up to SHARED_EIG_MAX_DIM
+    code, out, _ = _run(capsys, "analyze", str(EXAMPLE3))
+    assert code == 0
+    assert out == (DATA / "example3.analyze.json").read_text()
+
+
 def test_analyze_single_operator_instance(capsys, tmp_path):
     record = parse_instance(EXAMPLE1.read_text())
     doc = json.loads(EXAMPLE1.read_text())
@@ -158,6 +166,14 @@ def test_verify_witness_document_is_pinned(capsys):
     code, out, _ = _run(capsys, "verify", str(EXAMPLE1), "--witness")
     assert code == 0
     assert out == (DATA / "example1.verify-witness.json").read_text()
+
+
+def test_example3_verify_witness_document_is_pinned(capsys):
+    # delta' is read off a2's eigenvalues (half the least, the largest
+    # plus one), so the witness carries geev's last bits too
+    code, out, _ = _run(capsys, "verify", str(EXAMPLE3), "--witness")
+    assert code == 0
+    assert out == (DATA / "example3.verify-witness.json").read_text()
 
 
 def _generated_window_file(tmp_path, d, window):

@@ -17,8 +17,8 @@ from pontgap.gen import (
     random_space,
 )
 from pontgap.instancefile import InstanceRecord, dumps_instance
-from pontgap.linalg import Tolerance
-from pontgap.spectral import Interval, spectrum, validate_operator
+from pontgap.linalg import DEFAULT_TOL, Tolerance
+from pontgap.spectral import Interval, gap_inertia, spectrum, validate_operator
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,8 +165,17 @@ def test_validated_operator_solves_its_eigenvalues_on_first_spectrum(monkeypatch
     calls = _count_eigvals(monkeypatch)
     assert calls == []
     spectrum(op)
-    spectrum(op, Tolerance(rel=1e-8))
     assert calls == [(4, 4)]
+    # counted under two tolerances: one spectrum, whatever the tolerance,
+    # beside a table per tolerance, whose rank cuts read rel and abs
+    whole = Interval(-np.inf, np.inf)
+    for tol in (DEFAULT_TOL, Tolerance(rel=1e-8)):
+        assert gap_inertia(op, whole, tol).dim == 4
+    assert calls == [(4, 4)]
+    keys = sorted(key for key in op._memo if key[0] in ("spectrum", "table"))
+    assert keys == [
+        ("spectrum",), ("table", 1e-9, 1e-12), ("table", 1e-8, 1e-12)
+    ]
 
 
 def _margins_ok_by_triangle(values, tol):
@@ -193,7 +202,7 @@ def test_margin_check_matches_the_upper_triangle_formula():
         for scale in (1e-4, 1e-3, 1e-2, 1.0):
             cases.append(scale * (rng.normal(size=d) + 1j * rng.normal(size=d)))
             cases.append(scale * rng.normal(size=d))
-    verdicts = [gen._margins_ok(np.asarray(c, dtype=complex), tol) for c in cases]
+    verdicts = [gen._margins_ok(np.asarray(c, dtype=complex)) for c in cases]
     assert verdicts == [
         _margins_ok_by_triangle(np.asarray(c, dtype=complex), tol) for c in cases
     ]

@@ -227,7 +227,7 @@ def test_spectrum_carries_its_sorted_keys():
 def test_operator_memoizes_raw_values_spectrum_table_and_verdict_only():
     space = helpers.make_space(5, 1, 3)
     pair = helpers.make_rank_perturbed_pair(space, 4, rank=1)
-    windows = sweep_windows(pair, DEFAULT_TOL)
+    windows = sweep_windows(pair)
     assert len(windows) > 1
     # spectra first: the raw values come from eigvals, the table's eig is its own
     for op in (pair.op1, pair.op2):
@@ -401,11 +401,11 @@ def test_nonreal_entry_inside_the_endpoint_guard_is_ambiguous():
     _assert_matches_full_scan(op, _probe_windows(op))
 
 
-def _reference_selection(op, interval, tol=DEFAULT_TOL):
+def _reference_selection(op, interval):
     """The per-entry loop that ``selection`` replaced, kept as its reference."""
-    spec = spectrum(op, tol)
-    guard = tol.ENDPOINT_GUARD_SCALE * op.scale
-    exact = tol.ENDPOINT_EXACT_SCALE * op.scale
+    spec = spectrum(op)
+    guard = Tolerance.ENDPOINT_GUARD_SCALE * op.scale
+    exact = Tolerance.ENDPOINT_EXACT_SCALE * op.scale
     included = []
     for idx, entry in enumerate(spec.entries):
         on_endpoint = False
@@ -428,9 +428,9 @@ def _reference_selection(op, interval, tol=DEFAULT_TOL):
     return spec, tuple(included)
 
 
-def _reference_clear_of(op, x, margin, tol=DEFAULT_TOL):
+def _reference_clear_of(op, x, margin):
     """The full distance scan that ``clear_of`` replaced."""
-    dists = [abs(e.value - x) for e in spectrum(op, tol).entries]
+    dists = [abs(e.value - x) for e in spectrum(op).entries]
     return min(dists, default=math.inf) >= margin
 
 
@@ -483,7 +483,7 @@ def _assert_matches_full_scan(op, windows):
 @pytest.mark.parametrize("kminus", [0, 1, 2])
 def test_selection_and_clear_of_match_the_full_scan(d, kminus):
     for _, pair in _ensemble(d, kminus):
-        windows = sweep_windows(pair, DEFAULT_TOL)
+        windows = sweep_windows(pair)
         for op in (pair.op1, pair.op2):
             _assert_matches_full_scan(op, windows + list(_probe_windows(op)))
 
@@ -514,7 +514,7 @@ def test_gap_inertia_sums_match_union_inertia(d, kminus):
     # per-eigenvalue rows summed, against the inertia of the stacked union
     # and of a union of root bases grown from kernels alone
     for space, pair in _ensemble(d, kminus):
-        windows = sweep_windows(pair, DEFAULT_TOL)
+        windows = sweep_windows(pair)
         assert windows[0] == FULL_LINE
         for op in (pair.op1, pair.op2):
             assert spectral._rows_add_up(op, DEFAULT_TOL)
@@ -535,7 +535,7 @@ def test_gap_inertia_falls_back_to_each_windows_union(monkeypatch):
     expected = {
         (op, window): subspace_inertia(space, gap_subspace(op, window))
         for op in (pair.op1, pair.op2)
-        for window in sweep_windows(pair, DEFAULT_TOL)
+        for window in sweep_windows(pair)
     }
     fresh = helpers.make_rank_perturbed_pair(space, 12, rank=2)
     monkeypatch.setattr(spectral, "_rows_add_up", lambda op, tol: False)
@@ -582,7 +582,7 @@ def _per_entry_table(op, tol=DEFAULT_TOL):
     unstacked ``eig``, one SVD and one reference inertia per entry.
     ``_root_basis`` then took the owned eigenvectors and orthonormalized
     them itself."""
-    entries = spectrum(op, tol).entries
+    entries = spectrum(op).entries
     # each eigenvector joins the entry nearest its own eigenvalue
     raw, vectors = np.linalg.eig(op.matrix)
     distances = np.abs(raw[:, None] - np.array([e.value for e in entries]))
@@ -764,16 +764,16 @@ def test_stacked_inertias_of_several_spaces_keep_each_band_and_order():
     large = IndefiniteSpace(np.diag([1e-7, 500.0, -500.0]).astype(complex), 1, 1)
     e1, plane = np.eye(3, 1, dtype=complex), np.eye(3, 2, dtype=complex)
     items = [(small, e1), (large, plane), (large, e1), (small, plane)]
-    assert indefinite._inertias(items, DEFAULT_TOL) == [
+    assert indefinite._inertias(items) == [
         Inertia(1, 0, 0), Inertia(1, 0, 1), Inertia(0, 0, 1), Inertia(2, 0, 0)
     ]
     assert [_reference_inertia(space, b) for space, b in items] == (
-        indefinite._inertias(items, DEFAULT_TOL)
+        indefinite._inertias(items)
     )
     # the first item in order that fails raises, though its width comes later
     spoiled = [(small, 2.0 * plane), (large, np.full_like(e1, np.nan))]
     with pytest.raises(ValidationError, match="^basis columns are not orthonormal"):
-        indefinite._inertias(items + spoiled, DEFAULT_TOL)
+        indefinite._inertias(items + spoiled)
 
 
 def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
@@ -783,7 +783,7 @@ def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
     space = IndefiniteSpace(gram, kappa_plus=1, kappa_minus=1)
     e1 = np.eye(3, 1, dtype=complex)
     assert space.scale == 1.0
-    assert indefinite._inertias([(space, e1)], DEFAULT_TOL) == [Inertia(0, 0, 1)]
+    assert indefinite._inertias([(space, e1)]) == [Inertia(0, 0, 1)]
     assert subspace_inertia(space, Subspace(e1)) == Inertia(0, 0, 1)
     assert _reference_inertia(space, e1) == Inertia(0, 0, 1)
 
@@ -1084,7 +1084,7 @@ def test_validated_operator_counts_with_one_shared_eig_up_to_the_bound(
 ):
     space = helpers.make_space(d, 2, d)
     pair = helpers.make_rank_perturbed_pair(space, d + 1, rank=2)
-    windows = sweep_windows(pair, DEFAULT_TOL)
+    windows = sweep_windows(pair)
     # a cold twin, so that the windows' spectra are not in its memo
     op = validate_operator(space, pair.op1.matrix)
     calls = _count_geev(monkeypatch)
