@@ -13,7 +13,11 @@ import argparse
 import functools
 import itertools
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import instancefile
@@ -248,6 +252,126 @@ def _csv_endpoint(x: float) -> str:
     return format_float(x)
 
 
+def _sweep_share(cells, seeds: int, tol: Tolerance) -> list:
+    """What the merge needs of each of ``cells``' pairs, in their order.
+
+    Each pair gives ``((kplus, kminus, n), windows)``, with one ``(lower,
+    upper, eig1, eig2, sig1, sig2, slack, dump)`` per window, where
+    ``dump`` is the instance file of a window that breaks a bound and
+    ``None`` otherwise: plain data, which a forked worker pickles.
+    """
+    # J and A1 depend on (d, kappa, seed), not on the rank.  The grid runs
+    # a (d, kappa)'s ranks over the same --seeds seeds, so keeping the last
+    # --seeds A1s (each holds its J) builds each once for all ranks
+    @functools.lru_cache(maxsize=seeds)
+    def first(d, kappa, seed):
+        cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
+        return random_operator(random_space(cfg, tol), cfg, tol)
+
+    results, batch, entries = [], [], 0
+
+    def flush():
+        """Build the batch's spectral tables together, then verify its windows."""
+        nonlocal batch, entries
+        _tables([op for _, pair in batch for op in (pair.op1, pair.op2)], tol)
+        for cfg, pair in batch:
+            windows = []
+            # sweep_windows opens with the whole line, so every cell gets a row
+            for interval in sweep_windows(pair):
+                report = verify_main_theorem(pair, interval, tol)
+                dump = None if report.all_hold else dumps_instance(_pair_record(
+                    pair, interval, f"violation-d{cfg.dim}-k{cfg.kappa_minus}"
+                                    f"-n{cfg.pert_rank}-seed{cfg.seed}"))
+                windows.append((interval.lower, interval.upper, report.eig1, report.eig2,
+                                report.sig1, report.sig2, report.slack, dump))
+            space = pair.space
+            results.append(((space.kappa_plus, space.kappa_minus, pair.n), windows))
+        batch, entries = [], 0
+
+    for d, kappa, rank, seed in cells:
+        if batch and entries + 2 * d * d > SWEEP_BATCH_ENTRIES:
+            flush()
+        cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
+        try:
+            pair = random_pair(first(d, kappa, seed), cfg, tol)
+        except Exception:
+            # the batch's pairs come first in grid order, and so do their errors
+            flush()
+            raise
+        batch.append((cfg, pair))
+        entries += 2 * d * d
+    flush()
+    return results
+
+
+def _run_shares(shares, seeds: int, tol: Tolerance) -> list:
+    """Each share's :func:`_sweep_share` results, in share order.
+
+    This process runs the first share; each other share runs in a forked
+    child, which pickles its results down a pipe.  A fork shares the loaded
+    modules, where a spawned worker would import numpy again at a cost
+    larger than the default grid's whole sweep.  If anything fails, every
+    child is killed and reaped before the error propagates.
+    """
+    children = []  # (pid, read end of its pipe), in share order
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                # the child never returns into its caller's stack, and leaves
+                # atexit handlers and stream buffers to the parent
+                code = 1
+                try:
+                    os.close(read_end)
+                    for _, fd in children:
+                        os.close(fd)
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(_sweep_share(share, seeds, tol), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [_sweep_share(shares[0], seeds, tol)]
+        while children:
+            pid, read_end = children.pop(0)
+            try:
+                with open(read_end, "rb") as pipe:
+                    data = pipe.read()
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            if status != 0:
+                raise ChildProcessError(
+                    f"sweep worker exited with {os.waitstatus_to_exitcode(status)}")
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        for pid, read_end in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+
+
+def _workers(groups: int) -> int:
+    """How many processes sweep ``groups`` (d, kappa, seed) groups.
+
+    One per CPU of the affinity mask, but never more than there are groups,
+    and one where the platform cannot fork or other threads run, since a
+    forked child holds only the forking thread.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), groups)
+
+
 def cmd_sweep(args) -> int:
     tol = _tolerance(args)
     dims = _parse_int_list(args.dims, "--dims")
@@ -265,89 +389,73 @@ def cmd_sweep(args) -> int:
     ):
         if min(values) < least:
             raise InstanceFormatError(f"{flag} values must be at least {least}")
-    if not any(k <= d and r <= d for d in dims for k in kappas for r in ranks):
+    # the grid's cells (d, kappa, rank, seed), in grid order
+    cells = [
+        (d, kappa, rank, args.seed + offset)
+        for d, kappa, rank, offset in itertools.product(dims, kappas, ranks, range(args.seeds))
+        if kappa <= d and rank <= d
+    ]
+    if not cells:
         raise InstanceFormatError(
             "--dims, --kappas and --ranks leave no cell with kappa <= d and n <= d"
         )
-    rows = [CSV_HEADER]
-    cells: dict[tuple[int, int], dict] = {}
-    instances = 0
-    violations = []
-
-    # J and A1 depend on (d, kappa, seed), not on the rank.  The grid runs
-    # a (d, kappa)'s ranks over the same --seeds seeds, so keeping the last
-    # --seeds A1s (each holds its J) builds each once for all ranks
-    @functools.lru_cache(maxsize=args.seeds)
-    def first(d, kappa, seed):
-        cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
-        return random_operator(random_space(cfg, tol), cfg, tol)
-
-    batch, entries = [], 0
-
-    def flush():
-        """Build the batch's spectral tables together, then write its rows."""
-        nonlocal batch, entries, instances
-        _tables([op for _, pair in batch for op in (pair.op1, pair.op2)], tol)
-        for cfg, pair in batch:
-            instances += 1
-            # sweep_windows opens with the whole line, so every cell gets a row
-            cell = cells.setdefault((cfg.kappa_minus, cfg.pert_rank),
-                                    {"min_slack": None, "rows": 0})
-            for interval in sweep_windows(pair):
-                report = verify_main_theorem(pair, interval, tol)
-                fields = (
-                    cfg.dim, pair.space.kappa_plus, pair.space.kappa_minus, pair.n,
-                    _csv_endpoint(interval.lower), _csv_endpoint(interval.upper),
-                    report.eig1, report.eig2, report.sig1, report.sig2, report.slack,
-                )
-                rows.append(",".join(map(str, fields)))
-                cell["rows"] += 1
-                if cell["min_slack"] is None or report.slack < cell["min_slack"]:
-                    cell["min_slack"] = report.slack
-                    cell["attained_at"] = {"d": cfg.dim, "seed": cfg.seed,
-                                           **interval_node(interval)}
-                if not report.all_hold:
-                    violations.append((cfg, pair, interval))
-        batch, entries = [], 0
-
-    grid = itertools.product(dims, kappas, ranks, range(args.seeds))
-    for d, kappa, rank, offset in grid:
-        if kappa > d or rank > d:
-            continue
-        if batch and entries + 2 * d * d > SWEEP_BATCH_ENTRIES:
-            flush()
-        cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank,
-                        seed=args.seed + offset)
-        try:
-            pair = random_pair(first(d, kappa, cfg.seed), cfg, tol)
-        except Exception:
-            # the batch's pairs come first in grid order, and so do their errors
-            flush()
+    # a (d, kappa, seed) group's ranks share one J and A1, so a group never
+    # splits; group g, counted in order of first appearance, goes to share
+    # g mod W, which balances the shares over each (d, kappa)'s seeds
+    numbering: dict[tuple[int, int, int], int] = {}
+    groups = [numbering.setdefault((d, kappa, seed), len(numbering))
+              for d, kappa, _, seed in cells]
+    workers = _workers(len(numbering))
+    shares = [[cell for cell, g in zip(cells, groups) if g % workers == w]
+              for w in range(workers)]
+    try:
+        results = _run_shares(shares, args.seeds, tol)
+    except Exception:
+        if workers == 1:
             raise
-        batch.append((cfg, pair))
-        entries += 2 * d * d
-    flush()
+        # rerun the grid in this process, which raises its first error in
+        # grid order, whichever share failed first
+        workers, results = 1, _run_shares([cells], args.seeds, tol)
+    # merge: each share's results are in grid order, so the grid's next
+    # pair is the next of its share's
+    shared = [iter(share) for share in results]
+    rows = [CSV_HEADER]
+    summary: dict[tuple[int, int], dict] = {}
+    dumps = []
+    for (d, kappa, rank, seed), g in zip(cells, groups):
+        (kplus, kminus, n), windows = next(shared[g % workers])
+        cell = summary.setdefault((kappa, rank), {"min_slack": None, "rows": 0})
+        for lower, upper, eig1, eig2, sig1, sig2, slack, dump in windows:
+            rows.append(",".join(map(str, (
+                d, kplus, kminus, n, _csv_endpoint(lower), _csv_endpoint(upper),
+                eig1, eig2, sig1, sig2, slack,
+            ))))
+            cell["rows"] += 1
+            if cell["min_slack"] is None or slack < cell["min_slack"]:
+                cell["min_slack"] = slack
+                cell["attained_at"] = {"d": d, "seed": seed,
+                                       **interval_node(Interval(lower, upper))}
+            if dump is not None:
+                dumps.append(dump)
     Path(args.out).write_text("\n".join(rows) + "\n")
-    for index, (cfg, pair, interval) in enumerate(violations):
-        dump = _pair_record(pair, interval, f"violation-d{cfg.dim}-k{cfg.kappa_minus}"
-                                            f"-n{cfg.pert_rank}-seed{cfg.seed}")
+    for index, dump in enumerate(dumps):
         path = Path(args.out).with_suffix(f".violation{index}.json")
-        path.write_text(dumps_instance(dump))
+        path.write_text(dump)
         print(f"bound violation dumped to {path}", file=sys.stderr)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tolerance": tolerance_node(tol),
         "csv": args.out,
-        "instances": instances,
+        "instances": len(cells),
         "rows": len(rows) - 1,
-        "violations": len(violations),
+        "violations": len(dumps),
         "cells": [
             {"kappa": kappa, "n": rank, **cell}
-            for (kappa, rank), cell in sorted(cells.items())
+            for (kappa, rank), cell in sorted(summary.items())
         ],
     }
     sys.stdout.write(stable_dumps(doc))
-    return EXIT_BOUND_VIOLATION if violations else EXIT_OK
+    return EXIT_BOUND_VIOLATION if dumps else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -512,52 +513,258 @@ def test_sweep_equals_its_cell_by_cell_build(capsys, tmp_path):
     assert out_path.read_text().splitlines() == expected
 
 
+def _pin_cpus(monkeypatch, cpus):
+    """``sweep`` sees the first ``cpus`` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _log(path, value):
+    """Append a ``pid value`` line to ``path``.
+
+    Forked sweep workers inherit a monkeypatched counter that calls this,
+    and O_APPEND keeps the lines of several processes whole.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, f"{os.getpid()} {value}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def _logged(path):
+    """The values ``_log`` appended to ``path``, by process id."""
+    found = {}
+    if path.exists():
+        for line in path.read_text().splitlines():
+            pid, value = line.split(" ", 1)
+            found.setdefault(int(pid), []).append(value)
+    return found
+
+
+def _count_processes(monkeypatch, path):
+    """Log each ``_sweep_share`` call by process, and count the ``_run_shares``
+    calls of this process: a second one is the in-process rerun after a failure."""
+    runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
+    share = pontgap.cli._sweep_share
+
+    def logged(cells, seeds, tol):
+        _log(path, len(cells))
+        return share(cells, seeds, tol)
+
+    monkeypatch.setattr(pontgap.cli, "_sweep_share", logged)
+    return runs
+
+
 def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
-    calls = collections.Counter()
+    log = tmp_path / "calls.log"
     for module in (pontgap.cli, pontgap.gen):
         for name in ("random_space", "random_operator", "random_pair"):
             def counted(*args, _real=getattr(pontgap.gen, name), _name=name, **kwargs):
-                calls[_name] += 1
+                _log(log, _name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
+    # two workers, each drawing its own groups' spaces and A1s
+    _pin_cpus(monkeypatch, 2)
     # the default grid: 3 dims x 2 kappas x 10 seeds, each with 3 ranks
     code, out, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
     assert code == 0
     assert json.loads(out)["instances"] == 180
+    by_process = _logged(log)
+    assert len(by_process) == 2
+    calls = collections.Counter(name for names in by_process.values() for name in names)
     assert calls == {"random_space": 60, "random_operator": 60, "random_pair": 180}
 
 
-def _count_table_batches(monkeypatch):
-    """The distinct operators of each ``_tables`` call that ``sweep`` makes."""
-    batches = []
+def _count_table_batches(monkeypatch, log):
+    """Log the distinct operators of each ``_tables`` call that ``sweep``
+    makes, by process; ``_batches`` reads them back."""
     build = pontgap.cli._tables
 
     def counted(ops, tol):
-        batches.append(len(set(ops)))
+        _log(log, len(set(ops)))
         return build(ops, tol)
 
     monkeypatch.setattr(pontgap.cli, "_tables", counted)
-    return batches
+
+
+def _batches(log):
+    """This process's batch sizes, then each worker's."""
+    by_process = {pid: [int(n) for n in sizes] for pid, sizes in _logged(log).items()}
+    return [by_process.pop(os.getpid(), [])] + sorted(by_process.values())
 
 
 def test_sweep_builds_the_default_grid_in_one_batch(capsys, tmp_path, monkeypatch):
-    batches = _count_table_batches(monkeypatch)
+    _pin_cpus(monkeypatch, 1)
+    _count_table_batches(monkeypatch, tmp_path / "batches.log")
     code, _, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
     assert code == 0
     # 60 A1s, and an A2 for each of the 120 pairs of rank 1 or 2
-    assert batches == [180]
+    assert _batches(tmp_path / "batches.log") == [[180]]
+
+
+def test_sweep_on_two_cpus_builds_one_batch_per_worker(capsys, tmp_path, monkeypatch):
+    _pin_cpus(monkeypatch, 2)
+    _count_table_batches(monkeypatch, tmp_path / "batches.log")
+    code, _, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
+    assert code == 0
+    # each worker has every other seed: 30 A1s and 60 A2s
+    assert _batches(tmp_path / "batches.log") == [[90], [90]]
 
 
 def test_sweep_batches_at_most_its_budget_of_entries(capsys, tmp_path, monkeypatch):
     # a d = 64 pair holds 2 * 64**2 = 8192 entries, more than the budget
     assert 2 * 64**2 > pontgap.cli.SWEEP_BATCH_ENTRIES >= 2 * 45**2
-    batches = _count_table_batches(monkeypatch)
+    _pin_cpus(monkeypatch, 1)
+    _count_table_batches(monkeypatch, tmp_path / "batches.log")
     code, out, _ = _run(capsys, "sweep", "--dims", "64", "--seeds", "3",
                         "--out", str(tmp_path / "d64.csv"))
     assert code == 0
+    [batches] = _batches(tmp_path / "batches.log")
     assert json.loads(out)["instances"] == len(batches) == 18
     # one operator for each rank-0 pair, whose A2 is its A1
     assert batches == [1, 1, 1, 2, 2, 2, 2, 2, 2] * 2
+
+
+def test_sweep_on_two_cpus_batches_each_workers_pairs_alone(capsys, tmp_path, monkeypatch):
+    _pin_cpus(monkeypatch, 2)
+    _count_table_batches(monkeypatch, tmp_path / "batches.log")
+    code, out, _ = _run(capsys, "sweep", "--dims", "64", "--seeds", "3",
+                        "--out", str(tmp_path / "d64.csv"))
+    assert code == 0
+    assert json.loads(out)["instances"] == 18
+    # the (kappa, seed) groups 0-5 alternate between the workers: this
+    # process has (0, 0), (0, 2) and (1, 1), the child (0, 1), (1, 0), (1, 2)
+    assert _batches(tmp_path / "batches.log") == [
+        [1, 1, 2, 2, 2, 2, 1, 2, 2],
+        [1, 2, 2, 1, 1, 2, 2, 2, 2],
+    ]
+
+
+_GRIDS = {
+    "default": (),
+    # repeated and unsorted values, as in test_sweep_equals_its_cell_by_cell_build
+    "mixed": ("--dims", "3,12,2,7,3", "--kappas", "1,3,0,1", "--ranks", "2,0,3",
+              "--seeds", "3", "--seed", "7"),
+}
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(capsys, tmp_path, monkeypatch, grid):
+    out_path = tmp_path / "grid.csv"
+    log = tmp_path / "shares.log"
+    runs = _count_processes(monkeypatch, log)
+    outputs = []
+    for cpus in (1, 2, 4):
+        _pin_cpus(monkeypatch, cpus)
+        log.unlink(missing_ok=True)
+        code, out, err = _run(capsys, "sweep", *_GRIDS[grid], "--out", str(out_path))
+        assert (code, err) == (0, "")
+        outputs.append((out_path.read_bytes(), out))
+        # one process per CPU, each with its share, and no rerun
+        assert len(_logged(log)) == cpus
+        assert len(runs) == 1
+        runs.clear()
+        _assert_no_children()
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_dumps_the_same_violations_on_any_number_of_cpus(capsys, tmp_path, monkeypatch):
+    real = pontgap.cli.verify_main_theorem
+
+    def sabotaged(pair, interval, tol):
+        return dataclasses.replace(
+            real(pair, interval, tol), eig_bound_holds=False
+        )
+
+    monkeypatch.setattr(pontgap.cli, "verify_main_theorem", sabotaged)
+    out_path = tmp_path / "bad.csv"
+    dumps = []
+    for cpus in (1, 2, 4):
+        _pin_cpus(monkeypatch, cpus)
+        code, out, err = _run(capsys, "sweep", "--dims", "2,3", "--kappas", "1",
+                              "--ranks", "0,1", "--seeds", "2", "--out", str(out_path))
+        assert code == 4
+        written = sorted(tmp_path.glob("bad.violation*.json"))
+        assert len(written) == json.loads(out)["violations"] > 4
+        dumps.append((out, err, [(p.name, p.read_bytes()) for p in written]))
+        for path in written:
+            path.unlink()
+        _assert_no_children()
+    assert dumps[0] == dumps[1] == dumps[2]
+
+
+def test_sweep_of_one_group_never_forks(capsys, tmp_path, monkeypatch):
+    forks = []
+
+    def fork():
+        forks.append(True)
+        raise OSError("fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    _pin_cpus(monkeypatch, 4)
+    code, out, _ = _run(capsys, "sweep", "--dims", "2", "--kappas", "1",
+                        "--ranks", "0,1,2", "--seeds", "1",
+                        "--out", str(tmp_path / "one.csv"))
+    assert code == 0
+    assert json.loads(out)["instances"] == 3
+    assert forks == []
+
+
+@pytest.mark.parametrize("reason", ["no-fork", "threads"])
+def test_sweep_runs_in_process_without_fork_or_beside_other_threads(
+    capsys, tmp_path, monkeypatch, reason
+):
+    log = tmp_path / "shares.log"
+    runs = _count_processes(monkeypatch, log)
+    _pin_cpus(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if reason == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        waiter.start()
+    try:
+        code, out, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
+    finally:
+        release.set()
+    if reason == "threads":
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+    assert code == 0
+    assert json.loads(out)["instances"] == 180
+    assert (_logged(log), len(runs)) == ({os.getpid(): ["180"]}, 1)
+
+
+@pytest.mark.parametrize("fault", ["fork-fails", "worker-exits-non-zero"])
+def test_sweep_reruns_in_process_when_a_worker_fails(capsys, tmp_path, monkeypatch, fault):
+    out_path = tmp_path / "default.csv"
+    _pin_cpus(monkeypatch, 1)
+    _, summary, _ = _run(capsys, "sweep", "--out", str(out_path))
+    expected = out_path.read_bytes(), summary
+    _pin_cpus(monkeypatch, 2)
+    if fault == "fork-fails":
+        def fork():
+            raise BlockingIOError("no process left")
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        # only a forked worker calls os._exit; this one sends its whole
+        # result, then exits 3
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+    log = tmp_path / "shares.log"
+    runs = _count_processes(monkeypatch, log)
+    code, out, err = _run(capsys, "sweep", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert (out_path.read_bytes(), out) == expected
+    # the shares, then the whole grid in this process
+    assert len(runs) == 2
+    assert _logged(log)[os.getpid()][-1] == "180"
+    _assert_no_children()
 
 
 def _inject_table_failure(monkeypatch, d, kappa, rank, seed):
@@ -586,19 +793,27 @@ def _inject_generation_failure(monkeypatch, d, kappa, rank, seed):
     monkeypatch.setattr(pontgap.cli, "random_pair", failing)
 
 
+_FAILURES = {
+    "table": (True, False, "injected table failure"),
+    # the table of seed 4 fails before seed 7 is drawn, in grid order
+    "table-then-generation": (True, True, "injected table failure"),
+    "generation": (False, True, "injected generation failure"),
+}
+
+
 @pytest.mark.parametrize(
-    "table, generation, message",
+    "table, generation, message, cpus",
     [
-        (True, False, "injected table failure"),
-        # the table of seed 4 fails before seed 7 is drawn, in grid order
-        (True, True, "injected table failure"),
-        (False, True, "injected generation failure"),
+        # on two CPUs seed 4's group is this process's, seed 7's the child's
+        pytest.param(*failure, cpus, id=name if cpus == 1 else f"{name}-{cpus}cpus")
+        for cpus in (1, 2)
+        for name, failure in _FAILURES.items()
     ],
-    ids=["table", "table-then-generation", "generation"],
 )
 def test_sweep_reports_the_first_failure_in_grid_order(
-    capsys, tmp_path, monkeypatch, table, generation, message
+    capsys, tmp_path, monkeypatch, table, generation, message, cpus
 ):
+    _pin_cpus(monkeypatch, cpus)
     if table:
         _inject_table_failure(monkeypatch, 3, 1, 2, 4)
     if generation:
@@ -607,6 +822,7 @@ def test_sweep_reports_the_first_failure_in_grid_order(
     code, out, err = _run(capsys, "sweep", "--out", str(out_path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not out_path.exists()
+    _assert_no_children()
 
 
 def test_verify_exits_4_on_a_failed_bound(capsys, monkeypatch):
