@@ -255,10 +255,11 @@ def _csv_endpoint(x: float) -> str:
 def _sweep_share(cells, seeds: int, tol: Tolerance) -> list:
     """What the merge needs of each of ``cells``' pairs, in their order.
 
-    Each pair gives ``((kplus, kminus, n), windows)``, with one ``(lower,
-    upper, eig1, eig2, sig1, sig2, slack, dump)`` per window, where
-    ``dump`` is the instance file of a window that breaks a bound and
-    ``None`` otherwise: plain data, which a forked worker pickles.
+    Each pair gives ``(text, rows, min_slack, (lower, upper), dumps)``:
+    its CSV rows, rendered and each ending in a newline, and their number;
+    the least slack of its rows, and the window of the first row with it;
+    and the instance files of its windows that break a bound.  This is
+    plain data, which a forked worker pickles.
     """
     # J and A1 depend on (d, kappa, seed), not on the rank.  The grid runs
     # a (d, kappa)'s ranks over the same --seeds seeds, so keeping the last
@@ -275,17 +276,24 @@ def _sweep_share(cells, seeds: int, tol: Tolerance) -> list:
         nonlocal batch, entries
         _tables([op for _, pair in batch for op in (pair.op1, pair.op2)], tol)
         for cfg, pair in batch:
-            windows = []
+            d, space, n = cfg.dim, pair.space, pair.n
+            rows, dumps, least, attained = [], [], None, None
             # sweep_windows opens with the whole line, so every cell gets a row
             for interval in sweep_windows(pair):
                 report = verify_main_theorem(pair, interval, tol)
-                dump = None if report.all_hold else dumps_instance(_pair_record(
-                    pair, interval, f"violation-d{cfg.dim}-k{cfg.kappa_minus}"
-                                    f"-n{cfg.pert_rank}-seed{cfg.seed}"))
-                windows.append((interval.lower, interval.upper, report.eig1, report.eig2,
-                                report.sig1, report.sig2, report.slack, dump))
-            space = pair.space
-            results.append(((space.kappa_plus, space.kappa_minus, pair.n), windows))
+                lower, upper, slack = interval.lower, interval.upper, report.slack
+                rows.append(",".join(map(str, (
+                    d, space.kappa_plus, space.kappa_minus, n,
+                    _csv_endpoint(lower), _csv_endpoint(upper),
+                    report.eig1, report.eig2, report.sig1, report.sig2, slack,
+                ))))
+                if least is None or slack < least:
+                    least, attained = slack, (lower, upper)
+                if not report.all_hold:
+                    dumps.append(dumps_instance(_pair_record(
+                        pair, interval, f"violation-d{d}-k{cfg.kappa_minus}"
+                                        f"-n{cfg.pert_rank}-seed{cfg.seed}")))
+            results.append(("\n".join(rows) + "\n", len(rows), least, attained, dumps))
         batch, entries = [], 0
 
     for d, kappa, rank, seed in cells:
@@ -417,27 +425,24 @@ def cmd_sweep(args) -> int:
         # grid order, whichever share failed first
         workers, results = 1, _run_shares([cells], args.seeds, tol)
     # merge: each share's results are in grid order, so the grid's next
-    # pair is the next of its share's
+    # pair is the next of its share's.  A cell's first pair with its least
+    # slack, in grid order, holds its first row with it
     shared = [iter(share) for share in results]
-    rows = [CSV_HEADER]
+    texts, rows = [CSV_HEADER + "\n"], 0
     summary: dict[tuple[int, int], dict] = {}
     dumps = []
     for (d, kappa, rank, seed), g in zip(cells, groups):
-        (kplus, kminus, n), windows = next(shared[g % workers])
+        text, count, least, (lower, upper), pair_dumps = next(shared[g % workers])
+        texts.append(text)
+        rows += count
         cell = summary.setdefault((kappa, rank), {"min_slack": None, "rows": 0})
-        for lower, upper, eig1, eig2, sig1, sig2, slack, dump in windows:
-            rows.append(",".join(map(str, (
-                d, kplus, kminus, n, _csv_endpoint(lower), _csv_endpoint(upper),
-                eig1, eig2, sig1, sig2, slack,
-            ))))
-            cell["rows"] += 1
-            if cell["min_slack"] is None or slack < cell["min_slack"]:
-                cell["min_slack"] = slack
-                cell["attained_at"] = {"d": d, "seed": seed,
-                                       **interval_node(Interval(lower, upper))}
-            if dump is not None:
-                dumps.append(dump)
-    Path(args.out).write_text("\n".join(rows) + "\n")
+        cell["rows"] += count
+        if cell["min_slack"] is None or least < cell["min_slack"]:
+            cell["min_slack"] = least
+            cell["attained_at"] = {"d": d, "seed": seed,
+                                   **interval_node(Interval(lower, upper))}
+        dumps += pair_dumps
+    Path(args.out).write_text("".join(texts))
     for index, dump in enumerate(dumps):
         path = Path(args.out).with_suffix(f".violation{index}.json")
         path.write_text(dump)
@@ -447,7 +452,7 @@ def cmd_sweep(args) -> int:
         "tolerance": tolerance_node(tol),
         "csv": args.out,
         "instances": len(cells),
-        "rows": len(rows) - 1,
+        "rows": rows,
         "violations": len(dumps),
         "cells": [
             {"kappa": kappa, "n": rank, **cell}

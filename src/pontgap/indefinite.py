@@ -47,6 +47,15 @@ class Inertia:
             raise ValidationError("inertia components must be non-negative")
 
     @classmethod
+    def _of_counts(cls, plus: int, minus: int, zero: int) -> "Inertia":
+        """An inertia of counts that are non-negative by construction, made
+        without the check of ``__post_init__``."""
+        inertia = object.__new__(cls)
+        fields = inertia.__dict__
+        fields["plus"], fields["minus"], fields["zero"] = plus, minus, zero
+        return inertia
+
+    @classmethod
     def of_eigenvalues(cls, w, zero_band: float) -> "Inertia":
         """Counts of ``w`` above ``zero_band``, below ``-zero_band`` and between."""
         return cls(
@@ -243,7 +252,7 @@ def _inertias(items) -> list[Inertia]:
         plus = (values > band).sum(axis=1).tolist()
         minus = (values < -band).sum(axis=1).tolist()
         for i, p, m in zip(order, plus, minus):
-            inertias[i] = Inertia(p, m, w - p - m)
+            inertias[i] = Inertia._of_counts(p, m, w - p - m)
     return inertias
 
 

@@ -5,7 +5,7 @@ Hermitian.  Its spectrum is closed under conjugation; eigenvalue counts
 over an open real interval are taken with algebraic multiplicity, via
 the dimension of the corresponding sum of root subspaces.
 
-Each operator memoizes, behind a lock, its raw eigenvalues (the
+Each operator memoizes, with lock-free reads, its raw eigenvalues (the
 generator's margin check reads the same values) and its clustered
 spectrum, both whatever the tolerance, and, per tolerance, a spectral
 table: a root basis per eigenvalue and, per real eigenvalue, the
@@ -106,6 +106,9 @@ __all__ = [
 #: ``eig`` call.
 SHARED_EIG_MAX_DIM = 75
 
+#: what a memo read returns for a key never stored
+_MISSING = object()
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -129,7 +132,10 @@ class Interval:
         return self.lower < x < self.upper
 
     def finite_endpoints(self) -> tuple[float, ...]:
-        return tuple(e for e in (self.lower, self.upper) if math.isfinite(e))
+        lower, upper = self.lower, self.upper
+        if math.isfinite(lower):
+            return (lower, upper) if math.isfinite(upper) else (lower,)
+        return (upper,) if math.isfinite(upper) else ()
 
     def __str__(self):
         return f"({self.lower}, {self.upper})"
@@ -197,7 +203,12 @@ class JSelfadjointOperator:
     """A J-selfadjoint matrix on an indefinite space.
 
     Construct through :func:`validate_operator`.  Instances memoize
-    spectral computations; the memo is internal and thread-safe.
+    spectral computations; the memo is internal and thread-safe.  A read
+    takes no lock: a memo hit is one dictionary read.  A store takes the
+    lock and keeps the first value stored under its key.  A build runs
+    outside the lock, since builds nest (the spectrum's reads the raw
+    eigenvalues), so threads that miss together may each build, and all
+    of them get the value stored first.
     """
 
     space: IndefiniteSpace
@@ -218,35 +229,28 @@ class JSelfadjointOperator:
     def dim(self) -> int:
         return self.space.dim
 
-    def _cached(self, key, build):
-        with self._lock:
-            if key in self._memo:
-                return self._memo[key]
-        value = build()
+    def _cached(self, key, build, *args):
+        """The value memoized under ``key``, else ``build(*args)``, stored
+        unless another thread stored first (see the class docstring)."""
+        value = self._memo.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+        value = build(*args)
         with self._lock:
             return self._memo.setdefault(key, value)
 
     def raw_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of ``matrix``, unclustered: those of the shared ``eig``
         call if :meth:`share_eig` made it first, else of one ``eigvals`` call."""
-
-        def build():
-            values = _geev(np.linalg.eigvals, self.matrix)
-            values.setflags(write=False)
-            return values
-
-        return self._cached(("raw",), build)
+        return self._cached(("raw",), _eigenvalues, self.matrix)
 
     def share_eig(self) -> None:
         """Memoize the raw eigenvalues together with the eigenvectors of one
         ``eig`` call, if the order is at most ``SHARED_EIG_MAX_DIM`` and no
         raw eigenvalues are memoized yet.  The eigenvectors are checked only
         where the table reads them."""
-        if self.dim > SHARED_EIG_MAX_DIM:
+        if ("raw",) in self._memo or self.dim > SHARED_EIG_MAX_DIM:
             return
-        with self._lock:
-            if ("raw",) in self._memo:
-                return
         values, vectors = _geev(np.linalg.eig, self.matrix)
         values.setflags(write=False)
         vectors.setflags(write=False)
@@ -254,6 +258,13 @@ class JSelfadjointOperator:
             if ("raw",) not in self._memo:
                 self._memo[("raw",)] = values
                 self._memo[("vectors",)] = vectors
+
+
+def _eigenvalues(matrix) -> np.ndarray:
+    """The read-only eigenvalues of one ``eigvals`` call."""
+    values = _geev(np.linalg.eigvals, matrix)
+    values.setflags(write=False)
+    return values
 
 
 def _geev(solve, a):
@@ -338,19 +349,19 @@ def _pair_conjugates(values, matrix_norm_scale):
 
 def spectrum(op: JSelfadjointOperator) -> Spectrum:
     """Clustered spectrum with realness snapping and conjugate pairing."""
+    return op._cached(("spectrum",), _clustered, op)
 
-    def build():
-        clusters = linalg.complex_eigen(
-            op.raw_eigenvalues(), Tolerance.CLUSTERING_SCALE * op.scale
-        )
-        symmetrized = _pair_conjugates(clusters, op.scale)
-        entries = tuple(
-            Eigenvalue(value=v, multiplicity=m)
-            for v, m in sorted(symmetrized, key=lambda vm: (vm[0].real, vm[0].imag))
-        )
-        return Spectrum(entries=entries)
 
-    return op._cached(("spectrum",), build)
+def _clustered(op: JSelfadjointOperator) -> Spectrum:
+    clusters = linalg.complex_eigen(
+        op.raw_eigenvalues(), Tolerance.CLUSTERING_SCALE * op.scale
+    )
+    symmetrized = _pair_conjugates(clusters, op.scale)
+    entries = tuple(
+        Eigenvalue(value=v, multiplicity=m)
+        for v, m in sorted(symmetrized, key=lambda vm: (vm[0].real, vm[0].imag))
+    )
+    return Spectrum(entries=entries)
 
 
 def clear_of(op: JSelfadjointOperator, x: float, margin: float) -> bool:
@@ -411,10 +422,8 @@ def _tables(ops, tol: Tolerance) -> list[_SpectralTable | None]:
     with the class and message of that operator's own build.
     """
     key = ("table", tol.rel, tol.abs)
-    found = []
-    for op in ops:
-        with op._lock:
-            found.append(op._memo.get(key))
+    # one operator, as every count asks: one read, without a comprehension
+    found = [ops[0]._memo.get(key)] if len(ops) == 1 else [op._memo.get(key) for op in ops]
     if None not in found:
         return found
     pending = list(dict.fromkeys(op for op, table in zip(ops, found) if table is None))
@@ -525,11 +534,19 @@ def selection(
     """
     op.share_eig()
     spec = spectrum(op)
+    inside = spec.real_indices[
+        bisect_right(spec.real_re, interval.lower) : bisect_left(
+            spec.real_re, interval.upper
+        )
+    ]
+    endpoints = interval.finite_endpoints()
+    if not endpoints:
+        return spec, inside
     guard = Tolerance.ENDPOINT_GUARD_SCALE * op.scale
     exact = Tolerance.ENDPOINT_EXACT_SCALE * op.scale
     on_endpoint = set()
     ambiguous = None  # (entry index, endpoint, distance), lowest index first
-    for endpoint in interval.finite_endpoints():
+    for endpoint in endpoints:
         for idx in spec.near(endpoint, guard):
             dist = abs(spec.entries[idx].value - endpoint)
             if dist <= exact:
@@ -545,11 +562,8 @@ def selection(
             eigenvalue=spec.entries[idx].value,
             distance=dist,
         )
-    inside = spec.real_indices[
-        bisect_right(spec.real_re, interval.lower) : bisect_left(
-            spec.real_re, interval.upper
-        )
-    ]
+    if not on_endpoint:
+        return spec, inside
     return spec, tuple(i for i in inside if i not in on_endpoint)
 
 
@@ -557,7 +571,8 @@ def _union_basis(op, indices, tol) -> np.ndarray:
     """Orthonormal basis of the sum of the listed entries' root subspaces."""
     if not indices:
         return np.zeros((op.dim, 0), dtype=complex)
-    blocks = [_tables([op], tol)[0].bases[i] for i in indices]
+    bases = _tables([op], tol)[0].bases
+    blocks = [bases[i] for i in indices]
     basis = linalg.orthonormal_columns(np.hstack(blocks), tol)
     want = sum(block.shape[1] for block in blocks)
     if basis.shape[1] != want:
@@ -590,7 +605,7 @@ def _row_sum(op, included, tol) -> Inertia:
     for i in included:
         row = inertias[i]
         plus, minus, zero = plus + row.plus, minus + row.minus, zero + row.zero
-    return Inertia(plus, minus, zero)
+    return Inertia._of_counts(plus, minus, zero)
 
 
 def _rows_add_up(op, tol) -> bool:
@@ -616,7 +631,7 @@ def gap_inertia(
     window's union is stacked and counted instead.
     """
     _, included = selection(op, interval)
-    if op._cached(("additive", tol.rel, tol.abs), lambda: _rows_add_up(op, tol)):
+    if op._cached(("additive", tol.rel, tol.abs), _rows_add_up, op, tol):
         return _row_sum(op, included, tol)
     return subspace_inertia(op.space, gap_subspace(op, interval, tol))
 

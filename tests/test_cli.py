@@ -698,6 +698,74 @@ def test_sweep_dumps_the_same_violations_on_any_number_of_cpus(capsys, tmp_path,
     assert dumps[0] == dumps[1] == dumps[2]
 
 
+def _reference_cells(csv_text, dims, kappas, ranks, seeds, base):
+    """The summary's cells, folded row by row over the CSV in grid order:
+    each cell's row count, least slack and first row with it."""
+    cells = [
+        (d, kappa, rank, base + offset)
+        for d, kappa, rank, offset in itertools.product(dims, kappas, ranks, range(seeds))
+        if kappa <= d and rank <= d
+    ]
+    summary, at = {}, -1
+    for line in csv_text.splitlines()[1:]:
+        row = line.split(",")
+        # each pair's rows open with the whole line
+        if (row[4], row[5]) == ("-inf", "+inf"):
+            at += 1
+        d, kappa, rank, seed = cells[at]
+        cell = summary.setdefault(
+            (kappa, rank), {"kappa": kappa, "n": rank, "min_slack": None, "rows": 0})
+        cell["rows"] += 1
+        slack = int(row[10])
+        if cell["min_slack"] is None or slack < cell["min_slack"]:
+            cell["min_slack"] = slack
+            cell["attained_at"] = {
+                "d": d,
+                "seed": seed,
+                "lower": row[4] if "inf" in row[4] else float(row[4]),
+                "upper": row[5] if "inf" in row[5] else float(row[5]),
+            }
+    assert at == len(cells) - 1
+    return [summary[key] for key in sorted(summary)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_summary_names_each_cells_first_row_with_its_least_slack(
+    capsys, tmp_path, monkeypatch, cpus
+):
+    _pin_cpus(monkeypatch, cpus)
+    out_path = tmp_path / "default.csv"
+    code, out, _ = _run(capsys, "sweep", "--out", str(out_path))
+    assert code == 0
+    expected = _reference_cells(out_path.read_text(), (2, 3, 4), (0, 1), (0, 1, 2), 10, 0)
+    assert json.loads(out)["cells"] == expected
+    _assert_no_children()
+
+
+def test_sweep_summary_breaks_a_tie_across_workers_in_grid_order(
+    capsys, tmp_path, monkeypatch
+):
+    # one cell of six groups, which alternate between two workers: its least
+    # slack comes first in the child's share and again in the parent's
+    _pin_cpus(monkeypatch, 2)
+    out_path = tmp_path / "tie.csv"
+    code, out, _ = _run(capsys, "sweep", "--dims", "2", "--kappas", "1", "--ranks", "1",
+                        "--seeds", "6", "--out", str(out_path))
+    assert code == 0
+    text = out_path.read_text()
+    least_by_pair = []
+    for line in text.splitlines()[1:]:
+        row = line.split(",")
+        if (row[4], row[5]) == ("-inf", "+inf"):
+            least_by_pair.append(int(row[10]))
+        least_by_pair[-1] = min(least_by_pair[-1], int(row[10]))
+    least = min(least_by_pair)
+    workers = [pair % 2 for pair, slack in enumerate(least_by_pair) if slack == least]
+    assert workers[0] == 1 and 0 in workers
+    assert json.loads(out)["cells"] == _reference_cells(text, (2,), (1,), (1,), 6, 0)
+    _assert_no_children()
+
+
 def test_sweep_of_one_group_never_forks(capsys, tmp_path, monkeypatch):
     forks = []
 

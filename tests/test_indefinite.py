@@ -41,6 +41,21 @@ def test_inertia_rejects_negative_counts():
         Inertia(plus=-1, minus=0, zero=0)
 
 
+@pytest.mark.parametrize("counts", [(0, -1, 0), (0, 0, -1)])
+def test_inertia_rejects_each_negative_count(counts):
+    with pytest.raises(ValidationError, match="non-negative"):
+        Inertia(*counts)
+
+
+def test_unchecked_inertia_equals_the_checked_one():
+    counted, checked = Inertia._of_counts(3, 1, 2), Inertia(3, 1, 2)
+    assert type(counted) is Inertia
+    assert counted == checked
+    assert hash(counted) == hash(checked)
+    assert repr(counted) == repr(checked)
+    assert (counted.dim, counted.sig) == (6, 2)
+
+
 def test_validate_space_counts_negative_squares():
     space = validate_space(J2)
     assert (space.kappa_plus, space.kappa_minus) == (1, 1)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -1138,3 +1140,75 @@ def test_shared_eig_vectors_are_checked_after_the_endpoints(monkeypatch):
         gap_inertia(op, Interval(2.0 + 1e-7, 5.0))
     with pytest.raises(ValidationError, match="matrix entries must be finite"):
         gap_inertia(op, Interval(0.0, 5.0))
+
+
+@pytest.mark.parametrize("d, kappa", [(4, 1), (12, 3), (32, 2)])
+def test_threads_counting_one_fresh_operator_agree_with_a_serial_run(d, kappa):
+    # memo reads take no lock: threads that miss together may each build,
+    # and each must still get the value stored first
+    cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=2, seed=5)
+    pair = random_pair(random_space(cfg), cfg)
+    windows = sweep_windows(pair)
+    serial = [gap_inertia(pair.op1, w) for w in windows]
+    verdict = ("additive", DEFAULT_TOL.rel, DEFAULT_TOL.abs)
+
+    def seen(op):
+        return spectrum(op), spectral._tables([op], DEFAULT_TOL)[0]
+
+    def count(op, k, start, results, errors):
+        try:
+            start.wait()
+            # a quarter of the threads first read the table, a quarter the
+            # spectrum, and half first count through both
+            first = None
+            if k % 4 == 1:
+                table = spectral._tables([op], DEFAULT_TOL)[0]
+                first = spectrum(op), table
+            elif k % 4 == 3:
+                first = seen(op)
+            counts = [gap_inertia(op, w) for w in windows]
+            results[k] = counts, first or seen(op)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            fresh = validate_operator(pair.space, pair.op1.matrix)
+            start = threading.Barrier(threads, timeout=60)
+            results, errors = [None] * threads, []
+            workers = [
+                threading.Thread(target=count, args=(fresh, k, start, results, errors))
+                for k in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+            assert errors == []
+            spec, table = seen(fresh)
+            assert spec == spectrum(pair.op1)
+            assert fresh._memo[verdict] == pair.op1._memo[verdict]
+            for counts, (seen_spec, seen_table) in results:
+                assert counts == serial
+                assert seen_spec is spec
+                assert seen_table is table
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_selection_returns_the_bisected_indices_unless_an_entry_is_on_an_endpoint():
+    space = validate_space(np.eye(3, dtype=complex))
+    op = validate_operator(space, np.diag([1.0, 2.0, 3.0]).astype(complex))
+    spec, inside = spectral.selection(op, Interval(0.5, 2.5))
+    assert inside == (0, 1)
+    assert type(inside) is tuple
+    # an entry on an endpoint, to machine resolution, is outside, also where
+    # the bisect counts it
+    assert spectral.selection(op, Interval(1.0 - 1e-13, 2.5))[1] == (1,)
+    assert spectral.selection(op, Interval(0.5, 3.0 + 1e-13))[1] == (0, 1)
+    assert spectral.selection(op, Interval(1.0, 3.0))[1] == (1,)
+    assert spectral.selection(op, FULL_LINE)[1] == spec.real_indices == (0, 1, 2)
