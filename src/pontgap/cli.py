@@ -46,7 +46,7 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair, make_pair
 from .spectral import (
     Interval,
-    _tables,
+    _build_missing,
     gap_inertia,
     spectrum,
     validate_operator,
@@ -252,8 +252,13 @@ def _csv_endpoint(x: float) -> str:
     return format_float(x)
 
 
-def _sweep_share(cells, seeds: int, tol: Tolerance) -> list:
+def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True) -> list:
     """What the merge needs of each of ``cells``' pairs, in their order.
+
+    Batched, the pairs go in batches of at most ``SWEEP_BATCH_ENTRIES``
+    matrix entries, whose tables are built together before any is counted.
+    Unbatched, the reference for errors, each pair is drawn and counted
+    before the next.
 
     Each pair gives ``(text, rows, min_slack, (lower, upper), dumps)``:
     its CSV rows, rendered and each ending in a newline, and their number;
@@ -272,9 +277,10 @@ def _sweep_share(cells, seeds: int, tol: Tolerance) -> list:
     results, batch, entries = [], [], 0
 
     def flush():
-        """Build the batch's spectral tables together, then verify its windows."""
+        """If batched, build the batch's tables together; then verify its windows."""
         nonlocal batch, entries
-        _tables([op for _, pair in batch for op in (pair.op1, pair.op2)], tol)
+        if batched:
+            _build_missing([op for _, pair in batch for op in (pair.op1, pair.op2)], tol)
         for cfg, pair in batch:
             d, space, n = cfg.dim, pair.space, pair.n
             rows, dumps, least, attained = [], [], None, None
@@ -297,22 +303,16 @@ def _sweep_share(cells, seeds: int, tol: Tolerance) -> list:
         batch, entries = [], 0
 
     for d, kappa, rank, seed in cells:
-        if batch and entries + 2 * d * d > SWEEP_BATCH_ENTRIES:
+        if batch and (not batched or entries + 2 * d * d > SWEEP_BATCH_ENTRIES):
             flush()
         cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
-        try:
-            pair = random_pair(first(d, kappa, seed), cfg, tol)
-        except Exception:
-            # the batch's pairs come first in grid order, and so do their errors
-            flush()
-            raise
-        batch.append((cfg, pair))
+        batch.append((cfg, random_pair(first(d, kappa, seed), cfg, tol)))
         entries += 2 * d * d
     flush()
     return results
 
 
-def _run_shares(shares, seeds: int, tol: Tolerance) -> list:
+def _run_shares(shares, seeds: int, tol: Tolerance, batched: bool = True) -> list:
     """Each share's :func:`_sweep_share` results, in share order.
 
     This process runs the first share; each other share runs in a forked
@@ -340,13 +340,13 @@ def _run_shares(shares, seeds: int, tol: Tolerance) -> list:
                     for _, fd in children:
                         os.close(fd)
                     with open(write_end, "wb") as pipe:
-                        pickle.dump(_sweep_share(share, seeds, tol), pipe)
+                        pickle.dump(_sweep_share(share, seeds, tol, batched), pipe)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write_end)
             children.append((pid, read_end))
-        results = [_sweep_share(shares[0], seeds, tol)]
+        results = [_sweep_share(shares[0], seeds, tol, batched)]
         while children:
             pid, read_end = children.pop(0)
             try:
@@ -419,11 +419,10 @@ def cmd_sweep(args) -> int:
     try:
         results = _run_shares(shares, args.seeds, tol)
     except Exception:
-        if workers == 1:
-            raise
-        # rerun the grid in this process, which raises its first error in
-        # grid order, whichever share failed first
-        workers, results = 1, _run_shares([cells], args.seeds, tol)
+        # the reference: the whole grid again in this process, unbatched,
+        # which raises its first error in grid order, whichever share
+        # failed and however
+        workers, results = 1, _run_shares([cells], args.seeds, tol, batched=False)
     # merge: each share's results are in grid order, so the grid's next
     # pair is the next of its share's.  A cell's first pair with its least
     # slack, in grid order, holds its first row with it

@@ -18,8 +18,10 @@ gap-form splits read only bands, the class constants of
 The table needs the eigenvectors, then the span of the eigenvectors
 each entry owns, kernel SVDs where an eigenvalue is
 defective, and the inertias of its real root bases from the package's
-one inertia routine.  One builder, :func:`_tables`, builds the tables of
-a list of operators together, such as the batches of a sweep: one
+one inertia routine.  A count reads its operator's table through
+:func:`_table`, which builds it alone where none is memoized, and
+:func:`_build_missing` builds the missing tables of several operators
+together.  Both go through one builder, :func:`_build_tables`: one
 stacked ``eig`` per order, one stacked SVD per order and number of
 owned eigenvectors, and one call of the inertia routine, whose bases
 may lie in different spaces and which stacks one ``eigh`` per order and
@@ -64,7 +66,6 @@ from .errors import (
     IllPosedIntervalError,
     NonHermitianError,
     NumericalDefectError,
-    PontgapError,
     SpectrumSymmetryError,
     ValidationError,
 )
@@ -235,7 +236,11 @@ class JSelfadjointOperator:
         value = self._memo.get(key, _MISSING)
         if value is not _MISSING:
             return value
-        value = build(*args)
+        return self._store(key, build(*args))
+
+    def _store(self, key, value):
+        """Memoize ``value`` under ``key`` unless a value is stored there
+        already, and return the stored one."""
         with self._lock:
             return self._memo.setdefault(key, value)
 
@@ -405,39 +410,24 @@ def _root_basis(op, entry: Eigenvalue, start: np.ndarray, tol):
     return basis
 
 
-#: What a table build raises where it fails: the typed errors, and the
-#: LAPACK failures of its SVDs, which escape untyped
-_BUILD_ERRORS = (PontgapError, np.linalg.LinAlgError)
+def _table(op, tol: Tolerance) -> _SpectralTable:
+    """The operator's spectral table for ``tol``, memoized; built alone
+    where none is."""
+    return op._cached(("table", tol.rel, tol.abs), _table_alone, op, tol)
 
 
-def _tables(ops, tol: Tolerance) -> list[_SpectralTable | None]:
-    """The spectral table of each operator in ``ops``, memoized; those not
-    memoized yet are built together (see :func:`_build_tables`).
+def _table_alone(op, tol: Tolerance) -> _SpectralTable:
+    return _build_tables([op], tol)[0]
 
-    A call that names one operator raises where its build fails.  In a call
-    that names several, a failed build raises nothing and memoizes nothing,
-    and every operator gets None unless memoized before.  The error is
-    deferred, not dropped: each operator then builds alone where it is
-    first counted, so the first error in counting order surfaces there,
-    with the class and message of that operator's own build.
-    """
+
+def _build_missing(ops, tol: Tolerance) -> None:
+    """Build together the tables for ``tol`` that the operators in ``ops``
+    have not memoized (see :func:`_build_tables`), and memoize them.  A
+    failed build raises and memoizes nothing."""
     key = ("table", tol.rel, tol.abs)
-    # one operator, as every count asks: one read, without a comprehension
-    found = [ops[0]._memo.get(key)] if len(ops) == 1 else [op._memo.get(key) for op in ops]
-    if None not in found:
-        return found
-    pending = list(dict.fromkeys(op for op, table in zip(ops, found) if table is None))
-    try:
-        tables = _build_tables(pending, tol)
-    except _BUILD_ERRORS:
-        if len(set(ops)) > 1:
-            return found
-        raise
-    built = {}
-    for op, table in zip(pending, tables):
-        with op._lock:
-            built[op] = op._memo.setdefault(key, table)
-    return [built.get(op, table) for op, table in zip(ops, found)]
+    missing = list(dict.fromkeys(op for op in ops if key not in op._memo))
+    for op, table in zip(missing, _build_tables(missing, tol)):
+        op._store(key, table)
 
 
 def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
@@ -448,8 +438,9 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
     eigenvalue is defective; and one call of the inertia routine over every
     real root basis, which stacks one ``eigh`` per order and basis width.
     Each LAPACK routine runs matrix by matrix, and each rank is cut per
-    matrix as in :func:`linalg.orthonormal_columns`, so a table is bitwise
-    the one its operator builds alone.
+    matrix as in :func:`linalg.orthonormal_columns`, so a table that
+    :func:`_build_missing` builds with others is bitwise the one
+    :func:`_table` builds alone.
 
     A failure raises: a stacked call's before any entry grows, then the
     first entry's in order.
@@ -571,7 +562,7 @@ def _union_basis(op, indices, tol) -> np.ndarray:
     """Orthonormal basis of the sum of the listed entries' root subspaces."""
     if not indices:
         return np.zeros((op.dim, 0), dtype=complex)
-    bases = _tables([op], tol)[0].bases
+    bases = _table(op, tol).bases
     blocks = [bases[i] for i in indices]
     basis = linalg.orthonormal_columns(np.hstack(blocks), tol)
     want = sum(block.shape[1] for block in blocks)
@@ -600,7 +591,7 @@ def complement_subspace(
 
 
 def _row_sum(op, included, tol) -> Inertia:
-    inertias = _tables([op], tol)[0].inertias
+    inertias = _table(op, tol).inertias
     plus = minus = zero = 0
     for i in included:
         row = inertias[i]

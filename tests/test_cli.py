@@ -25,6 +25,7 @@ from pontgap.errors import (
 )
 from pontgap.gen import GenConfig, random_pair, random_space
 from pontgap.instancefile import InstanceRecord, dumps_instance, parse_instance
+from pontgap.linalg import DEFAULT_TOL
 from pontgap.spectral import Interval
 from pontgap.theorem import sweep_windows, verify_main_theorem
 
@@ -547,9 +548,9 @@ def _count_processes(monkeypatch, path):
     runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
     share = pontgap.cli._sweep_share
 
-    def logged(cells, seeds, tol):
+    def logged(cells, seeds, tol, batched=True):
         _log(path, len(cells))
-        return share(cells, seeds, tol)
+        return share(cells, seeds, tol, batched)
 
     monkeypatch.setattr(pontgap.cli, "_sweep_share", logged)
     return runs
@@ -576,15 +577,15 @@ def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
 
 
 def _count_table_batches(monkeypatch, log):
-    """Log the distinct operators of each ``_tables`` call that ``sweep``
-    makes, by process; ``_batches`` reads them back."""
-    build = pontgap.cli._tables
+    """Log the distinct operators of each ``_build_missing`` call that
+    ``sweep`` makes, by process; ``_batches`` reads them back."""
+    build = pontgap.cli._build_missing
 
     def counted(ops, tol):
         _log(log, len(set(ops)))
         return build(ops, tol)
 
-    monkeypatch.setattr(pontgap.cli, "_tables", counted)
+    monkeypatch.setattr(pontgap.cli, "_build_missing", counted)
 
 
 def _batches(log):
@@ -832,6 +833,47 @@ def test_sweep_reruns_in_process_when_a_worker_fails(capsys, tmp_path, monkeypat
     # the shares, then the whole grid in this process
     assert len(runs) == 2
     assert _logged(log)[os.getpid()][-1] == "180"
+    _assert_no_children()
+
+
+def test_unbatched_share_equals_the_batched_share(monkeypatch):
+    # the grid of test_sweep_equals_its_cell_by_cell_build, as one share
+    dims, kappas, ranks, seeds, base = (3, 12, 2, 7, 3), (1, 3, 0, 1), (2, 0, 3), 3, 7
+    cells = [
+        (d, kappa, rank, base + offset)
+        for d, kappa, rank, offset in itertools.product(dims, kappas, ranks, range(seeds))
+        if kappa <= d and rank <= d
+    ]
+    batched = pontgap.cli._sweep_share(cells, seeds, DEFAULT_TOL)
+    builds = helpers.count_calls(monkeypatch, pontgap.cli, "_build_missing")
+    assert pontgap.cli._sweep_share(cells, seeds, DEFAULT_TOL, batched=False) == batched
+    assert builds == []
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_recounts_pair_by_pair_when_a_batch_build_fails(
+    capsys, tmp_path, monkeypatch, cpus
+):
+    out_path = tmp_path / "default.csv"
+    _pin_cpus(monkeypatch, 1)
+    _, summary, _ = _run(capsys, "sweep", "--out", str(out_path))
+    expected = out_path.read_bytes(), summary
+    _pin_cpus(monkeypatch, cpus)
+    log = tmp_path / "builds.log"
+
+    def failing(ops, tol):
+        _log(log, len(ops))
+        raise MemoryError("injected batch build failure")
+
+    monkeypatch.setattr(pontgap.cli, "_build_missing", failing)
+    runs = _count_processes(monkeypatch, tmp_path / "shares.log")
+    code, out, err = _run(capsys, "sweep", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert (out_path.read_bytes(), out) == expected
+    # this process's share failed at its first batch, and the rerun built none
+    assert len(runs) == 2
+    assert len(_logged(log)[os.getpid()]) == 1
     _assert_no_children()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -303,7 +304,7 @@ def _root_subspace(op, value):
     values = spectrum(op).values()
     idx = min(range(len(values)), key=lambda i: abs(values[i] - value))
     assert abs(values[idx] - value) < 1e-9
-    return Subspace(spectral._tables([op], DEFAULT_TOL)[0].bases[idx])
+    return Subspace(spectral._table(op, DEFAULT_TOL).bases[idx])
 
 
 def test_root_subspace_of_defective_eigenvalue_fills_the_plane():
@@ -326,7 +327,7 @@ def test_root_subspace_simple_eigenvalue():
 def test_root_subspaces_partition_dimension(d, seed):
     space = helpers.make_space(d, d // 3, seed)
     op = helpers.make_operator(space, seed + 2)
-    bases = spectral._tables([op], DEFAULT_TOL)[0].bases
+    bases = spectral._table(op, DEFAULT_TOL).bases
     assert len(bases) == len(spectrum(op).entries)
     assert sum(basis.shape[1] for basis in bases) == d
 
@@ -547,6 +548,25 @@ def test_gap_inertia_falls_back_to_each_windows_union(monkeypatch):
         assert gap_inertia(twin, window) == inertia
 
 
+def test_rows_add_up_on_every_generated_and_hand_built_operator():
+    # the traffic behind the verdict: on these operators no count takes
+    # the per-window fallback
+    ops = [
+        validate_operator(validate_space(gram.astype(complex)), matrix)
+        for gram, matrix in HAND_BUILT.values()
+    ]
+    for d in [*range(1, 13), 32]:
+        for kappa, rank, seed in itertools.product(range(4), range(4), range(2)):
+            if kappa <= d and rank <= d:
+                cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
+                pair = random_pair(random_space(cfg), cfg)
+                ops += [pair.op1, pair.op2]
+    verdict = ("additive", DEFAULT_TOL.rel, DEFAULT_TOL.abs)
+    for op in ops:
+        gap_inertia(op, FULL_LINE)
+        assert op._memo[verdict] is True
+
+
 def test_root_basis_defect_at_any_entry_fails_every_count(monkeypatch):
     # the table builds every root basis, non-real ones included
     _, a1 = _example3_op1()
@@ -619,7 +639,7 @@ def _parts(table):
 def _assert_stacked_table_is_per_entry(op):
     # a twin, so that neither build reads the other's memo
     twin = validate_operator(op.space, op.matrix)
-    outcome = _outcome(lambda: _parts(spectral._tables([twin], DEFAULT_TOL)[0]))
+    outcome = _outcome(lambda: _parts(spectral._table(twin, DEFAULT_TOL)))
     assert outcome == _outcome(lambda: _per_entry_table(op))
     return outcome
 
@@ -678,7 +698,7 @@ def test_stacked_table_equals_the_per_entry_build_by_hand(case):
     gram, matrix = HAND_BUILT[case]
     op = validate_operator(validate_space(gram.astype(complex)), matrix)
     _assert_stacked_table_is_per_entry(op)
-    widths = sorted(b.shape[1] for b in spectral._tables([op], DEFAULT_TOL)[0].bases)
+    widths = sorted(b.shape[1] for b in spectral._table(op, DEFAULT_TOL).bases)
     assert widths == {"semisimple-double": [1, 2], "jordan-2": [1, 1, 2],
                       "jordan-3": [1, 3]}[case]
 
@@ -745,16 +765,18 @@ def test_stacked_inertias_check_each_basis_in_order(monkeypatch, spoiled, messag
     monkeypatch.setattr(spectral, "_root_basis", spoiling)
     error, text = _assert_stacked_table_is_per_entry(op)
     assert error is ValidationError and text.startswith(message)
-    # built with another operator, the spoiled one memoizes nothing; built
-    # alone, where it is first counted, it fails as before
+    # built with another operator, the spoiled one fails the build as it
+    # fails alone, and neither memoizes a table; counted, it fails again
     other = helpers.make_operator(helpers.make_space(4, 1, 5), 6)
     twin = validate_operator(op.space, op.matrix)
-    assert spectral._tables([other, twin], DEFAULT_TOL)[1] is None
-    assert not any(key[0] == "table" for key in twin._memo)
+    with pytest.raises(ValidationError) as caught:
+        spectral._build_missing([other, twin], DEFAULT_TOL)
+    assert (type(caught.value), str(caught.value)) == (error, text)
+    assert not any(key[0] == "table" for key in (*other._memo, *twin._memo))
     with pytest.raises(ValidationError) as caught:
         gap_inertia(twin, FULL_LINE)
     assert (type(caught.value), str(caught.value)) == (error, text)
-    assert _outcome(lambda: _parts(spectral._tables([other], DEFAULT_TOL)[0])) == (
+    assert _outcome(lambda: _parts(spectral._table(other, DEFAULT_TOL))) == (
         _outcome(lambda: _per_entry_table(other))
     )
 
@@ -811,7 +833,7 @@ def test_table_factors_once_per_width(monkeypatch, gram, matrix, svds, eighs):
         name: helpers.count_calls(monkeypatch, np.linalg, name)
         for name in ("eig", "svd", "eigh")
     }
-    table = spectral._tables([op], DEFAULT_TOL)[0]
+    table = spectral._table(op, DEFAULT_TOL)
     assert len(calls["eig"]) == 1
     assert len(calls["svd"]) == svds
     assert len(calls["eigh"]) == eighs
@@ -843,7 +865,7 @@ def _generated_ops():
         yield from (pair.op1, pair.op2)
 
 
-def test_tables_built_together_equal_each_built_alone():
+def test_tables_built_together_equal_each_built_alone(monkeypatch):
     ops = list(_generated_ops())
     assert any(op1 is op2 for op1, op2 in zip(ops[::2], ops[1::2]))
     # half the operators read the vectors of their shared eig call, and the
@@ -854,11 +876,16 @@ def test_tables_built_together_equal_each_built_alone():
     batch = [twins[op] for op in ops]
     assert any(("vectors",) in t._memo for t in batch)
     assert any(("vectors",) not in t._memo for t in batch)
-    tables = spectral._tables(batch, DEFAULT_TOL)
+    spectral._build_missing(batch, DEFAULT_TOL)
+    tables = [twin._memo[("table", DEFAULT_TOL.rel, DEFAULT_TOL.abs)] for twin in batch]
+    # a second call finds every table memoized and builds none
+    calls = [helpers.count_calls(monkeypatch, np.linalg, f) for f in ("eig", "svd", "eigh")]
+    spectral._build_missing(batch, DEFAULT_TOL)
+    assert calls == [[], [], []]
     for op, twin, table in zip(ops, batch, tables):
-        alone = spectral._tables([_twin(op, ("vectors",) in twin._memo)], DEFAULT_TOL)[0]
+        alone = spectral._table(_twin(op, ("vectors",) in twin._memo), DEFAULT_TOL)
         assert _outcome(lambda: _parts(table)) == _outcome(lambda: _parts(alone))
-        assert spectral._tables([twin], DEFAULT_TOL)[0] is table
+        assert spectral._table(twin, DEFAULT_TOL) is table
 
 
 @pytest.mark.parametrize("d", [*range(2, 13), 75, 76, 96])
@@ -876,12 +903,12 @@ def test_stacked_eig_across_operators_gives_each_its_unstacked_bits(d):
         assert (w.tobytes(), v.tobytes()) == (alone[0].tobytes(), alone[1].tobytes())
 
 
-def test_tables_defer_a_failed_build_to_each_operator_alone(monkeypatch):
+def test_tables_built_together_raise_and_memoize_nothing_where_one_fails(monkeypatch):
     # one operator's spectrum fails, and so does the stacked eig of order 4:
-    # the call raises nothing and memoizes nothing, and built alone, each
-    # operator raises its own error or builds its table
+    # built together, the first error raises and no table is memoized, and
+    # built alone, each operator raises its own error or builds its table
     memoized = helpers.make_operator(helpers.make_space(2, 1, 8), 9)
-    table = spectral._tables([memoized], DEFAULT_TOL)[0]
+    table = spectral._table(memoized, DEFAULT_TOL)
     fine = helpers.make_operator(helpers.make_space(3, 1, 3), 4)
     fours = [helpers.make_operator(helpers.make_space(4, 1, 5), seed) for seed in (6, 7)]
     unpaired = JSelfadjointOperator(
@@ -896,17 +923,20 @@ def test_tables_defer_a_failed_build_to_each_operator_alone(monkeypatch):
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", failing)
-    tables = spectral._tables([unpaired, *fours, fine, memoized], DEFAULT_TOL)
-    assert [t is None for t in tables] == [True] * 4 + [False]
-    assert tables[4] is table
+    with pytest.raises(SpectrumSymmetryError, match="no conjugate partner"):
+        spectral._build_missing([unpaired, *fours, fine, memoized], DEFAULT_TOL)
     for op in (unpaired, *fours, fine):
         assert not any(key[0] == "table" for key in op._memo)
+    assert spectral._table(memoized, DEFAULT_TOL) is table
     with pytest.raises(SpectrumSymmetryError, match="no conjugate partner"):
-        spectral._tables([unpaired], DEFAULT_TOL)
+        spectral._table(unpaired, DEFAULT_TOL)
     with pytest.raises(EigensolverError, match="Eigenvalues did not converge"):
-        spectral._tables([fours[1], fours[1]], DEFAULT_TOL)
+        spectral._table(fours[0], DEFAULT_TOL)
+    # an operator named twice is built once, and fails as it does alone
+    with pytest.raises(EigensolverError, match="Eigenvalues did not converge"):
+        spectral._build_missing([fours[1], fours[1]], DEFAULT_TOL)
     _assert_stacked_table_is_per_entry(fine)
-    assert spectral._tables([fine], DEFAULT_TOL)[0] is not None
+    assert spectral._table(fine, DEFAULT_TOL) is not None
 
 
 def test_gap_and_complement_subspaces_partition():
@@ -1153,7 +1183,7 @@ def test_threads_counting_one_fresh_operator_agree_with_a_serial_run(d, kappa):
     verdict = ("additive", DEFAULT_TOL.rel, DEFAULT_TOL.abs)
 
     def seen(op):
-        return spectrum(op), spectral._tables([op], DEFAULT_TOL)[0]
+        return spectrum(op), spectral._table(op, DEFAULT_TOL)
 
     def count(op, k, start, results, errors):
         try:
@@ -1162,7 +1192,7 @@ def test_threads_counting_one_fresh_operator_agree_with_a_serial_run(d, kappa):
             # spectrum, and half first count through both
             first = None
             if k % 4 == 1:
-                table = spectral._tables([op], DEFAULT_TOL)[0]
+                table = spectral._table(op, DEFAULT_TOL)
                 first = spectrum(op), table
             elif k % 4 == 3:
                 first = seen(op)
