@@ -523,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--interval", action="append", default=None,
                           metavar="A,B",
                           help="override instance intervals (repeatable; "
-                               "inf literals allowed)")
+                               "inf literals allowed; write a negative A as "
+                               "--interval=A,B)")
     instance.add_argument("--out", default=None, help="write report here "
                           "instead of stdout")
     _add_tolerance_flags(instance)

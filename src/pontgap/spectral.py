@@ -5,8 +5,9 @@ Hermitian.  Its spectrum is closed under conjugation; eigenvalue counts
 over an open real interval are taken with algebraic multiplicity, via
 the dimension of the corresponding sum of root subspaces.
 
-Each operator memoizes, with lock-free reads, its raw eigenvalues (the
-generator's margin check reads the same values) and its clustered
+Each operator memoizes, with lock-free reads, its eigendecomposition
+(the raw eigenvalues, which the generator's margin check reads too, with
+the eigenvectors where one ``eig`` call gave both) and its clustered
 spectrum, both whatever the tolerance, and, per tolerance, a spectral
 table: a root basis per eigenvalue and, per real eigenvalue, the
 inertia of the Gram form on it.  The spectrum clusters the raw values
@@ -40,12 +41,12 @@ call, and the table's eigenvectors from the stacked ``eig`` call of its
 build: above that order, and where the raw eigenvalues were memoized
 first (by a margin check or a printed spectrum).  All go through one
 wrapper, so a failed iteration raises the same error at every order.
-The memo thus holds five things: the raw eigenvalues, the shared
-eigenvectors where they were computed, the spectrum, which carries its
-own sorted keys, and, one of each per tolerance, the table and the
-verdict of that check.  With the
-keys, :func:`selection` and :func:`clear_of` bisect instead of scanning:
-a window costs O(log m + k) for m entries, k of them near an endpoint or
+The memo thus holds four things: the eigendecomposition, one entry of
+the raw eigenvalues with the shared eigenvectors or ``None``; the
+spectrum, which carries its own sorted keys; and, one of each per
+tolerance, the table and the verdict of that check.  With the keys,
+:func:`selection` and :func:`clear_of` bisect instead of scanning: a
+window costs O(log m + k) for m entries, k of them near an endpoint or
 counted.  The memo never changes any result.
 """
 
@@ -205,11 +206,12 @@ class JSelfadjointOperator:
 
     Construct through :func:`validate_operator`.  Instances memoize
     spectral computations; the memo is internal and thread-safe.  A read
-    takes no lock: a memo hit is one dictionary read.  A store takes the
-    lock and keeps the first value stored under its key.  A build runs
-    outside the lock, since builds nest (the spectrum's reads the raw
-    eigenvalues), so threads that miss together may each build, and all
-    of them get the value stored first.
+    takes no lock: a memo hit is one dictionary read.  Each value, the
+    eigenvalues with their eigenvectors too, is one entry, and the one
+    store, :meth:`_store`, takes the lock and keeps the first value stored
+    under its key.  A build runs outside the lock, since builds nest (the
+    spectrum's reads the raw eigenvalues), so threads that miss together
+    may each build, and all of them get the value stored first.
     """
 
     space: IndefiniteSpace
@@ -247,29 +249,26 @@ class JSelfadjointOperator:
     def raw_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of ``matrix``, unclustered: those of the shared ``eig``
         call if :meth:`share_eig` made it first, else of one ``eigvals`` call."""
-        return self._cached(("raw",), _eigenvalues, self.matrix)
+        return self._cached(("eigen",), _eigenvalues, self.matrix)[0]
 
     def share_eig(self) -> None:
-        """Memoize the raw eigenvalues together with the eigenvectors of one
-        ``eig`` call, if the order is at most ``SHARED_EIG_MAX_DIM`` and no
-        raw eigenvalues are memoized yet.  The eigenvectors are checked only
-        where the table reads them."""
-        if ("raw",) in self._memo or self.dim > SHARED_EIG_MAX_DIM:
+        """Memoize the eigendecomposition of one ``eig`` call, the raw
+        eigenvalues with the table's eigenvectors, if the order is at most
+        ``SHARED_EIG_MAX_DIM`` and none is memoized yet.  The eigenvectors
+        are checked only where the table reads them."""
+        if ("eigen",) in self._memo or self.dim > SHARED_EIG_MAX_DIM:
             return
         values, vectors = _geev(np.linalg.eig, self.matrix)
         values.setflags(write=False)
         vectors.setflags(write=False)
-        with self._lock:
-            if ("raw",) not in self._memo:
-                self._memo[("raw",)] = values
-                self._memo[("vectors",)] = vectors
+        self._store(("eigen",), (values, vectors))
 
 
-def _eigenvalues(matrix) -> np.ndarray:
-    """The read-only eigenvalues of one ``eigvals`` call."""
+def _eigenvalues(matrix) -> tuple[np.ndarray, None]:
+    """The read-only values of one ``eigvals`` call, and no eigenvectors."""
     values = _geev(np.linalg.eigvals, matrix)
     values.setflags(write=False)
-    return values
+    return values, None
 
 
 def _geev(solve, a):
@@ -446,12 +445,9 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
     first entry's in order.
     """
     entries = [spectrum(op).entries for op in ops]
-    eigen = [None] * len(ops)
-    for j, op in enumerate(ops):
-        with op._lock:
-            if ("vectors",) in op._memo:
-                eigen[j] = op._memo[("raw",)], op._memo[("vectors",)]
-    unshared = [j for j in range(len(ops)) if eigen[j] is None]
+    # the spectrum memoized each operator's eigendecomposition
+    eigen = [op._memo[("eigen",)] for op in ops]
+    unshared = [j for j, (_, vectors) in enumerate(eigen) if vectors is None]
     for _, members in _grouped([ops[j].dim for j in unshared]):
         members = [unshared[i] for i in members]
         stack = np.stack([ops[j].matrix for j in members])

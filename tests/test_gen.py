@@ -217,6 +217,27 @@ def test_resample_budget_exhausts_on_impossible_gap(monkeypatch):
         random_operator(space, cfg)
 
 
+def test_random_pair_resample_budget_exhausts_when_no_a2_passes(monkeypatch):
+    cfg = GenConfig(dim=4, kappa_minus=1, pert_rank=2, seed=0)
+    op1 = random_operator(random_space(cfg), cfg)
+    monkeypatch.setattr(gen, "_margins_ok", lambda values: False)
+    with pytest.raises(ResampleBudgetError) as caught:
+        random_pair(op1, cfg)
+    assert str(caught.value) == (
+        f"no rank-2 perturbation with margins {Tolerance.GEN_MIN_GAP} "
+        f"in {gen.RESAMPLE_BUDGET} draws"
+    )
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 1.0), (1.0, -1.0)])
+def test_real_spectrum_operator_rejects_empty_bounds(bounds):
+    cfg = GenConfig(dim=3, kappa_minus=1, seed=0)
+    space = random_space(cfg)
+    with pytest.raises(ValidationError) as caught:
+        random_real_spectrum_operator(space, cfg, bounds=bounds)
+    assert str(caught.value) == f"bounds must satisfy lo < hi, got {bounds}"
+
+
 def test_real_spectrum_operator_respects_bounds():
     cfg = GenConfig(dim=5, kappa_minus=2, seed=21)
     space = random_space(cfg)

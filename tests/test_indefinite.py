@@ -300,3 +300,23 @@ def test_oblique_projection_requires_direct_sum():
     along = Subspace.from_columns(3, np.eye(3, 1, dtype=complex))
     with pytest.raises(NumericalDefectError):
         oblique_projection(onto, along)
+
+
+@pytest.mark.parametrize("op", [sum_subspaces, intersect_subspaces, oblique_projection])
+def test_lattice_operations_check_the_ambient_dims(op):
+    with pytest.raises(DimensionMismatchError) as caught:
+        op(Subspace.full(2), Subspace.full(3))
+    assert str(caught.value) == "subspaces live in different ambient spaces"
+
+
+def test_oblique_projection_rejects_subspaces_that_are_not_complementary():
+    # dimensions 1 + 1 fill C^2, but the two lines meet at an angle of 1e-14
+    onto = Subspace.from_columns(2, np.array([[1.0], [0.0]], dtype=complex))
+    along = Subspace.from_columns(2, np.array([[1.0], [1e-14]], dtype=complex))
+    sigma = np.linalg.svd(np.hstack([onto.basis, along.basis]), compute_uv=False)[-1]
+    assert 0.0 < sigma < 1e-13
+    with pytest.raises(NumericalDefectError) as caught:
+        oblique_projection(onto, along)
+    assert str(caught.value) == (
+        f"subspaces are not complementary (sigma_min = {sigma:.3e})"
+    )

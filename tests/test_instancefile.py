@@ -408,9 +408,14 @@ def _walk_only(text):
          "$.a1: matrix entries must be finite"),
         (_a1_doc([[[1.0, 0.0], [0, 2]], [[0.5, -7], [3.0, 0.0]]], "1" + "0" * 399),
          "$.a1[1][0][1]: number does not fit in a double"),
+        (_a1_doc([]), "$.a1: expected a non-empty array of rows"),
+        (_a1_doc(5), "$.a1: expected a non-empty array of rows"),
+        (_a1_doc([[]]), "$.a1[0]: expected a non-empty array of [re, im] entries"),
+        (_a1_doc([5]), "$.a1[0]: expected a non-empty array of [re, im] entries"),
     ],
     ids=["true", "string", "null", "ragged", "three-element", "non-square",
-         "float-overflow", "int-past-double"],
+         "float-overflow", "int-past-double", "no-rows", "rows-number", "empty-row",
+         "row-number"],
 )
 def test_bulk_matrix_path_keeps_the_walks_messages(text, message):
     # the messages were recorded before matrices had a bulk path
@@ -462,6 +467,23 @@ def test_parse_rejects_extra_interval_key():
     bad = [{"lower": 0.0, "upper": 1.0, "width": 1.0}]
     with pytest.raises(InstanceFormatError, match=r"unknown interval keys"):
         parse_instance(_doc(intervals=bad))
+
+
+@pytest.mark.parametrize(
+    "key, node, message",
+    [
+        ("intervals", {}, "$.intervals: expected an array of intervals"),
+        ("intervals", [5], "$.intervals[0]: expected an object with lower/upper, got 5"),
+        ("intervals", [{"lower": 0.0}],
+         "$.intervals[0]: interval needs both lower and upper"),
+        ("expected", 5, "$.expected: expected an object of integer fields, got 5"),
+    ],
+    ids=["intervals-object", "interval-number", "interval-no-upper", "expected-number"],
+)
+def test_parse_names_the_malformed_node(key, node, message):
+    with pytest.raises(InstanceFormatError) as parsed:
+        parse_instance(_doc(**{key: node}))
+    assert str(parsed.value) == message
 
 
 def test_empty_interval_is_ill_posed_not_malformed():

@@ -1,6 +1,7 @@
 """The public names: each resolves, each exported function has a caller,
-no function takes a tolerance it cannot read, and no value class holding
-an array has an ``==`` or ``hash`` that raises."""
+no function takes a tolerance it cannot read, no value class holding an
+array has an ``==`` or ``hash`` that raises, and README's Python blocks
+run."""
 
 import importlib
 import inspect
@@ -115,3 +116,20 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert first == first
     assert hash(first) == hash(first)
     assert len({first, second}) == 2
+
+
+#: the fenced ``python`` blocks of README.md, in order
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M
+)
+
+
+def test_readme_has_python_blocks():
+    assert len(README_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize(
+    "block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))]
+)
+def test_readme_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {})

@@ -232,19 +232,20 @@ def test_operator_memoizes_raw_values_spectrum_table_and_verdict_only():
     pair = helpers.make_rank_perturbed_pair(space, 4, rank=1)
     windows = sweep_windows(pair)
     assert len(windows) > 1
-    # spectra first: the raw values come from eigvals, the table's eig is its own
-    for op in (pair.op1, pair.op2):
+    # spectra first, the raw values come from eigvals and the table's eig is
+    # its own; counted cold, one shared eig call also leaves its eigenvectors
+    cold = [validate_operator(space, op.matrix) for op in (pair.op1, pair.op2)]
+    for op, shared in [(pair.op1, False), (pair.op2, False), *((t, True) for t in cold)]:
         for window in windows:
             gap_inertia(op, window)
-        assert {key[0] for key in op._memo} == {"raw", "spectrum", "table", "additive"}
-    # counted cold: one shared eig call also leaves its eigenvectors
-    for op in (pair.op1, pair.op2):
-        twin = validate_operator(space, op.matrix)
-        for window in windows:
-            gap_inertia(twin, window)
-        assert {key[0] for key in twin._memo} == {
-            "raw", "vectors", "spectrum", "table", "additive"
-        }
+        assert {key[0] for key in op._memo} == {"eigen", "spectrum", "table", "additive"}
+        assert len(op._memo) == 4
+        values, vectors = op._memo[("eigen",)]
+        assert values is op.raw_eigenvalues()
+        if shared:
+            assert isinstance(vectors, np.ndarray) and vectors.shape == (5, 5)
+        else:
+            assert vectors is None
 
 
 def test_failed_eigenvalue_iteration_is_a_typed_error(monkeypatch):
@@ -852,6 +853,11 @@ def _twin(op, shared):
     return twin
 
 
+def _shared(op):
+    """Whether the memoized eigendecomposition holds eigenvectors."""
+    return ("eigen",) in op._memo and op._memo[("eigen",)][1] is not None
+
+
 def _generated_ops():
     """A1 and A2 of generated pairs of d = 1-12 and kappa = 0-3, two seeds
     each, and of one d = 96 pair; a rank-0 pair's A2 is its A1."""
@@ -874,8 +880,8 @@ def test_tables_built_together_equal_each_built_alone(monkeypatch):
     for i, op in enumerate(ops):
         twins.setdefault(op, _twin(op, shared=i % 4 < 2))
     batch = [twins[op] for op in ops]
-    assert any(("vectors",) in t._memo for t in batch)
-    assert any(("vectors",) not in t._memo for t in batch)
+    assert any(_shared(t) for t in batch)
+    assert not all(_shared(t) for t in batch)
     spectral._build_missing(batch, DEFAULT_TOL)
     tables = [twin._memo[("table", DEFAULT_TOL.rel, DEFAULT_TOL.abs)] for twin in batch]
     # a second call finds every table memoized and builds none
@@ -883,7 +889,7 @@ def test_tables_built_together_equal_each_built_alone(monkeypatch):
     spectral._build_missing(batch, DEFAULT_TOL)
     assert calls == [[], [], []]
     for op, twin, table in zip(ops, batch, tables):
-        alone = spectral._table(_twin(op, ("vectors",) in twin._memo), DEFAULT_TOL)
+        alone = spectral._table(_twin(op, _shared(twin)), DEFAULT_TOL)
         assert _outcome(lambda: _parts(table)) == _outcome(lambda: _parts(alone))
         assert spectral._table(twin, DEFAULT_TOL) is table
 
@@ -1029,6 +1035,13 @@ def test_restrict_operator_rejects_non_invariant_subspace():
         restrict_operator(a1, skew)
 
 
+def test_restrict_operator_checks_the_ambient_dim():
+    _, a1, _ = _example1_pair()
+    with pytest.raises(DimensionMismatchError) as caught:
+        restrict_operator(a1, Subspace.full(3))
+    assert str(caught.value) == "subspace does not live in the operator's space"
+
+
 # ---------------------------------------------------------------------------
 # one eig call per operator up to order SHARED_EIG_MAX_DIM
 
@@ -1142,7 +1155,7 @@ def test_spectrum_alone_takes_eigvals_only(monkeypatch):
     calls = _count_geev(monkeypatch)
     spectrum(op)
     assert (len(calls["eigvals"]), len(calls["eig"])) == (1, 0)
-    assert ("vectors",) not in op._memo
+    assert op._memo[("eigen",)][1] is None
 
 
 @pytest.mark.parametrize("build", [gap_subspace, complement_subspace])
