@@ -5,6 +5,18 @@ in the deterministic format of :mod:`pontgap.instancefile`; diagnostics
 go to stderr.  Exit codes: 0 ok, 1 expectation mismatch, 2 input error,
 3 ill-posed interval (including an endpoint ambiguously close to an
 eigenvalue), 4 bound violation.
+
+``sweep`` spreads its grid over the CPUs of the affinity mask: W shares
+of (d, kappa, seed) groups, one per CPU up to the number of groups, each
+other than this process's in a forked child.  Where a share has CPUs to
+spare (CPUs // W > 1) and this process runs one thread, so that no BLAS
+thread holds them, the share also builds the spectral tables of the
+operators it draws of order ``TABLE_CHILD_MIN_DIM`` = 64 or more in forked
+children, one per spare CPU, while it draws on; below that order a table
+costs less than its child's round trip.  A child builds a table with the
+same code as this process, so the output bytes never depend on the number
+of CPUs, and any failure, of a share, a child or a build, reruns the whole
+grid in this process, one pair at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +31,11 @@ import signal
 import sys
 import threading
 from pathlib import Path
+
+try:
+    from fcntl import F_SETPIPE_SZ, fcntl
+except ImportError:  # no pipe sizes outside Linux
+    F_SETPIPE_SZ = None
 
 from . import instancefile
 from .errors import (
@@ -47,6 +64,8 @@ from .perturbation import OperatorPair, make_pair
 from .spectral import (
     Interval,
     _build_missing,
+    _store_table,
+    _table_alone,
     gap_inertia,
     spectrum,
     validate_operator,
@@ -69,6 +88,19 @@ CSV_HEADER = "d,kplus,kminus,n,lower,upper,eig1,eig2,sig1,sig2,slack"
 #: the bound keeps the stacked copies small: the default grid, 3,480
 #: entries, is one batch, and a pair of order 46 or more is a batch alone.
 SWEEP_BATCH_ENTRIES = 4096
+
+#: Least order of an operator whose spectral table ``sweep`` builds in a
+#: forked child while a CPU is idle.  On a 2-vCPU Xeon with one BLAS
+#: thread (medians of 7 operators), a table took 5.2 ms at d = 48, 9 ms at
+#: d = 64 and 22 ms at d = 96, and forking a child that pickles a built
+#: table back took 5.4-6 ms at d = 48 and 6.5-7 ms at d = 64: only from
+#: about d = 64 does the table outweigh its round trip.
+TABLE_CHILD_MIN_DIM = 64
+
+#: Capacity asked for each forked child's pipe: a d = 96 table pickles to
+#: about 154 kB, so its child can write it whole and exit before this
+#: process reads it.  The kernel may refuse; the pipe keeps its size then.
+PIPE_BYTES = 1 << 20
 
 
 def _tolerance(args) -> Tolerance:
@@ -252,13 +284,19 @@ def _csv_endpoint(x: float) -> str:
     return format_float(x)
 
 
-def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True) -> list:
+def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
+                 cpus=()) -> list:
     """What the merge needs of each of ``cells``' pairs, in their order.
 
     Batched, the pairs go in batches of at most ``SWEEP_BATCH_ENTRIES``
-    matrix entries, whose tables are built together before any is counted.
-    Unbatched, the reference for errors, each pair is drawn and counted
-    before the next.
+    matrix entries, whose tables are built together before any is counted,
+    and the next pair is drawn before the last batch is counted.  Each
+    drawn operator of order ``TABLE_CHILD_MIN_DIM`` or more whose table no
+    child builds yet goes to a forked child on a free CPU of ``cpus``, which
+    builds its table while this process draws on; where no CPU is free, the
+    table is built here with its batch's.  Unbatched, the reference for
+    errors, each pair is drawn and counted before the next, and every
+    table is built here.
 
     Each pair gives ``(text, rows, min_slack, (lower, upper), dumps)``:
     its CSV rows, rendered and each ending in a newline, and their number;
@@ -266,118 +304,242 @@ def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True) -> lis
     and the instance files of its windows that break a bound.  This is
     plain data, which a forked worker pickles.
     """
-    # J and A1 depend on (d, kappa, seed), not on the rank.  The grid runs
-    # a (d, kappa)'s ranks over the same --seeds seeds, so keeping the last
-    # --seeds A1s (each holds its J) builds each once for all ranks
-    @functools.lru_cache(maxsize=seeds)
-    def first(d, kappa, seed):
-        cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
-        return random_operator(random_space(cfg, tol), cfg, tol)
+    with _Forked() as children:
+        free = list(cpus)  # the CPUs without a table child
+        pending = {}  # operator -> (pid of the child building its table, its CPU)
 
-    results, batch, entries = [], [], 0
+        def send(op):
+            if batched and free and op.dim >= TABLE_CHILD_MIN_DIM:
+                cpu = free.pop()
+                pending[op] = children.start(cpu, _table_alone, op, tol), cpu
+            return op
 
-    def flush():
-        """If batched, build the batch's tables together; then verify its windows."""
-        nonlocal batch, entries
-        if batched:
-            _build_missing([op for _, pair in batch for op in (pair.op1, pair.op2)], tol)
-        for cfg, pair in batch:
-            d, space, n = cfg.dim, pair.space, pair.n
-            rows, dumps, least, attained = [], [], None, None
-            # sweep_windows opens with the whole line, so every cell gets a row
-            for interval in sweep_windows(pair):
-                report = verify_main_theorem(pair, interval, tol)
-                lower, upper, slack = interval.lower, interval.upper, report.slack
-                rows.append(",".join(map(str, (
-                    d, space.kappa_plus, space.kappa_minus, n,
-                    _csv_endpoint(lower), _csv_endpoint(upper),
-                    report.eig1, report.eig2, report.sig1, report.sig2, slack,
-                ))))
-                if least is None or slack < least:
-                    least, attained = slack, (lower, upper)
-                if not report.all_hold:
-                    dumps.append(dumps_instance(_pair_record(
-                        pair, interval, f"violation-d{d}-k{cfg.kappa_minus}"
-                                        f"-n{cfg.pert_rank}-seed{cfg.seed}")))
-            results.append(("\n".join(rows) + "\n", len(rows), least, attained, dumps))
-        batch, entries = [], 0
+        # J and A1 depend on (d, kappa, seed), not on the rank.  The grid
+        # runs a (d, kappa)'s ranks over the same --seeds seeds, so keeping
+        # the last --seeds A1s (each holds its J) builds each once for all ranks
+        @functools.lru_cache(maxsize=seeds)
+        def first(d, kappa, seed):
+            cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
+            return send(random_operator(random_space(cfg, tol), cfg, tol))
 
-    for d, kappa, rank, seed in cells:
-        if batch and (not batched or entries + 2 * d * d > SWEEP_BATCH_ENTRIES):
-            flush()
-        cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
-        batch.append((cfg, random_pair(first(d, kappa, seed), cfg, tol)))
-        entries += 2 * d * d
-    flush()
-    return results
+        results, batch, entries = [], [], 0
+
+        def flush():
+            """If batched, build the batch's tables together, or collect them
+            from their children; then verify its windows."""
+            nonlocal batch, entries
+            if batched:
+                ops = [op for _, pair in batch for op in (pair.op1, pair.op2)]
+                _build_missing([op for op in ops if op not in pending], tol)
+                for op in dict.fromkeys(ops):
+                    if op in pending:
+                        pid, cpu = pending.pop(op)
+                        free.append(cpu)
+                        _store_table(op, children.result(pid), tol)
+            for cfg, pair in batch:
+                d, space, n = cfg.dim, pair.space, pair.n
+                rows, dumps, least, attained = [], [], None, None
+                # sweep_windows opens with the whole line, so every cell gets a row
+                for interval in sweep_windows(pair):
+                    report = verify_main_theorem(pair, interval, tol)
+                    lower, upper, slack = interval.lower, interval.upper, report.slack
+                    rows.append(",".join(map(str, (
+                        d, space.kappa_plus, space.kappa_minus, n,
+                        _csv_endpoint(lower), _csv_endpoint(upper),
+                        report.eig1, report.eig2, report.sig1, report.sig2, slack,
+                    ))))
+                    if least is None or slack < least:
+                        least, attained = slack, (lower, upper)
+                    if not report.all_hold:
+                        dumps.append(dumps_instance(_pair_record(
+                            pair, interval, f"violation-d{d}-k{cfg.kappa_minus}"
+                                            f"-n{cfg.pert_rank}-seed{cfg.seed}")))
+                results.append(("\n".join(rows) + "\n", len(rows), least, attained, dumps))
+            batch, entries = [], 0
+
+        for d, kappa, rank, seed in cells:
+            if batch and not batched:
+                flush()
+            cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
+            pair = random_pair(first(d, kappa, seed), cfg, tol)
+            if pair.op2 is not pair.op1:
+                send(pair.op2)
+            # batched, the pair is drawn before the last batch is counted,
+            # so that table children run meanwhile
+            if batch and entries + 2 * d * d > SWEEP_BATCH_ENTRIES:
+                flush()
+            batch.append((cfg, pair))
+            entries += 2 * d * d
+        flush()
+        return results
+
+
+class _Forked:
+    """This process's forked children, each pickling one call's result down
+    its own pipe: the sweep's workers and its table children alike.
+
+    A fork shares the loaded modules, where a spawned worker would import
+    numpy again at a cost larger than the default grid's whole sweep.  Each
+    child starts on the CPU it is given: where the kernel does not balance
+    load across the affinity mask (a cpuset with load balancing off), a
+    forked child would stay on its parent's CPU.  With ``groups``, each
+    child leads a process group of its own, which holds the children it
+    forks in turn.
+
+    A child whose result was read is reaped later, so that this process
+    does not wait while it exits.  On leaving the ``with`` block, every
+    child whose result was not read is killed with its group, and every
+    child is reaped, so none outlives the block; if the block succeeded
+    but a child exited non-zero, it raises :class:`ChildProcessError`.
+    """
+
+    def __init__(self, groups: bool = False):
+        self._groups = groups
+        self._pipes = {}  # pid -> read end of its pipe, for each child not read
+        self._read = []  # pids of the children read but not reaped
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        for pid, read_end in self._pipes.items():
+            try:
+                (os.killpg if self._groups else os.kill)(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                # the child has not made its group yet, so it forked none
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+        self._pipes.clear()
+        failed = self._reap(0)
+        if failed and exc_type is None:
+            raise failed
+
+    def _reap(self, flags: int) -> ChildProcessError | None:
+        """Reap the children read that have exited (all of them, waiting,
+        with ``flags`` 0); the error of the first that exited non-zero."""
+        failed = None
+        for pid in list(self._read):
+            done, status = os.waitpid(pid, flags)
+            if done:
+                self._read.remove(pid)
+                if status != 0 and failed is None:
+                    failed = ChildProcessError(
+                        f"forked child exited with {os.waitstatus_to_exitcode(status)}")
+        return failed
+
+    def start(self, cpu: int, work, *args) -> int:
+        """Fork a child on ``cpu`` that pickles ``work(*args)`` down a pipe;
+        its pid."""
+        failed = self._reap(os.WNOHANG)
+        if failed:
+            raise failed
+        read_end, write_end = os.pipe()
+        if F_SETPIPE_SZ is not None:
+            try:
+                fcntl(write_end, F_SETPIPE_SZ, PIPE_BYTES)
+            except OSError:
+                pass
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            # the child never returns into its caller's stack, and leaves
+            # atexit handlers and stream buffers to the parent
+            code = 1
+            try:
+                if self._groups:
+                    os.setpgid(0, 0)
+                os.close(read_end)
+                for fd in self._pipes.values():
+                    os.close(fd)
+                try:
+                    # move to cpu, then let the kernel move the child on
+                    # where it balances load: confined to one CPU, a child
+                    # would crowd any BLAS threads it starts there
+                    mask = os.sched_getaffinity(0)
+                    os.sched_setaffinity(0, {cpu})
+                    os.sched_setaffinity(0, mask)
+                except OSError:
+                    pass  # a CPU outside the mask; the child stays where it is
+                result = work(*args)
+                with open(write_end, "wb") as pipe:
+                    pickle.dump(result, pipe)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        self._pipes[pid] = read_end
+        return pid
+
+    def result(self, pid: int):
+        """Child ``pid``'s result, read to the end of its pipe."""
+        with open(self._pipes[pid], "rb", closefd=False) as pipe:
+            data = pipe.read()
+        os.close(self._pipes.pop(pid))
+        self._read.append(pid)
+        return pickle.loads(data)
 
 
 def _run_shares(shares, seeds: int, tol: Tolerance, batched: bool = True) -> list:
     """Each share's :func:`_sweep_share` results, in share order.
 
-    This process runs the first share; each other share runs in a forked
-    child, which pickles its results down a pipe.  A fork shares the loaded
-    modules, where a spawned worker would import numpy again at a cost
-    larger than the default grid's whole sweep.  If anything fails, every
+    The CPUs of :func:`_cpus` go in blocks of CPUs // W to the W shares.
+    This process runs the first share, on the first CPU, and each other
+    share runs in a forked child on the first CPU of its block.  Batched,
+    a share's table children run on the rest of its block, if this process
+    runs one thread (see :func:`_one_thread`).  If anything fails, every
     child is killed and reaped before the error propagates.
     """
-    children = []  # (pid, read end of its pipe), in share order
+    cpus = _cpus()
+    per = len(cpus) // len(shares)
+    blocks = [cpus[w * per:(w + 1) * per] for w in range(len(shares))]
+    if not (batched and _one_thread()):
+        blocks = [block[:1] for block in blocks]
+    with _Forked(groups=True) as children:
+        pids = [children.start(block[0], _sweep_share, share, seeds, tol, batched, block[1:])
+                for share, block in zip(shares[1:], blocks[1:])]
+        results = [_sweep_share(shares[0], seeds, tol, batched, blocks[0][1:])]
+        return results + [children.result(pid) for pid in pids]
+
+
+def _cpus() -> list:
+    """The CPUs of the affinity mask, the one this process runs on first;
+    none where the sweep may not fork: where the platform has no ``fork``
+    or affinity mask, or other threads run, since a forked child holds only
+    the forking thread."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
     try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                # the child never returns into its caller's stack, and leaves
-                # atexit handlers and stream buffers to the parent
-                code = 1
-                try:
-                    os.close(read_end)
-                    for _, fd in children:
-                        os.close(fd)
-                    with open(write_end, "wb") as pipe:
-                        pickle.dump(_sweep_share(share, seeds, tol, batched), pipe)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_end)
-            children.append((pid, read_end))
-        results = [_sweep_share(shares[0], seeds, tol, batched)]
-        while children:
-            pid, read_end = children.pop(0)
-            try:
-                with open(read_end, "rb") as pipe:
-                    data = pipe.read()
-            finally:
-                status = os.waitpid(pid, 0)[1]
-            if status != 0:
-                raise ChildProcessError(
-                    f"sweep worker exited with {os.waitstatus_to_exitcode(status)}")
-            results.append(pickle.loads(data))
-        return results
-    finally:
-        for pid, read_end in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_end)
+        with open("/proc/self/stat", "rb") as stat:
+            # field 39: the CPU this process last ran on
+            here = int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return cpus
+    return sorted(cpus, key=lambda cpu: cpu != here)
+
+
+def _one_thread() -> bool:
+    """Whether this process runs one thread of the operating system.  A
+    BLAS built with threads starts its workers as it loads, unless told to
+    use one (``OPENBLAS_NUM_THREADS=1``, ``OMP_NUM_THREADS=1``, ...), and
+    they take the CPUs that a table child would need: a child beside
+    them slows both down."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
 
 def _workers(groups: int) -> int:
-    """How many processes sweep ``groups`` (d, kappa, seed) groups.
-
-    One per CPU of the affinity mask, but never more than there are groups,
-    and one where the platform cannot fork or other threads run, since a
-    forked child holds only the forking thread.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), groups)
+    """How many processes sweep ``groups`` (d, kappa, seed) groups: one per
+    CPU of :func:`_cpus`, but never more than there are groups."""
+    return max(1, min(len(_cpus()), groups))
 
 
 def cmd_sweep(args) -> int:
@@ -503,6 +665,27 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"absolute floor of {reach} (default %(default)g)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # an abbreviated --interval before -1,1 is still read as an option
+        if message.startswith("argument --interval"):
+            message += "; write an interval as --interval=A,B"
+        super().error(message)
+
+
+def _attach_intervals(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--interval A,B`` whose A starts with ``-``
+    written ``--interval=A,B``.  argparse reads a word that starts with
+    ``-`` as an option unless it is a plain negative number, so it would
+    take ``-1,1`` or ``-inf,0`` for one; no option holds a comma."""
+    words, i = list(argv), 0
+    while i < len(words) - 1 and words[i] != "--":
+        if words[i] == "--interval" and words[i + 1].startswith("-") and "," in words[i + 1]:
+            words[i:i + 2] = [f"--interval={words[i + 1]}"]
+        i += 1
+    return words
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every ``main`` call, built once per process.
@@ -511,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     and each ``func`` looks its ``cmd_*`` up when called, so a rebinding
     of that name after the first build still takes effect.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pontgap",
         description="Eigenvalue counting in spectral gaps on indefinite "
                     "inner-product spaces.",
@@ -523,8 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--interval", action="append", default=None,
                           metavar="A,B",
                           help="override instance intervals (repeatable; "
-                               "inf literals allowed; write a negative A as "
-                               "--interval=A,B)")
+                               "inf literals allowed, as in --interval -inf,0)")
     instance.add_argument("--out", default=None, help="write report here "
                           "instead of stdout")
     _add_tolerance_flags(instance)
@@ -572,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_intervals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (IllPosedIntervalError, EndpointInSpectrumError) as exc:

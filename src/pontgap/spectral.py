@@ -22,13 +22,19 @@ defective, and the inertias of its real root bases from the package's
 one inertia routine.  A count reads its operator's table through
 :func:`_table`, which builds it alone where none is memoized, and
 :func:`_build_missing` builds the missing tables of several operators
-together.  Both go through one builder, :func:`_build_tables`: one
-stacked ``eig`` per order, one stacked SVD per order and number of
-owned eigenvectors, and one call of the inertia routine, whose bases
-may lie in different spaces and which stacks one ``eigh`` per order and
-basis width (for one generic operator, one ``eig``, one SVD and one
-``eigh``; :func:`~pontgap.indefinite.subspace_inertia` runs the same
-routine on one basis).  Window counts are sums of table rows, checked
+together.  A table that a forked child built through :func:`_table_alone`
+is memoized through :func:`_store_table`, and is bitwise the one built
+here, so the output does not depend on where it was built: ``sweep``
+builds tables of order 64 or more so on the CPUs it leaves idle (below
+that order a table costs less than the child's round trip), and reruns
+in-process on any failure (see :mod:`pontgap.cli`).  All go through
+:func:`_build_tables`: one stacked ``eig`` per order, one stacked SVD
+per order and number of owned eigenvectors, and one call of the inertia
+routine, whose bases may lie in different spaces and which stacks one
+``eigh`` per order and basis width (for one generic operator, one
+``eig``, one SVD and one ``eigh``;
+:func:`~pontgap.indefinite.subspace_inertia` runs the same routine on
+one basis).  Window counts are sums of table rows, checked
 once per operator (see :func:`gap_inertia`); an operator whose spectrum
 is all its callers read never builds the table.
 
@@ -427,6 +433,15 @@ def _build_missing(ops, tol: Tolerance) -> None:
     missing = list(dict.fromkeys(op for op in ops if key not in op._memo))
     for op, table in zip(missing, _build_tables(missing, tol)):
         op._store(key, table)
+
+
+def _store_table(op, table: _SpectralTable, tol: Tolerance) -> None:
+    """Memoize ``table``, which :func:`_table_alone` built for ``op`` and
+    ``tol`` in another process and a pickle carried back: its bases
+    arrive writable, so they are made read-only again."""
+    for basis in table.bases:
+        basis.setflags(write=False)
+    op._store(("table", tol.rel, tol.abs), table)
 
 
 def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:

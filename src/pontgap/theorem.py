@@ -83,6 +83,15 @@ class GapReport:
     min_kappa_bound_holds: bool
     slack: int
 
+    @classmethod
+    def _of_fields(cls, **fields) -> "GapReport":
+        """A report of every field, made without the generated
+        ``__init__``, which only sets each field through
+        ``object.__setattr__``."""
+        report = object.__new__(cls)
+        report.__dict__.update(fields)
+        return report
+
     @property
     def all_hold(self) -> bool:
         """The signature, count, equal-kappa and min-kappa bounds all hold."""
@@ -144,7 +153,7 @@ def verify_main_theorem(
     diff = abs(eig1 - eig2)
     equal_kappa = in1.minus == in2.minus
     min_kappa_bound = n + 2 * min(space.kappa_plus, space.kappa_minus)
-    return GapReport(
+    return GapReport._of_fields(
         interval=interval,
         n=n,
         kappa=kappa,

@@ -4,9 +4,11 @@ import hashlib
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from pontgap.errors import (
     NumericalDefectError,
     ResampleBudgetError,
 )
-from pontgap.gen import GenConfig, random_pair, random_space
+from pontgap.gen import GenConfig, random_operator, random_pair, random_space
 from pontgap.instancefile import InstanceRecord, dumps_instance, parse_instance
 from pontgap.linalg import DEFAULT_TOL
 from pontgap.spectral import Interval
@@ -548,9 +550,9 @@ def _count_processes(monkeypatch, path):
     runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
     share = pontgap.cli._sweep_share
 
-    def logged(cells, seeds, tol, batched=True):
+    def logged(cells, *args):
         _log(path, len(cells))
-        return share(cells, seeds, tol, batched)
+        return share(cells, *args)
 
     monkeypatch.setattr(pontgap.cli, "_sweep_share", logged)
     return runs
@@ -935,6 +937,260 @@ def test_sweep_reports_the_first_failure_in_grid_order(
     _assert_no_children()
 
 
+# ---------------------------------------------------------------------------
+# sweep: spectral tables built in forked children
+
+
+def _count_table_children(monkeypatch, log):
+    """Log, from each forked table child, its parent's pid."""
+    build = pontgap.cli._table_alone
+
+    def logged(op, tol):
+        _log(log, os.getppid())
+        return build(op, tol)
+
+    monkeypatch.setattr(pontgap.cli, "_table_alone", logged)
+
+
+def _sweep_output(capsys, out_path, *argv):
+    """Exit code, stdout, stderr and CSV bytes (None if unwritten) of a sweep."""
+    out_path.unlink(missing_ok=True)
+    code, out, err = _run(capsys, "sweep", *argv, "--out", str(out_path))
+    return code, out, err, out_path.read_bytes() if out_path.exists() else None
+
+
+@pytest.mark.parametrize("d", [64, 76, 96])
+def test_table_built_in_a_child_equals_the_one_built_in_place(d):
+    cfg = GenConfig(dim=d, kappa_minus=2, seed=d)
+    space = random_space(cfg)
+    # twins, each with the raw eigenvalues its margin check memoized
+    here, there = random_operator(space, cfg), random_operator(space, cfg)
+    assert here is not there and np.array_equal(here.matrix, there.matrix)
+    pontgap.spectral._build_missing([here], DEFAULT_TOL)
+    built = pontgap.spectral._table(here, DEFAULT_TOL)
+    with pontgap.cli._Forked() as children:
+        cpu = min(os.sched_getaffinity(0))
+        sent = children.result(
+            children.start(cpu, pontgap.cli._table_alone, there, DEFAULT_TOL))
+    pontgap.spectral._store_table(there, sent, DEFAULT_TOL)
+    assert pontgap.spectral._table(there, DEFAULT_TOL) is sent
+    assert len(sent.bases) == len(built.bases) == len(pontgap.spectral.spectrum(there).entries)
+    for mine, theirs in zip(built.bases, sent.bases):
+        assert (theirs.dtype, theirs.shape) == (mine.dtype, mine.shape)
+        assert theirs.tobytes() == mine.tobytes()
+        assert not mine.flags.writeable and not theirs.flags.writeable
+    assert sent.inertias == built.inertias
+    _assert_no_children()
+
+
+def _assert_dead(pid):
+    """Process ``pid`` has died: it is gone, or a zombie whose parent has
+    not reaped it yet."""
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return
+        state = stat.rsplit(")", 1)[1].split()[0]
+        if state in ("Z", "X"):
+            return
+        assert time.monotonic() < deadline, f"process {pid} is still {state}"
+        time.sleep(0.01)
+
+
+def _run_python_with_one_blas_thread(*argv) -> subprocess.CompletedProcess:
+    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}
+    return _run_python(*argv, env=threads)
+
+
+#: runs ``sweep`` in a fresh interpreter, which sees the first CPUS CPUs
+#: and appends ``pid parent-pid`` to LOG from each table child
+_SWEEP_ON_CPUS = """
+import os, sys
+cpus, log, argv = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
+os.sched_getaffinity = lambda pid: set(range(cpus))
+import pontgap.cli
+build = pontgap.cli._table_alone
+
+def logged(op, tol):
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    os.write(fd, f"{os.getpid()} {os.getppid()}\\n".encode())
+    os.close(fd)
+    return build(op, tol)
+
+pontgap.cli._table_alone = logged
+sys.exit(pontgap.cli.main(argv))
+"""
+
+
+def _sweep_on_cpus(tmp_path, cpus, *argv):
+    """A sweep in a fresh interpreter with one BLAS thread, which leaves the
+    CPUs it does not use idle: its exit code, stdout, stderr and CSV bytes,
+    and the number of table children it started, each of which is gone."""
+    log, out_path = tmp_path / "children.log", tmp_path / "grid.csv"
+    log.unlink(missing_ok=True)
+    out_path.unlink(missing_ok=True)
+    done = _run_python_with_one_blas_thread(
+        "-c", _SWEEP_ON_CPUS, str(cpus), str(log), "sweep", *argv, "--out", str(out_path))
+    children = _logged(log)
+    for pid in children:
+        _assert_dead(pid)
+    output = (done.returncode, done.stdout, done.stderr,
+              out_path.read_bytes() if out_path.exists() else None)
+    return output, len(children)
+
+
+def test_one_thread_sees_python_threads_beside_one_blas_thread():
+    done = _run_python_with_one_blas_thread("-c", (
+        "import threading, pontgap.cli\n"
+        "alone = pontgap.cli._one_thread()\n"
+        "release = threading.Event()\n"
+        "waiter = threading.Thread(target=release.wait)\n"
+        "waiter.start()\n"
+        "print(alone, pontgap.cli._one_thread())\n"
+        "release.set()\n"
+        "waiter.join()\n"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True False\n", "")
+
+
+_LARGE_GRID = ("--dims", "64,96", "--kappas", "2", "--ranks", "0,1,2")
+
+
+@pytest.mark.parametrize("seeds, children", [
+    # four (d, kappa, seed) groups: shares fill the CPUs up to four, and on
+    # eight each of the four shares builds two of its tables in a child
+    ("2", {1: 0, 2: 0, 4: 0, 8: 8}),
+    # two groups: on four CPUs each of the two shares has one CPU to spare
+    ("1", {1: 0, 2: 0, 4: 4}),
+])
+def test_sweep_with_table_children_writes_the_same_bytes(tmp_path, seeds, children):
+    outputs = []
+    for cpus, expected in children.items():
+        output, started = _sweep_on_cpus(tmp_path, cpus, *_LARGE_GRID,
+                                         "--seeds", seeds, "--seed", "5")
+        assert (output[0], output[2], started) == (0, "", expected)
+        outputs.append(output)
+    assert all(output == outputs[0] for output in outputs)
+
+
+_D96 = ("--dims", "96", "--kappas", "2", "--ranks", "2", "--seeds", "1", "--seed", "3")
+
+
+@pytest.mark.parametrize("cpus, grid, started", [
+    # two shares fill both CPUs, and every order is below 64
+    (2, (), 0),
+    # a CPU to spare, but orders below 64
+    (2, ("--dims", "63", "--kappas", "2", "--ranks", "0,1", "--seeds", "1"), 0),
+    (4, ("--dims", "48,63", "--kappas", "2", "--ranks", "0,1", "--seeds", "1"), 0),
+    # A1 goes to the child; A2 is drawn while it runs and is built here
+    (2, _D96, 1),
+], ids=["default", "d63", "d48-63-4cpus", "windows-d96"])
+def test_sweep_builds_tables_in_children_only_for_large_operators_on_idle_cpus(
+    tmp_path, cpus, grid, started
+):
+    output, children = _sweep_on_cpus(tmp_path, cpus, *grid)
+    assert (output[0], output[2], children) == (0, "", started)
+    # the bytes of the same sweep on one CPU
+    assert output == _sweep_on_cpus(tmp_path, 1, *grid)[0]
+
+
+def test_sweep_beside_blas_threads_builds_every_table_in_place(
+    capsys, tmp_path, monkeypatch
+):
+    log = tmp_path / "children.log"
+    _count_table_children(monkeypatch, log)
+    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: False)
+    _pin_cpus(monkeypatch, 2)
+    assert _sweep_output(capsys, tmp_path / "d96.csv", *_D96)[0] == 0
+    assert _logged(log) == {}
+
+
+@pytest.mark.parametrize("fault", ["raises", "killed", "exits-non-zero", "typed"])
+def test_sweep_reruns_in_process_when_a_table_child_fails(
+    capsys, tmp_path, monkeypatch, fault
+):
+    # rank 0: A2 is A1, whose table the child builds
+    grid = ("--dims", "96", "--kappas", "2", "--ranks", "0", "--seeds", "1", "--seed", "3")
+    if fault == "typed":
+        _inject_table_failure(monkeypatch, 96, 2, 0, 3)
+    out_path = tmp_path / "d96.csv"
+    _pin_cpus(monkeypatch, 1)
+    expected = _sweep_output(capsys, out_path, *grid)
+    assert expected[:3] == ((2, "", "error: injected table failure\n") if fault == "typed"
+                            else (0, expected[1], ""))
+    _pin_cpus(monkeypatch, 2)
+    # this process runs BLAS threads, so open the gate for table children
+    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: True)
+    log = tmp_path / "children.log"
+    build = pontgap.cli._table_alone
+
+    def failing(op, tol):
+        _log(log, fault)
+        if fault == "raises":
+            raise MemoryError("injected table child failure")
+        if fault == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if fault == "exits-non-zero":
+            # this forked child sends its whole table, then exits 3
+            real_exit = os._exit
+            os._exit = lambda code: real_exit(3)
+        return build(op, tol)
+
+    monkeypatch.setattr(pontgap.cli, "_table_alone", failing)
+    runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
+    assert _sweep_output(capsys, out_path, *grid) == expected
+    # one table child, then the whole grid in this process
+    assert len(_logged(log)) == 1
+    assert len(runs) == 2
+    _assert_no_children()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_sweep_kills_every_table_child_when_a_share_fails(capsys, tmp_path, monkeypatch):
+    grid = ("--dims", "96", "--kappas", "2", "--ranks", "2", "--seeds", "2", "--seed", "3")
+    out_path = tmp_path / "grid.csv"
+    _pin_cpus(monkeypatch, 1)
+    expected = _sweep_output(capsys, out_path, *grid)
+    # two shares, each with a CPU to spare for a table child
+    _pin_cpus(monkeypatch, 4)
+    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: True)
+    log = tmp_path / "children.log"
+    me = os.getpid()
+
+    def sleeping(op, tol):
+        _log(log, os.getppid())
+        time.sleep(60)
+
+    def worker_child_started():
+        return any(int(ppid) != me for ppids in _logged(log).values() for ppid in ppids)
+
+    build = pontgap.cli._build_missing
+
+    def failing(ops, tol):
+        # this process's share fails once the forked share's table child runs
+        if os.getpid() == me:
+            deadline = time.monotonic() + 30
+            while not worker_child_started() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise MemoryError("injected batch build failure")
+        return build(ops, tol)
+
+    monkeypatch.setattr(pontgap.cli, "_table_alone", sleeping)
+    monkeypatch.setattr(pontgap.cli, "_build_missing", failing)
+    began = time.monotonic()
+    assert _sweep_output(capsys, out_path, *grid) == expected
+    assert time.monotonic() - began < 30
+    # this process's table child and the forked share's both ran, and died
+    children = _logged(log)
+    assert sorted(int(ppid) == me for ppids in children.values() for ppid in ppids) == [
+        False, True]
+    for pid in children:
+        _assert_dead(pid)
+    _assert_no_children()
+
+
 def test_verify_exits_4_on_a_failed_bound(capsys, monkeypatch):
     real = pontgap.cli.verify_main_theorem
 
@@ -995,6 +1251,37 @@ def test_interval_flag_rejects_non_finite_literals(capsys, endpoints):
     assert "-inf or +inf" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("endpoints", ["-1,1", "-inf,0"])
+def test_interval_with_a_negative_lower_endpoint_takes_either_spelling(
+    capsys, command, endpoints
+):
+    attached = _run(capsys, command, str(EXAMPLE1), f"--interval={endpoints}")
+    assert attached[0] == 0
+    assert _run(capsys, command, str(EXAMPLE1), "--interval", endpoints) == attached
+    # repeated, and mixed with the attached form
+    both = _run(capsys, command, str(EXAMPLE1), f"--interval={endpoints}",
+                "--interval=0.25,2")
+    assert _run(capsys, command, str(EXAMPLE1), "--interval", endpoints,
+                "--interval", "0.25,2") == both
+
+
+def test_abbreviated_interval_flag_names_the_attached_spelling(capsys):
+    # argparse reads "-1,1" after an abbreviated flag as an option
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", str(EXAMPLE1), "--interv", "-1,1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --interval: expected one argument" in err
+    assert "--interval=A,B" in err
+
+
+def test_interval_spelling_is_left_alone_after_the_end_of_options():
+    argv = ["verify", "--interval", "-1,1", "--", "--interval", "-1,1"]
+    assert pontgap.cli._attach_intervals(argv) == [
+        "verify", "--interval=-1,1", "--", "--interval", "-1,1"]
+
+
 def test_parser_is_built_once():
     assert pontgap.cli.build_parser() is pontgap.cli.build_parser()
 
@@ -1024,10 +1311,11 @@ def test_module_entry_point_runs():
     assert "example1" in proc.stdout
 
 
-def _run_python(*argv) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports this checkout's pontgap."""
+def _run_python(*argv, env=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's pontgap, with the
+    environment variables ``env`` set too."""
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src")] + ([path] if path else []))}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env=env)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from pontgap.linalg import Tolerance
 from pontgap.perturbation import make_pair
 from pontgap.spectral import Interval, spectrum, validate_operator
 from pontgap.theorem import (
+    GapReport,
     choose_delta_prime,
     proof_witness,
     verify_main_theorem,
@@ -61,6 +64,21 @@ def test_reports_match_fixture_expectations():
 
 # ---------------------------------------------------------------------------
 # inner-interval selection
+
+
+def test_unchecked_report_equals_the_checked_one():
+    for fixture in builtin_fixtures():
+        report = verify_main_theorem(fixture.pair, fixture.interval)
+        fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(GapReport)}
+        checked, unchecked = GapReport(**fields), GapReport._of_fields(**fields)
+        for made in (report, unchecked):
+            assert type(made) is GapReport
+            assert made == checked
+            assert hash(made) == hash(checked)
+            assert repr(made) == repr(checked)
+            assert vars(made) == vars(checked)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            unchecked.slack = 0
 
 
 def test_choose_delta_prime_frozen_values():
