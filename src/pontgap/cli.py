@@ -9,14 +9,18 @@ eigenvalue), 4 bound violation.
 ``sweep`` spreads its grid over the CPUs of the affinity mask: W shares
 of (d, kappa, seed) groups, one per CPU up to the number of groups, each
 other than this process's in a forked child.  Where a share has CPUs to
-spare (CPUs // W > 1) and this process runs one thread, so that no BLAS
-thread holds them, the share also builds the spectral tables of the
-operators it draws of order ``TABLE_CHILD_MIN_DIM`` = 64 or more in forked
-children, one per spare CPU, while it draws on; below that order a table
-costs less than its child's round trip.  A child builds a table with the
-same code as this process, so the output bytes never depend on the number
-of CPUs, and any failure, of a share, a child or a build, reruns the whole
-grid in this process, one pair at a time.
+spare (CPUs // W > 1), it also builds the spectral tables of the
+operators it draws of order ``TABLE_THREAD_MIN_DIM`` = 64 or more in
+threads, one per spare CPU, while it draws on; LAPACK releases the
+interpreter lock, and the operator's memo takes tables from any thread.
+The sweep forks and starts threads only where this process runs one
+thread (see :func:`_one_thread`), so that no BLAS thread holds the CPUs
+and a fork copies no thread's half-done work; it forks every worker
+before any table thread starts, and joins every table thread before a
+share ends.  A thread builds a table with the same code as the share, so
+the output bytes never depend on the number of CPUs, and any failure, of
+a share or a build, reruns the whole grid in this process, one pair at a
+time.
 """
 
 from __future__ import annotations
@@ -31,11 +35,6 @@ import signal
 import sys
 import threading
 from pathlib import Path
-
-try:
-    from fcntl import F_SETPIPE_SZ, fcntl
-except ImportError:  # no pipe sizes outside Linux
-    F_SETPIPE_SZ = None
 
 from . import instancefile
 from .errors import (
@@ -64,8 +63,7 @@ from .perturbation import OperatorPair, make_pair
 from .spectral import (
     Interval,
     _build_missing,
-    _store_table,
-    _table_alone,
+    _table,
     gap_inertia,
     spectrum,
     validate_operator,
@@ -90,17 +88,14 @@ CSV_HEADER = "d,kplus,kminus,n,lower,upper,eig1,eig2,sig1,sig2,slack"
 SWEEP_BATCH_ENTRIES = 4096
 
 #: Least order of an operator whose spectral table ``sweep`` builds in a
-#: forked child while a CPU is idle.  On a 2-vCPU Xeon with one BLAS
-#: thread (medians of 7 operators), a table took 5.2 ms at d = 48, 9 ms at
-#: d = 64 and 22 ms at d = 96, and forking a child that pickles a built
-#: table back took 5.4-6 ms at d = 48 and 6.5-7 ms at d = 64: only from
-#: about d = 64 does the table outweigh its round trip.
-TABLE_CHILD_MIN_DIM = 64
-
-#: Capacity asked for each forked child's pipe: a d = 96 table pickles to
-#: about 154 kB, so its child can write it whole and exit before this
-#: process reads it.  The kernel may refuse; the pipe keeps its size then.
-PIPE_BYTES = 1 << 20
+#: thread while a CPU is idle.  On a 2-vCPU Xeon with one BLAS thread
+#: (medians of 7 operators), a table took 5.2 ms at d = 48, 9 ms at d = 64
+#: and 22 ms at d = 96, and starting a thread that moves to its CPU and
+#: joining it took 0.10 ms.  So 64 no longer marks the break-even: a
+#: one-group sweep of three ranks with this bound lowered ran slower at
+#: d = 16 and 24, as fast at d = 32, and 7-17% faster from d = 40 to 64
+#: (medians of 14 alternated runs each); 64 still never loses.
+TABLE_THREAD_MIN_DIM = 64
 
 
 def _tolerance(args) -> Tolerance:
@@ -291,12 +286,12 @@ def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
     Batched, the pairs go in batches of at most ``SWEEP_BATCH_ENTRIES``
     matrix entries, whose tables are built together before any is counted,
     and the next pair is drawn before the last batch is counted.  Each
-    drawn operator of order ``TABLE_CHILD_MIN_DIM`` or more whose table no
-    child builds yet goes to a forked child on a free CPU of ``cpus``, which
-    builds its table while this process draws on; where no CPU is free, the
-    table is built here with its batch's.  Unbatched, the reference for
-    errors, each pair is drawn and counted before the next, and every
-    table is built here.
+    drawn operator of order ``TABLE_THREAD_MIN_DIM`` or more goes to a
+    thread on a free CPU of ``cpus``, which builds its table while this
+    thread draws on; where no CPU is free, the table is built with its
+    batch's.  Unbatched, the reference for errors, each pair is drawn and
+    counted before the next, and every table is built in this thread.
+    No table thread outlives the call, whether it returns or raises.
 
     Each pair gives ``(text, rows, min_slack, (lower, upper), dumps)``:
     its CSV rows, rendered and each ending in a newline, and their number;
@@ -304,59 +299,65 @@ def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
     and the instance files of its windows that break a bound.  This is
     plain data, which a forked worker pickles.
     """
-    with _Forked() as children:
-        free = list(cpus)  # the CPUs without a table child
-        pending = {}  # operator -> (pid of the child building its table, its CPU)
+    free = list(cpus)  # the CPUs without a table thread
+    pending = {}  # operator -> (the thread building its table, its CPU)
 
-        def send(op):
-            if batched and free and op.dim >= TABLE_CHILD_MIN_DIM:
-                cpu = free.pop()
-                pending[op] = children.start(cpu, _table_alone, op, tol), cpu
-            return op
+    def send(op):
+        if batched and free and op.dim >= TABLE_THREAD_MIN_DIM:
+            cpu = free.pop()
+            thread = threading.Thread(target=_build_table_on, args=(cpu, op, tol))
+            thread.start()
+            pending[op] = thread, cpu
+        return op
 
-        # J and A1 depend on (d, kappa, seed), not on the rank.  The grid
-        # runs a (d, kappa)'s ranks over the same --seeds seeds, so keeping
-        # the last --seeds A1s (each holds its J) builds each once for all ranks
-        @functools.lru_cache(maxsize=seeds)
-        def first(d, kappa, seed):
-            cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
-            return send(random_operator(random_space(cfg, tol), cfg, tol))
+    # J and A1 depend on (d, kappa, seed), not on the rank.  The grid
+    # runs a (d, kappa)'s ranks over the same --seeds seeds, so keeping
+    # the last --seeds A1s (each holds its J) builds each once for all ranks
+    @functools.lru_cache(maxsize=seeds)
+    def first(d, kappa, seed):
+        cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
+        return send(random_operator(random_space(cfg, tol), cfg, tol))
 
-        results, batch, entries = [], [], 0
+    results, batch, entries = [], [], 0
 
-        def flush():
-            """If batched, build the batch's tables together, or collect them
-            from their children; then verify its windows."""
-            nonlocal batch, entries
-            if batched:
-                ops = [op for _, pair in batch for op in (pair.op1, pair.op2)]
-                _build_missing([op for op in ops if op not in pending], tol)
-                for op in dict.fromkeys(ops):
-                    if op in pending:
-                        pid, cpu = pending.pop(op)
-                        free.append(cpu)
-                        _store_table(op, children.result(pid), tol)
-            for cfg, pair in batch:
-                d, space, n = cfg.dim, pair.space, pair.n
-                rows, dumps, least, attained = [], [], None, None
-                # sweep_windows opens with the whole line, so every cell gets a row
-                for interval in sweep_windows(pair):
-                    report = verify_main_theorem(pair, interval, tol)
-                    lower, upper, slack = interval.lower, interval.upper, report.slack
-                    rows.append(",".join(map(str, (
-                        d, space.kappa_plus, space.kappa_minus, n,
-                        _csv_endpoint(lower), _csv_endpoint(upper),
-                        report.eig1, report.eig2, report.sig1, report.sig2, slack,
-                    ))))
-                    if least is None or slack < least:
-                        least, attained = slack, (lower, upper)
-                    if not report.all_hold:
-                        dumps.append(dumps_instance(_pair_record(
-                            pair, interval, f"violation-d{d}-k{cfg.kappa_minus}"
-                                            f"-n{cfg.pert_rank}-seed{cfg.seed}")))
-                results.append(("\n".join(rows) + "\n", len(rows), least, attained, dumps))
-            batch, entries = [], 0
+    def flush():
+        """If batched, build the batch's tables: those no thread builds
+        together here, then, once the batch's threads are joined, any
+        table a thread failed to build; then verify its windows."""
+        nonlocal batch, entries
+        if batched:
+            ops = [op for _, pair in batch for op in (pair.op1, pair.op2)]
+            _build_missing([op for op in ops if op not in pending], tol)
+            threaded = [op for op in dict.fromkeys(ops) if op in pending]
+            for op in threaded:
+                thread, cpu = pending.pop(op)
+                thread.join()
+                free.append(cpu)
+            if threaded:
+                # where the thread's failure is real, the build raises here
+                _build_missing(threaded, tol)
+        for cfg, pair in batch:
+            d, space, n = cfg.dim, pair.space, pair.n
+            rows, dumps, least, attained = [], [], None, None
+            # sweep_windows opens with the whole line, so every cell gets a row
+            for interval in sweep_windows(pair):
+                report = verify_main_theorem(pair, interval, tol)
+                lower, upper, slack = interval.lower, interval.upper, report.slack
+                rows.append(",".join(map(str, (
+                    d, space.kappa_plus, space.kappa_minus, n,
+                    _csv_endpoint(lower), _csv_endpoint(upper),
+                    report.eig1, report.eig2, report.sig1, report.sig2, slack,
+                ))))
+                if least is None or slack < least:
+                    least, attained = slack, (lower, upper)
+                if not report.all_hold:
+                    dumps.append(dumps_instance(_pair_record(
+                        pair, interval, f"violation-d{d}-k{cfg.kappa_minus}"
+                                        f"-n{cfg.pert_rank}-seed{cfg.seed}")))
+            results.append(("\n".join(rows) + "\n", len(rows), least, attained, dumps))
+        batch, entries = [], 0
 
+    try:
         for d, kappa, rank, seed in cells:
             if batch and not batched:
                 flush()
@@ -365,81 +366,84 @@ def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
             if pair.op2 is not pair.op1:
                 send(pair.op2)
             # batched, the pair is drawn before the last batch is counted,
-            # so that table children run meanwhile
+            # so that table threads run meanwhile
             if batch and entries + 2 * d * d > SWEEP_BATCH_ENTRIES:
                 flush()
             batch.append((cfg, pair))
             entries += 2 * d * d
         flush()
         return results
+    finally:
+        for thread, _ in pending.values():
+            thread.join()
+
+
+def _build_table_on(cpu: int, op, tol: Tolerance) -> None:
+    """Build and memoize ``op``'s table for ``tol`` on ``cpu``: the work of
+    a table thread.  A failure is left to the share, which builds the table
+    again once it has joined the thread: a real failure raises there, and
+    no thread prints a traceback."""
+    _move_to(cpu)
+    try:
+        _table(op, tol)
+    except Exception:
+        pass
+
+
+def _move_to(cpu: int) -> None:
+    """Move the calling thread to ``cpu``, then let the kernel move it on
+    where it balances load: where the kernel does not balance load across
+    the affinity mask (a cpuset with load balancing off), a new thread or
+    forked child would stay on its parent's CPU, and confined to ``cpu``
+    it would crowd any BLAS threads it starts there."""
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, mask)
+    except OSError:
+        pass  # a CPU outside the mask; the thread stays where it is
 
 
 class _Forked:
-    """This process's forked children, each pickling one call's result down
-    its own pipe: the sweep's workers and its table children alike.
+    """This process's forked sweep workers, each pickling its share's
+    results down its own pipe.
 
     A fork shares the loaded modules, where a spawned worker would import
     numpy again at a cost larger than the default grid's whole sweep.  Each
-    child starts on the CPU it is given: where the kernel does not balance
-    load across the affinity mask (a cpuset with load balancing off), a
-    forked child would stay on its parent's CPU.  With ``groups``, each
-    child leads a process group of its own, which holds the children it
-    forks in turn.
-
-    A child whose result was read is reaped later, so that this process
-    does not wait while it exits.  On leaving the ``with`` block, every
-    child whose result was not read is killed with its group, and every
-    child is reaped, so none outlives the block; if the block succeeded
-    but a child exited non-zero, it raises :class:`ChildProcessError`.
+    worker starts on the CPU it is given (see :func:`_move_to`), and forks
+    nothing in turn.  On leaving the ``with`` block, every worker whose
+    result was not read is killed, and every worker is reaped, so none
+    outlives the block; if the block succeeded but a worker exited
+    non-zero, it raises :class:`ChildProcessError`.
     """
 
-    def __init__(self, groups: bool = False):
-        self._groups = groups
-        self._pipes = {}  # pid -> read end of its pipe, for each child not read
-        self._read = []  # pids of the children read but not reaped
+    def __init__(self):
+        self._pipes = {}  # pid -> read end of its pipe, for each worker not read
+        self._read = []  # pids of the workers read
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, traceback):
         for pid, read_end in self._pipes.items():
-            try:
-                (os.killpg if self._groups else os.kill)(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                # the child has not made its group yet, so it forked none
-                os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read_end)
         self._pipes.clear()
-        failed = self._reap(0)
+        failed = None
+        for pid in self._read:
+            status = os.waitpid(pid, 0)[1]
+            if status != 0 and failed is None:
+                failed = ChildProcessError(
+                    f"forked worker exited with {os.waitstatus_to_exitcode(status)}")
+        self._read.clear()
         if failed and exc_type is None:
             raise failed
-
-    def _reap(self, flags: int) -> ChildProcessError | None:
-        """Reap the children read that have exited (all of them, waiting,
-        with ``flags`` 0); the error of the first that exited non-zero."""
-        failed = None
-        for pid in list(self._read):
-            done, status = os.waitpid(pid, flags)
-            if done:
-                self._read.remove(pid)
-                if status != 0 and failed is None:
-                    failed = ChildProcessError(
-                        f"forked child exited with {os.waitstatus_to_exitcode(status)}")
-        return failed
 
     def start(self, cpu: int, work, *args) -> int:
         """Fork a child on ``cpu`` that pickles ``work(*args)`` down a pipe;
         its pid."""
-        failed = self._reap(os.WNOHANG)
-        if failed:
-            raise failed
         read_end, write_end = os.pipe()
-        if F_SETPIPE_SZ is not None:
-            try:
-                fcntl(write_end, F_SETPIPE_SZ, PIPE_BYTES)
-            except OSError:
-                pass
         try:
             pid = os.fork()
         except BaseException:
@@ -451,20 +455,10 @@ class _Forked:
             # atexit handlers and stream buffers to the parent
             code = 1
             try:
-                if self._groups:
-                    os.setpgid(0, 0)
                 os.close(read_end)
                 for fd in self._pipes.values():
                     os.close(fd)
-                try:
-                    # move to cpu, then let the kernel move the child on
-                    # where it balances load: confined to one CPU, a child
-                    # would crowd any BLAS threads it starts there
-                    mask = os.sched_getaffinity(0)
-                    os.sched_setaffinity(0, {cpu})
-                    os.sched_setaffinity(0, mask)
-                except OSError:
-                    pass  # a CPU outside the mask; the child stays where it is
+                _move_to(cpu)
                 result = work(*args)
                 with open(write_end, "wb") as pipe:
                     pickle.dump(result, pipe)
@@ -484,22 +478,20 @@ class _Forked:
         return pickle.loads(data)
 
 
-def _run_shares(shares, seeds: int, tol: Tolerance, batched: bool = True) -> list:
+def _run_shares(shares, seeds: int, tol: Tolerance, cpus: list,
+                batched: bool = True) -> list:
     """Each share's :func:`_sweep_share` results, in share order.
 
-    The CPUs of :func:`_cpus` go in blocks of CPUs // W to the W shares.
-    This process runs the first share, on the first CPU, and each other
-    share runs in a forked child on the first CPU of its block.  Batched,
-    a share's table children run on the rest of its block, if this process
-    runs one thread (see :func:`_one_thread`).  If anything fails, every
-    child is killed and reaped before the error propagates.
+    ``cpus``, from :func:`_cpus`, go in blocks of CPUs // W to the W
+    shares.  This process runs the first share, on the first CPU, and each
+    other share runs in a forked child on the first CPU of its block; a
+    share's table threads run on the rest of its block.  Every child is
+    forked before this process's share starts a thread.  If anything
+    fails, every child is killed and reaped before the error propagates.
     """
-    cpus = _cpus()
     per = len(cpus) // len(shares)
     blocks = [cpus[w * per:(w + 1) * per] for w in range(len(shares))]
-    if not (batched and _one_thread()):
-        blocks = [block[:1] for block in blocks]
-    with _Forked(groups=True) as children:
+    with _Forked() as children:
         pids = [children.start(block[0], _sweep_share, share, seeds, tol, batched, block[1:])
                 for share, block in zip(shares[1:], blocks[1:])]
         results = [_sweep_share(shares[0], seeds, tol, batched, blocks[0][1:])]
@@ -508,11 +500,10 @@ def _run_shares(shares, seeds: int, tol: Tolerance, batched: bool = True) -> lis
 
 def _cpus() -> list:
     """The CPUs of the affinity mask, the one this process runs on first;
-    none where the sweep may not fork: where the platform has no ``fork``
-    or affinity mask, or other threads run, since a forked child holds only
-    the forking thread."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1):
+    none where the sweep may neither fork nor start threads: where the
+    platform has no ``fork`` or affinity mask, or this process runs more
+    than one thread (see :func:`_one_thread`)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and _one_thread()):
         return []
     cpus = sorted(os.sched_getaffinity(0))
     try:
@@ -525,21 +516,17 @@ def _cpus() -> list:
 
 
 def _one_thread() -> bool:
-    """Whether this process runs one thread of the operating system.  A
-    BLAS built with threads starts its workers as it loads, unless told to
-    use one (``OPENBLAS_NUM_THREADS=1``, ``OMP_NUM_THREADS=1``, ...), and
-    they take the CPUs that a table child would need: a child beside
-    them slows both down."""
+    """Whether this process runs one thread of the operating system, the
+    gate of the sweep's workers and table threads.  A forked child holds
+    only the forking thread, and a BLAS built with threads starts its
+    workers as it loads, unless told to use one (``OPENBLAS_NUM_THREADS=1``,
+    ``OMP_NUM_THREADS=1``, ...): they take the CPUs that a worker or a
+    table thread would need, and each worker forked beside them starts as
+    many again."""
     try:
         return len(os.listdir("/proc/self/task")) == 1
     except OSError:
         return False
-
-
-def _workers(groups: int) -> int:
-    """How many processes sweep ``groups`` (d, kappa, seed) groups: one per
-    CPU of :func:`_cpus`, but never more than there are groups."""
-    return max(1, min(len(_cpus()), groups))
 
 
 def cmd_sweep(args) -> int:
@@ -575,16 +562,19 @@ def cmd_sweep(args) -> int:
     numbering: dict[tuple[int, int, int], int] = {}
     groups = [numbering.setdefault((d, kappa, seed), len(numbering))
               for d, kappa, _, seed in cells]
-    workers = _workers(len(numbering))
+    # the gate and the mask are read once: the CPUs that set the number of
+    # shares are the ones the shares are dealt
+    cpus = _cpus()
+    workers = max(1, min(len(cpus), len(numbering)))
     shares = [[cell for cell, g in zip(cells, groups) if g % workers == w]
               for w in range(workers)]
     try:
-        results = _run_shares(shares, args.seeds, tol)
+        results = _run_shares(shares, args.seeds, tol, cpus)
     except Exception:
         # the reference: the whole grid again in this process, unbatched,
         # which raises its first error in grid order, whichever share
         # failed and however
-        workers, results = 1, _run_shares([cells], args.seeds, tol, batched=False)
+        workers, results = 1, _run_shares([cells], args.seeds, tol, cpus, batched=False)
     # merge: each share's results are in grid order, so the grid's next
     # pair is the next of its share's.  A cell's first pair with its least
     # slack, in grid order, holds its first row with it

@@ -22,12 +22,11 @@ defective, and the inertias of its real root bases from the package's
 one inertia routine.  A count reads its operator's table through
 :func:`_table`, which builds it alone where none is memoized, and
 :func:`_build_missing` builds the missing tables of several operators
-together.  A table that a forked child built through :func:`_table_alone`
-is memoized through :func:`_store_table`, and is bitwise the one built
-here, so the output does not depend on where it was built: ``sweep``
-builds tables of order 64 or more so on the CPUs it leaves idle (below
-that order a table costs less than the child's round trip), and reruns
-in-process on any failure (see :mod:`pontgap.cli`).  All go through
+together.  Both store through the operator's thread-safe memo, so
+``sweep`` builds the tables of order 64 or more through :func:`_table` in
+threads on the CPUs it leaves idle, and reruns in-process on any failure
+(see :mod:`pontgap.cli`); wherever a table is built, it is bitwise the
+same, so the output does not depend on where.  All go through
 :func:`_build_tables`: one stacked ``eig`` per order, one stacked SVD
 per order and number of owned eigenvectors, and one call of the inertia
 routine, whose bases may lie in different spaces and which stacks one
@@ -418,11 +417,7 @@ def _root_basis(op, entry: Eigenvalue, start: np.ndarray, tol):
 def _table(op, tol: Tolerance) -> _SpectralTable:
     """The operator's spectral table for ``tol``, memoized; built alone
     where none is."""
-    return op._cached(("table", tol.rel, tol.abs), _table_alone, op, tol)
-
-
-def _table_alone(op, tol: Tolerance) -> _SpectralTable:
-    return _build_tables([op], tol)[0]
+    return op._cached(("table", tol.rel, tol.abs), lambda: _build_tables([op], tol)[0])
 
 
 def _build_missing(ops, tol: Tolerance) -> None:
@@ -433,15 +428,6 @@ def _build_missing(ops, tol: Tolerance) -> None:
     missing = list(dict.fromkeys(op for op in ops if key not in op._memo))
     for op, table in zip(missing, _build_tables(missing, tol)):
         op._store(key, table)
-
-
-def _store_table(op, table: _SpectralTable, tol: Tolerance) -> None:
-    """Memoize ``table``, which :func:`_table_alone` built for ``op`` and
-    ``tol`` in another process and a pickle carried back: its bases
-    arrive writable, so they are made read-only again."""
-    for basis in table.bases:
-        basis.setflags(write=False)
-    op._store(("table", tol.rel, tol.abs), table)
 
 
 def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -517,8 +516,11 @@ def test_sweep_equals_its_cell_by_cell_build(capsys, tmp_path):
 
 
 def _pin_cpus(monkeypatch, cpus):
-    """``sweep`` sees the first ``cpus`` CPUs in its affinity mask."""
+    """``sweep`` sees the first ``cpus`` CPUs in its affinity mask, and this
+    process as one thread: the gate of its workers and table threads would
+    otherwise see the BLAS threads that numpy may start here."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: True)
 
 
 def _log(path, value):
@@ -792,12 +794,15 @@ def test_sweep_runs_in_process_without_fork_or_beside_other_threads(
 ):
     log = tmp_path / "shares.log"
     runs = _count_processes(monkeypatch, log)
+    real_gate = pontgap.cli._one_thread
     _pin_cpus(monkeypatch, 2)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     if reason == "no-fork":
         monkeypatch.delattr(os, "fork")
     else:
+        # the gate itself, which sees the waiter (and any BLAS threads)
+        monkeypatch.setattr(pontgap.cli, "_one_thread", real_gate)
         waiter.start()
     try:
         code, out, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
@@ -938,18 +943,18 @@ def test_sweep_reports_the_first_failure_in_grid_order(
 
 
 # ---------------------------------------------------------------------------
-# sweep: spectral tables built in forked children
+# sweep: spectral tables built in threads
 
 
-def _count_table_children(monkeypatch, log):
-    """Log, from each forked table child, its parent's pid."""
-    build = pontgap.cli._table_alone
+def _count_table_threads(monkeypatch, log):
+    """Log, from each table thread, its thread's identifier."""
+    build = pontgap.cli._table
 
     def logged(op, tol):
-        _log(log, os.getppid())
+        _log(log, threading.get_ident())
         return build(op, tol)
 
-    monkeypatch.setattr(pontgap.cli, "_table_alone", logged)
+    monkeypatch.setattr(pontgap.cli, "_table", logged)
 
 
 def _sweep_output(capsys, out_path, *argv):
@@ -960,7 +965,7 @@ def _sweep_output(capsys, out_path, *argv):
 
 
 @pytest.mark.parametrize("d", [64, 76, 96])
-def test_table_built_in_a_child_equals_the_one_built_in_place(d):
+def test_table_built_in_a_thread_equals_the_one_built_in_place(d):
     cfg = GenConfig(dim=d, kappa_minus=2, seed=d)
     space = random_space(cfg)
     # twins, each with the raw eigenvalues its margin check memoized
@@ -968,82 +973,66 @@ def test_table_built_in_a_child_equals_the_one_built_in_place(d):
     assert here is not there and np.array_equal(here.matrix, there.matrix)
     pontgap.spectral._build_missing([here], DEFAULT_TOL)
     built = pontgap.spectral._table(here, DEFAULT_TOL)
-    with pontgap.cli._Forked() as children:
-        cpu = min(os.sched_getaffinity(0))
-        sent = children.result(
-            children.start(cpu, pontgap.cli._table_alone, there, DEFAULT_TOL))
-    pontgap.spectral._store_table(there, sent, DEFAULT_TOL)
-    assert pontgap.spectral._table(there, DEFAULT_TOL) is sent
+    thread = threading.Thread(target=pontgap.cli._build_table_on,
+                              args=(max(os.sched_getaffinity(0)), there, DEFAULT_TOL))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    sent = there._memo[("table", DEFAULT_TOL.rel, DEFAULT_TOL.abs)]
     assert len(sent.bases) == len(built.bases) == len(pontgap.spectral.spectrum(there).entries)
     for mine, theirs in zip(built.bases, sent.bases):
         assert (theirs.dtype, theirs.shape) == (mine.dtype, mine.shape)
         assert theirs.tobytes() == mine.tobytes()
         assert not mine.flags.writeable and not theirs.flags.writeable
     assert sent.inertias == built.inertias
-    _assert_no_children()
 
 
-def _assert_dead(pid):
-    """Process ``pid`` has died: it is gone, or a zombie whose parent has
-    not reaped it yet."""
-    deadline = time.monotonic() + 10
-    while True:
-        try:
-            stat = Path(f"/proc/{pid}/stat").read_text()
-        except FileNotFoundError:
-            return
-        state = stat.rsplit(")", 1)[1].split()[0]
-        if state in ("Z", "X"):
-            return
-        assert time.monotonic() < deadline, f"process {pid} is still {state}"
-        time.sleep(0.01)
-
-
-def _run_python_with_one_blas_thread(*argv) -> subprocess.CompletedProcess:
-    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                    "MKL_NUM_THREADS")}
-    return _run_python(*argv, env=threads)
+def _blas_threads(threads: int) -> dict:
+    return {var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS")}
 
 
 #: runs ``sweep`` in a fresh interpreter, which sees the first CPUS CPUs
-#: and appends ``pid parent-pid`` to LOG from each table child
+#: and appends ``pid fork`` to LOG before each fork and ``pid table
+#: thread`` from each table thread
 _SWEEP_ON_CPUS = """
-import os, sys
+import os, sys, threading
 cpus, log, argv = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
 os.sched_getaffinity = lambda pid: set(range(cpus))
 import pontgap.cli
-build = pontgap.cli._table_alone
 
-def logged(op, tol):
-    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    os.write(fd, f"{os.getpid()} {os.getppid()}\\n".encode())
-    os.close(fd)
-    return build(op, tol)
+def logged(event, work):
+    def call(*args):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, f"{os.getpid()} {event} {threading.get_ident()}\\n".encode())
+        os.close(fd)
+        return work(*args)
+    return call
 
-pontgap.cli._table_alone = logged
+os.fork = logged("fork", os.fork)
+pontgap.cli._table = logged("table", pontgap.cli._table)
 sys.exit(pontgap.cli.main(argv))
 """
 
 
-def _sweep_on_cpus(tmp_path, cpus, *argv):
-    """A sweep in a fresh interpreter with one BLAS thread, which leaves the
-    CPUs it does not use idle: its exit code, stdout, stderr and CSV bytes,
-    and the number of table children it started, each of which is gone."""
-    log, out_path = tmp_path / "children.log", tmp_path / "grid.csv"
+def _sweep_on_cpus(tmp_path, cpus, *argv, blas_threads=1):
+    """A sweep in a fresh interpreter with ``blas_threads`` BLAS threads
+    (one leaves the CPUs it does not use idle): its exit code, stdout,
+    stderr and CSV bytes, the number of workers it forked and the number
+    of table threads it started."""
+    log, out_path = tmp_path / "events.log", tmp_path / "grid.csv"
     log.unlink(missing_ok=True)
     out_path.unlink(missing_ok=True)
-    done = _run_python_with_one_blas_thread(
-        "-c", _SWEEP_ON_CPUS, str(cpus), str(log), "sweep", *argv, "--out", str(out_path))
-    children = _logged(log)
-    for pid in children:
-        _assert_dead(pid)
+    done = _run_python("-c", _SWEEP_ON_CPUS, str(cpus), str(log), "sweep", *argv,
+                       "--out", str(out_path), env=_blas_threads(blas_threads))
+    events = [value.split()[0] for values in _logged(log).values() for value in values]
     output = (done.returncode, done.stdout, done.stderr,
               out_path.read_bytes() if out_path.exists() else None)
-    return output, len(children)
+    return output, events.count("fork"), events.count("table")
 
 
 def test_one_thread_sees_python_threads_beside_one_blas_thread():
-    done = _run_python_with_one_blas_thread("-c", (
+    done = _run_python("-c", (
         "import threading, pontgap.cli\n"
         "alone = pontgap.cli._one_thread()\n"
         "release = threading.Event()\n"
@@ -1051,7 +1040,7 @@ def test_one_thread_sees_python_threads_beside_one_blas_thread():
         "waiter.start()\n"
         "print(alone, pontgap.cli._one_thread())\n"
         "release.set()\n"
-        "waiter.join()\n"))
+        "waiter.join()\n"), env=_blas_threads(1))
     assert (done.returncode, done.stdout, done.stderr) == (0, "True False\n", "")
 
 
@@ -1060,16 +1049,17 @@ _LARGE_GRID = ("--dims", "64,96", "--kappas", "2", "--ranks", "0,1,2")
 
 @pytest.mark.parametrize("seeds, children", [
     # four (d, kappa, seed) groups: shares fill the CPUs up to four, and on
-    # eight each of the four shares builds two of its tables in a child
+    # eight each of the four shares builds two of its tables in a thread
     ("2", {1: 0, 2: 0, 4: 0, 8: 8}),
     # two groups: on four CPUs each of the two shares has one CPU to spare
     ("1", {1: 0, 2: 0, 4: 4}),
 ])
 def test_sweep_with_table_children_writes_the_same_bytes(tmp_path, seeds, children):
+    # ``children`` counts the table threads each number of CPUs starts
     outputs = []
     for cpus, expected in children.items():
-        output, started = _sweep_on_cpus(tmp_path, cpus, *_LARGE_GRID,
-                                         "--seeds", seeds, "--seed", "5")
+        output, _, started = _sweep_on_cpus(tmp_path, cpus, *_LARGE_GRID,
+                                            "--seeds", seeds, "--seed", "5")
         assert (output[0], output[2], started) == (0, "", expected)
         outputs.append(output)
     assert all(output == outputs[0] for output in outputs)
@@ -1084,110 +1074,235 @@ _D96 = ("--dims", "96", "--kappas", "2", "--ranks", "2", "--seeds", "1", "--seed
     # a CPU to spare, but orders below 64
     (2, ("--dims", "63", "--kappas", "2", "--ranks", "0,1", "--seeds", "1"), 0),
     (4, ("--dims", "48,63", "--kappas", "2", "--ranks", "0,1", "--seeds", "1"), 0),
-    # A1 goes to the child; A2 is drawn while it runs and is built here
+    # A1 goes to the thread; A2 is drawn while it runs and is built in place
     (2, _D96, 1),
 ], ids=["default", "d63", "d48-63-4cpus", "windows-d96"])
 def test_sweep_builds_tables_in_children_only_for_large_operators_on_idle_cpus(
     tmp_path, cpus, grid, started
 ):
-    output, children = _sweep_on_cpus(tmp_path, cpus, *grid)
-    assert (output[0], output[2], children) == (0, "", started)
+    output, _, threads = _sweep_on_cpus(tmp_path, cpus, *grid)
+    assert (output[0], output[2], threads) == (0, "", started)
     # the bytes of the same sweep on one CPU
+    assert output == _sweep_on_cpus(tmp_path, 1, *grid)[0]
+
+
+def _blas_starts_threads() -> bool:
+    """Whether a fresh interpreter told to use two BLAS threads runs more
+    than one thread once numpy has loaded."""
+    done = _run_python("-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))",
+                       env=_blas_threads(2))
+    return done.returncode == 0 and done.stdout.strip() != "1"
+
+
+@pytest.mark.parametrize("grid", [(), _D96], ids=["default", "windows-d96"])
+def test_sweep_beside_blas_threads_forks_no_worker_and_starts_no_table_thread(
+    tmp_path, grid
+):
+    if not _blas_starts_threads():
+        pytest.skip("numpy's BLAS starts no thread of its own here")
+    # with one BLAS thread, two CPUs give the default grid a forked worker
+    # and windows-d96 a table thread
+    output, forks, threads = _sweep_on_cpus(tmp_path, 2, *grid, blas_threads=2)
+    assert (output[0], output[2], forks, threads) == (0, "", 0, 0)
     assert output == _sweep_on_cpus(tmp_path, 1, *grid)[0]
 
 
 def test_sweep_beside_blas_threads_builds_every_table_in_place(
     capsys, tmp_path, monkeypatch
 ):
-    log = tmp_path / "children.log"
-    _count_table_children(monkeypatch, log)
-    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: False)
+    log = tmp_path / "threads.log"
+    _count_table_threads(monkeypatch, log)
     _pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: False)
     assert _sweep_output(capsys, tmp_path / "d96.csv", *_D96)[0] == 0
     assert _logged(log) == {}
 
 
-@pytest.mark.parametrize("fault", ["raises", "killed", "exits-non-zero", "typed"])
+def _watch_shares(monkeypatch):
+    """A list that grows, each time this process's ``_sweep_share``
+    returns or raises, by the number of threads then running."""
+    share, me, running = pontgap.cli._sweep_share, os.getpid(), []
+
+    def watched(*args):
+        try:
+            return share(*args)
+        finally:
+            if os.getpid() == me:
+                running.append(threading.active_count())
+
+    monkeypatch.setattr(pontgap.cli, "_sweep_share", watched)
+    return running
+
+
+def test_sweep_forks_every_worker_before_any_table_thread_starts(
+    capsys, tmp_path, monkeypatch
+):
+    log = tmp_path / "threads.log"
+    _count_table_threads(monkeypatch, log)
+    fork, running = os.fork, []
+
+    def watched():
+        running.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", watched)
+    # four shares, each with a CPU to spare
+    _pin_cpus(monkeypatch, 8)
+    before = threading.active_count()
+    code, _, err = _run(capsys, "sweep", *_LARGE_GRID, "--seeds", "2", "--seed", "5",
+                        "--out", str(tmp_path / "large.csv"))
+    assert (code, err) == (0, "")
+    assert running == [before] * 3
+    # this process's share and each forked one built two tables in threads
+    assert sorted(map(len, _logged(log).values())) == [2] * 4
+    _assert_no_children()
+
+
+def test_sweep_joins_every_table_thread_before_it_returns(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "d96.csv"
+    _pin_cpus(monkeypatch, 1)
+    expected = _sweep_output(capsys, out_path, *_D96)
+    _pin_cpus(monkeypatch, 2)
+    log = tmp_path / "threads.log"
+    _count_table_threads(monkeypatch, log)
+    running = _watch_shares(monkeypatch)
+    before = threading.active_count()
+    assert _sweep_output(capsys, out_path, *_D96) == expected
+    assert threading.active_count() == before
+    assert running == [before]
+    # one table, built off this thread
+    [thread] = _logged(log)[os.getpid()]
+    assert int(thread) != threading.get_ident()
+
+
+# rank 0: A2 is A1, whose table the thread builds
+_D96_RANK0 = ("--dims", "96", "--kappas", "2", "--ranks", "0", "--seeds", "1", "--seed", "3")
+
+
+@pytest.mark.parametrize("fault", ["raises", "typed"])
 def test_sweep_reruns_in_process_when_a_table_child_fails(
     capsys, tmp_path, monkeypatch, fault
 ):
-    # rank 0: A2 is A1, whose table the child builds
-    grid = ("--dims", "96", "--kappas", "2", "--ranks", "0", "--seeds", "1", "--seed", "3")
+    """A table thread fails, and so does the share's build of that table
+    in place: the grid reruns in this process, with the usual output or
+    the 1-CPU run's error line."""
     if fault == "typed":
         _inject_table_failure(monkeypatch, 96, 2, 0, 3)
     out_path = tmp_path / "d96.csv"
     _pin_cpus(monkeypatch, 1)
-    expected = _sweep_output(capsys, out_path, *grid)
+    expected = _sweep_output(capsys, out_path, *_D96_RANK0)
     assert expected[:3] == ((2, "", "error: injected table failure\n") if fault == "typed"
                             else (0, expected[1], ""))
     _pin_cpus(monkeypatch, 2)
-    # this process runs BLAS threads, so open the gate for table children
-    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: True)
-    log = tmp_path / "children.log"
-    build = pontgap.cli._table_alone
+    log = tmp_path / "threads.log"
+    build = pontgap.cli._table
 
     def failing(op, tol):
-        _log(log, fault)
+        _log(log, threading.get_ident())
         if fault == "raises":
-            raise MemoryError("injected table child failure")
-        if fault == "killed":
-            os.kill(os.getpid(), signal.SIGKILL)
-        if fault == "exits-non-zero":
-            # this forked child sends its whole table, then exits 3
-            real_exit = os._exit
-            os._exit = lambda code: real_exit(3)
+            raise MemoryError("injected table thread failure")
         return build(op, tol)
 
-    monkeypatch.setattr(pontgap.cli, "_table_alone", failing)
+    monkeypatch.setattr(pontgap.cli, "_table", failing)
+    if fault == "raises":
+        def failing_again(ops, tol):
+            # the batch's only operator is the thread's
+            if ops:
+                raise MemoryError("injected table build failure")
+
+        monkeypatch.setattr(pontgap.cli, "_build_missing", failing_again)
     runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
-    assert _sweep_output(capsys, out_path, *grid) == expected
-    # one table child, then the whole grid in this process
+    assert _sweep_output(capsys, out_path, *_D96_RANK0) == expected
+    # one table thread, then the whole grid in this process
     assert len(_logged(log)) == 1
     assert len(runs) == 2
     _assert_no_children()
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_sweep_builds_in_place_a_table_its_thread_failed_to_build(
+    capsys, tmp_path, monkeypatch
+):
+    out_path = tmp_path / "d96.csv"
+    _pin_cpus(monkeypatch, 1)
+    expected = _sweep_output(capsys, out_path, *_D96_RANK0)
+    _pin_cpus(monkeypatch, 2)
+    log = tmp_path / "threads.log"
+
+    def failing(op, tol):
+        _log(log, threading.get_ident())
+        raise MemoryError("injected table thread failure")
+
+    monkeypatch.setattr(pontgap.cli, "_table", failing)
+    build = pontgap.cli._build_missing
+    built = []
+
+    def counted(ops, tol):
+        built.append(len(ops))
+        return build(ops, tol)
+
+    monkeypatch.setattr(pontgap.cli, "_build_missing", counted)
+    # a thread that raised would print its traceback through this hook
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
+    assert _sweep_output(capsys, out_path, *_D96_RANK0) == expected
+    assert unhandled == []
+    assert len(_logged(log)[os.getpid()]) == 1
+    # the batch's tables that no thread builds (none), then the thread's
+    # again, and no rerun
+    assert (built, len(runs)) == ([0, 1], 1)
+
+
 def test_sweep_kills_every_table_child_when_a_share_fails(capsys, tmp_path, monkeypatch):
+    """This process's share fails while its table thread runs: it joins the
+    thread before the error propagates, and the forked share, whose table
+    thread runs too, is killed with it."""
     grid = ("--dims", "96", "--kappas", "2", "--ranks", "2", "--seeds", "2", "--seed", "3")
     out_path = tmp_path / "grid.csv"
     _pin_cpus(monkeypatch, 1)
     expected = _sweep_output(capsys, out_path, *grid)
-    # two shares, each with a CPU to spare for a table child
+    # two shares, each with a CPU to spare for a table thread
     _pin_cpus(monkeypatch, 4)
-    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: True)
-    log = tmp_path / "children.log"
+    log = tmp_path / "threads.log"
     me = os.getpid()
+    started, release = threading.Event(), threading.Event()
+    build = pontgap.cli._table
 
-    def sleeping(op, tol):
-        _log(log, os.getppid())
-        time.sleep(60)
+    def held(op, tol):
+        _log(log, threading.get_ident())
+        if os.getpid() == me:
+            started.set()
+            release.wait(timeout=30)
+        return build(op, tol)
 
-    def worker_child_started():
-        return any(int(ppid) != me for ppids in _logged(log).values() for ppid in ppids)
+    def worker_thread_started():
+        return any(pid != me for pid in _logged(log))
 
-    build = pontgap.cli._build_missing
+    build_missing = pontgap.cli._build_missing
 
     def failing(ops, tol):
-        # this process's share fails once the forked share's table child runs
+        # this process's share fails once both shares' table threads run;
+        # its own builds a d = 96 table on after the failure
         if os.getpid() == me:
             deadline = time.monotonic() + 30
-            while not worker_child_started() and time.monotonic() < deadline:
+            while not (started.is_set() and worker_thread_started()):
+                assert time.monotonic() < deadline
                 time.sleep(0.01)
+            release.set()
             raise MemoryError("injected batch build failure")
-        return build(ops, tol)
+        return build_missing(ops, tol)
 
-    monkeypatch.setattr(pontgap.cli, "_table_alone", sleeping)
+    monkeypatch.setattr(pontgap.cli, "_table", held)
     monkeypatch.setattr(pontgap.cli, "_build_missing", failing)
+    running = _watch_shares(monkeypatch)
+    before = threading.active_count()
     began = time.monotonic()
     assert _sweep_output(capsys, out_path, *grid) == expected
     assert time.monotonic() - began < 30
-    # this process's table child and the forked share's both ran, and died
-    children = _logged(log)
-    assert sorted(int(ppid) == me for ppids in children.values() for ppid in ppids) == [
-        False, True]
-    for pid in children:
-        _assert_dead(pid)
+    # the failed share and the rerun each left only the threads found before
+    assert threading.active_count() == before
+    assert running == [before, before]
+    assert sorted(pid == me for pid in _logged(log)) == [False, True]
     _assert_no_children()
 
 
