@@ -11,15 +11,18 @@ of (d, kappa, seed) groups, one per CPU up to the number of groups, each
 other than this process's in a forked child.  Where a share has CPUs to
 spare (CPUs // W > 1), it also builds the spectral tables of the
 operators it draws of order ``TABLE_THREAD_MIN_DIM`` = 64 or more in
-threads, one per spare CPU, while it draws on; LAPACK releases the
-interpreter lock, and the operator's memo takes tables from any thread.
+threads, one per spare CPU, while it draws on, and each thread then
+settles its operator's additivity verdict, which every count reads;
+LAPACK releases the interpreter lock, and the operator's memo takes
+tables and verdicts from any thread.
 The sweep forks and starts threads only where this process runs one
 thread (see :func:`_one_thread`), so that no BLAS thread holds the CPUs
 and a fork copies no thread's half-done work; it forks every worker
 before any table thread starts, and joins every table thread before a
-share ends.  A thread builds a table with the same code as the share, so
-the output bytes never depend on the number of CPUs, and any failure, of
-a share or a build, reruns the whole grid in this process, one pair at a
+share ends.  A thread builds a table and a verdict with the same code as
+the share, so the output bytes never depend on the number of CPUs.  What
+a thread fails to build, the share builds again in place, and any failure
+there or of a share reruns the whole grid in this process, one pair at a
 time.
 """
 
@@ -62,6 +65,7 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair, make_pair
 from .spectral import (
     Interval,
+    _additive,
     _build_missing,
     _table,
     gap_inertia,
@@ -287,10 +291,12 @@ def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
     matrix entries, whose tables are built together before any is counted,
     and the next pair is drawn before the last batch is counted.  Each
     drawn operator of order ``TABLE_THREAD_MIN_DIM`` or more goes to a
-    thread on a free CPU of ``cpus``, which builds its table while this
-    thread draws on; where no CPU is free, the table is built with its
-    batch's.  Unbatched, the reference for errors, each pair is drawn and
-    counted before the next, and every table is built in this thread.
+    thread on a free CPU of ``cpus``, which builds its table and then its
+    additivity verdict while this thread draws on or builds other tables
+    (see :func:`_build_table_on`); where no CPU is free, the table is
+    built with its batch's, and the verdict by the batch's first count.
+    Unbatched, the reference for errors, each pair is drawn and counted
+    before the next, and every table is built in this thread.
     No table thread outlives the call, whether it returns or raises.
 
     Each pair gives ``(text, rows, min_slack, (lower, upper), dumps)``:
@@ -379,13 +385,15 @@ def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
 
 
 def _build_table_on(cpu: int, op, tol: Tolerance) -> None:
-    """Build and memoize ``op``'s table for ``tol`` on ``cpu``: the work of
-    a table thread.  A failure is left to the share, which builds the table
-    again once it has joined the thread: a real failure raises there, and
-    no thread prints a traceback."""
+    """Build and memoize, on ``cpu``, ``op``'s table for ``tol`` and then the
+    verdict of its additivity check: the work of a table thread.  A failure
+    is left to the share, which builds the table again once it has joined
+    the thread, and whose first count computes the verdict again: a real
+    failure raises there, and no thread prints a traceback."""
     _move_to(cpu)
     try:
         _table(op, tol)
+        _additive(op, tol)
     except Exception:
         pass
 

@@ -22,15 +22,21 @@ time.
 A long walk runs as lanes.  The xoshiro256 state update uses only xor,
 shifts and rotations, so it is linear over GF(2): ``_LANE`` steps are
 one fixed 256x256 bit matrix T, and the state ``j * _LANE`` steps on is
-T applied j times.  :func:`_lane_walk` jumps from lane start to lane
-start with T (32 table lookups instead of ``_LANE`` steps), advances
-all lanes together in numpy ``uint64``, where xor and shifts are exact,
-and writes each lane's words to its own slice of the stream, so the
-words and the final state are those of :func:`_walk`.  T is built once
-per process, when first needed, by stepping the 256 unit states as
-lanes.  Numpy pays a fixed cost per operation, so a walk shorter than
-``_LANE_MIN_WORDS`` stays on :func:`_walk`, which is also the reference
-and walks the remainder after the last whole lane.
+T applied j times.  A jump by T or by T^B, for B = ``_BLOCK`` lanes, is
+32 table lookups, one per byte of the state, and an xor of what they
+find, for many states at once in numpy (jumping ahead by a fixed power of
+the transition is the xoshiro authors' own technique: Blackman & Vigna,
+ACM TOMS 47, 2021).  :func:`_lane_walk` takes the start of each
+block of B lanes by a short sequential chain of T^B jumps, then the
+other starts by B - 1 jumps of T over all block starts together.  It
+advances all lanes together in numpy ``uint64``, where xor and shifts
+are exact, and writes each lane's words to its own slice of the stream,
+so the words and the final state are those of :func:`_walk`.  The tables
+of T and T^B are built once per process, when first needed: T's by
+stepping the 256 unit states as lanes, and T^B's by applying T's B
+times to them.  Numpy pays a fixed cost per operation, so a walk shorter
+than ``_LANE_MIN_WORDS`` stays on :func:`_walk`, which is also the
+reference and walks the remainder after the last whole lane.
 
 The division by sqrt(2) is written out as CPython 3.10-3.13 divide a
 complex by (sqrt(2), 0): ``((re + im*0.0) / sqrt(2), (im - re*0.0) /
@@ -47,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -58,14 +63,22 @@ _GOLDEN = 0x9E3779B97F4A7C15
 #: per call
 _U64 = {k: np.uint64(k) for k in (5, 7, 9, 11, 17, 19, 45, 57)}
 #: words per lane.  For the 18,432 words of one 96x96 draw (2-vCPU VM,
-#: Python 3.11, numpy 2.4) the lane walk took about 2.1 ms at 32, 64 or
-#: 128 words per lane, against 12.9 ms for :func:`_walk`; 64 balances
-#: the jumps (one per lane) against the numpy steps (one per word)
+#: Python 3.11, numpy 2.4, 16-lane blocks) the lane walk took about 1.1,
+#: 0.8 and 0.9 ms at 32, 64 and 128 words per lane, against 7.8 ms for
+#: :func:`_walk`; 64 balances the jumps against the numpy steps (one per
+#: word).  At 131,072 words (d = 256), 128 was faster: 3.0-3.5 ms
+#: against 4.0 ms at 64
 _LANE = 64
+#: lanes per block of :func:`_lane_walk`: a sequential chain of one
+#: T^_BLOCK jump per block, then _BLOCK - 1 jumps of T over all blocks at
+#: once.  8, 16 and 32 took about 1.5, 1.4 and 1.5 ms for one 96x96 draw
+_BLOCK = 16
 #: shortest walk run as lanes: with 64-word lanes the two paths took the
-#: same time at about 700-900 words (same machine), and every sweep-grid
-#: draw (at most 32 words) stays far below
+#: same time at about 700-900 words (same machine, measured again with
+#: block jumps), and every sweep-grid draw (at most 32 words) stays far below
 _LANE_MIN_WORDS = 768
+#: the byte positions of a state, for the gather of :func:`_apply`
+_BYTES = np.arange(32)
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -122,52 +135,72 @@ def _step_lanes(lanes: np.ndarray, rows: np.ndarray) -> None:
 
 
 @functools.cache
-def _jump_tables() -> tuple[tuple[int, ...], ...]:
-    """Per-byte xor tables of T, the ``_LANE``-step transition over GF(2).
+def _jump_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per-byte xor tables of T, the ``_LANE``-step transition over GF(2),
+    and of T^``_BLOCK``, each a (32, 256, 4) ``uint64`` array.
 
     A state is 256 bits, s0 first and little-endian.  Column i of T, the
     image of unit state i, comes from stepping all 256 unit states as
-    lanes.  Entry x of table b is the xor of the columns 8b..8b+7 that
-    the bits of x select, so T·state is the xor of one entry per byte.
+    lanes; the columns of T^``_BLOCK`` from applying T's tables
+    ``_BLOCK`` times to the unit states.  Entry x of table b is the xor
+    of the columns 8b..8b+7 that the bits of x select, so a state's image
+    is the xor of one entry per byte (see :func:`_apply`).
     """
     units = np.zeros((4, 256), dtype=np.uint64)
     bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     for w in range(4):
         units[w, 64 * w : 64 * (w + 1)] = bits
+    block = units.T.copy()
     _step_lanes(units, np.empty((_LANE, 256), dtype=np.uint64))
-    packed = units.T.astype("<u8").tobytes()
-    columns = [int.from_bytes(packed[32 * i : 32 * (i + 1)], "little") for i in range(256)]
-    tables = []
-    for b in range(32):
-        table = [0]
-        for column in columns[8 * b : 8 * (b + 1)]:
-            table += [x ^ column for x in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    lane = _byte_tables(units.T)
+    for _ in range(_BLOCK):
+        block = _apply(lane, block)
+    return lane, _byte_tables(block)
 
 
-def _jump(state: bytes) -> bytes:
-    """The state ``_LANE`` steps after ``state``; both as 32 little-endian bytes."""
-    word = functools.reduce(operator.xor, map(tuple.__getitem__, _jump_tables(), state))
-    return word.to_bytes(32, "little")
+def _byte_tables(columns: np.ndarray) -> np.ndarray:
+    """The per-byte xor tables of the GF(2) matrix whose 256 columns are
+    the rows of the (256, 4) ``uint64`` array ``columns``."""
+    columns = columns.reshape(32, 8, 4)
+    tables = np.zeros((32, 256, 4), dtype=np.uint64)
+    for k in range(8):
+        # the entries with bit k set: those without it, xor column 8b + k
+        np.bitwise_xor(tables[:, : 1 << k], columns[:, k, None],
+                       out=tables[:, 1 << k : 2 << k])
+    tables.setflags(write=False)
+    return tables
+
+
+def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The images, under the matrix of ``tables``, of the rows of the
+    (n, 4) ``uint64`` array ``states``: one table entry gathered per byte,
+    the bytes read little-endian whatever the host's order, and xor-reduced."""
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    return np.bitwise_xor.reduce(tables[_BYTES, octets], axis=1)
 
 
 def _lane_walk(s: list, out: np.ndarray) -> None:
     """:func:`_walk` into the ``uint64`` vector ``out``, as lanes of ``_LANE`` words.
 
-    Lane j starts ``j * _LANE`` steps on, one :func:`_jump` after lane
-    j - 1, and fills ``out[j * _LANE : (j + 1) * _LANE]``.  The last
-    lane's end state walks the remainder through :func:`_walk`.
+    Lane j starts ``j * _LANE`` steps on and fills
+    ``out[j * _LANE : (j + 1) * _LANE]``.  The lanes go in blocks of
+    ``_BLOCK``: each block's first lane starts one T^``_BLOCK`` after the
+    previous block's, and the other lanes of every block start one T after
+    the lane before, all blocks at once.  The last lane's end state walks
+    the remainder through :func:`_walk`.
     """
     count = len(out) // _LANE
     if count:
-        state = b"".join(word.to_bytes(8, "little") for word in s)
-        starts = [state]
-        for _ in range(count - 1):
-            state = _jump(state)
-            starts.append(state)
-        packed = np.frombuffer(b"".join(starts), dtype="<u8").reshape(count, 4)
-        lanes = np.array(packed.T, dtype=np.uint64, order="C")
+        lane, block = _jump_tables()
+        # starts[i, k] is the start of lane k * _BLOCK + i; fewer lanes
+        # than a block make one block of that many
+        starts = np.empty((min(count, _BLOCK), -(-count // _BLOCK), 4), dtype=np.uint64)
+        starts[0, 0] = s
+        for k in range(1, starts.shape[1]):
+            starts[0, k] = _apply(block, starts[0, k - 1 : k])
+        for i in range(1, len(starts)):
+            starts[i] = _apply(lane, starts[i - 1])
+        lanes = np.array(starts.transpose(2, 1, 0).reshape(4, -1)[:, :count], order="C")
         _step_lanes(lanes, out[: count * _LANE].reshape(count, _LANE).T)
         s[:] = lanes[:, -1].tolist()
     _walk(s, out[count * _LANE :])

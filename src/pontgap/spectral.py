@@ -23,10 +23,11 @@ one inertia routine.  A count reads its operator's table through
 :func:`_table`, which builds it alone where none is memoized, and
 :func:`_build_missing` builds the missing tables of several operators
 together.  Both store through the operator's thread-safe memo, so
-``sweep`` builds the tables of order 64 or more through :func:`_table` in
-threads on the CPUs it leaves idle, and reruns in-process on any failure
-(see :mod:`pontgap.cli`); wherever a table is built, it is bitwise the
-same, so the output does not depend on where.  All go through
+``sweep`` builds the tables of order 64 or more through :func:`_table`,
+and then their verdicts through :func:`_additive`, in threads on the CPUs
+it leaves idle, and builds again in place what a thread failed to build
+(see :mod:`pontgap.cli`); wherever a table or verdict is built, it is
+bitwise the same, so the output does not depend on where.  All go through
 :func:`_build_tables`: one stacked ``eig`` per order, one stacked SVD
 per order and number of owned eigenvectors, and one call of the inertia
 routine, whose bases may lie in different spaces and which stacks one
@@ -49,7 +50,8 @@ wrapper, so a failed iteration raises the same error at every order.
 The memo thus holds four things: the eigendecomposition, one entry of
 the raw eigenvalues with the shared eigenvectors or ``None``; the
 spectrum, which carries its own sorted keys; and, one of each per
-tolerance, the table and the verdict of that check.  With the keys,
+tolerance, the table and the verdict of that check, which
+:func:`_additive` reads or builds.  With the keys,
 :func:`selection` and :func:`clear_of` bisect instead of scanning: a
 window costs O(log m + k) for m entries, k of them near an endpoint or
 counted.  The memo never changes any result.
@@ -608,6 +610,11 @@ def _rows_add_up(op, tol) -> bool:
         return False
 
 
+def _additive(op, tol) -> bool:
+    """The verdict of :func:`_rows_add_up` for ``op`` and ``tol``, memoized."""
+    return op._cached(("additive", tol.rel, tol.abs), _rows_add_up, op, tol)
+
+
 def gap_inertia(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> Inertia:
@@ -619,7 +626,7 @@ def gap_inertia(
     window's union is stacked and counted instead.
     """
     _, included = selection(op, interval)
-    if op._cached(("additive", tol.rel, tol.abs), _rows_add_up, op, tol):
+    if _additive(op, tol):
         return _row_sum(op, included, tol)
     return subspace_inertia(op.space, gap_subspace(op, interval, tol))
 

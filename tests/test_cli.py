@@ -985,6 +985,11 @@ def test_table_built_in_a_thread_equals_the_one_built_in_place(d):
         assert theirs.tobytes() == mine.tobytes()
         assert not mine.flags.writeable and not theirs.flags.writeable
     assert sent.inertias == built.inertias
+    # the thread settled the verdict too, the one its twin computes in place
+    key = ("additive", DEFAULT_TOL.rel, DEFAULT_TOL.abs)
+    assert key not in here._memo
+    assert there._memo[key] is True
+    assert pontgap.spectral._additive(here, DEFAULT_TOL) is True
 
 
 def _blas_threads(threads: int) -> dict:
@@ -1047,17 +1052,17 @@ def test_one_thread_sees_python_threads_beside_one_blas_thread():
 _LARGE_GRID = ("--dims", "64,96", "--kappas", "2", "--ranks", "0,1,2")
 
 
-@pytest.mark.parametrize("seeds, children", [
+@pytest.mark.parametrize("seeds, threads", [
     # four (d, kappa, seed) groups: shares fill the CPUs up to four, and on
     # eight each of the four shares builds two of its tables in a thread
     ("2", {1: 0, 2: 0, 4: 0, 8: 8}),
     # two groups: on four CPUs each of the two shares has one CPU to spare
     ("1", {1: 0, 2: 0, 4: 4}),
 ])
-def test_sweep_with_table_children_writes_the_same_bytes(tmp_path, seeds, children):
-    # ``children`` counts the table threads each number of CPUs starts
+def test_sweep_with_table_threads_writes_the_same_bytes(tmp_path, seeds, threads):
+    # ``threads`` counts the table threads each number of CPUs starts
     outputs = []
-    for cpus, expected in children.items():
+    for cpus, expected in threads.items():
         output, _, started = _sweep_on_cpus(tmp_path, cpus, *_LARGE_GRID,
                                             "--seeds", seeds, "--seed", "5")
         assert (output[0], output[2], started) == (0, "", expected)
@@ -1077,7 +1082,7 @@ _D96 = ("--dims", "96", "--kappas", "2", "--ranks", "2", "--seeds", "1", "--seed
     # A1 goes to the thread; A2 is drawn while it runs and is built in place
     (2, _D96, 1),
 ], ids=["default", "d63", "d48-63-4cpus", "windows-d96"])
-def test_sweep_builds_tables_in_children_only_for_large_operators_on_idle_cpus(
+def test_sweep_builds_tables_in_threads_only_for_large_operators_on_idle_cpus(
     tmp_path, cpus, grid, started
 ):
     output, _, threads = _sweep_on_cpus(tmp_path, cpus, *grid)
@@ -1180,7 +1185,7 @@ _D96_RANK0 = ("--dims", "96", "--kappas", "2", "--ranks", "0", "--seeds", "1", "
 
 
 @pytest.mark.parametrize("fault", ["raises", "typed"])
-def test_sweep_reruns_in_process_when_a_table_child_fails(
+def test_sweep_reruns_in_process_when_a_table_thread_fails(
     capsys, tmp_path, monkeypatch, fault
 ):
     """A table thread fails, and so does the share's build of that table
@@ -1253,7 +1258,36 @@ def test_sweep_builds_in_place_a_table_its_thread_failed_to_build(
     assert (built, len(runs)) == ([0, 1], 1)
 
 
-def test_sweep_kills_every_table_child_when_a_share_fails(capsys, tmp_path, monkeypatch):
+def test_sweep_settles_in_place_a_verdict_its_thread_failed_to_settle(
+    capsys, tmp_path, monkeypatch
+):
+    out_path = tmp_path / "d96.csv"
+    _pin_cpus(monkeypatch, 1)
+    expected = _sweep_output(capsys, out_path, *_D96)
+    _pin_cpus(monkeypatch, 2)
+    settle, on_main = pontgap.spectral._additive, []
+
+    def failing(op, tol):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        if not on_main[-1]:
+            raise MemoryError("injected verdict failure")
+        return settle(op, tol)
+
+    for module in (pontgap.cli, pontgap.spectral):
+        monkeypatch.setattr(module, "_additive", failing)
+    # a thread that raised would print its traceback through this hook
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
+    assert _sweep_output(capsys, out_path, *_D96) == expected
+    assert unhandled == []
+    # A1's thread failed to settle its verdict, which the counts then
+    # settled in this thread, and no rerun
+    assert on_main.count(False) == 1 and on_main[-1]
+    assert len(runs) == 1
+
+
+def test_sweep_kills_every_table_thread_when_a_share_fails(capsys, tmp_path, monkeypatch):
     """This process's share fails while its table thread runs: it joins the
     thread before the error propagates, and the forked share, whose table
     thread runs too, is killed with it."""

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pontgap.prng import (
+    _BLOCK,
     _LANE,
     _LANE_MIN_WORDS,
     Xoshiro256StarStar,
-    _jump,
+    _apply,
+    _jump_tables,
     _lane_walk,
     _walk,
     splitmix64,
@@ -258,6 +260,8 @@ _STATES = st.lists(st.integers(min_value=0, max_value=_MASK), min_size=4, max_si
         0, 1,
         _LANE_MIN_WORDS - 1, _LANE_MIN_WORDS, _LANE_MIN_WORDS + 1,
         _LANE - 1, _LANE, _LANE + 1, 3 * _LANE - 1, 3 * _LANE + 1,
+        # around the first block boundary, and into the second block
+        _BLOCK * _LANE - 1, _BLOCK * _LANE, _BLOCK * _LANE + 1, (_BLOCK + 1) * _LANE + 3,
         18_432, 18_433,  # one 96x96 draw, and one word more
     ],
 )
@@ -271,12 +275,10 @@ def test_lane_walk_equals_the_scalar_walk(count, state):
     assert lanes == scalar
 
 
-def _packed(state):
-    return b"".join(word.to_bytes(8, "little") for word in state)
-
-
 @given(_STATES)
 def test_one_jump_is_a_lane_of_steps(state):
-    stepped = list(state)
-    _walk(stepped, [0] * _LANE)
-    assert _jump(_packed(state)) == _packed(stepped)
+    # one T is _LANE steps, and one T^_BLOCK is _BLOCK lanes of steps
+    for table, steps in zip(_jump_tables(), (_LANE, _BLOCK * _LANE)):
+        stepped = list(state)
+        _walk(stepped, [0] * steps)
+        assert _apply(table, np.array([state], dtype=np.uint64)).tolist() == [stepped]
