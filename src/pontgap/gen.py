@@ -5,7 +5,9 @@ All randomness flows through the package's own xoshiro256** streams
 same seed, same bytes, on any host.  Generated operators are resampled
 until their spectra are unambiguous at the package's tolerance scales:
 pairwise eigenvalue gaps and distances from the real axis stay above
-``Tolerance.GEN_MIN_GAP``.
+``Tolerance.GEN_MIN_GAP``.  Each draw solves with the space's Gram, and the
+Gram's singular values, which the solve's cutoff test reads, are taken
+once per space (see ``IndefiniteSpace``), not once per draw.
 """
 
 from __future__ import annotations
@@ -94,7 +96,10 @@ def _haar_unitary(rng: Xoshiro256StarStar, d: int) -> np.ndarray:
 def _margins_ok(values: np.ndarray) -> bool:
     """Raw eigenvalues are unambiguous: clean realness calls and open gaps."""
     band = Tolerance.GEN_REALNESS_FACTOR * Tolerance.REALNESS_SCALE
-    for v in values:
+    # Python complex values in one conversion: their abs() is libm's hypot,
+    # as a numpy scalar's is, at a fraction of a numpy scalar's cost; np.abs
+    # of the complex array may round |v| an ulp apart from hypot
+    for v in values.tolist():
         im = abs(v.imag)
         if im > band * max(1.0, abs(v)) and im < Tolerance.GEN_MIN_GAP:
             return False
@@ -130,13 +135,16 @@ def random_space(cfg: GenConfig, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpac
 def random_operator(
     space: IndefiniteSpace, cfg: GenConfig, tol: Tolerance = DEFAULT_TOL
 ) -> JSelfadjointOperator:
-    """J-selfadjoint operator ``J^-1 H`` for a random Hermitian H."""
+    """J-selfadjoint operator ``J^-1 H`` for a random Hermitian H.  Every
+    draw solves with ``J``; the cutoff test of a solve reads ``tol`` and the
+    space's memoized singular values of ``J``."""
     _check_space(space, cfg)
     rng = Xoshiro256StarStar.substream(cfg.seed, _TAG_OPERATOR)
     for _ in range(RESAMPLE_BUDGET):
         g = _complex_matrix(rng, space.dim, space.dim)
         h = 0.5 * (g + g.conj().T)
-        op = validate_operator(space, linalg.solve(space.gram, h, tol), tol)
+        a = linalg._solve(space.gram, h, tol, space._singular_values)
+        op = validate_operator(space, a, tol)
         # the margin check's eigenvalues are the ones spectrum(op) clusters
         if _margins_ok(op.raw_eigenvalues()):
             return op
@@ -177,7 +185,9 @@ def random_pair(
         v = _complex_matrix(rng, space.dim, n)
         signs = np.array([rng.sign() for _ in range(n)], dtype=float)
         p = (v * signs) @ v.conj().T
-        a2 = op1.matrix + linalg.solve(space.gram, 0.5 * (p + p.conj().T), tol)
+        a2 = op1.matrix + linalg._solve(
+            space.gram, 0.5 * (p + p.conj().T), tol, space._singular_values
+        )
         pair = make_pair(op1, validate_operator(space, a2, tol), tol)
         if pair.n == n and _margins_ok(pair.op2.raw_eigenvalues()):
             return pair

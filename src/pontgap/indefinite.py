@@ -10,6 +10,7 @@ the number of negative squares, the quantity every bound in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +80,9 @@ class IndefiniteSpace:
 
     Construct through :func:`validate_space`; the constructor assumes
     ``gram`` is already symmetrized.  Spaces compare and hash by
-    identity; :meth:`same_space` compares their Gram matrices.
+    identity; :meth:`same_space` compares their Gram matrices.  A space
+    memoizes its Gram's singular values on first use, for the generator's
+    solves with ``gram``.
     """
 
     gram: np.ndarray = field(repr=False)
@@ -98,6 +101,14 @@ class IndefiniteSpace:
     @property
     def dim(self) -> int:
         return self.gram.shape[0]
+
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
+        """The Gram's descending singular values, read-only.  Threads that
+        take them together take the same bits, so either copy may stay."""
+        s = linalg._singular_values(self.gram)
+        s.setflags(write=False)
+        return s
 
     @property
     def kappa(self) -> int:
@@ -219,17 +230,13 @@ def _inertias(items) -> list[Inertia]:
         b = items[members[0]][1][None] if len(members) == 1 else np.stack(
             [items[i][1] for i in members]
         )
-        bh = b.conj().swapaxes(1, 2)
-        gap = bh @ b - np.eye(w)
+        gap = b.conj().swapaxes(1, 2) @ b - np.eye(w)
         # np.linalg.norm's own formula over the last two axes, without its checks
         defects = np.sqrt(np.add.reduce((gap.conj() * gap).real, axis=(1, 2)))
-        g = bh @ (space.gram @ b)
-        # 0.5 (g + g^*) is exactly Hermitian, so it needs no Hermiticity
-        # check, and symmetrizing it again would change no bit
-        g = 0.5 * (g + g.conj().swapaxes(1, 2))
+        g, finite = _compressed(space, b)
         # a NaN defect passes this test, and the finiteness test fails it
         skew = defects > Tolerance.ORTHO_SLACK
-        bad = skew | ~np.isfinite(g).all(axis=(1, 2))
+        bad = skew | ~finite
         if bad.any():
             for j in np.flatnonzero(bad):
                 faults[members[j]] = ValidationError(
@@ -244,27 +251,50 @@ def _inertias(items) -> list[Inertia]:
     if faults:
         raise faults[min(faults)]
     inertias = [None] * len(items)
-    for (_, w), (order, grams, bands) in groups.items():
+    for order, grams, bands in groups.values():
         g = grams[0] if len(grams) == 1 else np.concatenate(grams)
         band = (bands[0] if len(bands) == 1 else np.concatenate(bands))[:, None]
-        values = linalg.hermitian_eigen(g)[0]
-        # g is finite, so are its eigenvalues: the rest of each row is the zero band
-        plus = (values > band).sum(axis=1).tolist()
-        minus = (values < -band).sum(axis=1).tolist()
-        for i, p, m in zip(order, plus, minus):
-            inertias[i] = Inertia._of_counts(p, m, w - p - m)
+        for i, inertia in zip(order, _counted(g, band)):
+            inertias[i] = inertia
     return inertias
 
 
+def _compressed(space: IndefiniteSpace, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram form compressed to each basis of the stack ``b``, as the
+    stack of ``0.5 (G + G^*)`` for ``G = B^* (J B)``, and which are finite."""
+    g = b.conj().swapaxes(1, 2) @ (space.gram @ b)
+    # 0.5 (g + g^*) is exactly Hermitian, so it needs no Hermiticity
+    # check, and symmetrizing it again would change no bit
+    g = 0.5 * (g + g.conj().swapaxes(1, 2))
+    return g, np.isfinite(g).all(axis=(1, 2))
+
+
+def _counted(g: np.ndarray, band) -> list[Inertia]:
+    """The inertia of each finite Hermitian form of the stack ``g`` against
+    its zero ``band`` (a scalar, or one per form as a column), by one
+    ``eigh`` over the stack."""
+    w = g.shape[-1]
+    values = linalg.hermitian_eigen(g)[0]
+    # g is finite, so are its eigenvalues: the rest of each row is the zero band
+    plus = (values > band).sum(axis=1).tolist()
+    minus = (values < -band).sum(axis=1).tolist()
+    return [Inertia._of_counts(p, m, w - p - m) for p, m in zip(plus, minus)]
+
+
 def subspace_inertia(space: IndefiniteSpace, sub: Subspace) -> Inertia:
-    """Inertia of the Gram form compressed to ``sub``."""
+    """Inertia of the Gram form compressed to ``sub``.  The basis is not
+    checked again: ``Subspace`` checked that it is orthonormal."""
     if sub.ambient_dim != space.dim:
         raise DimensionMismatchError(
             f"subspace lives in C^{sub.ambient_dim}, space is C^{space.dim}"
         )
     if sub.dim == 0:
         return Inertia(0, 0, 0)
-    return _inertias([(space, sub.basis)])[0]
+    # the view _inertias takes of a lone basis, so the products keep its bits
+    g, finite = _compressed(space, sub.basis[None])
+    if not finite[0]:
+        raise ValidationError("matrix entries must be finite")
+    return _counted(g, Tolerance.INERTIA_ZERO_SCALE * space.scale)[0]
 
 
 def sum_subspaces(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -247,13 +247,20 @@ def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         If the smallest singular value of ``m`` is below the cutoff;
         the error carries that value.
     """
-    m = as_complex_matrix(m, square=True)
+    return _solve(as_complex_matrix(m, square=True), b, tol)
+
+
+def _solve(m: np.ndarray, b, tol: Tolerance, s: np.ndarray | None = None) -> np.ndarray:
+    """:func:`solve` for a validated square complex ``m`` whose descending
+    singular values ``s`` may be given: a caller that solves with one
+    matrix many times takes them once.  The cutoff still reads ``tol``."""
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != m.shape[0]:
         raise DimensionMismatchError(
             f"right-hand side has {b.shape[0]} rows, matrix has {m.shape[0]}"
         )
-    s = _singular_values(m)
+    if s is None:
+        s = _singular_values(m)
     if _rank(s, tol) < m.shape[0]:
         smallest = float(s[-1])
         raise SingularMatrixError(

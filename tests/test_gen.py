@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pontgap import gen
-from pontgap.errors import ResampleBudgetError, ValidationError
+import helpers
+from pontgap import gen, linalg
+from pontgap.errors import ResampleBudgetError, SingularMatrixError, ValidationError
 from pontgap.gen import (
     GenConfig,
     builtin_fixtures,
@@ -16,6 +17,7 @@ from pontgap.gen import (
     random_real_spectrum_operator,
     random_space,
 )
+from pontgap.indefinite import validate_space
 from pontgap.instancefile import InstanceRecord, dumps_instance
 from pontgap.linalg import DEFAULT_TOL, Tolerance
 from pontgap.spectral import Interval, gap_inertia, spectrum, validate_operator
@@ -178,6 +180,48 @@ def test_validated_operator_solves_its_eigenvalues_on_first_spectrum(monkeypatch
     ]
 
 
+def test_a_space_takes_its_gram_singular_values_once(monkeypatch):
+    # the golden test's widened gap rejects the first A1 draw and the
+    # first rank-2 A2 draw, so the group solves with J for two A1 candidates,
+    # one rank-1 and two rank-2 A2 candidates
+    monkeypatch.setattr(Tolerance, "GEN_MIN_GAP", 0.2)
+    cfg = GenConfig(dim=16, kappa_minus=2, pert_rank=2, seed=85)
+    space = random_space(cfg)
+    svd, of_gram = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        of_gram.append(a.shape == space.gram.shape and np.array_equal(a, space.gram))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    solves = helpers.count_calls(monkeypatch, np.linalg, "solve")
+    op1 = random_operator(space, cfg)
+    for rank in (1, 2):
+        random_pair(op1, GenConfig(dim=16, kappa_minus=2, pert_rank=rank, seed=85))
+    assert (len(solves), of_gram.count(True)) == (5, 1)
+    assert not space._singular_values.flags.writeable
+
+
+@pytest.mark.parametrize("strict_first", [True, False])
+def test_a_space_memoizes_singular_values_not_the_cutoff_verdict(strict_first):
+    # sigma_min = 1e-3 lies between the cutoffs 1e-2 (strict) and 1e-9 (loose)
+    gram = np.diag([1.0, -1e-3]).astype(complex)
+    space = validate_space(gram)
+    cfg = GenConfig(dim=2, kappa_minus=1, seed=0)
+    strict, loose = Tolerance(rel=1e-2), DEFAULT_TOL
+    with pytest.raises(SingularMatrixError) as expected:
+        linalg.solve(gram, np.eye(2), strict)
+    assert str(expected.value) == "matrix is singular to tolerance (sigma_min = 1.000e-03)"
+    for tol in (strict, loose) if strict_first else (loose, strict):
+        if tol is strict:
+            with pytest.raises(SingularMatrixError) as caught:
+                random_operator(space, cfg, tol)
+            assert str(caught.value) == str(expected.value)
+            assert caught.value.smallest_singular_value == 1e-3
+        else:
+            assert random_operator(space, cfg, tol).space is space
+
+
 def _margins_ok_by_triangle(values, tol):
     """The margin check as first written: the gaps of the upper triangle."""
     band = tol.GEN_REALNESS_FACTOR * tol.REALNESS_SCALE
@@ -189,13 +233,36 @@ def _margins_ok_by_triangle(values, tol):
     return not np.any(gaps < tol.GEN_MIN_GAP)
 
 
+def _on_the_realness_band(re, band):
+    """A value ``re + i im`` whose ``im`` is exactly ``band * max(1, |v|)``,
+    found by fixed-point steps (each moves ``|v|`` by less than its ulp)."""
+    v = np.complex128(complex(re, band * max(1.0, abs(re))))
+    for _ in range(8):
+        v = np.complex128(complex(re, band * max(1.0, abs(v))))
+    assert v.imag == band * max(1.0, abs(v))
+    return v
+
+
 def test_margin_check_matches_the_upper_triangle_formula():
     tol = Tolerance()
     gap = tol.GEN_MIN_GAP
+    band = tol.GEN_REALNESS_FACTOR * tol.REALNESS_SCALE
+    # realness edges, one value each: |Im v| on the band (not blurred) and
+    # one ulp above it (blurred), on both sides of |v| = 1 and of the axis
+    edges = []
+    for re in (0.5, -3.0, 40.0):
+        on = _on_the_realness_band(re, band)
+        above = np.complex128(complex(re, np.nextafter(on.imag, np.inf)))
+        assert above.imag > band * max(1.0, abs(above))
+        edges += [[on], [on.conjugate()], [above], [above.conjugate()]]
+    # |Im v| at the gap clears it; one ulp below, it is blurred
+    edges += [[0.5 + 1j * gap], [0.5 + 1j * np.nextafter(gap, 0.0)]]
     cases = [
         [0.5],  # d = 1: no gap at all
         [0.0, gap], [0.0, 1j * gap], [0.0, np.nextafter(gap, 0.0)],  # on the gap
         [2.0, 2.0], [1 + 2j, 1 - 2j, 1 + 2j],  # equal values
+        *edges,
+        [2.0, edges[2][0], -1.0],  # a blurred value among clean ones
     ]
     rng = np.random.default_rng(7)
     for d in range(1, 7):
@@ -207,6 +274,9 @@ def test_margin_check_matches_the_upper_triangle_formula():
         _margins_ok_by_triangle(np.asarray(c, dtype=complex), tol) for c in cases
     ]
     assert verdicts[:6] == [True, True, True, False, False, False]
+    assert verdicts[6:6 + len(edges) + 1] == (
+        [True, True, False, False] * 3 + [True, False] + [False]
+    )
 
 
 def test_resample_budget_exhausts_on_impossible_gap(monkeypatch):

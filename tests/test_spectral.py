@@ -801,6 +801,33 @@ def test_stacked_inertias_of_several_spaces_keep_each_band_and_order():
         indefinite._inertias(items + spoiled)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 250.0])
+def test_one_pass_subspace_inertia_equals_the_stacked_routine_and_the_reference(scale):
+    # subspace_inertia skips the stacked routine's grouping and its second
+    # orthonormality check; its counts must stay those of the routine
+    rng = np.random.default_rng(11)
+    for d in range(1, 13):
+        for kappa in sorted({0, d // 2, d}):
+            u = helpers.haar_unitary(rng, d)
+            j = scale * (u * np.array([1.0] * (d - kappa) + [-1.0] * kappa)) @ u.conj().T
+            space = validate_space(0.5 * (j + j.conj().T))
+            bases = [helpers.random_orthonormal(rng, d, k) for k in range(1, d + 1)]
+            # neutral: each column pairs a positive and a negative eigenvector of J
+            pairs = min(d - kappa, kappa)
+            if pairs:
+                neutral = (u[:, :pairs] + u[:, d - kappa:d - kappa + pairs]) / np.sqrt(2.0)
+                bases.append(neutral)
+            if 0 < pairs < d - kappa:
+                # and a positive eigenvector of J that no pair uses
+                bases.append(np.hstack([neutral, u[:, pairs:pairs + 1]]))
+            for b in bases:
+                one_pass = subspace_inertia(space, Subspace(b))
+                assert one_pass == indefinite._inertias([(space, b)])[0]
+                assert one_pass == _reference_inertia(space, b)
+            if pairs:
+                assert subspace_inertia(space, Subspace(neutral)) == Inertia(0, 0, pairs)
+
+
 def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
     # ||J||_F < 1, so the scale is 1 and the band is INERTIA_ZERO_SCALE
     # itself; on e1 the compressed Gram is that band, exactly
