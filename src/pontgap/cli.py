@@ -5,25 +5,6 @@ in the deterministic format of :mod:`pontgap.instancefile`; diagnostics
 go to stderr.  Exit codes: 0 ok, 1 expectation mismatch, 2 input error,
 3 ill-posed interval (including an endpoint ambiguously close to an
 eigenvalue), 4 bound violation.
-
-``sweep`` spreads its grid over the CPUs of the affinity mask: W shares
-of (d, kappa, seed) groups, one per CPU up to the number of groups, each
-other than this process's in a forked child.  Where a share has CPUs to
-spare (CPUs // W > 1), it also builds the spectral tables of the
-operators it draws of order ``TABLE_THREAD_MIN_DIM`` = 64 or more in
-threads, one per spare CPU, while it draws on, and each thread then
-settles its operator's additivity verdict, which every count reads;
-LAPACK releases the interpreter lock, and the operator's memo takes
-tables and verdicts from any thread.
-The sweep forks and starts threads only where this process runs one
-thread (see :func:`_one_thread`), so that no BLAS thread holds the CPUs
-and a fork copies no thread's half-done work; it forks every worker
-before any table thread starts, and joins every table thread before a
-share ends.  A thread builds a table and a verdict with the same code as
-the share, so the output bytes never depend on the number of CPUs.  What
-a thread fails to build, the share builds again in place, and any failure
-there or of a share reruns the whole grid in this process, one pair at a
-time.
 """
 
 from __future__ import annotations
@@ -32,11 +13,7 @@ import argparse
 import functools
 import itertools
 import math
-import os
-import pickle
-import signal
 import sys
-import threading
 from pathlib import Path
 
 from . import instancefile
@@ -46,13 +23,12 @@ from .errors import (
     InstanceFormatError,
     PontgapError,
 )
-from .gen import GenConfig, builtin_fixtures, random_operator, random_pair, random_space
+from .gen import builtin_fixtures
 from .indefinite import IndefiniteSpace, validate_space
 from .instancefile import (
     SCHEMA_VERSION,
     InstanceRecord,
     dumps_instance,
-    format_float,
     gap_report_node,
     interval_node,
     parse_instance,
@@ -62,17 +38,10 @@ from .instancefile import (
     witness_report_node,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .perturbation import OperatorPair, make_pair
-from .spectral import (
-    Interval,
-    _additive,
-    _build_missing,
-    _table,
-    gap_inertia,
-    spectrum,
-    validate_operator,
-)
-from .theorem import GapReport, proof_witness, sweep_windows, verify_main_theorem
+from .perturbation import make_pair
+from .spectral import Interval, gap_inertia, spectrum, validate_operator
+from .sweep import pair_record, sweep_grid
+from .theorem import GapReport, proof_witness, verify_main_theorem
 
 __all__ = ["main"]
 
@@ -81,25 +50,6 @@ EXIT_EXPECTATION_MISMATCH = 1
 EXIT_INPUT_ERROR = 2
 EXIT_ILL_POSED_INTERVAL = 3
 EXIT_BOUND_VIOLATION = 4
-
-CSV_HEADER = "d,kplus,kminus,n,lower,upper,eig1,eig2,sig1,sig2,slack"
-
-#: Most matrix entries, 2 d**2 per pair, that ``sweep`` collects before it
-#: builds the collected pairs' spectral tables in one batch and writes their
-#: rows.  Stacked LAPACK calls save per-call overhead on small matrices, and
-#: the bound keeps the stacked copies small: the default grid, 3,480
-#: entries, is one batch, and a pair of order 46 or more is a batch alone.
-SWEEP_BATCH_ENTRIES = 4096
-
-#: Least order of an operator whose spectral table ``sweep`` builds in a
-#: thread while a CPU is idle.  On a 2-vCPU Xeon with one BLAS thread
-#: (medians of 7 operators), a table took 5.2 ms at d = 48, 9 ms at d = 64
-#: and 22 ms at d = 96, and starting a thread that moves to its CPU and
-#: joining it took 0.10 ms.  So 64 no longer marks the break-even: a
-#: one-group sweep of three ranks with this bound lowered ran slower at
-#: d = 16 and 24, as fast at d = 32, and 7-17% faster from d = 40 to 64
-#: (medians of 14 alternated runs each); 64 still never loses.
-TABLE_THREAD_MIN_DIM = 64
 
 
 def _tolerance(args) -> Tolerance:
@@ -150,11 +100,6 @@ def _document(tol: Tolerance, space: IndefiniteSpace, record: InstanceRecord, bo
     if record.name is not None:
         doc["name"] = record.name
     return doc
-
-
-def _pair_record(pair: OperatorPair, interval: Interval, name: str, expected=None):
-    return InstanceRecord(gram=pair.space.gram, a1=pair.op1.matrix, a2=pair.op2.matrix,
-                          intervals=(interval,), name=name, expected=expected)
 
 
 def _instance(args):
@@ -277,266 +222,6 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise InstanceFormatError(f"{flag} expects comma-separated integers") from None
 
 
-def _csv_endpoint(x: float) -> str:
-    if math.isinf(x):
-        return "-inf" if x < 0 else "+inf"
-    return format_float(x)
-
-
-def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
-                 cpus=()) -> list:
-    """What the merge needs of each of ``cells``' pairs, in their order.
-
-    Batched, the pairs go in batches of at most ``SWEEP_BATCH_ENTRIES``
-    matrix entries, whose tables are built together before any is counted,
-    and the next pair is drawn before the last batch is counted.  Each
-    drawn operator of order ``TABLE_THREAD_MIN_DIM`` or more goes to a
-    thread on a free CPU of ``cpus``, which builds its table and then its
-    additivity verdict while this thread draws on or builds other tables
-    (see :func:`_build_table_on`); where no CPU is free, the table is
-    built with its batch's, and the verdict by the batch's first count.
-    Unbatched, the reference for errors, each pair is drawn and counted
-    before the next, and every table is built in this thread.
-    No table thread outlives the call, whether it returns or raises.
-
-    Each pair gives ``(text, rows, min_slack, (lower, upper), dumps)``:
-    its CSV rows, rendered and each ending in a newline, and their number;
-    the least slack of its rows, and the window of the first row with it;
-    and the instance files of its windows that break a bound.  This is
-    plain data, which a forked worker pickles.
-    """
-    free = list(cpus)  # the CPUs without a table thread
-    pending = {}  # operator -> (the thread building its table, its CPU)
-
-    def send(op):
-        if batched and free and op.dim >= TABLE_THREAD_MIN_DIM:
-            cpu = free.pop()
-            thread = threading.Thread(target=_build_table_on, args=(cpu, op, tol))
-            thread.start()
-            pending[op] = thread, cpu
-        return op
-
-    # J and A1 depend on (d, kappa, seed), not on the rank.  The grid
-    # runs a (d, kappa)'s ranks over the same --seeds seeds, so keeping
-    # the last --seeds A1s (each holds its J) builds each once for all ranks
-    @functools.lru_cache(maxsize=seeds)
-    def first(d, kappa, seed):
-        cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
-        return send(random_operator(random_space(cfg, tol), cfg, tol))
-
-    results, batch, entries = [], [], 0
-
-    def flush():
-        """If batched, build the batch's tables: those no thread builds
-        together here, then, once the batch's threads are joined, any
-        table a thread failed to build; then verify its windows."""
-        nonlocal batch, entries
-        if batched:
-            ops = [op for _, pair in batch for op in (pair.op1, pair.op2)]
-            _build_missing([op for op in ops if op not in pending], tol)
-            threaded = [op for op in dict.fromkeys(ops) if op in pending]
-            for op in threaded:
-                thread, cpu = pending.pop(op)
-                thread.join()
-                free.append(cpu)
-            if threaded:
-                # where the thread's failure is real, the build raises here
-                _build_missing(threaded, tol)
-        for cfg, pair in batch:
-            d, space, n = cfg.dim, pair.space, pair.n
-            rows, dumps, least, attained = [], [], None, None
-            # sweep_windows opens with the whole line, so every cell gets a row
-            for interval in sweep_windows(pair):
-                report = verify_main_theorem(pair, interval, tol)
-                lower, upper, slack = interval.lower, interval.upper, report.slack
-                rows.append(",".join(map(str, (
-                    d, space.kappa_plus, space.kappa_minus, n,
-                    _csv_endpoint(lower), _csv_endpoint(upper),
-                    report.eig1, report.eig2, report.sig1, report.sig2, slack,
-                ))))
-                if least is None or slack < least:
-                    least, attained = slack, (lower, upper)
-                if not report.all_hold:
-                    dumps.append(dumps_instance(_pair_record(
-                        pair, interval, f"violation-d{d}-k{cfg.kappa_minus}"
-                                        f"-n{cfg.pert_rank}-seed{cfg.seed}")))
-            results.append(("\n".join(rows) + "\n", len(rows), least, attained, dumps))
-        batch, entries = [], 0
-
-    try:
-        for d, kappa, rank, seed in cells:
-            if batch and not batched:
-                flush()
-            cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
-            pair = random_pair(first(d, kappa, seed), cfg, tol)
-            if pair.op2 is not pair.op1:
-                send(pair.op2)
-            # batched, the pair is drawn before the last batch is counted,
-            # so that table threads run meanwhile
-            if batch and entries + 2 * d * d > SWEEP_BATCH_ENTRIES:
-                flush()
-            batch.append((cfg, pair))
-            entries += 2 * d * d
-        flush()
-        return results
-    finally:
-        for thread, _ in pending.values():
-            thread.join()
-
-
-def _build_table_on(cpu: int, op, tol: Tolerance) -> None:
-    """Build and memoize, on ``cpu``, ``op``'s table for ``tol`` and then the
-    verdict of its additivity check: the work of a table thread.  A failure
-    is left to the share, which builds the table again once it has joined
-    the thread, and whose first count computes the verdict again: a real
-    failure raises there, and no thread prints a traceback."""
-    _move_to(cpu)
-    try:
-        _table(op, tol)
-        _additive(op, tol)
-    except Exception:
-        pass
-
-
-def _move_to(cpu: int) -> None:
-    """Move the calling thread to ``cpu``, then let the kernel move it on
-    where it balances load: where the kernel does not balance load across
-    the affinity mask (a cpuset with load balancing off), a new thread or
-    forked child would stay on its parent's CPU, and confined to ``cpu``
-    it would crowd any BLAS threads it starts there."""
-    try:
-        mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, mask)
-    except OSError:
-        pass  # a CPU outside the mask; the thread stays where it is
-
-
-class _Forked:
-    """This process's forked sweep workers, each pickling its share's
-    results down its own pipe.
-
-    A fork shares the loaded modules, where a spawned worker would import
-    numpy again at a cost larger than the default grid's whole sweep.  Each
-    worker starts on the CPU it is given (see :func:`_move_to`), and forks
-    nothing in turn.  On leaving the ``with`` block, every worker whose
-    result was not read is killed, and every worker is reaped, so none
-    outlives the block; if the block succeeded but a worker exited
-    non-zero, it raises :class:`ChildProcessError`.
-    """
-
-    def __init__(self):
-        self._pipes = {}  # pid -> read end of its pipe, for each worker not read
-        self._read = []  # pids of the workers read
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, traceback):
-        for pid, read_end in self._pipes.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_end)
-        self._pipes.clear()
-        failed = None
-        for pid in self._read:
-            status = os.waitpid(pid, 0)[1]
-            if status != 0 and failed is None:
-                failed = ChildProcessError(
-                    f"forked worker exited with {os.waitstatus_to_exitcode(status)}")
-        self._read.clear()
-        if failed and exc_type is None:
-            raise failed
-
-    def start(self, cpu: int, work, *args) -> int:
-        """Fork a child on ``cpu`` that pickles ``work(*args)`` down a pipe;
-        its pid."""
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if pid == 0:
-            # the child never returns into its caller's stack, and leaves
-            # atexit handlers and stream buffers to the parent
-            code = 1
-            try:
-                os.close(read_end)
-                for fd in self._pipes.values():
-                    os.close(fd)
-                _move_to(cpu)
-                result = work(*args)
-                with open(write_end, "wb") as pipe:
-                    pickle.dump(result, pipe)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_end)
-        self._pipes[pid] = read_end
-        return pid
-
-    def result(self, pid: int):
-        """Child ``pid``'s result, read to the end of its pipe."""
-        with open(self._pipes[pid], "rb", closefd=False) as pipe:
-            data = pipe.read()
-        os.close(self._pipes.pop(pid))
-        self._read.append(pid)
-        return pickle.loads(data)
-
-
-def _run_shares(shares, seeds: int, tol: Tolerance, cpus: list,
-                batched: bool = True) -> list:
-    """Each share's :func:`_sweep_share` results, in share order.
-
-    ``cpus``, from :func:`_cpus`, go in blocks of CPUs // W to the W
-    shares.  This process runs the first share, on the first CPU, and each
-    other share runs in a forked child on the first CPU of its block; a
-    share's table threads run on the rest of its block.  Every child is
-    forked before this process's share starts a thread.  If anything
-    fails, every child is killed and reaped before the error propagates.
-    """
-    per = len(cpus) // len(shares)
-    blocks = [cpus[w * per:(w + 1) * per] for w in range(len(shares))]
-    with _Forked() as children:
-        pids = [children.start(block[0], _sweep_share, share, seeds, tol, batched, block[1:])
-                for share, block in zip(shares[1:], blocks[1:])]
-        results = [_sweep_share(shares[0], seeds, tol, batched, blocks[0][1:])]
-        return results + [children.result(pid) for pid in pids]
-
-
-def _cpus() -> list:
-    """The CPUs of the affinity mask, the one this process runs on first;
-    none where the sweep may neither fork nor start threads: where the
-    platform has no ``fork`` or affinity mask, or this process runs more
-    than one thread (see :func:`_one_thread`)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and _one_thread()):
-        return []
-    cpus = sorted(os.sched_getaffinity(0))
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            # field 39: the CPU this process last ran on
-            here = int(stat.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return cpus
-    return sorted(cpus, key=lambda cpu: cpu != here)
-
-
-def _one_thread() -> bool:
-    """Whether this process runs one thread of the operating system, the
-    gate of the sweep's workers and table threads.  A forked child holds
-    only the forking thread, and a BLAS built with threads starts its
-    workers as it loads, unless told to use one (``OPENBLAS_NUM_THREADS=1``,
-    ``OMP_NUM_THREADS=1``, ...): they take the CPUs that a worker or a
-    table thread would need, and each worker forked beside them starts as
-    many again."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
 def cmd_sweep(args) -> int:
     tol = _tolerance(args)
     dims = _parse_int_list(args.dims, "--dims")
@@ -564,46 +249,17 @@ def cmd_sweep(args) -> int:
         raise InstanceFormatError(
             "--dims, --kappas and --ranks leave no cell with kappa <= d and n <= d"
         )
-    # a (d, kappa, seed) group's ranks share one J and A1, so a group never
-    # splits; group g, counted in order of first appearance, goes to share
-    # g mod W, which balances the shares over each (d, kappa)'s seeds
-    numbering: dict[tuple[int, int, int], int] = {}
-    groups = [numbering.setdefault((d, kappa, seed), len(numbering))
-              for d, kappa, _, seed in cells]
-    # the gate and the mask are read once: the CPUs that set the number of
-    # shares are the ones the shares are dealt
-    cpus = _cpus()
-    workers = max(1, min(len(cpus), len(numbering)))
-    shares = [[cell for cell, g in zip(cells, groups) if g % workers == w]
-              for w in range(workers)]
-    try:
-        results = _run_shares(shares, args.seeds, tol, cpus)
-    except Exception:
-        # the reference: the whole grid again in this process, unbatched,
-        # which raises its first error in grid order, whichever share
-        # failed and however
-        workers, results = 1, _run_shares([cells], args.seeds, tol, cpus, batched=False)
-    # merge: each share's results are in grid order, so the grid's next
-    # pair is the next of its share's.  A cell's first pair with its least
-    # slack, in grid order, holds its first row with it
-    shared = [iter(share) for share in results]
-    texts, rows = [CSV_HEADER + "\n"], 0
-    summary: dict[tuple[int, int], dict] = {}
-    dumps = []
-    for (d, kappa, rank, seed), g in zip(cells, groups):
-        text, count, least, (lower, upper), pair_dumps = next(shared[g % workers])
-        texts.append(text)
-        rows += count
-        cell = summary.setdefault((kappa, rank), {"min_slack": None, "rows": 0})
-        cell["rows"] += count
-        if cell["min_slack"] is None or least < cell["min_slack"]:
-            cell["min_slack"] = least
-            cell["attained_at"] = {"d": d, "seed": seed,
-                                   **interval_node(Interval(lower, upper))}
-        dumps += pair_dumps
-    Path(args.out).write_text("".join(texts))
+    # the CSV and the dumps go next to --out: a path that cannot take them
+    # fails here, before the first draw
+    out = Path(args.out)
+    if out.is_dir():
+        raise InstanceFormatError(f"--out {args.out} is a directory")
+    if not out.parent.is_dir():
+        raise InstanceFormatError(f"--out {args.out}: {out.parent} is not a directory")
+    csv, summary, dumps = sweep_grid(cells, tol)
+    out.write_text(csv)
     for index, dump in enumerate(dumps):
-        path = Path(args.out).with_suffix(f".violation{index}.json")
+        path = out.with_suffix(f".violation{index}.json")
         path.write_text(dump)
         print(f"bound violation dumped to {path}", file=sys.stderr)
     doc = {
@@ -611,12 +267,9 @@ def cmd_sweep(args) -> int:
         "tolerance": tolerance_node(tol),
         "csv": args.out,
         "instances": len(cells),
-        "rows": rows,
+        "rows": sum(cell["rows"] for cell in summary),
         "violations": len(dumps),
-        "cells": [
-            {"kappa": kappa, "n": rank, **cell}
-            for (kappa, rank), cell in sorted(summary.items())
-        ],
+        "cells": summary,
     }
     sys.stdout.write(stable_dumps(doc))
     return EXIT_BOUND_VIOLATION if dumps else EXIT_OK
@@ -635,7 +288,7 @@ def cmd_examples(args) -> int:
                   file=sys.stderr)
             return EXIT_INPUT_ERROR
         fix = fixtures[args.name]
-        record = _pair_record(fix.pair, fix.interval, fix.name, fix.expected)
+        record = pair_record(fix.pair, fix.interval, fix.name, fix.expected)
         _emit(dumps_instance(record), args.out)
         return EXIT_OK
     all_match = True

@@ -26,7 +26,7 @@ together.  Both store through the operator's thread-safe memo, so
 ``sweep`` builds the tables of order 64 or more through :func:`_table`,
 and then their verdicts through :func:`_additive`, in threads on the CPUs
 it leaves idle, and builds again in place what a thread failed to build
-(see :mod:`pontgap.cli`); wherever a table or verdict is built, it is
+(see :mod:`pontgap.sweep`); wherever a table or verdict is built, it is
 bitwise the same, so the output does not depend on where.  All go through
 :func:`_build_tables`: one stacked ``eig`` per order, one stacked SVD
 per order and number of owned eigenvectors, and one call of the inertia

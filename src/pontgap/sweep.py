@@ -1,0 +1,382 @@
+"""The sweep: the paper's tightness ensemble over a grid of random pairs.
+
+:func:`sweep_grid` draws the pair of each (d, kappa, rank, seed) cell,
+checks both bounds on each of its windows (see
+:func:`~pontgap.theorem.sweep_windows`) and returns the CSV rows, the
+summary's cells and the instance files of the windows that break a bound.
+It writes no file and prints nothing; ``pontgap sweep`` is its printer.
+
+The sweep spreads its grid over the CPUs of the affinity mask: W shares
+of (d, kappa, seed) groups, one per CPU up to the number of groups, each
+other than this process's in a forked child.  Where a share has CPUs to
+spare (CPUs // W > 1), it also builds the spectral tables of the
+operators it draws of order ``TABLE_THREAD_MIN_DIM`` = 64 or more in
+threads, one per spare CPU, while it draws on, and each thread then
+settles its operator's additivity verdict, which every count reads;
+LAPACK releases the interpreter lock, and the operator's memo takes
+tables and verdicts from any thread.
+The sweep forks and starts threads only where this process runs one
+thread (see :func:`_one_thread`), so that no BLAS thread holds the CPUs
+and a fork copies no thread's half-done work; it forks every worker
+before any table thread starts, and joins every table thread before a
+share ends.  A thread builds a table and a verdict with the same code as
+the share, so the output bytes never depend on the number of CPUs.  What
+a thread fails to build, the share builds again in place, and any failure
+there or of a share reruns the whole grid in this process, one pair at a
+time.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import os
+import pickle
+import signal
+import threading
+
+from .gen import GenConfig, random_operator, random_pair, random_space
+from .instancefile import InstanceRecord, dumps_instance, format_float, interval_node
+from .linalg import DEFAULT_TOL, Tolerance
+from .perturbation import OperatorPair
+from .spectral import Interval, _additive, _build_missing, _table
+from .theorem import sweep_windows, verify_main_theorem
+
+__all__ = ["CSV_HEADER", "pair_record", "sweep_grid"]
+
+CSV_HEADER = "d,kplus,kminus,n,lower,upper,eig1,eig2,sig1,sig2,slack"
+
+#: Most matrix entries, 2 d**2 per pair, that a share collects before it
+#: builds the collected pairs' spectral tables in one batch and writes their
+#: rows.  Stacked LAPACK calls save per-call overhead on small matrices, and
+#: the bound keeps the stacked copies small: the default grid, 3,480
+#: entries, is one batch, and a pair of order 46 or more is a batch alone.
+SWEEP_BATCH_ENTRIES = 4096
+
+#: Least order of an operator whose spectral table a share builds in a
+#: thread while a CPU is idle.  On a 2-vCPU Xeon with one BLAS thread
+#: (medians of 7 operators), a table took 5.2 ms at d = 48, 9 ms at d = 64
+#: and 22 ms at d = 96, and starting a thread that moves to its CPU and
+#: joining it took 0.10 ms.  So 64 no longer marks the break-even: a
+#: one-group sweep of three ranks with this bound lowered ran slower at
+#: d = 16 and 24, as fast at d = 32, and 7-17% faster from d = 40 to 64
+#: (medians of 14 alternated runs each); 64 still never loses.
+TABLE_THREAD_MIN_DIM = 64
+
+
+def pair_record(pair: OperatorPair, interval: Interval, name: str, expected=None):
+    """The instance file's record of ``pair`` on ``interval``."""
+    return InstanceRecord(gram=pair.space.gram, a1=pair.op1.matrix, a2=pair.op2.matrix,
+                          intervals=(interval,), name=name, expected=expected)
+
+
+def sweep_grid(cells, tol: Tolerance = DEFAULT_TOL) -> tuple[str, list, list]:
+    """The sweep of ``cells``, each ``(d, kappa, rank, seed)``, in their order.
+
+    Returns ``(csv, summary, dumps)``: the CSV text, header first, with
+    one row per window of each cell's pair; the summary's cells, one per
+    (kappa, rank) in sorted order, each with its ``rows``, its least slack
+    ``min_slack`` and ``attained_at``, the d, seed and window of its first
+    row with it; and the instance files of the windows that break a bound.
+    Any error raised is the first, in the order of ``cells``, of a run one
+    pair at a time, such as a cell that :class:`~pontgap.gen.GenConfig`
+    rejects.
+    """
+    cells = list(cells)
+    # a (d, kappa, seed) group's ranks share one J and A1, so a group never
+    # splits; group g, counted in order of first appearance, goes to share
+    # g mod W, which balances the shares over each (d, kappa)'s seeds
+    numbering: dict[tuple[int, int, int], int] = {}
+    groups = [numbering.setdefault((d, kappa, seed), len(numbering))
+              for d, kappa, _, seed in cells]
+    seeds = len({seed for *_, seed in cells})
+    # the gate and the mask are read once: the CPUs that set the number of
+    # shares are the ones the shares are dealt
+    cpus = _cpus()
+    workers = max(1, min(len(cpus), len(numbering)))
+    shares = [[cell for cell, g in zip(cells, groups) if g % workers == w]
+              for w in range(workers)]
+    try:
+        results = _run_shares(shares, seeds, tol, cpus)
+    except Exception:
+        # the reference: the whole grid again in this process, unbatched,
+        # which raises its first error in grid order, whichever share
+        # failed and however
+        workers, results = 1, _run_shares([cells], seeds, tol, cpus, batched=False)
+    # merge: each share's results are in grid order, so the grid's next
+    # pair is the next of its share's.  A cell's first pair with its least
+    # slack, in grid order, holds its first row with it
+    shared = [iter(share) for share in results]
+    texts = [CSV_HEADER + "\n"]
+    summary: dict[tuple[int, int], dict] = {}
+    dumps = []
+    for (d, kappa, rank, seed), g in zip(cells, groups):
+        text, count, least, (lower, upper), pair_dumps = next(shared[g % workers])
+        texts.append(text)
+        cell = summary.setdefault((kappa, rank), {"min_slack": None, "rows": 0})
+        cell["rows"] += count
+        if cell["min_slack"] is None or least < cell["min_slack"]:
+            cell["min_slack"] = least
+            cell["attained_at"] = {"d": d, "seed": seed,
+                                   **interval_node(Interval(lower, upper))}
+        dumps += pair_dumps
+    return "".join(texts), [
+        {"kappa": kappa, "n": rank, **cell} for (kappa, rank), cell in sorted(summary.items())
+    ], dumps
+
+
+def _csv_endpoint(x: float) -> str:
+    if math.isinf(x):
+        return "-inf" if x < 0 else "+inf"
+    return format_float(x)
+
+
+def _pair_result(cfg: GenConfig, pair: OperatorPair, tol: Tolerance) -> tuple:
+    """``(text, rows, min_slack, (lower, upper), dumps)`` of ``pair``, drawn
+    for ``cfg``: its CSV rows, rendered and each ending in a newline, and
+    their number; the least slack of its rows, and the window of the first
+    row with it; and the instance files of its windows that break a bound.
+    This is plain data, which a forked worker pickles."""
+    d, space, n = cfg.dim, pair.space, pair.n
+    rows, dumps, least, attained = [], [], None, None
+    # sweep_windows opens with the whole line, so every cell gets a row
+    for interval in sweep_windows(pair):
+        report = verify_main_theorem(pair, interval, tol)
+        lower, upper, slack = interval.lower, interval.upper, report.slack
+        rows.append(",".join(map(str, (
+            d, space.kappa_plus, space.kappa_minus, n,
+            _csv_endpoint(lower), _csv_endpoint(upper),
+            report.eig1, report.eig2, report.sig1, report.sig2, slack,
+        ))))
+        if least is None or slack < least:
+            least, attained = slack, (lower, upper)
+        if not report.all_hold:
+            dumps.append(dumps_instance(pair_record(
+                pair, interval, f"violation-d{d}-k{cfg.kappa_minus}"
+                                f"-n{cfg.pert_rank}-seed{cfg.seed}")))
+    return "\n".join(rows) + "\n", len(rows), least, attained, dumps
+
+
+class _TableThreads:
+    """A share's table threads, one per CPU of ``cpus`` at a time: each
+    builds an operator's table and then its verdict (see
+    :func:`_build_table_on`) while the share draws on or builds other
+    tables."""
+
+    def __init__(self, cpus, tol: Tolerance):
+        self.free = list(cpus)  # the CPUs without a table thread
+        self.pending = {}  # operator -> (the thread building its table, its CPU)
+        self.tol = tol
+
+    def send(self, op):
+        """``op``, its table sent to a thread if it is large and a CPU is free."""
+        if self.free and op.dim >= TABLE_THREAD_MIN_DIM:
+            cpu = self.free.pop()
+            thread = threading.Thread(target=_build_table_on, args=(cpu, op, self.tol))
+            thread.start()
+            self.pending[op] = thread, cpu
+        return op
+
+    def build(self, ops) -> None:
+        """Build ``ops``' tables: those no thread builds together here, then,
+        once their threads are joined, any table a thread failed to build."""
+        _build_missing([op for op in ops if op not in self.pending], self.tol)
+        threaded = [op for op in dict.fromkeys(ops) if op in self.pending]
+        for op in threaded:
+            thread, cpu = self.pending.pop(op)
+            thread.join()
+            self.free.append(cpu)
+        if threaded:
+            # where the thread's failure is real, the build raises here
+            _build_missing(threaded, self.tol)
+
+    def join(self) -> None:
+        for thread, _ in self.pending.values():
+            thread.join()
+
+
+def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
+                 cpus=()) -> list:
+    """Each of ``cells``' :func:`_pair_result`, in their order.
+
+    Batched, the pairs go in batches of at most ``SWEEP_BATCH_ENTRIES``
+    matrix entries, whose tables are built together before any is counted,
+    and the next pair is drawn before the last batch is counted.  Each
+    drawn operator of order ``TABLE_THREAD_MIN_DIM`` or more goes to a
+    thread on a free CPU of ``cpus`` (see :class:`_TableThreads`); where
+    no CPU is free, the table is built with its batch's, and the verdict
+    by the batch's first count.  Unbatched, the reference for errors, each
+    pair is drawn and counted before the next, and every table is built
+    in this thread.  No table thread outlives the call, whether it returns
+    or raises.
+    """
+    tables = _TableThreads(cpus if batched else (), tol)
+
+    # J and A1 depend on (d, kappa, seed), not on the rank.  The grid
+    # runs a (d, kappa)'s ranks over the same ``seeds`` seeds, so keeping
+    # the last ``seeds`` A1s (each holds its J) builds each once for all ranks
+    @functools.lru_cache(maxsize=seeds)
+    def first(d, kappa, seed):
+        cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
+        return tables.send(random_operator(random_space(cfg, tol), cfg, tol))
+
+    results, batch, entries = [], [], 0
+    try:
+        for d, kappa, rank, seed in cells:
+            cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
+            pair = random_pair(first(d, kappa, seed), cfg, tol)
+            if not batched:
+                results.append(_pair_result(cfg, pair, tol))
+                continue
+            if pair.op2 is not pair.op1:
+                tables.send(pair.op2)
+            # the pair is drawn before the last batch is counted, so that
+            # table threads run meanwhile
+            if batch and entries + 2 * d * d > SWEEP_BATCH_ENTRIES:
+                results += _counted(batch, tables, tol)
+                batch, entries = [], 0
+            batch.append((cfg, pair))
+            entries += 2 * d * d
+        if batch:
+            results += _counted(batch, tables, tol)
+        return results
+    finally:
+        tables.join()
+
+
+def _counted(batch, tables: _TableThreads, tol: Tolerance) -> list:
+    """Each of ``batch``'s pairs' :func:`_pair_result`, once their tables
+    are built together."""
+    tables.build([op for _, pair in batch for op in (pair.op1, pair.op2)])
+    return [_pair_result(cfg, pair, tol) for cfg, pair in batch]
+
+
+def _build_table_on(cpu: int, op, tol: Tolerance) -> None:
+    """Build and memoize, on ``cpu``, ``op``'s table for ``tol`` and then the
+    verdict of its additivity check: the work of a table thread.  A failure
+    is left to the share, which builds the table again once it has joined
+    the thread, and whose first count computes the verdict again: a real
+    failure raises there, and no thread prints a traceback."""
+    _move_to(cpu)
+    try:
+        _table(op, tol)
+        _additive(op, tol)
+    except Exception:
+        pass
+
+
+def _move_to(cpu: int) -> None:
+    """Move the calling thread to ``cpu``, then let the kernel move it on
+    where it balances load: where the kernel does not balance load across
+    the affinity mask (a cpuset with load balancing off), a new thread or
+    forked child would stay on its parent's CPU, and confined to ``cpu``
+    it would crowd any BLAS threads it starts there."""
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, mask)
+    except OSError:
+        pass  # a CPU outside the mask; the thread stays where it is
+
+
+def _run_shares(shares, seeds: int, tol: Tolerance, cpus: list,
+                batched: bool = True) -> list:
+    """Each share's :func:`_sweep_share` results, in share order.
+
+    ``cpus``, from :func:`_cpus`, go in blocks of CPUs // W to the W
+    shares.  This process runs the first share, on the first CPU, and each
+    other share runs in a forked child on the first CPU of its block,
+    which pickles its results down its own pipe; a share's table threads
+    run on the rest of its block.  A fork shares the loaded modules, where
+    a spawned worker would import numpy again at a cost larger than the
+    default grid's whole sweep.  Every child is forked before this
+    process's share starts a thread, and forks nothing in turn.  Every
+    child is reaped before this returns or raises, and any whose result
+    was not read is killed first; a child that exited non-zero raises
+    :class:`ChildProcessError`.
+    """
+    per = len(cpus) // len(shares)
+    blocks = [cpus[w * per:(w + 1) * per] for w in range(len(shares))]
+    pipes, pids = {}, []  # pid -> read end of its pipe, for each child not read
+    try:
+        for share, block in zip(shares[1:], blocks[1:]):
+            pid, read_end = _fork(block[0], list(pipes.values()),
+                                  _sweep_share, share, seeds, tol, batched, block[1:])
+            pipes[pid] = read_end
+            pids.append(pid)
+        results = [_sweep_share(shares[0], seeds, tol, batched, blocks[0][1:])]
+        for pid in pids:
+            with open(pipes[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            os.close(pipes.pop(pid))
+            results.append(pickle.loads(data))
+    finally:
+        for pid, read_end in pipes.items():
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_end)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code in codes:
+        if code != 0:
+            raise ChildProcessError(f"forked worker exited with {code}")
+    return results
+
+
+def _fork(cpu: int, inherited: list, work, *args) -> tuple[int, int]:
+    """The pid of a child forked on ``cpu`` (see :func:`_move_to`) that
+    pickles ``work(*args)`` down a pipe, and the pipe's read end.  The
+    child closes ``inherited``, its elder siblings' read ends."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # the child never returns into its caller's stack, and leaves
+        # atexit handlers and stream buffers to the parent
+        code = 1
+        try:
+            os.close(read_end)
+            for fd in inherited:
+                os.close(fd)
+            _move_to(cpu)
+            result = work(*args)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _cpus() -> list:
+    """The CPUs of the affinity mask, the one this process runs on first;
+    none where the sweep may neither fork nor start threads: where the
+    platform has no ``fork`` or affinity mask, or this process runs more
+    than one thread (see :func:`_one_thread`)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and _one_thread()):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # field 39: the CPU this process last ran on
+            here = int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return cpus
+    return sorted(cpus, key=lambda cpu: cpu != here)
+
+
+def _one_thread() -> bool:
+    """Whether this process runs one thread of the operating system, the
+    gate of the sweep's workers and table threads.  A forked child holds
+    only the forking thread, and a BLAS built with threads starts its
+    workers as it loads, unless told to use one (``OPENBLAS_NUM_THREADS=1``,
+    ``OMP_NUM_THREADS=1``, ...): they take the CPUs that a worker or a
+    table thread would need, and each worker forked beside them starts as
+    many again."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False

@@ -17,7 +17,8 @@ import helpers
 import pontgap.cli
 import pontgap.gen
 import pontgap.spectral
-from pontgap.cli import CSV_HEADER, _csv_endpoint, _parse_cli_interval, main
+import pontgap.sweep
+from pontgap.cli import _parse_cli_interval, main
 from pontgap.errors import (
     IllPosedIntervalError,
     InstanceFormatError,
@@ -28,6 +29,7 @@ from pontgap.gen import GenConfig, random_operator, random_pair, random_space
 from pontgap.instancefile import InstanceRecord, dumps_instance, parse_instance
 from pontgap.linalg import DEFAULT_TOL
 from pontgap.spectral import Interval
+from pontgap.sweep import CSV_HEADER, _csv_endpoint
 from pontgap.theorem import sweep_windows, verify_main_theorem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -454,14 +456,14 @@ def test_sweep_summary_cells(capsys, tmp_path):
 
 
 def test_sweep_dumps_violations(capsys, tmp_path, monkeypatch):
-    real = pontgap.cli.verify_main_theorem
+    real = pontgap.sweep.verify_main_theorem
 
     def sabotaged(pair, interval, tol):
         return dataclasses.replace(
             real(pair, interval, tol), eig_bound_holds=False
         )
 
-    monkeypatch.setattr(pontgap.cli, "verify_main_theorem", sabotaged)
+    monkeypatch.setattr(pontgap.sweep, "verify_main_theorem", sabotaged)
     out_path = tmp_path / "bad.csv"
     code, out, err = _run(capsys, "sweep", "--dims", "2", "--kappas", "1",
                           "--ranks", "1", "--seeds", "1",
@@ -520,7 +522,7 @@ def _pin_cpus(monkeypatch, cpus):
     process as one thread: the gate of its workers and table threads would
     otherwise see the BLAS threads that numpy may start here."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: True)
+    monkeypatch.setattr(pontgap.sweep, "_one_thread", lambda: True)
 
 
 def _log(path, value):
@@ -549,20 +551,20 @@ def _logged(path):
 def _count_processes(monkeypatch, path):
     """Log each ``_sweep_share`` call by process, and count the ``_run_shares``
     calls of this process: a second one is the in-process rerun after a failure."""
-    runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
-    share = pontgap.cli._sweep_share
+    runs = helpers.count_calls(monkeypatch, pontgap.sweep, "_run_shares")
+    share = pontgap.sweep._sweep_share
 
     def logged(cells, *args):
         _log(path, len(cells))
         return share(cells, *args)
 
-    monkeypatch.setattr(pontgap.cli, "_sweep_share", logged)
+    monkeypatch.setattr(pontgap.sweep, "_sweep_share", logged)
     return runs
 
 
 def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
     log = tmp_path / "calls.log"
-    for module in (pontgap.cli, pontgap.gen):
+    for module in (pontgap.sweep, pontgap.gen):
         for name in ("random_space", "random_operator", "random_pair"):
             def counted(*args, _real=getattr(pontgap.gen, name), _name=name, **kwargs):
                 _log(log, _name)
@@ -583,13 +585,13 @@ def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
 def _count_table_batches(monkeypatch, log):
     """Log the distinct operators of each ``_build_missing`` call that
     ``sweep`` makes, by process; ``_batches`` reads them back."""
-    build = pontgap.cli._build_missing
+    build = pontgap.sweep._build_missing
 
     def counted(ops, tol):
         _log(log, len(set(ops)))
         return build(ops, tol)
 
-    monkeypatch.setattr(pontgap.cli, "_build_missing", counted)
+    monkeypatch.setattr(pontgap.sweep, "_build_missing", counted)
 
 
 def _batches(log):
@@ -618,7 +620,7 @@ def test_sweep_on_two_cpus_builds_one_batch_per_worker(capsys, tmp_path, monkeyp
 
 def test_sweep_batches_at_most_its_budget_of_entries(capsys, tmp_path, monkeypatch):
     # a d = 64 pair holds 2 * 64**2 = 8192 entries, more than the budget
-    assert 2 * 64**2 > pontgap.cli.SWEEP_BATCH_ENTRIES >= 2 * 45**2
+    assert 2 * 64**2 > pontgap.sweep.SWEEP_BATCH_ENTRIES >= 2 * 45**2
     _pin_cpus(monkeypatch, 1)
     _count_table_batches(monkeypatch, tmp_path / "batches.log")
     code, out, _ = _run(capsys, "sweep", "--dims", "64", "--seeds", "3",
@@ -679,14 +681,14 @@ def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(capsys, tmp_path, mon
 
 
 def test_sweep_dumps_the_same_violations_on_any_number_of_cpus(capsys, tmp_path, monkeypatch):
-    real = pontgap.cli.verify_main_theorem
+    real = pontgap.sweep.verify_main_theorem
 
     def sabotaged(pair, interval, tol):
         return dataclasses.replace(
             real(pair, interval, tol), eig_bound_holds=False
         )
 
-    monkeypatch.setattr(pontgap.cli, "verify_main_theorem", sabotaged)
+    monkeypatch.setattr(pontgap.sweep, "verify_main_theorem", sabotaged)
     out_path = tmp_path / "bad.csv"
     dumps = []
     for cpus in (1, 2, 4):
@@ -794,7 +796,7 @@ def test_sweep_runs_in_process_without_fork_or_beside_other_threads(
 ):
     log = tmp_path / "shares.log"
     runs = _count_processes(monkeypatch, log)
-    real_gate = pontgap.cli._one_thread
+    real_gate = pontgap.sweep._one_thread
     _pin_cpus(monkeypatch, 2)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
@@ -802,7 +804,7 @@ def test_sweep_runs_in_process_without_fork_or_beside_other_threads(
         monkeypatch.delattr(os, "fork")
     else:
         # the gate itself, which sees the waiter (and any BLAS threads)
-        monkeypatch.setattr(pontgap.cli, "_one_thread", real_gate)
+        monkeypatch.setattr(pontgap.sweep, "_one_thread", real_gate)
         waiter.start()
     try:
         code, out, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
@@ -843,21 +845,6 @@ def test_sweep_reruns_in_process_when_a_worker_fails(capsys, tmp_path, monkeypat
     _assert_no_children()
 
 
-def test_unbatched_share_equals_the_batched_share(monkeypatch):
-    # the grid of test_sweep_equals_its_cell_by_cell_build, as one share
-    dims, kappas, ranks, seeds, base = (3, 12, 2, 7, 3), (1, 3, 0, 1), (2, 0, 3), 3, 7
-    cells = [
-        (d, kappa, rank, base + offset)
-        for d, kappa, rank, offset in itertools.product(dims, kappas, ranks, range(seeds))
-        if kappa <= d and rank <= d
-    ]
-    batched = pontgap.cli._sweep_share(cells, seeds, DEFAULT_TOL)
-    builds = helpers.count_calls(monkeypatch, pontgap.cli, "_build_missing")
-    assert pontgap.cli._sweep_share(cells, seeds, DEFAULT_TOL, batched=False) == batched
-    assert builds == []
-    _assert_no_children()
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_sweep_recounts_pair_by_pair_when_a_batch_build_fails(
     capsys, tmp_path, monkeypatch, cpus
@@ -873,7 +860,7 @@ def test_sweep_recounts_pair_by_pair_when_a_batch_build_fails(
         _log(log, len(ops))
         raise MemoryError("injected batch build failure")
 
-    monkeypatch.setattr(pontgap.cli, "_build_missing", failing)
+    monkeypatch.setattr(pontgap.sweep, "_build_missing", failing)
     runs = _count_processes(monkeypatch, tmp_path / "shares.log")
     code, out, err = _run(capsys, "sweep", "--out", str(out_path))
     assert (code, err) == (0, "")
@@ -900,14 +887,14 @@ def _inject_table_failure(monkeypatch, d, kappa, rank, seed):
 
 def _inject_generation_failure(monkeypatch, d, kappa, rank, seed):
     """Drawing that pair fails."""
-    real = pontgap.cli.random_pair
+    real = pontgap.sweep.random_pair
 
     def failing(first, cfg, tol):
         if (cfg.dim, cfg.kappa_minus, cfg.pert_rank, cfg.seed) == (d, kappa, rank, seed):
             raise ResampleBudgetError("injected generation failure")
         return real(first, cfg, tol)
 
-    monkeypatch.setattr(pontgap.cli, "random_pair", failing)
+    monkeypatch.setattr(pontgap.sweep, "random_pair", failing)
 
 
 _FAILURES = {
@@ -948,13 +935,13 @@ def test_sweep_reports_the_first_failure_in_grid_order(
 
 def _count_table_threads(monkeypatch, log):
     """Log, from each table thread, its thread's identifier."""
-    build = pontgap.cli._table
+    build = pontgap.sweep._table
 
     def logged(op, tol):
         _log(log, threading.get_ident())
         return build(op, tol)
 
-    monkeypatch.setattr(pontgap.cli, "_table", logged)
+    monkeypatch.setattr(pontgap.sweep, "_table", logged)
 
 
 def _sweep_output(capsys, out_path, *argv):
@@ -973,7 +960,7 @@ def test_table_built_in_a_thread_equals_the_one_built_in_place(d):
     assert here is not there and np.array_equal(here.matrix, there.matrix)
     pontgap.spectral._build_missing([here], DEFAULT_TOL)
     built = pontgap.spectral._table(here, DEFAULT_TOL)
-    thread = threading.Thread(target=pontgap.cli._build_table_on,
+    thread = threading.Thread(target=pontgap.sweep._build_table_on,
                               args=(max(os.sched_getaffinity(0)), there, DEFAULT_TOL))
     thread.start()
     thread.join(timeout=60)
@@ -1005,6 +992,7 @@ import os, sys, threading
 cpus, log, argv = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
 os.sched_getaffinity = lambda pid: set(range(cpus))
 import pontgap.cli
+import pontgap.sweep
 
 def logged(event, work):
     def call(*args):
@@ -1015,7 +1003,7 @@ def logged(event, work):
     return call
 
 os.fork = logged("fork", os.fork)
-pontgap.cli._table = logged("table", pontgap.cli._table)
+pontgap.sweep._table = logged("table", pontgap.sweep._table)
 sys.exit(pontgap.cli.main(argv))
 """
 
@@ -1039,11 +1027,11 @@ def _sweep_on_cpus(tmp_path, cpus, *argv, blas_threads=1):
 def test_one_thread_sees_python_threads_beside_one_blas_thread():
     done = _run_python("-c", (
         "import threading, pontgap.cli\n"
-        "alone = pontgap.cli._one_thread()\n"
+        "alone = pontgap.sweep._one_thread()\n"
         "release = threading.Event()\n"
         "waiter = threading.Thread(target=release.wait)\n"
         "waiter.start()\n"
-        "print(alone, pontgap.cli._one_thread())\n"
+        "print(alone, pontgap.sweep._one_thread())\n"
         "release.set()\n"
         "waiter.join()\n"), env=_blas_threads(1))
     assert (done.returncode, done.stdout, done.stderr) == (0, "True False\n", "")
@@ -1118,7 +1106,7 @@ def test_sweep_beside_blas_threads_builds_every_table_in_place(
     log = tmp_path / "threads.log"
     _count_table_threads(monkeypatch, log)
     _pin_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pontgap.cli, "_one_thread", lambda: False)
+    monkeypatch.setattr(pontgap.sweep, "_one_thread", lambda: False)
     assert _sweep_output(capsys, tmp_path / "d96.csv", *_D96)[0] == 0
     assert _logged(log) == {}
 
@@ -1126,7 +1114,7 @@ def test_sweep_beside_blas_threads_builds_every_table_in_place(
 def _watch_shares(monkeypatch):
     """A list that grows, each time this process's ``_sweep_share``
     returns or raises, by the number of threads then running."""
-    share, me, running = pontgap.cli._sweep_share, os.getpid(), []
+    share, me, running = pontgap.sweep._sweep_share, os.getpid(), []
 
     def watched(*args):
         try:
@@ -1135,7 +1123,7 @@ def _watch_shares(monkeypatch):
             if os.getpid() == me:
                 running.append(threading.active_count())
 
-    monkeypatch.setattr(pontgap.cli, "_sweep_share", watched)
+    monkeypatch.setattr(pontgap.sweep, "_sweep_share", watched)
     return running
 
 
@@ -1200,7 +1188,7 @@ def test_sweep_reruns_in_process_when_a_table_thread_fails(
                             else (0, expected[1], ""))
     _pin_cpus(monkeypatch, 2)
     log = tmp_path / "threads.log"
-    build = pontgap.cli._table
+    build = pontgap.sweep._table
 
     def failing(op, tol):
         _log(log, threading.get_ident())
@@ -1208,15 +1196,15 @@ def test_sweep_reruns_in_process_when_a_table_thread_fails(
             raise MemoryError("injected table thread failure")
         return build(op, tol)
 
-    monkeypatch.setattr(pontgap.cli, "_table", failing)
+    monkeypatch.setattr(pontgap.sweep, "_table", failing)
     if fault == "raises":
         def failing_again(ops, tol):
             # the batch's only operator is the thread's
             if ops:
                 raise MemoryError("injected table build failure")
 
-        monkeypatch.setattr(pontgap.cli, "_build_missing", failing_again)
-    runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
+        monkeypatch.setattr(pontgap.sweep, "_build_missing", failing_again)
+    runs = helpers.count_calls(monkeypatch, pontgap.sweep, "_run_shares")
     assert _sweep_output(capsys, out_path, *_D96_RANK0) == expected
     # one table thread, then the whole grid in this process
     assert len(_logged(log)) == 1
@@ -1237,19 +1225,19 @@ def test_sweep_builds_in_place_a_table_its_thread_failed_to_build(
         _log(log, threading.get_ident())
         raise MemoryError("injected table thread failure")
 
-    monkeypatch.setattr(pontgap.cli, "_table", failing)
-    build = pontgap.cli._build_missing
+    monkeypatch.setattr(pontgap.sweep, "_table", failing)
+    build = pontgap.sweep._build_missing
     built = []
 
     def counted(ops, tol):
         built.append(len(ops))
         return build(ops, tol)
 
-    monkeypatch.setattr(pontgap.cli, "_build_missing", counted)
+    monkeypatch.setattr(pontgap.sweep, "_build_missing", counted)
     # a thread that raised would print its traceback through this hook
     unhandled = []
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
+    runs = helpers.count_calls(monkeypatch, pontgap.sweep, "_run_shares")
     assert _sweep_output(capsys, out_path, *_D96_RANK0) == expected
     assert unhandled == []
     assert len(_logged(log)[os.getpid()]) == 1
@@ -1273,12 +1261,12 @@ def test_sweep_settles_in_place_a_verdict_its_thread_failed_to_settle(
             raise MemoryError("injected verdict failure")
         return settle(op, tol)
 
-    for module in (pontgap.cli, pontgap.spectral):
+    for module in (pontgap.sweep, pontgap.spectral):
         monkeypatch.setattr(module, "_additive", failing)
     # a thread that raised would print its traceback through this hook
     unhandled = []
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    runs = helpers.count_calls(monkeypatch, pontgap.cli, "_run_shares")
+    runs = helpers.count_calls(monkeypatch, pontgap.sweep, "_run_shares")
     assert _sweep_output(capsys, out_path, *_D96) == expected
     assert unhandled == []
     # A1's thread failed to settle its verdict, which the counts then
@@ -1300,7 +1288,7 @@ def test_sweep_kills_every_table_thread_when_a_share_fails(capsys, tmp_path, mon
     log = tmp_path / "threads.log"
     me = os.getpid()
     started, release = threading.Event(), threading.Event()
-    build = pontgap.cli._table
+    build = pontgap.sweep._table
 
     def held(op, tol):
         _log(log, threading.get_ident())
@@ -1312,7 +1300,7 @@ def test_sweep_kills_every_table_thread_when_a_share_fails(capsys, tmp_path, mon
     def worker_thread_started():
         return any(pid != me for pid in _logged(log))
 
-    build_missing = pontgap.cli._build_missing
+    build_missing = pontgap.sweep._build_missing
 
     def failing(ops, tol):
         # this process's share fails once both shares' table threads run;
@@ -1326,8 +1314,8 @@ def test_sweep_kills_every_table_thread_when_a_share_fails(capsys, tmp_path, mon
             raise MemoryError("injected batch build failure")
         return build_missing(ops, tol)
 
-    monkeypatch.setattr(pontgap.cli, "_table", held)
-    monkeypatch.setattr(pontgap.cli, "_build_missing", failing)
+    monkeypatch.setattr(pontgap.sweep, "_table", held)
+    monkeypatch.setattr(pontgap.sweep, "_build_missing", failing)
     running = _watch_shares(monkeypatch)
     before = threading.active_count()
     began = time.monotonic()
@@ -1373,6 +1361,23 @@ def test_sweep_rejects_bad_grid(capsys, tmp_path):
         assert code == 2, grid
         assert flag in err, grid
         assert not out.exists(), grid
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "under-a-file"])
+def test_sweep_rejects_an_out_path_before_it_draws_a_pair(capsys, tmp_path, monkeypatch, where):
+    out = {
+        "missing-directory": tmp_path / "nodir" / "x.csv",
+        "directory": tmp_path,
+        "under-a-file": tmp_path / "file" / "x.csv",
+    }[where]
+    if where == "under-a-file":
+        (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    drawn = helpers.count_calls(monkeypatch, pontgap.sweep, "random_pair")
+    code, out_text, err = _run(capsys, "sweep", "--out", str(out))
+    assert (code, out_text, drawn) == (2, "", [])
+    assert err.startswith(f"error: --out {out}") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The public names: each resolves, each exported function has a caller,
 no function takes a tolerance it cannot read, no value class holding an
-array has an ``==`` or ``hash`` that raises, and README's Python blocks
-run."""
+array has an ``==`` or ``hash`` that raises, the CLI imports no private
+name of another module, and README's Python blocks run."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -133,3 +134,15 @@ def test_readme_has_python_blocks():
 )
 def test_readme_python_block_runs(block):
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    # the CLI parses and prints; what it needs of the sweep, or of any other
+    # module, is that module's public surface
+    tree = ast.parse((ROOT / "src" / "pontgap" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
