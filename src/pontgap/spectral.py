@@ -20,22 +20,21 @@ The table needs the eigenvectors, then the span of the eigenvectors
 each entry owns, kernel SVDs where an eigenvalue is
 defective, and the inertias of its real root bases from the package's
 one inertia routine.  A count reads its operator's table through
-:func:`_table`, which builds it alone where none is memoized, and
-:func:`_build_missing` builds the missing tables of several operators
-together.  Both store through the operator's thread-safe memo, so
-``sweep`` builds the tables of order 64 or more through :func:`_table`,
-and then their verdicts through :func:`_additive`, in threads on the CPUs
-it leaves idle, and builds again in place what a thread failed to build
-(see :mod:`pontgap.sweep`); wherever a table or verdict is built, it is
-bitwise the same, so the output does not depend on where.  All go through
-:func:`_build_tables`: one stacked ``eig`` per order, one stacked SVD
-per order and number of owned eigenvectors, and one call of the inertia
-routine, whose bases may lie in different spaces and which stacks one
-``eigh`` per order and basis width (for one generic operator, one
-``eig``, one SVD and one ``eigh``;
-:func:`~pontgap.indefinite.subspace_inertia` runs the same routine on
-one basis).  Window counts are sums of table rows, checked
-once per operator (see :func:`gap_inertia`); an operator whose spectrum
+:func:`_table`, which builds it alone where none is memoized, and its
+verdict through :func:`_additive`; :func:`prepare`, all that
+:mod:`pontgap.sweep` asks of this module, memoizes both for several
+operators, building their missing tables together.  The sweep prepares
+each batch, each table thread one operator on a CPU the sweep leaves idle,
+and the sweep again in place what a thread failed to; all store through
+the operator's thread-safe memo, and a table or verdict is bitwise the
+same wherever it is built, so the output does not depend on where.  All
+tables go through :func:`_build_tables`: one stacked ``eig`` per order,
+one stacked SVD per order and number of owned eigenvectors, and one call
+of the inertia routine, whose bases may lie in different spaces and which
+stacks one ``eigh`` per order and basis width (for one generic operator,
+one ``eig``, one SVD and one ``eigh``;
+:func:`~pontgap.indefinite.subspace_inertia` runs the same routine on one
+basis).  Window counts are sums of table rows, checked once per operator (see :func:`gap_inertia`); an operator whose spectrum
 is all its callers read never builds the table.
 
 :func:`selection`, behind every count and every gap and complement
@@ -422,14 +421,16 @@ def _table(op, tol: Tolerance) -> _SpectralTable:
     return op._cached(("table", tol.rel, tol.abs), lambda: _build_tables([op], tol)[0])
 
 
-def _build_missing(ops, tol: Tolerance) -> None:
-    """Build together the tables for ``tol`` that the operators in ``ops``
-    have not memoized (see :func:`_build_tables`), and memoize them.  A
-    failed build raises and memoizes nothing."""
+def prepare(ops, tol: Tolerance) -> None:
+    """Memoize what counting ``ops`` needs for ``tol``: their missing tables,
+    built together (see :func:`_build_tables`), then each one's verdict
+    (see :func:`_additive`).  A failed build raises and memoizes no table."""
     key = ("table", tol.rel, tol.abs)
     missing = list(dict.fromkeys(op for op in ops if key not in op._memo))
     for op, table in zip(missing, _build_tables(missing, tol)):
         op._store(key, table)
+    for op in ops:
+        _additive(op, tol)
 
 
 def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
@@ -441,7 +442,7 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
     real root basis, which stacks one ``eigh`` per order and basis width.
     Each LAPACK routine runs matrix by matrix, and each rank is cut per
     matrix as in :func:`linalg.orthonormal_columns`, so a table that
-    :func:`_build_missing` builds with others is bitwise the one
+    :func:`prepare` builds with others is bitwise the one
     :func:`_table` builds alone.
 
     A failure raises: a stacked call's before any entry grows, then the

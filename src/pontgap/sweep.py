@@ -9,21 +9,20 @@ It writes no file and prints nothing; ``pontgap sweep`` is its printer.
 The sweep spreads its grid over the CPUs of the affinity mask: W shares
 of (d, kappa, seed) groups, one per CPU up to the number of groups, each
 other than this process's in a forked child.  Where a share has CPUs to
-spare (CPUs // W > 1), it also builds the spectral tables of the
-operators it draws of order ``TABLE_THREAD_MIN_DIM`` = 64 or more in
-threads, one per spare CPU, while it draws on, and each thread then
-settles its operator's additivity verdict, which every count reads;
-LAPACK releases the interpreter lock, and the operator's memo takes
-tables and verdicts from any thread.
+spare (CPUs // W > 1), it also prepares the operators it draws of order
+``TABLE_THREAD_MIN_DIM`` = 64 or more for counting in threads, one per
+spare CPU, while it draws on; LAPACK releases the interpreter lock, and
+the operator's memo takes what :func:`~pontgap.spectral.prepare` builds
+(the spectral table, then the additivity verdict) from any thread.
 The sweep forks and starts threads only where this process runs one
 thread (see :func:`_one_thread`), so that no BLAS thread holds the CPUs
 and a fork copies no thread's half-done work; it forks every worker
 before any table thread starts, and joins every table thread before a
-share ends.  A thread builds a table and a verdict with the same code as
-the share, so the output bytes never depend on the number of CPUs.  What
-a thread fails to build, the share builds again in place, and any failure
-there or of a share reruns the whole grid in this process, one pair at a
-time.
+share ends.  One spectral call, :func:`~pontgap.spectral.prepare`,
+prepares an operator wherever it runs, so the output bytes never depend
+on the number of CPUs.  What a thread fails to prepare, the share
+prepares again in place, and any failure there or of a share reruns the
+whole grid in this process, one pair at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .gen import GenConfig, random_operator, random_pair, random_space
 from .instancefile import InstanceRecord, dumps_instance, format_float, interval_node
 from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair
-from .spectral import Interval, _additive, _build_missing, _table
+from .spectral import Interval, prepare
 from .theorem import sweep_windows, verify_main_theorem
 
 __all__ = ["CSV_HEADER", "pair_record", "sweep_grid"]
@@ -89,7 +88,6 @@ def sweep_grid(cells, tol: Tolerance = DEFAULT_TOL) -> tuple[str, list, list]:
     numbering: dict[tuple[int, int, int], int] = {}
     groups = [numbering.setdefault((d, kappa, seed), len(numbering))
               for d, kappa, _, seed in cells]
-    seeds = len({seed for *_, seed in cells})
     # the gate and the mask are read once: the CPUs that set the number of
     # shares are the ones the shares are dealt
     cpus = _cpus()
@@ -97,12 +95,12 @@ def sweep_grid(cells, tol: Tolerance = DEFAULT_TOL) -> tuple[str, list, list]:
     shares = [[cell for cell, g in zip(cells, groups) if g % workers == w]
               for w in range(workers)]
     try:
-        results = _run_shares(shares, seeds, tol, cpus)
+        results = _run_shares(shares, tol, cpus)
     except Exception:
         # the reference: the whole grid again in this process, unbatched,
         # which raises its first error in grid order, whichever share
         # failed and however
-        workers, results = 1, _run_shares([cells], seeds, tol, cpus, batched=False)
+        workers, results = 1, [_sweep_share(cells, tol, batched=False)]
     # merge: each share's results are in grid order, so the grid's next
     # pair is the next of its share's.  A cell's first pair with its least
     # slack, in grid order, holds its first row with it
@@ -159,9 +157,8 @@ def _pair_result(cfg: GenConfig, pair: OperatorPair, tol: Tolerance) -> tuple:
 
 class _TableThreads:
     """A share's table threads, one per CPU of ``cpus`` at a time: each
-    builds an operator's table and then its verdict (see
-    :func:`_build_table_on`) while the share draws on or builds other
-    tables."""
+    prepares an operator for counting (see :func:`_build_table_on`) while
+    the share draws on or prepares other operators."""
 
     def __init__(self, cpus, tol: Tolerance):
         self.free = list(cpus)  # the CPUs without a table thread
@@ -178,44 +175,43 @@ class _TableThreads:
         return op
 
     def build(self, ops) -> None:
-        """Build ``ops``' tables: those no thread builds together here, then,
-        once their threads are joined, any table a thread failed to build."""
-        _build_missing([op for op in ops if op not in self.pending], self.tol)
+        """Prepare ``ops``: those no thread prepares together here, then,
+        once their threads are joined, any that a thread failed to prepare."""
+        prepare([op for op in ops if op not in self.pending], self.tol)
         threaded = [op for op in dict.fromkeys(ops) if op in self.pending]
         for op in threaded:
             thread, cpu = self.pending.pop(op)
             thread.join()
             self.free.append(cpu)
         if threaded:
-            # where the thread's failure is real, the build raises here
-            _build_missing(threaded, self.tol)
+            # where the thread's failure is real, it raises here
+            prepare(threaded, self.tol)
 
     def join(self) -> None:
         for thread, _ in self.pending.values():
             thread.join()
 
 
-def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
-                 cpus=()) -> list:
+def _sweep_share(cells, tol: Tolerance, cpus=(), batched: bool = True) -> list:
     """Each of ``cells``' :func:`_pair_result`, in their order.
 
     Batched, the pairs go in batches of at most ``SWEEP_BATCH_ENTRIES``
-    matrix entries, whose tables are built together before any is counted,
-    and the next pair is drawn before the last batch is counted.  Each
-    drawn operator of order ``TABLE_THREAD_MIN_DIM`` or more goes to a
-    thread on a free CPU of ``cpus`` (see :class:`_TableThreads`); where
-    no CPU is free, the table is built with its batch's, and the verdict
-    by the batch's first count.  Unbatched, the reference for errors, each
-    pair is drawn and counted before the next, and every table is built
-    in this thread.  No table thread outlives the call, whether it returns
-    or raises.
+    matrix entries, whose operators are prepared together before any is
+    counted, and the next pair is drawn before the last batch is counted.
+    Each drawn operator of order ``TABLE_THREAD_MIN_DIM`` or more goes to
+    a thread on a free CPU of ``cpus`` (see :class:`_TableThreads`); where
+    no CPU is free, it is prepared with its batch.  Unbatched, the
+    reference for errors, each pair is drawn and counted before the next,
+    and its counts build every table and verdict in this thread.  No table
+    thread outlives the call, whether it returns or raises.
     """
     tables = _TableThreads(cpus if batched else (), tol)
 
-    # J and A1 depend on (d, kappa, seed), not on the rank.  The grid
-    # runs a (d, kappa)'s ranks over the same ``seeds`` seeds, so keeping
-    # the last ``seeds`` A1s (each holds its J) builds each once for all ranks
-    @functools.lru_cache(maxsize=seeds)
+    # J and A1 depend on (d, kappa, seed), not on the rank.  A grid runs
+    # a (d, kappa)'s ranks over the same seeds, so keeping as many A1s
+    # (each holds its J) as the cells have seeds builds each once for all
+    # ranks; in any other order an A1 may be drawn again, to the same bytes
+    @functools.lru_cache(maxsize=len({seed for *_, seed in cells}))
     def first(d, kappa, seed):
         cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
         return tables.send(random_operator(random_space(cfg, tol), cfg, tol))
@@ -245,22 +241,21 @@ def _sweep_share(cells, seeds: int, tol: Tolerance, batched: bool = True,
 
 
 def _counted(batch, tables: _TableThreads, tol: Tolerance) -> list:
-    """Each of ``batch``'s pairs' :func:`_pair_result`, once their tables
-    are built together."""
+    """Each of ``batch``'s pairs' :func:`_pair_result`, once its operators
+    are prepared together."""
     tables.build([op for _, pair in batch for op in (pair.op1, pair.op2)])
     return [_pair_result(cfg, pair, tol) for cfg, pair in batch]
 
 
 def _build_table_on(cpu: int, op, tol: Tolerance) -> None:
-    """Build and memoize, on ``cpu``, ``op``'s table for ``tol`` and then the
-    verdict of its additivity check: the work of a table thread.  A failure
-    is left to the share, which builds the table again once it has joined
-    the thread, and whose first count computes the verdict again: a real
-    failure raises there, and no thread prints a traceback."""
+    """Prepare ``op`` for counting with ``tol`` on ``cpu`` (see
+    :func:`~pontgap.spectral.prepare`), the one spectral call that the
+    share's batches make too: the work of a table thread.  A failure is
+    left to the share, which prepares ``op`` again once it has joined the
+    thread: a real failure raises there, and no thread prints a traceback."""
     _move_to(cpu)
     try:
-        _table(op, tol)
-        _additive(op, tol)
+        prepare([op], tol)
     except Exception:
         pass
 
@@ -279,8 +274,7 @@ def _move_to(cpu: int) -> None:
         pass  # a CPU outside the mask; the thread stays where it is
 
 
-def _run_shares(shares, seeds: int, tol: Tolerance, cpus: list,
-                batched: bool = True) -> list:
+def _run_shares(shares, tol: Tolerance, cpus: list) -> list:
     """Each share's :func:`_sweep_share` results, in share order.
 
     ``cpus``, from :func:`_cpus`, go in blocks of CPUs // W to the W
@@ -301,10 +295,10 @@ def _run_shares(shares, seeds: int, tol: Tolerance, cpus: list,
     try:
         for share, block in zip(shares[1:], blocks[1:]):
             pid, read_end = _fork(block[0], list(pipes.values()),
-                                  _sweep_share, share, seeds, tol, batched, block[1:])
+                                  _sweep_share, share, tol, block[1:])
             pipes[pid] = read_end
             pids.append(pid)
-        results = [_sweep_share(shares[0], seeds, tol, batched, blocks[0][1:])]
+        results = [_sweep_share(shares[0], tol, blocks[0][1:])]
         for pid in pids:
             with open(pipes[pid], "rb", closefd=False) as pipe:
                 data = pipe.read()

@@ -5,8 +5,12 @@ the package generators, so tests of the core modules do not depend on
 :mod:`pontgap.gen` being correct.
 """
 
-import numpy as np
+import os
 
+import numpy as np
+import pytest
+
+import pontgap.sweep
 from pontgap import make_pair, validate_operator, validate_space
 
 
@@ -64,3 +68,17 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def pin_cpus(monkeypatch, cpus):
+    """``pontgap.sweep`` sees the first ``cpus`` CPUs in its affinity mask,
+    and this process as one thread: the gate of its workers and table
+    threads would otherwise see the BLAS threads that numpy may start here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(pontgap.sweep, "_one_thread", lambda: True)
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -517,14 +517,6 @@ def test_sweep_equals_its_cell_by_cell_build(capsys, tmp_path):
     assert out_path.read_text().splitlines() == expected
 
 
-def _pin_cpus(monkeypatch, cpus):
-    """``sweep`` sees the first ``cpus`` CPUs in its affinity mask, and this
-    process as one thread: the gate of its workers and table threads would
-    otherwise see the BLAS threads that numpy may start here."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(pontgap.sweep, "_one_thread", lambda: True)
-
-
 def _log(path, value):
     """Append a ``pid value`` line to ``path``.
 
@@ -548,15 +540,31 @@ def _logged(path):
     return found
 
 
-def _count_processes(monkeypatch, path):
-    """Log each ``_sweep_share`` call by process, and count the ``_run_shares``
-    calls of this process: a second one is the in-process rerun after a failure."""
+def _count_runs(monkeypatch):
+    """A list that grows by one each time this process runs the grid: its
+    shares (``_run_shares``), then, after a failure, the rerun (the one
+    unbatched ``_sweep_share``)."""
     runs = helpers.count_calls(monkeypatch, pontgap.sweep, "_run_shares")
     share = pontgap.sweep._sweep_share
 
-    def logged(cells, *args):
+    def counted(cells, tol, cpus=(), batched=True):
+        if not batched:
+            runs.append("rerun")
+        return share(cells, tol, cpus, batched)
+
+    monkeypatch.setattr(pontgap.sweep, "_sweep_share", counted)
+    return runs
+
+
+def _count_processes(monkeypatch, path):
+    """Log each ``_sweep_share`` call by process, and count this process's
+    runs of the grid (see ``_count_runs``)."""
+    runs = _count_runs(monkeypatch)
+    share = pontgap.sweep._sweep_share
+
+    def logged(cells, *args, **kwargs):
         _log(path, len(cells))
-        return share(cells, *args)
+        return share(cells, *args, **kwargs)
 
     monkeypatch.setattr(pontgap.sweep, "_sweep_share", logged)
     return runs
@@ -571,7 +579,7 @@ def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     # two workers, each drawing its own groups' spaces and A1s
-    _pin_cpus(monkeypatch, 2)
+    helpers.pin_cpus(monkeypatch, 2)
     # the default grid: 3 dims x 2 kappas x 10 seeds, each with 3 ranks
     code, out, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
     assert code == 0
@@ -583,15 +591,16 @@ def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
 
 
 def _count_table_batches(monkeypatch, log):
-    """Log the distinct operators of each ``_build_missing`` call that
-    ``sweep`` makes, by process; ``_batches`` reads them back."""
-    build = pontgap.sweep._build_missing
+    """Log the distinct operators of each ``prepare`` call that ``sweep``
+    makes off its table threads, by process; ``_batches`` reads them back."""
+    prepare = pontgap.sweep.prepare
 
     def counted(ops, tol):
-        _log(log, len(set(ops)))
-        return build(ops, tol)
+        if threading.current_thread() is threading.main_thread():
+            _log(log, len(set(ops)))
+        return prepare(ops, tol)
 
-    monkeypatch.setattr(pontgap.sweep, "_build_missing", counted)
+    monkeypatch.setattr(pontgap.sweep, "prepare", counted)
 
 
 def _batches(log):
@@ -601,7 +610,7 @@ def _batches(log):
 
 
 def test_sweep_builds_the_default_grid_in_one_batch(capsys, tmp_path, monkeypatch):
-    _pin_cpus(monkeypatch, 1)
+    helpers.pin_cpus(monkeypatch, 1)
     _count_table_batches(monkeypatch, tmp_path / "batches.log")
     code, _, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
     assert code == 0
@@ -610,7 +619,7 @@ def test_sweep_builds_the_default_grid_in_one_batch(capsys, tmp_path, monkeypatc
 
 
 def test_sweep_on_two_cpus_builds_one_batch_per_worker(capsys, tmp_path, monkeypatch):
-    _pin_cpus(monkeypatch, 2)
+    helpers.pin_cpus(monkeypatch, 2)
     _count_table_batches(monkeypatch, tmp_path / "batches.log")
     code, _, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
     assert code == 0
@@ -621,7 +630,7 @@ def test_sweep_on_two_cpus_builds_one_batch_per_worker(capsys, tmp_path, monkeyp
 def test_sweep_batches_at_most_its_budget_of_entries(capsys, tmp_path, monkeypatch):
     # a d = 64 pair holds 2 * 64**2 = 8192 entries, more than the budget
     assert 2 * 64**2 > pontgap.sweep.SWEEP_BATCH_ENTRIES >= 2 * 45**2
-    _pin_cpus(monkeypatch, 1)
+    helpers.pin_cpus(monkeypatch, 1)
     _count_table_batches(monkeypatch, tmp_path / "batches.log")
     code, out, _ = _run(capsys, "sweep", "--dims", "64", "--seeds", "3",
                         "--out", str(tmp_path / "d64.csv"))
@@ -633,7 +642,7 @@ def test_sweep_batches_at_most_its_budget_of_entries(capsys, tmp_path, monkeypat
 
 
 def test_sweep_on_two_cpus_batches_each_workers_pairs_alone(capsys, tmp_path, monkeypatch):
-    _pin_cpus(monkeypatch, 2)
+    helpers.pin_cpus(monkeypatch, 2)
     _count_table_batches(monkeypatch, tmp_path / "batches.log")
     code, out, _ = _run(capsys, "sweep", "--dims", "64", "--seeds", "3",
                         "--out", str(tmp_path / "d64.csv"))
@@ -655,11 +664,6 @@ _GRIDS = {
 }
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
 def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(capsys, tmp_path, monkeypatch, grid):
     out_path = tmp_path / "grid.csv"
@@ -667,7 +671,7 @@ def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(capsys, tmp_path, mon
     runs = _count_processes(monkeypatch, log)
     outputs = []
     for cpus in (1, 2, 4):
-        _pin_cpus(monkeypatch, cpus)
+        helpers.pin_cpus(monkeypatch, cpus)
         log.unlink(missing_ok=True)
         code, out, err = _run(capsys, "sweep", *_GRIDS[grid], "--out", str(out_path))
         assert (code, err) == (0, "")
@@ -676,7 +680,7 @@ def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(capsys, tmp_path, mon
         assert len(_logged(log)) == cpus
         assert len(runs) == 1
         runs.clear()
-        _assert_no_children()
+        helpers.assert_no_children()
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -692,7 +696,7 @@ def test_sweep_dumps_the_same_violations_on_any_number_of_cpus(capsys, tmp_path,
     out_path = tmp_path / "bad.csv"
     dumps = []
     for cpus in (1, 2, 4):
-        _pin_cpus(monkeypatch, cpus)
+        helpers.pin_cpus(monkeypatch, cpus)
         code, out, err = _run(capsys, "sweep", "--dims", "2,3", "--kappas", "1",
                               "--ranks", "0,1", "--seeds", "2", "--out", str(out_path))
         assert code == 4
@@ -701,7 +705,7 @@ def test_sweep_dumps_the_same_violations_on_any_number_of_cpus(capsys, tmp_path,
         dumps.append((out, err, [(p.name, p.read_bytes()) for p in written]))
         for path in written:
             path.unlink()
-        _assert_no_children()
+        helpers.assert_no_children()
     assert dumps[0] == dumps[1] == dumps[2]
 
 
@@ -740,13 +744,13 @@ def _reference_cells(csv_text, dims, kappas, ranks, seeds, base):
 def test_sweep_summary_names_each_cells_first_row_with_its_least_slack(
     capsys, tmp_path, monkeypatch, cpus
 ):
-    _pin_cpus(monkeypatch, cpus)
+    helpers.pin_cpus(monkeypatch, cpus)
     out_path = tmp_path / "default.csv"
     code, out, _ = _run(capsys, "sweep", "--out", str(out_path))
     assert code == 0
     expected = _reference_cells(out_path.read_text(), (2, 3, 4), (0, 1), (0, 1, 2), 10, 0)
     assert json.loads(out)["cells"] == expected
-    _assert_no_children()
+    helpers.assert_no_children()
 
 
 def test_sweep_summary_breaks_a_tie_across_workers_in_grid_order(
@@ -754,7 +758,7 @@ def test_sweep_summary_breaks_a_tie_across_workers_in_grid_order(
 ):
     # one cell of six groups, which alternate between two workers: its least
     # slack comes first in the child's share and again in the parent's
-    _pin_cpus(monkeypatch, 2)
+    helpers.pin_cpus(monkeypatch, 2)
     out_path = tmp_path / "tie.csv"
     code, out, _ = _run(capsys, "sweep", "--dims", "2", "--kappas", "1", "--ranks", "1",
                         "--seeds", "6", "--out", str(out_path))
@@ -770,7 +774,7 @@ def test_sweep_summary_breaks_a_tie_across_workers_in_grid_order(
     workers = [pair % 2 for pair, slack in enumerate(least_by_pair) if slack == least]
     assert workers[0] == 1 and 0 in workers
     assert json.loads(out)["cells"] == _reference_cells(text, (2,), (1,), (1,), 6, 0)
-    _assert_no_children()
+    helpers.assert_no_children()
 
 
 def test_sweep_of_one_group_never_forks(capsys, tmp_path, monkeypatch):
@@ -781,7 +785,7 @@ def test_sweep_of_one_group_never_forks(capsys, tmp_path, monkeypatch):
         raise OSError("fork called")
 
     monkeypatch.setattr(os, "fork", fork)
-    _pin_cpus(monkeypatch, 4)
+    helpers.pin_cpus(monkeypatch, 4)
     code, out, _ = _run(capsys, "sweep", "--dims", "2", "--kappas", "1",
                         "--ranks", "0,1,2", "--seeds", "1",
                         "--out", str(tmp_path / "one.csv"))
@@ -797,7 +801,7 @@ def test_sweep_runs_in_process_without_fork_or_beside_other_threads(
     log = tmp_path / "shares.log"
     runs = _count_processes(monkeypatch, log)
     real_gate = pontgap.sweep._one_thread
-    _pin_cpus(monkeypatch, 2)
+    helpers.pin_cpus(monkeypatch, 2)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     if reason == "no-fork":
@@ -821,10 +825,10 @@ def test_sweep_runs_in_process_without_fork_or_beside_other_threads(
 @pytest.mark.parametrize("fault", ["fork-fails", "worker-exits-non-zero"])
 def test_sweep_reruns_in_process_when_a_worker_fails(capsys, tmp_path, monkeypatch, fault):
     out_path = tmp_path / "default.csv"
-    _pin_cpus(monkeypatch, 1)
+    helpers.pin_cpus(monkeypatch, 1)
     _, summary, _ = _run(capsys, "sweep", "--out", str(out_path))
     expected = out_path.read_bytes(), summary
-    _pin_cpus(monkeypatch, 2)
+    helpers.pin_cpus(monkeypatch, 2)
     if fault == "fork-fails":
         def fork():
             raise BlockingIOError("no process left")
@@ -842,7 +846,7 @@ def test_sweep_reruns_in_process_when_a_worker_fails(capsys, tmp_path, monkeypat
     # the shares, then the whole grid in this process
     assert len(runs) == 2
     assert _logged(log)[os.getpid()][-1] == "180"
-    _assert_no_children()
+    helpers.assert_no_children()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -850,17 +854,17 @@ def test_sweep_recounts_pair_by_pair_when_a_batch_build_fails(
     capsys, tmp_path, monkeypatch, cpus
 ):
     out_path = tmp_path / "default.csv"
-    _pin_cpus(monkeypatch, 1)
+    helpers.pin_cpus(monkeypatch, 1)
     _, summary, _ = _run(capsys, "sweep", "--out", str(out_path))
     expected = out_path.read_bytes(), summary
-    _pin_cpus(monkeypatch, cpus)
+    helpers.pin_cpus(monkeypatch, cpus)
     log = tmp_path / "builds.log"
 
     def failing(ops, tol):
         _log(log, len(ops))
         raise MemoryError("injected batch build failure")
 
-    monkeypatch.setattr(pontgap.sweep, "_build_missing", failing)
+    monkeypatch.setattr(pontgap.sweep, "prepare", failing)
     runs = _count_processes(monkeypatch, tmp_path / "shares.log")
     code, out, err = _run(capsys, "sweep", "--out", str(out_path))
     assert (code, err) == (0, "")
@@ -868,7 +872,7 @@ def test_sweep_recounts_pair_by_pair_when_a_batch_build_fails(
     # this process's share failed at its first batch, and the rerun built none
     assert len(runs) == 2
     assert len(_logged(log)[os.getpid()]) == 1
-    _assert_no_children()
+    helpers.assert_no_children()
 
 
 def _inject_table_failure(monkeypatch, d, kappa, rank, seed):
@@ -917,7 +921,7 @@ _FAILURES = {
 def test_sweep_reports_the_first_failure_in_grid_order(
     capsys, tmp_path, monkeypatch, table, generation, message, cpus
 ):
-    _pin_cpus(monkeypatch, cpus)
+    helpers.pin_cpus(monkeypatch, cpus)
     if table:
         _inject_table_failure(monkeypatch, 3, 1, 2, 4)
     if generation:
@@ -926,7 +930,7 @@ def test_sweep_reports_the_first_failure_in_grid_order(
     code, out, err = _run(capsys, "sweep", "--out", str(out_path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not out_path.exists()
-    _assert_no_children()
+    helpers.assert_no_children()
 
 
 # ---------------------------------------------------------------------------
@@ -935,13 +939,13 @@ def test_sweep_reports_the_first_failure_in_grid_order(
 
 def _count_table_threads(monkeypatch, log):
     """Log, from each table thread, its thread's identifier."""
-    build = pontgap.sweep._table
+    build = pontgap.sweep._build_table_on
 
-    def logged(op, tol):
+    def logged(cpu, op, tol):
         _log(log, threading.get_ident())
-        return build(op, tol)
+        return build(cpu, op, tol)
 
-    monkeypatch.setattr(pontgap.sweep, "_table", logged)
+    monkeypatch.setattr(pontgap.sweep, "_build_table_on", logged)
 
 
 def _sweep_output(capsys, out_path, *argv):
@@ -958,7 +962,6 @@ def test_table_built_in_a_thread_equals_the_one_built_in_place(d):
     # twins, each with the raw eigenvalues its margin check memoized
     here, there = random_operator(space, cfg), random_operator(space, cfg)
     assert here is not there and np.array_equal(here.matrix, there.matrix)
-    pontgap.spectral._build_missing([here], DEFAULT_TOL)
     built = pontgap.spectral._table(here, DEFAULT_TOL)
     thread = threading.Thread(target=pontgap.sweep._build_table_on,
                               args=(max(os.sched_getaffinity(0)), there, DEFAULT_TOL))
@@ -1003,7 +1006,7 @@ def logged(event, work):
     return call
 
 os.fork = logged("fork", os.fork)
-pontgap.sweep._table = logged("table", pontgap.sweep._table)
+pontgap.sweep._build_table_on = logged("table", pontgap.sweep._build_table_on)
 sys.exit(pontgap.cli.main(argv))
 """
 
@@ -1105,7 +1108,7 @@ def test_sweep_beside_blas_threads_builds_every_table_in_place(
 ):
     log = tmp_path / "threads.log"
     _count_table_threads(monkeypatch, log)
-    _pin_cpus(monkeypatch, 2)
+    helpers.pin_cpus(monkeypatch, 2)
     monkeypatch.setattr(pontgap.sweep, "_one_thread", lambda: False)
     assert _sweep_output(capsys, tmp_path / "d96.csv", *_D96)[0] == 0
     assert _logged(log) == {}
@@ -1116,9 +1119,9 @@ def _watch_shares(monkeypatch):
     returns or raises, by the number of threads then running."""
     share, me, running = pontgap.sweep._sweep_share, os.getpid(), []
 
-    def watched(*args):
+    def watched(*args, **kwargs):
         try:
-            return share(*args)
+            return share(*args, **kwargs)
         finally:
             if os.getpid() == me:
                 running.append(threading.active_count())
@@ -1140,7 +1143,7 @@ def test_sweep_forks_every_worker_before_any_table_thread_starts(
 
     monkeypatch.setattr(os, "fork", watched)
     # four shares, each with a CPU to spare
-    _pin_cpus(monkeypatch, 8)
+    helpers.pin_cpus(monkeypatch, 8)
     before = threading.active_count()
     code, _, err = _run(capsys, "sweep", *_LARGE_GRID, "--seeds", "2", "--seed", "5",
                         "--out", str(tmp_path / "large.csv"))
@@ -1148,14 +1151,14 @@ def test_sweep_forks_every_worker_before_any_table_thread_starts(
     assert running == [before] * 3
     # this process's share and each forked one built two tables in threads
     assert sorted(map(len, _logged(log).values())) == [2] * 4
-    _assert_no_children()
+    helpers.assert_no_children()
 
 
 def test_sweep_joins_every_table_thread_before_it_returns(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "d96.csv"
-    _pin_cpus(monkeypatch, 1)
+    helpers.pin_cpus(monkeypatch, 1)
     expected = _sweep_output(capsys, out_path, *_D96)
-    _pin_cpus(monkeypatch, 2)
+    helpers.pin_cpus(monkeypatch, 2)
     log = tmp_path / "threads.log"
     _count_table_threads(monkeypatch, log)
     running = _watch_shares(monkeypatch)
@@ -1176,146 +1179,114 @@ _D96_RANK0 = ("--dims", "96", "--kappas", "2", "--ranks", "0", "--seeds", "1", "
 def test_sweep_reruns_in_process_when_a_table_thread_fails(
     capsys, tmp_path, monkeypatch, fault
 ):
-    """A table thread fails, and so does the share's build of that table
-    in place: the grid reruns in this process, with the usual output or
-    the 1-CPU run's error line."""
+    """A table thread fails, and so does the share's preparing of that
+    operator in place: the grid reruns in this process, with the usual
+    output or the 1-CPU run's error line."""
     if fault == "typed":
         _inject_table_failure(monkeypatch, 96, 2, 0, 3)
     out_path = tmp_path / "d96.csv"
-    _pin_cpus(monkeypatch, 1)
+    helpers.pin_cpus(monkeypatch, 1)
     expected = _sweep_output(capsys, out_path, *_D96_RANK0)
     assert expected[:3] == ((2, "", "error: injected table failure\n") if fault == "typed"
                             else (0, expected[1], ""))
-    _pin_cpus(monkeypatch, 2)
+    helpers.pin_cpus(monkeypatch, 2)
     log = tmp_path / "threads.log"
-    build = pontgap.sweep._table
-
-    def failing(op, tol):
-        _log(log, threading.get_ident())
-        if fault == "raises":
-            raise MemoryError("injected table thread failure")
-        return build(op, tol)
-
-    monkeypatch.setattr(pontgap.sweep, "_table", failing)
+    _count_table_threads(monkeypatch, log)
     if fault == "raises":
-        def failing_again(ops, tol):
-            # the batch's only operator is the thread's
+        def failing(ops, tol):
+            # in the thread, and in place: the batch's only operator is
+            # the thread's
             if ops:
-                raise MemoryError("injected table build failure")
+                raise MemoryError("injected prepare failure")
 
-        monkeypatch.setattr(pontgap.sweep, "_build_missing", failing_again)
-    runs = helpers.count_calls(monkeypatch, pontgap.sweep, "_run_shares")
+        monkeypatch.setattr(pontgap.sweep, "prepare", failing)
+    runs = _count_runs(monkeypatch)
     assert _sweep_output(capsys, out_path, *_D96_RANK0) == expected
     # one table thread, then the whole grid in this process
     assert len(_logged(log)) == 1
     assert len(runs) == 2
-    _assert_no_children()
+    helpers.assert_no_children()
 
 
-def test_sweep_builds_in_place_a_table_its_thread_failed_to_build(
-    capsys, tmp_path, monkeypatch
+@pytest.mark.parametrize("step", ["table", "verdict"])
+def test_sweep_prepares_in_place_what_its_thread_failed_to_prepare(
+    capsys, tmp_path, monkeypatch, step
 ):
+    """A1's table thread fails to build its table, or to settle its verdict
+    after the table: the share prepares A1 again in this thread, with no
+    traceback and no rerun."""
     out_path = tmp_path / "d96.csv"
-    _pin_cpus(monkeypatch, 1)
-    expected = _sweep_output(capsys, out_path, *_D96_RANK0)
-    _pin_cpus(monkeypatch, 2)
-    log = tmp_path / "threads.log"
-
-    def failing(op, tol):
-        _log(log, threading.get_ident())
-        raise MemoryError("injected table thread failure")
-
-    monkeypatch.setattr(pontgap.sweep, "_table", failing)
-    build = pontgap.sweep._build_missing
-    built = []
-
-    def counted(ops, tol):
-        built.append(len(ops))
-        return build(ops, tol)
-
-    monkeypatch.setattr(pontgap.sweep, "_build_missing", counted)
-    # a thread that raised would print its traceback through this hook
-    unhandled = []
-    monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    runs = helpers.count_calls(monkeypatch, pontgap.sweep, "_run_shares")
-    assert _sweep_output(capsys, out_path, *_D96_RANK0) == expected
-    assert unhandled == []
-    assert len(_logged(log)[os.getpid()]) == 1
-    # the batch's tables that no thread builds (none), then the thread's
-    # again, and no rerun
-    assert (built, len(runs)) == ([0, 1], 1)
-
-
-def test_sweep_settles_in_place_a_verdict_its_thread_failed_to_settle(
-    capsys, tmp_path, monkeypatch
-):
-    out_path = tmp_path / "d96.csv"
-    _pin_cpus(monkeypatch, 1)
+    helpers.pin_cpus(monkeypatch, 1)
     expected = _sweep_output(capsys, out_path, *_D96)
-    _pin_cpus(monkeypatch, 2)
-    settle, on_main = pontgap.spectral._additive, []
+    helpers.pin_cpus(monkeypatch, 2)
+    threads, batches = tmp_path / "threads.log", tmp_path / "batches.log"
+    _count_table_threads(monkeypatch, threads)
+    _count_table_batches(monkeypatch, batches)
+    name = {"table": "_build_tables", "verdict": "_additive"}[step]
+    real, on_main = getattr(pontgap.spectral, name), []
 
-    def failing(op, tol):
+    def failing(*args):
         on_main.append(threading.current_thread() is threading.main_thread())
         if not on_main[-1]:
-            raise MemoryError("injected verdict failure")
-        return settle(op, tol)
+            raise MemoryError(f"injected {step} failure")
+        return real(*args)
 
-    for module in (pontgap.sweep, pontgap.spectral):
-        monkeypatch.setattr(module, "_additive", failing)
+    monkeypatch.setattr(pontgap.spectral, name, failing)
     # a thread that raised would print its traceback through this hook
     unhandled = []
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    runs = helpers.count_calls(monkeypatch, pontgap.sweep, "_run_shares")
+    runs = _count_runs(monkeypatch)
     assert _sweep_output(capsys, out_path, *_D96) == expected
     assert unhandled == []
-    # A1's thread failed to settle its verdict, which the counts then
-    # settled in this thread, and no rerun
+    assert len(_logged(threads)[os.getpid()]) == 1
+    # the thread failed once, and this thread did that step last, for A1
     assert on_main.count(False) == 1 and on_main[-1]
-    assert len(runs) == 1
+    # the batch's A2, which no thread prepares, then the thread's A1
+    # again, and no rerun
+    assert (_batches(batches), len(runs)) == ([[1, 1]], 1)
 
 
-def test_sweep_kills_every_table_thread_when_a_share_fails(capsys, tmp_path, monkeypatch):
+def test_sweep_joins_every_table_thread_when_a_share_fails(capsys, tmp_path, monkeypatch):
     """This process's share fails while its table thread runs: it joins the
     thread before the error propagates, and the forked share, whose table
     thread runs too, is killed with it."""
     grid = ("--dims", "96", "--kappas", "2", "--ranks", "2", "--seeds", "2", "--seed", "3")
     out_path = tmp_path / "grid.csv"
-    _pin_cpus(monkeypatch, 1)
+    helpers.pin_cpus(monkeypatch, 1)
     expected = _sweep_output(capsys, out_path, *grid)
     # two shares, each with a CPU to spare for a table thread
-    _pin_cpus(monkeypatch, 4)
+    helpers.pin_cpus(monkeypatch, 4)
     log = tmp_path / "threads.log"
     me = os.getpid()
     started, release = threading.Event(), threading.Event()
-    build = pontgap.sweep._table
+    build = pontgap.sweep._build_table_on
 
-    def held(op, tol):
+    def held(cpu, op, tol):
         _log(log, threading.get_ident())
         if os.getpid() == me:
             started.set()
             release.wait(timeout=30)
-        return build(op, tol)
+        return build(cpu, op, tol)
 
     def worker_thread_started():
         return any(pid != me for pid in _logged(log))
 
-    build_missing = pontgap.sweep._build_missing
+    prepare = pontgap.sweep.prepare
 
     def failing(ops, tol):
         # this process's share fails once both shares' table threads run;
-        # its own builds a d = 96 table on after the failure
-        if os.getpid() == me:
+        # its own prepares a d = 96 operator on after the failure
+        if os.getpid() == me and threading.current_thread() is threading.main_thread():
             deadline = time.monotonic() + 30
             while not (started.is_set() and worker_thread_started()):
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             release.set()
             raise MemoryError("injected batch build failure")
-        return build_missing(ops, tol)
+        return prepare(ops, tol)
 
-    monkeypatch.setattr(pontgap.sweep, "_table", held)
-    monkeypatch.setattr(pontgap.sweep, "_build_missing", failing)
+    monkeypatch.setattr(pontgap.sweep, "_build_table_on", held)
+    monkeypatch.setattr(pontgap.sweep, "prepare", failing)
     running = _watch_shares(monkeypatch)
     before = threading.active_count()
     began = time.monotonic()
@@ -1325,7 +1296,7 @@ def test_sweep_kills_every_table_thread_when_a_share_fails(capsys, tmp_path, mon
     assert threading.active_count() == before
     assert running == [before, before]
     assert sorted(pid == me for pid in _logged(log)) == [False, True]
-    _assert_no_children()
+    helpers.assert_no_children()
 
 
 def test_verify_exits_4_on_a_failed_bound(capsys, monkeypatch):

@@ -771,7 +771,7 @@ def test_stacked_inertias_check_each_basis_in_order(monkeypatch, spoiled, messag
     other = helpers.make_operator(helpers.make_space(4, 1, 5), 6)
     twin = validate_operator(op.space, op.matrix)
     with pytest.raises(ValidationError) as caught:
-        spectral._build_missing([other, twin], DEFAULT_TOL)
+        spectral.prepare([other, twin], DEFAULT_TOL)
     assert (type(caught.value), str(caught.value)) == (error, text)
     assert not any(key[0] == "table" for key in (*other._memo, *twin._memo))
     with pytest.raises(ValidationError) as caught:
@@ -909,11 +909,11 @@ def test_tables_built_together_equal_each_built_alone(monkeypatch):
     batch = [twins[op] for op in ops]
     assert any(_shared(t) for t in batch)
     assert not all(_shared(t) for t in batch)
-    spectral._build_missing(batch, DEFAULT_TOL)
+    spectral.prepare(batch, DEFAULT_TOL)
     tables = [twin._memo[("table", DEFAULT_TOL.rel, DEFAULT_TOL.abs)] for twin in batch]
     # a second call finds every table memoized and builds none
     calls = [helpers.count_calls(monkeypatch, np.linalg, f) for f in ("eig", "svd", "eigh")]
-    spectral._build_missing(batch, DEFAULT_TOL)
+    spectral.prepare(batch, DEFAULT_TOL)
     assert calls == [[], [], []]
     for op, twin, table in zip(ops, batch, tables):
         alone = spectral._table(_twin(op, _shared(twin)), DEFAULT_TOL)
@@ -957,7 +957,7 @@ def test_tables_built_together_raise_and_memoize_nothing_where_one_fails(monkeyp
 
     monkeypatch.setattr(np.linalg, "eig", failing)
     with pytest.raises(SpectrumSymmetryError, match="no conjugate partner"):
-        spectral._build_missing([unpaired, *fours, fine, memoized], DEFAULT_TOL)
+        spectral.prepare([unpaired, *fours, fine, memoized], DEFAULT_TOL)
     for op in (unpaired, *fours, fine):
         assert not any(key[0] == "table" for key in op._memo)
     assert spectral._table(memoized, DEFAULT_TOL) is table
@@ -967,7 +967,7 @@ def test_tables_built_together_raise_and_memoize_nothing_where_one_fails(monkeyp
         spectral._table(fours[0], DEFAULT_TOL)
     # an operator named twice is built once, and fails as it does alone
     with pytest.raises(EigensolverError, match="Eigenvalues did not converge"):
-        spectral._build_missing([fours[1], fours[1]], DEFAULT_TOL)
+        spectral.prepare([fours[1], fours[1]], DEFAULT_TOL)
     _assert_stacked_table_is_per_entry(fine)
     assert spectral._table(fine, DEFAULT_TOL) is not None
 

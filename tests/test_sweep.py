@@ -3,7 +3,7 @@
 import dataclasses
 import itertools
 import json
-import os
+import random
 
 import pytest
 
@@ -13,11 +13,6 @@ from pontgap.cli import main
 from pontgap.instancefile import parse_instance
 from pontgap.linalg import DEFAULT_TOL
 from pontgap.sweep import CSV_HEADER, sweep_grid
-
-
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("sabotage", [False, True], ids=["holds", "violated"])
@@ -50,7 +45,7 @@ def test_sweep_grid_returns_what_the_cli_writes_and_prints(capsys, tmp_path, mon
     assert not (tmp_path / f"grid.violation{len(dumps)}.json").exists()
     document = json.loads(printed)
     assert (document["rows"], document["cells"]) == (csv.count("\n") - 1, summary)
-    _assert_no_children()
+    helpers.assert_no_children()
 
 
 def test_unbatched_share_equals_the_batched_share(monkeypatch):
@@ -61,8 +56,43 @@ def test_unbatched_share_equals_the_batched_share(monkeypatch):
         for d, kappa, rank, offset in itertools.product(dims, kappas, ranks, range(seeds))
         if kappa <= d and rank <= d
     ]
-    batched = pontgap.sweep._sweep_share(cells, seeds, DEFAULT_TOL)
-    builds = helpers.count_calls(monkeypatch, pontgap.sweep, "_build_missing")
-    assert pontgap.sweep._sweep_share(cells, seeds, DEFAULT_TOL, batched=False) == batched
+    batched = pontgap.sweep._sweep_share(cells, DEFAULT_TOL)
+    builds = helpers.count_calls(monkeypatch, pontgap.sweep, "prepare")
+    assert pontgap.sweep._sweep_share(cells, DEFAULT_TOL, batched=False) == batched
     assert builds == []
-    _assert_no_children()
+    helpers.assert_no_children()
+
+
+def _rows_by_cell(cells, csv):
+    """Each of ``cells``' CSV rows, by cell; each pair's rows open with the
+    whole line."""
+    pairs = []
+    for line in csv.splitlines()[1:]:
+        if line.split(",")[4:6] == ["-inf", "+inf"]:
+            pairs.append([])
+        pairs[-1].append(line)
+    assert len(pairs) == len(cells)
+    return dict(zip(cells, pairs))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("order", ["seeds-outermost", "shuffled"])
+def test_sweep_grid_gives_each_cell_its_rows_in_any_order(monkeypatch, order, cpus):
+    # the default grid in grid order, then permuted: a share's cells may
+    # then keep too few A1s to draw each once, never other bytes
+    cells = list(itertools.product((2, 3, 4), (0, 1), (0, 1, 2), range(10)))
+    helpers.pin_cpus(monkeypatch, 1)
+    csv, summary, _ = sweep_grid(cells)
+    if order == "seeds-outermost":
+        permuted = sorted(cells, key=lambda cell: cell[3])
+    else:
+        permuted = random.Random(5).sample(cells, len(cells))
+    helpers.pin_cpus(monkeypatch, cpus)
+    permuted_csv, permuted_summary, dumps = sweep_grid(permuted)
+    assert _rows_by_cell(permuted, permuted_csv) == _rows_by_cell(cells, csv)
+    # the same cells; only where a least slack is first attained may move
+    assert [{**cell, "attained_at": None} for cell in permuted_summary] == [
+        {**cell, "attained_at": None} for cell in summary
+    ]
+    assert dumps == []
+    helpers.assert_no_children()
