@@ -9,10 +9,17 @@ interval endpoints are the strings ``"-inf"`` / ``"+inf"``.
 Documents are emitted with sorted keys and 17-significant-digit floats
 so that equal data produces byte-identical text on every platform;
 ``parse_instance`` inverts ``dumps_instance`` exactly.
+
+A matrix's text is rendered once per content: the writer keeps the
+texts of the last three matrices it wrote, keyed by indent, shape and
+exact bytes (see ``_matrix_text``), so the instance files of one pair's
+windows format its ``gram``, ``a1`` and ``a2`` once.  A matrix holding a
+non-finite number raises every time, and nothing is cached for it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -117,20 +124,35 @@ def _matrix_text(m, pad: str) -> str:
     """A complex matrix as ``_dumps`` writes its rows of ``[re, im]``
     lists, with one ``%`` call per row.
 
+    The text is memoized by content: the key is ``pad``, the shape and the
+    bytes of the contiguous complex128 array, and the last three keys
+    (one document's ``gram``, ``a1`` and ``a2``) are kept, so the windows
+    of one pair render its matrices once.  A hit compares those bytes
+    exactly, and nothing is keyed by the array's identity, so a matrix
+    changed in place is rendered again.
+
     The first non-finite number, row-major and the real part before the
-    imaginary part, raises the ``ValueError`` of :func:`format_float`.
+    imaginary part, raises the ``ValueError`` of :func:`format_float`,
+    and nothing is cached for it.
     """
     m = np.ascontiguousarray(m, dtype=complex)
     if not m.size:
         return _dumps(m.tolist(), pad)
-    pairs = m.view(float).reshape(len(m), -1)
+    return _rows_text(pad, m.shape, m.tobytes())
+
+
+@functools.lru_cache(maxsize=3)
+def _rows_text(pad: str, shape: tuple, data: bytes) -> str:
+    """:func:`_matrix_text` of the complex matrix of ``shape`` whose
+    complex128 bytes are ``data``."""
+    pairs = np.frombuffer(data, dtype=float).reshape(shape[0], -1)
     finite = np.isfinite(pairs)
     if not finite.all():
         format_float(pairs[~finite][0])
     # -0.0 + 0.0 is 0.0 and every other double is unchanged, so each zero
     # prints as format_float's "0"
     pairs = pairs + 0.0
-    row = pad + "  [" + ", ".join(["[%.17g, %.17g]"] * m.shape[1]) + "]"
+    row = pad + "  [" + ", ".join(["[%.17g, %.17g]"] * shape[1]) + "]"
     return "[\n" + ",\n".join([row % tuple(r) for r in pairs.tolist()]) + "\n" + pad + "]"
 
 

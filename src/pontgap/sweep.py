@@ -27,7 +27,7 @@ whole grid in this process, one pair at a time.
 
 from __future__ import annotations
 
-import functools
+import collections
 import math
 import os
 import pickle
@@ -207,14 +207,21 @@ def _sweep_share(cells, tol: Tolerance, cpus=(), batched: bool = True) -> list:
     """
     tables = _TableThreads(cpus if batched else (), tol)
 
-    # J and A1 depend on (d, kappa, seed), not on the rank.  A grid runs
-    # a (d, kappa)'s ranks over the same seeds, so keeping as many A1s
-    # (each holds its J) as the cells have seeds builds each once for all
-    # ranks; in any other order an A1 may be drawn again, to the same bytes
-    @functools.lru_cache(maxsize=len({seed for *_, seed in cells}))
+    # J and A1 depend on (d, kappa, seed), not on the rank: a group's A1
+    # (which holds its J) is drawn at its first cell and kept until its
+    # last, so each is drawn once in any order, and in grid order, which
+    # runs a (d, kappa)'s ranks over the same seeds, at most as many are
+    # kept as there are seeds
+    remaining = collections.Counter((d, kappa, seed) for d, kappa, _, seed in cells)
+    drawn = {}
+
     def first(d, kappa, seed):
-        cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
-        return tables.send(random_operator(random_space(cfg, tol), cfg, tol))
+        group = (d, kappa, seed)
+        if group not in drawn:
+            cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
+            drawn[group] = tables.send(random_operator(random_space(cfg, tol), cfg, tol))
+        remaining[group] -= 1
+        return drawn[group] if remaining[group] else drawn.pop(group)
 
     results, batch, entries = [], [], 0
     try:

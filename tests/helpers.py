@@ -82,3 +82,26 @@ def assert_no_children():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def log(path, value):
+    """Append a ``pid value`` line to ``path``.
+
+    Forked sweep workers inherit a monkeypatched counter that calls this,
+    and O_APPEND keeps the lines of several processes whole.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, f"{os.getpid()} {value}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def logged(path):
+    """The values ``log`` appended to ``path``, by process id."""
+    found = {}
+    if path.exists():
+        for line in path.read_text().splitlines():
+            pid, value = line.split(" ", 1)
+            found.setdefault(int(pid), []).append(value)
+    return found

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import hashlib
 import itertools
@@ -15,7 +14,6 @@ import pytest
 
 import helpers
 import pontgap.cli
-import pontgap.gen
 import pontgap.spectral
 import pontgap.sweep
 from pontgap.cli import _parse_cli_interval, main
@@ -517,29 +515,6 @@ def test_sweep_equals_its_cell_by_cell_build(capsys, tmp_path):
     assert out_path.read_text().splitlines() == expected
 
 
-def _log(path, value):
-    """Append a ``pid value`` line to ``path``.
-
-    Forked sweep workers inherit a monkeypatched counter that calls this,
-    and O_APPEND keeps the lines of several processes whole.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    try:
-        os.write(fd, f"{os.getpid()} {value}\n".encode())
-    finally:
-        os.close(fd)
-
-
-def _logged(path):
-    """The values ``_log`` appended to ``path``, by process id."""
-    found = {}
-    if path.exists():
-        for line in path.read_text().splitlines():
-            pid, value = line.split(" ", 1)
-            found.setdefault(int(pid), []).append(value)
-    return found
-
-
 def _count_runs(monkeypatch):
     """A list that grows by one each time this process runs the grid: its
     shares (``_run_shares``), then, after a failure, the rerun (the one
@@ -563,31 +538,11 @@ def _count_processes(monkeypatch, path):
     share = pontgap.sweep._sweep_share
 
     def logged(cells, *args, **kwargs):
-        _log(path, len(cells))
+        helpers.log(path, len(cells))
         return share(cells, *args, **kwargs)
 
     monkeypatch.setattr(pontgap.sweep, "_sweep_share", logged)
     return runs
-
-
-def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
-    log = tmp_path / "calls.log"
-    for module in (pontgap.sweep, pontgap.gen):
-        for name in ("random_space", "random_operator", "random_pair"):
-            def counted(*args, _real=getattr(pontgap.gen, name), _name=name, **kwargs):
-                _log(log, _name)
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-    # two workers, each drawing its own groups' spaces and A1s
-    helpers.pin_cpus(monkeypatch, 2)
-    # the default grid: 3 dims x 2 kappas x 10 seeds, each with 3 ranks
-    code, out, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
-    assert code == 0
-    assert json.loads(out)["instances"] == 180
-    by_process = _logged(log)
-    assert len(by_process) == 2
-    calls = collections.Counter(name for names in by_process.values() for name in names)
-    assert calls == {"random_space": 60, "random_operator": 60, "random_pair": 180}
 
 
 def _count_table_batches(monkeypatch, log):
@@ -597,7 +552,7 @@ def _count_table_batches(monkeypatch, log):
 
     def counted(ops, tol):
         if threading.current_thread() is threading.main_thread():
-            _log(log, len(set(ops)))
+            helpers.log(log, len(set(ops)))
         return prepare(ops, tol)
 
     monkeypatch.setattr(pontgap.sweep, "prepare", counted)
@@ -605,7 +560,7 @@ def _count_table_batches(monkeypatch, log):
 
 def _batches(log):
     """This process's batch sizes, then each worker's."""
-    by_process = {pid: [int(n) for n in sizes] for pid, sizes in _logged(log).items()}
+    by_process = {pid: [int(n) for n in sizes] for pid, sizes in helpers.logged(log).items()}
     return [by_process.pop(os.getpid(), [])] + sorted(by_process.values())
 
 
@@ -677,7 +632,7 @@ def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(capsys, tmp_path, mon
         assert (code, err) == (0, "")
         outputs.append((out_path.read_bytes(), out))
         # one process per CPU, each with its share, and no rerun
-        assert len(_logged(log)) == cpus
+        assert len(helpers.logged(log)) == cpus
         assert len(runs) == 1
         runs.clear()
         helpers.assert_no_children()
@@ -819,7 +774,7 @@ def test_sweep_runs_in_process_without_fork_or_beside_other_threads(
         assert not waiter.is_alive()
     assert code == 0
     assert json.loads(out)["instances"] == 180
-    assert (_logged(log), len(runs)) == ({os.getpid(): ["180"]}, 1)
+    assert (helpers.logged(log), len(runs)) == ({os.getpid(): ["180"]}, 1)
 
 
 @pytest.mark.parametrize("fault", ["fork-fails", "worker-exits-non-zero"])
@@ -845,7 +800,7 @@ def test_sweep_reruns_in_process_when_a_worker_fails(capsys, tmp_path, monkeypat
     assert (out_path.read_bytes(), out) == expected
     # the shares, then the whole grid in this process
     assert len(runs) == 2
-    assert _logged(log)[os.getpid()][-1] == "180"
+    assert helpers.logged(log)[os.getpid()][-1] == "180"
     helpers.assert_no_children()
 
 
@@ -861,7 +816,7 @@ def test_sweep_recounts_pair_by_pair_when_a_batch_build_fails(
     log = tmp_path / "builds.log"
 
     def failing(ops, tol):
-        _log(log, len(ops))
+        helpers.log(log, len(ops))
         raise MemoryError("injected batch build failure")
 
     monkeypatch.setattr(pontgap.sweep, "prepare", failing)
@@ -871,7 +826,7 @@ def test_sweep_recounts_pair_by_pair_when_a_batch_build_fails(
     assert (out_path.read_bytes(), out) == expected
     # this process's share failed at its first batch, and the rerun built none
     assert len(runs) == 2
-    assert len(_logged(log)[os.getpid()]) == 1
+    assert len(helpers.logged(log)[os.getpid()]) == 1
     helpers.assert_no_children()
 
 
@@ -942,7 +897,7 @@ def _count_table_threads(monkeypatch, log):
     build = pontgap.sweep._build_table_on
 
     def logged(cpu, op, tol):
-        _log(log, threading.get_ident())
+        helpers.log(log, threading.get_ident())
         return build(cpu, op, tol)
 
     monkeypatch.setattr(pontgap.sweep, "_build_table_on", logged)
@@ -1021,7 +976,7 @@ def _sweep_on_cpus(tmp_path, cpus, *argv, blas_threads=1):
     out_path.unlink(missing_ok=True)
     done = _run_python("-c", _SWEEP_ON_CPUS, str(cpus), str(log), "sweep", *argv,
                        "--out", str(out_path), env=_blas_threads(blas_threads))
-    events = [value.split()[0] for values in _logged(log).values() for value in values]
+    events = [value.split()[0] for values in helpers.logged(log).values() for value in values]
     output = (done.returncode, done.stdout, done.stderr,
               out_path.read_bytes() if out_path.exists() else None)
     return output, events.count("fork"), events.count("table")
@@ -1111,7 +1066,7 @@ def test_sweep_beside_blas_threads_builds_every_table_in_place(
     helpers.pin_cpus(monkeypatch, 2)
     monkeypatch.setattr(pontgap.sweep, "_one_thread", lambda: False)
     assert _sweep_output(capsys, tmp_path / "d96.csv", *_D96)[0] == 0
-    assert _logged(log) == {}
+    assert helpers.logged(log) == {}
 
 
 def _watch_shares(monkeypatch):
@@ -1150,7 +1105,7 @@ def test_sweep_forks_every_worker_before_any_table_thread_starts(
     assert (code, err) == (0, "")
     assert running == [before] * 3
     # this process's share and each forked one built two tables in threads
-    assert sorted(map(len, _logged(log).values())) == [2] * 4
+    assert sorted(map(len, helpers.logged(log).values())) == [2] * 4
     helpers.assert_no_children()
 
 
@@ -1167,7 +1122,7 @@ def test_sweep_joins_every_table_thread_before_it_returns(capsys, tmp_path, monk
     assert threading.active_count() == before
     assert running == [before]
     # one table, built off this thread
-    [thread] = _logged(log)[os.getpid()]
+    [thread] = helpers.logged(log)[os.getpid()]
     assert int(thread) != threading.get_ident()
 
 
@@ -1203,7 +1158,7 @@ def test_sweep_reruns_in_process_when_a_table_thread_fails(
     runs = _count_runs(monkeypatch)
     assert _sweep_output(capsys, out_path, *_D96_RANK0) == expected
     # one table thread, then the whole grid in this process
-    assert len(_logged(log)) == 1
+    assert len(helpers.logged(log)) == 1
     assert len(runs) == 2
     helpers.assert_no_children()
 
@@ -1238,7 +1193,7 @@ def test_sweep_prepares_in_place_what_its_thread_failed_to_prepare(
     runs = _count_runs(monkeypatch)
     assert _sweep_output(capsys, out_path, *_D96) == expected
     assert unhandled == []
-    assert len(_logged(threads)[os.getpid()]) == 1
+    assert len(helpers.logged(threads)[os.getpid()]) == 1
     # the thread failed once, and this thread did that step last, for A1
     assert on_main.count(False) == 1 and on_main[-1]
     # the batch's A2, which no thread prepares, then the thread's A1
@@ -1262,14 +1217,14 @@ def test_sweep_joins_every_table_thread_when_a_share_fails(capsys, tmp_path, mon
     build = pontgap.sweep._build_table_on
 
     def held(cpu, op, tol):
-        _log(log, threading.get_ident())
+        helpers.log(log, threading.get_ident())
         if os.getpid() == me:
             started.set()
             release.wait(timeout=30)
         return build(cpu, op, tol)
 
     def worker_thread_started():
-        return any(pid != me for pid in _logged(log))
+        return any(pid != me for pid in helpers.logged(log))
 
     prepare = pontgap.sweep.prepare
 
@@ -1295,7 +1250,7 @@ def test_sweep_joins_every_table_thread_when_a_share_fails(capsys, tmp_path, mon
     # the failed share and the rerun each left only the threads found before
     assert threading.active_count() == before
     assert running == [before, before]
-    assert sorted(pid == me for pid in _logged(log)) == [False, True]
+    assert sorted(pid == me for pid in helpers.logged(log)) == [False, True]
     helpers.assert_no_children()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pontgap.sweep
 from pontgap import instancefile
 from pontgap.errors import IllPosedIntervalError, InstanceFormatError
 from pontgap.gen import GenConfig, random_pair, random_space
@@ -20,6 +22,7 @@ from pontgap.instancefile import (
     stable_dumps,
 )
 from pontgap.spectral import Interval
+from pontgap.theorem import sweep_windows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -156,10 +159,13 @@ def test_bulk_writer_is_the_per_entry_writer(d, data):
     record = InstanceRecord(
         gram=data.draw(_matrices(d)),
         a1=data.draw(_matrices(d)),
-        a2=data.draw(st.none() | _matrices(d)),
+        a2=None,
         intervals=(Interval(-np.inf, 0.0),),
         name="x",
     )
+    # a2 may repeat gram or a1, which the writer then renders once
+    record = dataclasses.replace(record, a2=data.draw(
+        st.none() | _matrices(d) | st.sampled_from([record.gram, record.a1])))
     assert dumps_instance(record) == _reference_dumps(record)
 
 
@@ -198,6 +204,74 @@ def test_bulk_writer_names_the_first_of_three_non_finite_matrices():
         with pytest.raises(ValueError) as raised:
             dumps(record)
         assert str(raised.value) == message
+
+
+def _renders(write):
+    """The number of matrices ``write()`` renders rather than finds in the
+    writer's memo."""
+    before = instancefile._rows_text.cache_info().misses
+    write()
+    return instancefile._rows_text.cache_info().misses - before
+
+
+def test_each_window_file_renders_its_pairs_matrices_once():
+    # one instance file per window, as the benchmark's witness inputs are
+    # written: each document's gram, a1 and a2 are rendered for the first
+    # window only
+    cfg = GenConfig(dim=32, kappa_minus=2, pert_rank=2, seed=0)
+    pair = random_pair(random_space(cfg), cfg)
+    records = [pontgap.sweep.pair_record(pair, interval, f"w{index:03d}")
+               for index, interval in enumerate(sweep_windows(pair))]
+    assert len(records) > 10
+    instancefile._rows_text.cache_clear()
+    texts = []
+    assert _renders(lambda: texts.extend(map(dumps_instance, records))) == 3
+    assert texts == [_reference_dumps(record) for record in records]
+
+
+def test_a_matrix_changed_in_place_is_rendered_again():
+    m = np.arange(1.0, 9.0).view(complex).reshape(2, 2)
+    record = InstanceRecord(gram=np.eye(2, dtype=complex), a1=m, a2=None, intervals=())
+    first = dumps_instance(record)
+    m[1, 0] = 7.5 - 2j
+    assert dumps_instance(record) == _reference_dumps(record) != first
+    m[1, 0] = 5 + 6j
+    assert dumps_instance(record) == first
+
+
+def test_twins_and_a_shared_matrix_write_as_the_per_entry_writer():
+    # 0.0 and -0.0 both print as 0 but differ in their bytes; a document
+    # may hold one array twice; and one matrix at two depths keeps each
+    # depth's indent
+    zero = np.zeros((2, 2), dtype=complex)
+    negative = np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
+    positive = negative + 0.0
+    for a1, a2 in ((zero, -zero), (negative, positive), (positive, negative)):
+        record = InstanceRecord(gram=a1, a1=a1, a2=a2, intervals=())
+        assert dumps_instance(record) == _reference_dumps(record)
+    assert _renders(lambda: dumps_instance(record)) == 0
+    rows = [[instancefile.complex_node(z) for z in row] for row in positive]
+    assert stable_dumps({"a": positive, "b": {"c": positive}}) == (
+        stable_dumps({"a": rows, "b": {"c": rows}}))
+
+
+def test_a_non_finite_twin_raises_each_time_and_is_never_cached():
+    m = np.ones((2, 2), dtype=complex)
+    record = InstanceRecord(gram=np.eye(2, dtype=complex), a1=m, a2=None, intervals=())
+    finite_text = dumps_instance(record)
+    message = "non-finite float nan cannot appear in a document"
+    # the twin: the same array, changed in place; then a fresh copy
+    m[0, 1] = complex(1.0, math.nan)
+    copy = InstanceRecord(gram=record.gram, a1=m.copy(), a2=None, intervals=())
+    for twin in (record, copy, record):
+        with pytest.raises(ValueError) as raised:
+            dumps_instance(twin)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            _reference_dumps(twin)
+        assert str(raised.value) == message
+    m[0, 1] = 1.0
+    assert dumps_instance(record) == finite_text == _reference_dumps(record)
 
 
 @pytest.mark.parametrize("shape, text", [((0, 0), "[]"), ((2, 0), "[[], []]")])

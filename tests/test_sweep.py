@@ -1,5 +1,6 @@
 """The sweep engine as a library: ``pontgap.sweep.sweep_grid`` and its shares."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -8,6 +9,7 @@ import random
 import pytest
 
 import helpers
+import pontgap.gen
 import pontgap.sweep
 from pontgap.cli import main
 from pontgap.instancefile import parse_instance
@@ -75,11 +77,44 @@ def _rows_by_cell(cells, csv):
     return dict(zip(cells, pairs))
 
 
+def _count_draws(monkeypatch, log):
+    """Log each ``random_space``, ``random_operator`` and ``random_pair``
+    call, by process; ``_draws`` reads them back."""
+    for module in (pontgap.sweep, pontgap.gen):
+        for name in ("random_space", "random_operator", "random_pair"):
+            def counted(*args, _real=getattr(pontgap.gen, name), _name=name, **kwargs):
+                helpers.log(log, _name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+
+def _draws(log):
+    """The calls ``_count_draws`` logged, by name, over every process."""
+    return collections.Counter(name for names in helpers.logged(log).values()
+                               for name in names)
+
+
+def test_sweep_builds_each_space_and_a1_once(capsys, tmp_path, monkeypatch):
+    log = tmp_path / "calls.log"
+    _count_draws(monkeypatch, log)
+    # two workers, each drawing its own groups' spaces and A1s
+    helpers.pin_cpus(monkeypatch, 2)
+    # the default grid: 3 dims x 2 kappas x 10 seeds, each with 3 ranks
+    code = main(["sweep", "--out", str(tmp_path / "default.csv")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["instances"] == 180
+    by_process = helpers.logged(log)
+    assert len(by_process) == 2
+    calls = _draws(log)
+    assert calls == {"random_space": 60, "random_operator": 60, "random_pair": 180}
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("order", ["seeds-outermost", "shuffled"])
-def test_sweep_grid_gives_each_cell_its_rows_in_any_order(monkeypatch, order, cpus):
-    # the default grid in grid order, then permuted: a share's cells may
-    # then keep too few A1s to draw each once, never other bytes
+def test_sweep_grid_gives_each_cell_its_rows_in_any_order(monkeypatch, tmp_path, order, cpus):
+    # the default grid in grid order, then permuted: each (d, kappa, seed)
+    # group's space and A1 are still drawn once, to the same bytes
     cells = list(itertools.product((2, 3, 4), (0, 1), (0, 1, 2), range(10)))
     helpers.pin_cpus(monkeypatch, 1)
     csv, summary, _ = sweep_grid(cells)
@@ -88,7 +123,11 @@ def test_sweep_grid_gives_each_cell_its_rows_in_any_order(monkeypatch, order, cp
     else:
         permuted = random.Random(5).sample(cells, len(cells))
     helpers.pin_cpus(monkeypatch, cpus)
+    log = tmp_path / "calls.log"
+    _count_draws(monkeypatch, log)
     permuted_csv, permuted_summary, dumps = sweep_grid(permuted)
+    assert _draws(log) == {"random_space": 60, "random_operator": 60, "random_pair": 180}
+    assert len(helpers.logged(log)) == cpus
     assert _rows_by_cell(permuted, permuted_csv) == _rows_by_cell(cells, csv)
     # the same cells; only where a least slack is first attained may move
     assert [{**cell, "attained_at": None} for cell in permuted_summary] == [
