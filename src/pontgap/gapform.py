@@ -182,7 +182,7 @@ def hilbert_gap_check(t, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Ga
         raise PreconditionError(f"check requires a < b, got a={a}, b={b}")
     # (T - a)(T - b) has eigenvalues (w - a)(w - b), whose 2-norm is its
     # Frobenius norm
-    wt, _ = linalg.hermitian_eigen(linalg.as_hermitian(t, tol)[0])
+    wt = linalg.hermitian_eigenvalues(linalg.as_hermitian(t, tol)[0])
     mu = (wt - a) * (wt - b)
     band = tol.INERTIA_ZERO_SCALE * max(1.0, float(np.linalg.norm(mu)))
     inertia = Inertia.of_eigenvalues(mu, band)

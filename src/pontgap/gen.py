@@ -6,8 +6,10 @@ same seed, same bytes, on any host.  Generated operators are resampled
 until their spectra are unambiguous at the package's tolerance scales:
 pairwise eigenvalue gaps and distances from the real axis stay above
 ``Tolerance.GEN_MIN_GAP``.  Each draw solves with the space's Gram, and the
-Gram's singular values, which the solve's cutoff test reads, are taken
-once per space (see ``IndefiniteSpace``), not once per draw.
+solve's cutoff test reads the Gram's singular values, the moduli of the
+eigenvalues of the one ``eigh`` the space keeps (see ``IndefiniteSpace``):
+no draw factors the Gram again, and neither does a real-spectrum
+operator, which reads that ``eigh``'s eigenbasis.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def random_operator(
 ) -> JSelfadjointOperator:
     """J-selfadjoint operator ``J^-1 H`` for a random Hermitian H.  Every
     draw solves with ``J``; the cutoff test of a solve reads ``tol`` and the
-    space's memoized singular values of ``J``."""
+    singular values of ``J`` that the space keeps."""
     _check_space(space, cfg)
     rng = Xoshiro256StarStar.substream(cfg.seed, _TAG_OPERATOR)
     for _ in range(RESAMPLE_BUDGET):
@@ -216,7 +218,7 @@ def random_real_spectrum_operator(
     if not lo < hi:
         raise ValidationError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
     d = space.dim
-    w, q = linalg.hermitian_eigen(space.gram)
+    w, q = space._eigen
     eye = np.eye(d, dtype=complex)
     for _ in range(RESAMPLE_BUDGET):
         values = np.array(sorted(lo + (hi - lo) * rng.uniform() for _ in range(d)))

@@ -81,8 +81,11 @@ class IndefiniteSpace:
     Construct through :func:`validate_space`; the constructor assumes
     ``gram`` is already symmetrized.  Spaces compare and hash by
     identity; :meth:`same_space` compares their Gram matrices.  A space
-    memoizes its Gram's singular values on first use, for the generator's
-    solves with ``gram``.
+    keeps its Gram's one ``eigh``: :func:`validate_space` hands over the
+    one it counted the inertia with, and a space built directly takes it
+    on first use.  The generator reads its eigenbasis, and its solves
+    with ``gram`` read the singular values, which are the eigenvalues'
+    moduli, so no SVD of the Gram is taken.
     """
 
     gram: np.ndarray = field(repr=False)
@@ -103,10 +106,17 @@ class IndefiniteSpace:
         return self.gram.shape[0]
 
     @cached_property
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram's ascending eigenvalues and eigenvectors, read-only.
+        Threads that take them together take the same bits, so either copy
+        may stay."""
+        return _read_only(linalg.hermitian_eigen(self.gram))
+
+    @cached_property
     def _singular_values(self) -> np.ndarray:
-        """The Gram's descending singular values, read-only.  Threads that
-        take them together take the same bits, so either copy may stay."""
-        s = linalg._singular_values(self.gram)
+        """The Gram's descending singular values, read-only: for Hermitian
+        ``gram`` they are the moduli of its eigenvalues."""
+        s = np.sort(np.abs(self._eigen[0]))[::-1]
         s.setflags(write=False)
         return s
 
@@ -181,13 +191,15 @@ class Subspace:
 def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
     """Check Hermiticity and invertibility of a Gram matrix.
 
-    Returns the space with its inertia.  A Gram eigenvalue inside the
+    Returns the space with its inertia, counted from one ``eigh`` of the
+    symmetrized Gram, which the space keeps.  A Gram eigenvalue inside the
     zero band ``tol.INERTIA_ZERO_SCALE * max(1, ||J||_F)`` makes the form
     degenerate and is rejected, and so is a Gram whose ``||J||_F``
     overflows.
     """
     j, norm = linalg.as_hermitian(gram, tol)
-    w, _ = linalg.hermitian_eigen(j)
+    eigen = _read_only(linalg.hermitian_eigen(j))
+    w = eigen[0]
     band = tol.INERTIA_ZERO_SCALE * max(1.0, norm)
     inertia = Inertia.of_eigenvalues(w, band)
     if inertia.zero:
@@ -196,11 +208,19 @@ def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
             f"gram matrix is singular to tolerance (|eig|_min = {smallest:.3e})",
             smallest_singular_value=smallest,
         )
-    return IndefiniteSpace(
+    space = IndefiniteSpace(
         gram=j,
         kappa_plus=inertia.plus,
         kappa_minus=inertia.minus,
     )
+    object.__setattr__(space, "_eigen", eigen)
+    return space
+
+
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _grouped(keys) -> list[tuple]:
@@ -215,7 +235,7 @@ def _inertias(items) -> list[Inertia]:
     """Inertia of the Gram form of each ``(space, basis)`` item compressed
     to its basis (each basis with a column or more).  The items may lie in
     different spaces: per order and basis width, one stacked ``B^* J B`` per
-    space and one stacked ``eigh`` over all spaces.  Each item's zero band
+    space and one stacked ``eigvalsh`` over all spaces.  Each item's zero band
     scales with its ambient ``space.scale``, not the compressed norm, so
     neutral subspaces report their zeros.
 
@@ -272,9 +292,9 @@ def _compressed(space: IndefiniteSpace, b: np.ndarray) -> tuple[np.ndarray, np.n
 def _counted(g: np.ndarray, band) -> list[Inertia]:
     """The inertia of each finite Hermitian form of the stack ``g`` against
     its zero ``band`` (a scalar, or one per form as a column), by one
-    ``eigh`` over the stack."""
+    values-only ``eigvalsh`` over the stack: a count reads no eigenvector."""
     w = g.shape[-1]
-    values = linalg.hermitian_eigen(g)[0]
+    values = linalg.hermitian_eigenvalues(g)
     # g is finite, so are its eigenvalues: the rest of each row is the zero band
     plus = (values > band).sum(axis=1).tolist()
     minus = (values < -band).sum(axis=1).tolist()

@@ -7,7 +7,10 @@ an operator is solved where its result is memoized, in
 :mod:`pontgap.spectral`.  A matrix from outside is checked for
 Hermiticity once, by :func:`as_hermitian`, at the boundary that takes
 it in; every matrix handed to :func:`hermitian_eigen`, the one ``eigh``
-call, is exactly Hermitian by construction.  :class:`Tolerance` is the whole
+call, or to :func:`hermitian_eigenvalues`, the one ``eigvalsh`` call, is
+exactly Hermitian by construction.  A caller that reads only eigenvalues
+(every inertia count) takes the values-only call, so that no
+eigenvectors are computed and thrown away.  :class:`Tolerance` is the whole
 tolerance policy: when a singular value counts as zero, when two
 eigenvalues count as one, when an imaginary part counts as noise, and
 every other numeric band of the package.
@@ -36,6 +39,7 @@ __all__ = [
     "frob",
     "as_hermitian",
     "hermitian_eigen",
+    "hermitian_eigenvalues",
     "complex_eigen",
     "rank_tol",
     "null_space",
@@ -149,8 +153,24 @@ def hermitian_eigen(h):
     ``eigh`` call.  A LAPACK failure raises :class:`EigensolverError`."""
     if h.shape[-1] == 0:
         return np.zeros(h.shape[:-1]), np.zeros(h.shape, dtype=complex)
+    return _hermitian_solved(np.linalg.eigh, h)
+
+
+def hermitian_eigenvalues(h):
+    """Ascending real eigenvalues alone of an exactly Hermitian matrix, or
+    of a stack of them: the package's one ``eigvalsh`` call, for callers
+    that read no eigenvector.  A LAPACK failure raises the
+    :class:`EigensolverError` of :func:`hermitian_eigen`."""
+    if h.shape[-1] == 0:
+        return np.zeros(h.shape[:-1])
+    return _hermitian_solved(np.linalg.eigvalsh, h)
+
+
+def _hermitian_solved(solve, h):
+    """``solve(h)`` for ``np.linalg.eigh`` or ``eigvalsh``, with a LAPACK
+    failure raised as :class:`EigensolverError`."""
     try:
-        return np.linalg.eigh(h)
+        return solve(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
 

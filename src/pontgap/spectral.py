@@ -31,8 +31,9 @@ same wherever it is built, so the output does not depend on where.  All
 tables go through :func:`_build_tables`: one stacked ``eig`` per order,
 one stacked SVD per order and number of owned eigenvectors, and one call
 of the inertia routine, whose bases may lie in different spaces and which
-stacks one ``eigh`` per order and basis width (for one generic operator,
-one ``eig``, one SVD and one ``eigh``;
+stacks one values-only ``eigvalsh`` per order and basis width, since a
+count reads no eigenvector (for one generic operator, one ``eig``, one
+SVD and one ``eigvalsh``;
 :func:`~pontgap.indefinite.subspace_inertia` runs the same routine on one
 basis).  Window counts are sums of table rows, checked once per operator (see :func:`gap_inertia`); an operator whose spectrum
 is all its callers read never builds the table.
@@ -439,7 +440,7 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
     SVD per order and number of eigenvectors an entry owns, for the
     orthonormal span of each entry's eigenvectors; kernel SVDs where an
     eigenvalue is defective; and one call of the inertia routine over every
-    real root basis, which stacks one ``eigh`` per order and basis width.
+    real root basis, which stacks one ``eigvalsh`` per order and basis width.
     Each LAPACK routine runs matrix by matrix, and each rank is cut per
     matrix as in :func:`linalg.orthonormal_columns`, so a table that
     :func:`prepare` builds with others is bitwise the one

@@ -17,7 +17,7 @@ from pontgap.gen import (
     random_real_spectrum_operator,
     random_space,
 )
-from pontgap.indefinite import validate_space
+from pontgap.indefinite import IndefiniteSpace, validate_space
 from pontgap.instancefile import InstanceRecord, dumps_instance
 from pontgap.linalg import DEFAULT_TOL, Tolerance
 from pontgap.spectral import Interval, gap_inertia, spectrum, validate_operator
@@ -183,23 +183,88 @@ def test_validated_operator_solves_its_eigenvalues_on_first_spectrum(monkeypatch
 def test_a_space_takes_its_gram_singular_values_once(monkeypatch):
     # the golden test's widened gap rejects the first A1 draw and the
     # first rank-2 A2 draw, so the group solves with J for two A1 candidates,
-    # one rank-1 and two rank-2 A2 candidates
+    # one rank-1 and two rank-2 A2 candidates; every cutoff test reads the
+    # moduli of the eigenvalues that validate_space counted the inertia with,
+    # so no draw factors the Gram, by SVD or by eigh
     monkeypatch.setattr(Tolerance, "GEN_MIN_GAP", 0.2)
     cfg = GenConfig(dim=16, kappa_minus=2, pert_rank=2, seed=85)
     space = random_space(cfg)
-    svd, of_gram = np.linalg.svd, []
+    of_gram = []
 
-    def counting(a, *args, **kwargs):
-        of_gram.append(a.shape == space.gram.shape and np.array_equal(a, space.gram))
-        return svd(a, *args, **kwargs)
+    def counting(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+        def counted(a, *args, **kwargs):
+            if a.shape == space.gram.shape and np.array_equal(a, space.gram):
+                of_gram.append(name)
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        counting(name)
     solves = helpers.count_calls(monkeypatch, np.linalg, "solve")
     op1 = random_operator(space, cfg)
     for rank in (1, 2):
         random_pair(op1, GenConfig(dim=16, kappa_minus=2, pert_rank=rank, seed=85))
-    assert (len(solves), of_gram.count(True)) == (5, 1)
+    assert (len(solves), of_gram) == (5, [])
     assert not space._singular_values.flags.writeable
+    assert not any(a.flags.writeable for a in space._eigen)
+
+
+def _graded_gram(rng, d, kappa):
+    """A Gram with eigenvalue moduli spread over 1e-4 to 1, kappa of them
+    negative, in a Haar-random eigenbasis."""
+    moduli = 10.0 ** rng.uniform(-4.0, 0.0, d)
+    u = helpers.haar_unitary(rng, d)
+    j = (u * (moduli * np.array([1.0] * (d - kappa) + [-1.0] * kappa))) @ u.conj().T
+    return 0.5 * (j + j.conj().T)
+
+
+def test_a_spaces_singular_values_are_those_of_an_svd_of_its_gram():
+    # the moduli of the kept eigh's eigenvalues stand in for an SVD of the
+    # Gram: they agree within 1e-13 of sigma_max, and the cutoff of each
+    # tolerance keeps the same number of them (rel = 1e-2 cuts the graded
+    # spaces inside their spread)
+    rng = np.random.default_rng(32)
+    strict = Tolerance(rel=1e-2)
+    cut = 0
+    for d in range(1, 97):
+        for kappa in sorted({0, min(3, d), d}):
+            graded = validate_space(_graded_gram(rng, d, kappa))
+            for space in (random_space(GenConfig(dim=d, kappa_minus=kappa, seed=d)), graded):
+                s = space._singular_values
+                reference = np.linalg.svd(space.gram, compute_uv=False)
+                assert s.shape == reference.shape
+                assert np.all(np.abs(s - reference) <= 1e-13 * reference[0])
+                for tol in (DEFAULT_TOL, strict):
+                    assert linalg._rank(s, tol) == linalg._rank(reference, tol)
+                cut += linalg._rank(s, strict) < d
+    assert cut > 100
+
+
+def test_real_spectrum_operator_reads_the_eigh_its_space_keeps(monkeypatch):
+    # over the acceptance seeds at d = 2-12, the draws take no eigh of their
+    # own, and each operator is bitwise the one drawn in a space built
+    # directly, which takes a fresh eigh of the same Gram on first use
+    spaces = [
+        (random_space(cfg), cfg)
+        for d in range(2, 13)
+        for kappa in range(min(2, d) + 1)
+        for seed in range(15)
+        for cfg in [GenConfig(dim=d, kappa_minus=kappa, seed=seed)]
+    ]
+    eighs = helpers.count_calls(monkeypatch, np.linalg, "eigh")
+    ops = [random_real_spectrum_operator(space, cfg, bounds=(-1.0, 1.0))
+           for space, cfg in spaces]
+    assert eighs == []
+    monkeypatch.undo()
+    for (space, cfg), op in zip(spaces, ops):
+        fresh = np.linalg.eigh(space.gram)
+        assert [a.tobytes() for a in space._eigen] == [a.tobytes() for a in fresh]
+        direct = IndefiniteSpace(space.gram, space.kappa_plus, space.kappa_minus)
+        again = random_real_spectrum_operator(direct, cfg, bounds=(-1.0, 1.0))
+        assert again.matrix.tobytes() == op.matrix.tobytes()
 
 
 @pytest.mark.parametrize("strict_first", [True, False])

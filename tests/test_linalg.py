@@ -27,6 +27,7 @@ from pontgap.linalg import (
     complex_eigen,
     frob,
     hermitian_eigen,
+    hermitian_eigenvalues,
     null_space,
     orthonormal_columns,
     rank_tol,
@@ -130,7 +131,8 @@ def test_as_complex_matrix_accepts_noncontiguous_views():
 
 
 # ---------------------------------------------------------------------------
-# as_hermitian, the boundary check, and hermitian_eigen, the one eigh call
+# as_hermitian, the boundary check, hermitian_eigen, the one eigh call, and
+# hermitian_eigenvalues, the one eigvalsh call
 
 
 @given(dims, seeds)
@@ -142,6 +144,20 @@ def test_hermitian_eigen_matches_eigvalsh(d, seed):
     assert np.allclose(w, np.linalg.eigvalsh(h))
     assert np.allclose(v.conj().T @ v, np.eye(d), atol=1e-12)
     assert np.allclose(h @ v, v @ np.diag(w), atol=1e-10 * max(1.0, frob(h)))
+    assert np.array_equal(hermitian_eigenvalues(h), np.linalg.eigvalsh(h))
+
+
+def test_hermitian_eigenvalues_of_a_stack_and_of_no_rows():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    h = 0.5 * (g + g.conj().swapaxes(1, 2))
+    stacked = hermitian_eigenvalues(h)
+    assert stacked.shape == (3, 5)
+    for m, w in zip(h, stacked):
+        assert np.allclose(w, hermitian_eigen(m)[0], atol=1e-12 * frob(m))
+    empty = hermitian_eigenvalues(np.zeros((2, 0, 0), dtype=complex))
+    assert empty.shape == (2, 0)
+    assert np.array_equal(empty, hermitian_eigen(np.zeros((2, 0, 0), dtype=complex))[0])
 
 
 @pytest.mark.parametrize(
@@ -158,25 +174,30 @@ def test_as_hermitian_rejects_non_hermitian(check):
 
 
 def _eigh_callers():
-    """Each caller of the eigh wrapper, on inputs built before eigh fails."""
+    """Each caller of the eigh wrapper or of its values-only sibling, on
+    inputs built before the solver fails, with the solver it calls."""
     space = validate_space(np.diag([1.0, -1.0]))
     op = validate_operator(space, np.diag([0.5, 1.0]))
     spectrum(op)
     return {
-        "validate_space": lambda: validate_space(np.diag([1.0, -1.0])),
-        "decompose_resolvent_gap": lambda: decompose_resolvent_gap(op, 1.25, 1.5),
-        "subspace_inertia": lambda: subspace_inertia(space, Subspace.full(2)),
+        "validate_space": (lambda: validate_space(np.diag([1.0, -1.0])), "eigh"),
+        "decompose_resolvent_gap": (lambda: decompose_resolvent_gap(op, 1.25, 1.5), "eigh"),
+        "subspace_inertia": (lambda: subspace_inertia(space, Subspace.full(2)), "eigvalsh"),
+        "hilbert_gap_check": (lambda: hilbert_gap_check(np.eye(2), 0.0, 2.0), "eigvalsh"),
     }
 
 
-@pytest.mark.parametrize("caller", ["validate_space", "decompose_resolvent_gap", "subspace_inertia"])
+@pytest.mark.parametrize(
+    "caller",
+    ["validate_space", "decompose_resolvent_gap", "subspace_inertia", "hilbert_gap_check"],
+)
 def test_eigh_failure_reads_the_same_through_every_caller(monkeypatch, caller):
-    run = _eigh_callers()[caller]
+    run, solver = _eigh_callers()[caller]
 
     def failing(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, solver, failing)
     with pytest.raises(
         EigensolverError, match="^hermitian eigensolver failed: Eigenvalues did not converge$"
     ):

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -588,7 +589,7 @@ def _reference_inertia(space, basis, tol=DEFAULT_TOL):
     orthonormality check (a NaN defect passes it, as in the routine, and
     the finiteness check that follows catches it), one ``B^* J B``, one
     finiteness check and one ``np.linalg.eigh``, so that the reference
-    shares no code with the wrapper under test."""
+    shares no code with the values-only ``eigvalsh`` wrapper under test."""
     defect = float(np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])))
     if defect > tol.ORTHO_SLACK:
         raise ValidationError(
@@ -828,12 +829,70 @@ def test_one_pass_subspace_inertia_equals_the_stacked_routine_and_the_reference(
                 assert subspace_inertia(space, Subspace(neutral)) == Inertia(0, 0, pairs)
 
 
-def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
-    # ||J||_F < 1, so the scale is 1 and the band is INERTIA_ZERO_SCALE
-    # itself; on e1 the compressed Gram is that band, exactly
+def _real_root_bases(op):
+    """Each real entry's root basis in the table of ``op``, with its space."""
+    table = spectral._table(op, DEFAULT_TOL)
+    return [
+        (op.space, basis)
+        for entry, basis in zip(spectrum(op).entries, table.bases)
+        if entry.is_real
+    ]
+
+
+def _generated_real_root_bases():
+    """Every real root basis of the A1 and A2s of generated pairs at
+    d = 1-12, 32 and 96, kappa = 0-3, ranks 0-3 and seeds 0-1; the ranks
+    of one (d, kappa, seed) share its A1, and rank 0's A2 is that A1."""
+    items = []
+    for d in [*range(1, 13), 32, 96]:
+        for kappa in range(min(d, 3) + 1):
+            for seed in range(2):
+                cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
+                op1 = random_operator(random_space(cfg), cfg)
+                ops = [op1] + [
+                    random_pair(op1, replace(cfg, pert_rank=rank)).op2
+                    for rank in range(1, min(d, 3) + 1)
+                ]
+                for op in ops:
+                    items += _real_root_bases(op)
+    return items
+
+
+def _zero_band_item():
+    """A space with ||J||_F < 1, so the scale is 1 and the band is
+    INERTIA_ZERO_SCALE itself, and e1, on which the compressed Gram is that
+    band, exactly."""
     gram = np.diag([Tolerance.INERTIA_ZERO_SCALE, 0.5, -0.5]).astype(complex)
-    space = IndefiniteSpace(gram, kappa_plus=1, kappa_minus=1)
-    e1 = np.eye(3, 1, dtype=complex)
+    return IndefiniteSpace(gram, kappa_plus=1, kappa_minus=1), np.eye(3, 1, dtype=complex)
+
+
+@pytest.mark.parametrize("case", ["generated", *HAND_BUILT, "zero-band"])
+def test_values_only_inertias_equal_the_eigh_reference(case):
+    # the routine counts from eigvalsh's eigenvalues alone; the reference
+    # counts from eigh's, through no shared code.  Stacked over all bases,
+    # one basis at a time and through subspace_inertia, the counts agree
+    if case == "generated":
+        items = _generated_real_root_bases()
+    elif case == "zero-band":
+        items = [_zero_band_item()]
+    else:
+        gram, matrix = HAND_BUILT[case]
+        items = _real_root_bases(validate_operator(validate_space(gram.astype(complex)), matrix))
+    reference = [_reference_inertia(space, b) for space, b in items]
+    assert indefinite._inertias(items) == reference
+    for (space, b), expected in zip(items, reference):
+        assert indefinite._inertias([(space, b)]) == [expected]
+        assert subspace_inertia(space, Subspace(b)) == expected
+    if case == "generated":
+        # simple real eigenvalues of both types: one-column bases of each sign
+        assert len(items) > 3000
+        assert {(i.plus, i.minus) for i in reference} == {(1, 0), (0, 1)}
+    if case == "zero-band":
+        assert reference == [Inertia(0, 0, 1)]
+
+
+def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
+    space, e1 = _zero_band_item()
     assert space.scale == 1.0
     assert indefinite._inertias([(space, e1)]) == [Inertia(0, 0, 1)]
     assert subspace_inertia(space, Subspace(e1)) == Inertia(0, 0, 1)
@@ -841,7 +900,7 @@ def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
 
 
 @pytest.mark.parametrize(
-    "gram, matrix, svds, eighs",
+    "gram, matrix, svds, eigvalshs",
     [
         # generic: every entry owns one eigenvector and has a one-column basis
         (helpers.make_space(32, 2, 5).gram, None, 1, 1),
@@ -850,7 +909,9 @@ def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
     ],
     ids=["generic-d32", "semisimple-double"],
 )
-def test_table_factors_once_per_width(monkeypatch, gram, matrix, svds, eighs):
+def test_table_factors_once_per_width(monkeypatch, gram, matrix, svds, eigvalshs):
+    # the inertias read eigenvalues alone: one values-only eigvalsh per
+    # basis width, and no eigh
     space = validate_space(gram.astype(complex))
     op = (
         helpers.make_operator(space, 6) if matrix is None
@@ -859,12 +920,13 @@ def test_table_factors_once_per_width(monkeypatch, gram, matrix, svds, eighs):
     spectrum(op)
     calls = {
         name: helpers.count_calls(monkeypatch, np.linalg, name)
-        for name in ("eig", "svd", "eigh")
+        for name in ("eig", "svd", "eigh", "eigvalsh")
     }
     table = spectral._table(op, DEFAULT_TOL)
     assert len(calls["eig"]) == 1
     assert len(calls["svd"]) == svds
-    assert len(calls["eigh"]) == eighs
+    assert len(calls["eigvalsh"]) == eigvalshs
+    assert len(calls["eigh"]) == 0
     assert any(inertia is not None for inertia in table.inertias)
 
 
@@ -912,9 +974,10 @@ def test_tables_built_together_equal_each_built_alone(monkeypatch):
     spectral.prepare(batch, DEFAULT_TOL)
     tables = [twin._memo[("table", DEFAULT_TOL.rel, DEFAULT_TOL.abs)] for twin in batch]
     # a second call finds every table memoized and builds none
-    calls = [helpers.count_calls(monkeypatch, np.linalg, f) for f in ("eig", "svd", "eigh")]
+    calls = [helpers.count_calls(monkeypatch, np.linalg, f)
+             for f in ("eig", "svd", "eigh", "eigvalsh")]
     spectral.prepare(batch, DEFAULT_TOL)
-    assert calls == [[], [], []]
+    assert calls == [[], [], [], []]
     for op, twin, table in zip(ops, batch, tables):
         alone = spectral._table(_twin(op, _shared(twin)), DEFAULT_TOL)
         assert _outcome(lambda: _parts(table)) == _outcome(lambda: _parts(alone))
