@@ -16,7 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import instancefile
 from .errors import (
     EndpointInSpectrumError,
     IllPosedIntervalError,
@@ -28,6 +27,7 @@ from .indefinite import IndefiniteSpace, validate_space
 from .instancefile import (
     SCHEMA_VERSION,
     InstanceRecord,
+    counts_node,
     dumps_instance,
     gap_report_node,
     interval_node,
@@ -88,18 +88,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _headed(tol: Tolerance, body: dict) -> dict:
+    """``body`` under the header of the analyze, verify and sweep documents."""
+    return {"schema_version": SCHEMA_VERSION, "tolerance": tolerance_node(tol), **body}
+
+
 def _document(tol: Tolerance, space: IndefiniteSpace, record: InstanceRecord, body):
     """The analyze and verify documents: one header around ``body``."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tolerance": tolerance_node(tol),
+    name = {} if record.name is None else {"name": record.name}
+    return _headed(tol, {
         "space": {"dim": space.dim, "kappa_plus": space.kappa_plus,
                   "kappa_minus": space.kappa_minus},
         **body,
-    }
-    if record.name is not None:
-        doc["name"] = record.name
-    return doc
+        **name,
+    })
 
 
 def _instance(args):
@@ -129,12 +131,9 @@ def _effective_intervals(record: InstanceRecord, args) -> tuple[Interval, ...]:
 
 
 def _interval_section(ops: dict, interval: Interval, tol: Tolerance) -> dict:
-    found = {label: gap_inertia(op, interval, tol) for label, op in ops.items()}
     return {
         "interval": interval_node(interval),
-        "eig": {label: x.dim for label, x in found.items()},
-        "sig": {label: x.sig for label, x in found.items()},
-        "inertia": {label: instancefile.inertia_node(x) for label, x in found.items()},
+        **counts_node({label: gap_inertia(op, interval, tol) for label, op in ops.items()}),
     }
 
 
@@ -262,15 +261,13 @@ def cmd_sweep(args) -> int:
         path = out.with_suffix(f".violation{index}.json")
         path.write_text(dump)
         print(f"bound violation dumped to {path}", file=sys.stderr)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tolerance": tolerance_node(tol),
+    doc = _headed(tol, {
         "csv": args.out,
         "instances": len(cells),
         "rows": sum(cell["rows"] for cell in summary),
         "violations": len(dumps),
         "cells": summary,
-    }
+    })
     sys.stdout.write(stable_dumps(doc))
     return EXIT_BOUND_VIOLATION if dumps else EXIT_OK
 

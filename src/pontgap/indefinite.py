@@ -4,7 +4,8 @@ A space is C^d equipped with ``[x, y] = y^* J x`` for an invertible
 Hermitian Gram matrix ``J``.  Its inertia ``(kappa_plus, kappa_minus)``
 counts positive and negative eigenvalues of ``J``; ``kappa_minus`` is
 the number of negative squares, the quantity every bound in
-:mod:`pontgap.theorem` is expressed in.
+:mod:`pontgap.theorem` is expressed in.  Every inertia is counted by one
+rule, ``_counted``, from eigenvalues and a zero band.
 """
 
 from __future__ import annotations
@@ -59,11 +60,7 @@ class Inertia:
     @classmethod
     def of_eigenvalues(cls, w, zero_band: float) -> "Inertia":
         """Counts of ``w`` above ``zero_band``, below ``-zero_band`` and between."""
-        return cls(
-            plus=int(np.sum(w > zero_band)),
-            minus=int(np.sum(w < -zero_band)),
-            zero=int(np.sum(np.abs(w) <= zero_band)),
-        )
+        return _counted(np.asarray(w)[None], zero_band)[0]
 
     @property
     def dim(self) -> int:
@@ -274,7 +271,7 @@ def _inertias(items) -> list[Inertia]:
     for order, grams, bands in groups.values():
         g = grams[0] if len(grams) == 1 else np.concatenate(grams)
         band = (bands[0] if len(bands) == 1 else np.concatenate(bands))[:, None]
-        for i, inertia in zip(order, _counted(g, band)):
+        for i, inertia in zip(order, _counted(linalg.hermitian_eigenvalues(g), band)):
             inertias[i] = inertia
     return inertias
 
@@ -289,15 +286,14 @@ def _compressed(space: IndefiniteSpace, b: np.ndarray) -> tuple[np.ndarray, np.n
     return g, np.isfinite(g).all(axis=(1, 2))
 
 
-def _counted(g: np.ndarray, band) -> list[Inertia]:
-    """The inertia of each finite Hermitian form of the stack ``g`` against
-    its zero ``band`` (a scalar, or one per form as a column), by one
-    values-only ``eigvalsh`` over the stack: a count reads no eigenvector."""
-    w = g.shape[-1]
-    values = linalg.hermitian_eigenvalues(g)
-    # g is finite, so are its eigenvalues: the rest of each row is the zero band
-    plus = (values > band).sum(axis=1).tolist()
-    minus = (values < -band).sum(axis=1).tolist()
+def _counted(values: np.ndarray, band) -> list[Inertia]:
+    """The one counting rule: the inertia of each row of eigenvalues
+    ``values`` against its zero ``band`` (a scalar, or one per row as a
+    column).  What is neither above ``band`` nor below ``-band`` is zero:
+    a value on ``±band``, and a NaN, which an overflowed form can give."""
+    w = values.shape[-1]
+    plus = (values > band).sum(axis=-1).tolist()
+    minus = (values < -band).sum(axis=-1).tolist()
     return [Inertia._of_counts(p, m, w - p - m) for p, m in zip(plus, minus)]
 
 
@@ -314,7 +310,8 @@ def subspace_inertia(space: IndefiniteSpace, sub: Subspace) -> Inertia:
     g, finite = _compressed(space, sub.basis[None])
     if not finite[0]:
         raise ValidationError("matrix entries must be finite")
-    return _counted(g, Tolerance.INERTIA_ZERO_SCALE * space.scale)[0]
+    band = Tolerance.INERTIA_ZERO_SCALE * space.scale
+    return _counted(linalg.hermitian_eigenvalues(g), band)[0]
 
 
 def sum_subspaces(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -44,7 +44,7 @@ __all__ = [
     "complex_node",
     "interval_node",
     "tolerance_node",
-    "inertia_node",
+    "counts_node",
     "spectrum_node",
     "gap_report_node",
     "witness_report_node",
@@ -207,8 +207,17 @@ def tolerance_node(tol: Tolerance) -> dict:
     return {"rel": tol.rel, "abs": tol.abs}
 
 
-def inertia_node(inertia: Inertia) -> dict:
-    return {"plus": inertia.plus, "minus": inertia.minus, "zero": inertia.zero}
+def counts_node(inertias: dict[str, Inertia]) -> dict:
+    """The ``eig``, ``sig`` and ``inertia`` nodes of ``{label: Inertia}``,
+    for the analyze and verify documents alike."""
+    return {
+        "eig": {label: x.dim for label, x in inertias.items()},
+        "sig": {label: x.sig for label, x in inertias.items()},
+        "inertia": {
+            label: {"plus": x.plus, "minus": x.minus, "zero": x.zero}
+            for label, x in inertias.items()
+        },
+    }
 
 
 def spectrum_node(sp: Spectrum) -> list:
@@ -223,12 +232,7 @@ def gap_report_node(report: GapReport) -> dict:
         "interval": interval_node(report.interval),
         "n": report.n,
         "kappa": report.kappa,
-        "eig": {"a1": report.eig1, "a2": report.eig2},
-        "sig": {"a1": report.sig1, "a2": report.sig2},
-        "inertia": {
-            "a1": inertia_node(report.inertia1),
-            "a2": inertia_node(report.inertia2),
-        },
+        **counts_node({"a1": report.inertia1, "a2": report.inertia2}),
         "eig_bound": report.n + 2 * report.kappa,
         "eig_bound_holds": report.eig_bound_holds,
         "sig_bound": report.n,

@@ -186,8 +186,9 @@ def _dyadic(lo: float, hi: float):
 
 
 def _doubling(origin: float, direction: float):
-    """origin + direction * (1, 2, 4, ...), 60 steps into an unbounded side."""
-    return (origin + direction * 2.0**k for k in range(60))
+    """origin + direction * (1, 2, 4, ..., 2**1023), the steps in double
+    range, into an unbounded side; a sum that overflows fails ``contains``."""
+    return (origin + direction * 2.0**k for k in range(1024))
 
 
 def _window_candidates(lo: float, hi: float):

@@ -1411,7 +1411,7 @@ def _run_demo(arg: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name", ["example1", "example3"])
 def test_witness_demo_script_runs(name):
-    # the whole narration, byte for byte; the workflow pins example3's too
+    # the whole narration, byte for byte, for each fixture
     proc = _run_demo(name)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (DATA / f"{name}.witness-demo.txt").read_text()

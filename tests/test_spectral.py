@@ -588,8 +588,9 @@ def _reference_inertia(space, basis, tol=DEFAULT_TOL):
     """The inertia routine unstacked, as its reference, per basis: the
     orthonormality check (a NaN defect passes it, as in the routine, and
     the finiteness check that follows catches it), one ``B^* J B``, one
-    finiteness check and one ``np.linalg.eigh``, so that the reference
-    shares no code with the values-only ``eigvalsh`` wrapper under test."""
+    finiteness check, one ``np.linalg.eigh`` and the zero-band count
+    written out, so that the reference shares no code with the values-only
+    ``eigvalsh`` wrapper or the counting rule under test."""
     defect = float(np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])))
     if defect > tol.ORTHO_SLACK:
         raise ValidationError(
@@ -598,7 +599,12 @@ def _reference_inertia(space, basis, tol=DEFAULT_TOL):
     g = basis.conj().T @ (space.gram @ basis)
     g = linalg.as_complex_matrix(0.5 * (g + g.conj().T))
     w = np.linalg.eigh(g)[0]
-    return Inertia.of_eigenvalues(w, tol.INERTIA_ZERO_SCALE * space.scale)
+    band = tol.INERTIA_ZERO_SCALE * space.scale
+    return Inertia(
+        plus=int(np.sum(w > band)),
+        minus=int(np.sum(w < -band)),
+        zero=int(np.sum(np.abs(w) <= band)),
+    )
 
 
 def _per_entry_table(op, tol=DEFAULT_TOL):
@@ -858,11 +864,11 @@ def _generated_real_root_bases():
     return items
 
 
-def _zero_band_item():
+def _zero_band_item(value=Tolerance.INERTIA_ZERO_SCALE):
     """A space with ||J||_F < 1, so the scale is 1 and the band is
-    INERTIA_ZERO_SCALE itself, and e1, on which the compressed Gram is that
-    band, exactly."""
-    gram = np.diag([Tolerance.INERTIA_ZERO_SCALE, 0.5, -0.5]).astype(complex)
+    INERTIA_ZERO_SCALE itself, and e1, on which the compressed Gram is
+    ``value`` (by default that band), exactly."""
+    gram = np.diag([value, 0.5, -0.5]).astype(complex)
     return IndefiniteSpace(gram, kappa_plus=1, kappa_minus=1), np.eye(3, 1, dtype=complex)
 
 
@@ -897,6 +903,28 @@ def test_stacked_inertias_count_a_value_on_the_zero_band_as_zero():
     assert indefinite._inertias([(space, e1)]) == [Inertia(0, 0, 1)]
     assert subspace_inertia(space, Subspace(e1)) == Inertia(0, 0, 1)
     assert _reference_inertia(space, e1) == Inertia(0, 0, 1)
+    # the one counting rule from both of its entry points, the stacked
+    # compressed forms and one row of eigenvalues: a value on +-band or at
+    # 0 is zero, and one ulp outside the band is not
+    band = Tolerance.INERTIA_ZERO_SCALE
+    cases = [
+        (band, Inertia(0, 0, 1)),
+        (-band, Inertia(0, 0, 1)),
+        (0.0, Inertia(0, 0, 1)),
+        (np.nextafter(band, np.inf), Inertia(1, 0, 0)),
+        (np.nextafter(-band, -np.inf), Inertia(0, 1, 0)),
+    ]
+    items = [_zero_band_item(value) for value, _ in cases]
+    expected = [inertia for _, inertia in cases]
+    assert indefinite._inertias(items) == expected
+    assert [_reference_inertia(space, b) for space, b in items] == expected
+    for (value, inertia), (space, b) in zip(cases, items):
+        assert space.scale == 1.0
+        assert indefinite._inertias([(space, b)]) == [inertia]
+        assert subspace_inertia(space, Subspace(b)) == inertia
+        assert Inertia.of_eigenvalues(np.array([value]), band) == inertia
+    values = np.array([value for value, _ in cases])
+    assert Inertia.of_eigenvalues(values, band) == Inertia(1, 1, 3)
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,31 @@ def test_choose_delta_prime_exhausts_on_pinned_window():
         choose_delta_prime(pair, Interval(0.4995, 0.5005))
 
 
+def test_choose_delta_prime_walks_unbounded_sides_to_the_double_range():
+    # example3 scaled by 2**70: its margin, 1e3 clustering bands, is about
+    # 1e-3 ||A||_F ~ 4e20, past 2**59, the 60th doubling step.  The walk
+    # goes on to 2**1023, so both unbounded windows get their witness, with
+    # the counts of the unscaled pair (the scaling is exact)
+    fix = builtin_fixtures()[1]
+    space = fix.pair.op1.space
+    scaled = make_pair(
+        validate_operator(space, fix.pair.op1.matrix * 2.0**70),
+        validate_operator(space, fix.pair.op2.matrix * 2.0**70),
+    )
+    for interval in (Interval(0.0, np.inf), Interval(-np.inf, np.inf)):
+        witness = proof_witness(scaled, interval)
+        assert witness.all_hold
+        assert abs(choose_delta_prime(scaled, interval).lower) > 2.0**59
+        report = verify_main_theorem(scaled, interval)
+        unscaled = verify_main_theorem(fix.pair, interval)
+        assert (report.eig1, report.eig2, report.sig1, report.sig2) == (
+            unscaled.eig1, unscaled.eig2, unscaled.sig1, unscaled.sig2
+        )
+        assert (witness.eig1_delta_prime, witness.eig2_delta_prime) == (
+            unscaled.eig1, unscaled.eig2
+        )
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 
