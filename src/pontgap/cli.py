@@ -170,12 +170,10 @@ def _report_expectations(expected: dict, report: GapReport) -> dict:
 def cmd_verify(args) -> int:
     tol, record, space, ops = _instance(args)
     if "a2" not in ops:
-        print("error: verify needs an instance with both a1 and a2", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InstanceFormatError("verify needs an instance with both a1 and a2")
     intervals = _effective_intervals(record, args)
     if not intervals:
-        print("error: verify needs at least one interval", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InstanceFormatError("verify needs at least one interval")
     pair = make_pair(ops["a1"], ops["a2"], tol)
     reports, nodes, all_ok = [], [], True
     for interval in intervals:
@@ -281,9 +279,7 @@ def cmd_examples(args) -> int:
     if args.name is not None:
         if args.name not in fixtures:
             names = ", ".join(sorted(fixtures))
-            print(f"error: unknown fixture {args.name!r}; valid: {names}",
-                  file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise InstanceFormatError(f"unknown fixture {args.name!r}; valid: {names}")
         fix = fixtures[args.name]
         record = pair_record(fix.pair, fix.interval, fix.name, fix.expected)
         _emit(dumps_instance(record), args.out)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InertiaMismatchError, PreconditionError
+from .errors import InertiaMismatchError, PreconditionError, ValidationError
 from .indefinite import Inertia, Subspace
 from .linalg import DEFAULT_TOL, Tolerance
 from .spectral import JSelfadjointOperator, spectrum
@@ -80,13 +80,19 @@ class GapLocation(enum.Enum):
     NEITHER = "neither"
 
 
-def build_gap_form(op: JSelfadjointOperator, a: float, b: float) -> GapForm:
-    """Assemble ``G = J (A - a)(A - b)``, symmetrized."""
+def _endpoints(a: float, b: float, what: str) -> tuple[float, float]:
+    """``a`` and ``b`` as floats, which must be finite with ``a < b``."""
     a, b = float(a), float(b)
     if not a < b:
-        raise PreconditionError(f"gap form requires a < b, got a={a}, b={b}")
+        raise PreconditionError(f"{what} requires a < b, got a={a}, b={b}")
     if not (np.isfinite(a) and np.isfinite(b)):
-        raise PreconditionError("gap form endpoints must be finite")
+        raise PreconditionError(f"{what} endpoints must be finite")
+    return a, b
+
+
+def build_gap_form(op: JSelfadjointOperator, a: float, b: float) -> GapForm:
+    """Assemble ``G = J (A - a)(A - b)``, symmetrized."""
+    a, b = _endpoints(a, b, "gap form")
     d = op.dim
     eye = np.eye(d, dtype=complex)
     g = op.space.gram @ ((op.matrix - a * eye) @ (op.matrix - b * eye))
@@ -96,11 +102,16 @@ def build_gap_form(op: JSelfadjointOperator, a: float, b: float) -> GapForm:
 def _signed_eigenspaces(form: GapForm, expected, reason: str):
     """Inertia of the form, which must be ``expected``, and its negative
     and positive eigenspaces."""
-    # G is exactly Hermitian (build_gap_form symmetrizes it), but it can
-    # overflow from finite A and J
+    # G is exactly Hermitian (build_gap_form symmetrizes it), but it or
+    # its norm can overflow from finite A and J; an overflowing norm is
+    # reported by the typed error below, not by numpy warnings
     g = linalg.as_complex_matrix(form.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = linalg.frob(g)
+    if not np.isfinite(norm):
+        raise ValidationError(f"gap form norm overflows: ||G||_F = {norm}")
     w, v = linalg.hermitian_eigen(g)
-    band = Tolerance.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(g))
+    band = Tolerance.INERTIA_ZERO_SCALE * max(1.0, norm)
     inertia = Inertia.of_eigenvalues(w, band)
     if (inertia.plus, inertia.minus, inertia.zero) != expected:
         raise InertiaMismatchError(
@@ -175,11 +186,9 @@ def hilbert_gap_check(t, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Ga
     spectrum; ``<= 0`` iff the spectrum lies in the closure [a, b].
     Eigenvalues inside the zero band count as zero, so both criteria
     may hold simultaneously (spectrum exactly {a, b}); the resolvent
-    verdict wins.
+    verdict wins.  The endpoints must be finite, with ``a < b``.
     """
-    a, b = float(a), float(b)
-    if not a < b:
-        raise PreconditionError(f"check requires a < b, got a={a}, b={b}")
+    a, b = _endpoints(a, b, "check")
     # (T - a)(T - b) has eigenvalues (w - a)(w - b), whose 2-norm is its
     # Frobenius norm
     wt = linalg.hermitian_eigenvalues(linalg.as_hermitian(t, tol)[0])

@@ -24,10 +24,11 @@ one inertia routine.  A count reads its operator's table through
 verdict through :func:`_additive`; :func:`prepare`, all that
 :mod:`pontgap.sweep` asks of this module, memoizes both for several
 operators, building their missing tables together.  The sweep prepares
-each batch, each table thread one operator on a CPU the sweep leaves idle,
-and the sweep again in place what a thread failed to; all store through
-the operator's thread-safe memo, and a table or verdict is bitwise the
-same wherever it is built, so the output does not depend on where.  All
+each batch, and each table thread one operator on a CPU the sweep leaves
+idle, as a head start only: what it fails to build, a count builds
+alone.  All store through the operator's thread-safe memo, and a table or
+verdict is bitwise the same wherever it is built, so the output does not
+depend on where.  All
 tables go through :func:`_build_tables`: one stacked ``eig`` per order,
 one stacked SVD per order and number of owned eigenvectors, and one call
 of the inertia routine, whose bases may lie in different spaces and which

@@ -20,9 +20,10 @@ and a fork copies no thread's half-done work; it forks every worker
 before any table thread starts, and joins every table thread before a
 share ends.  One spectral call, :func:`~pontgap.spectral.prepare`,
 prepares an operator wherever it runs, so the output bytes never depend
-on the number of CPUs.  What a thread fails to prepare, the share
-prepares again in place, and any failure there or of a share reruns the
-whole grid in this process, one pair at a time.
+on the number of CPUs.  Batches and table threads are only a head start:
+what they fail to prepare, a count builds alone, to the same bits, so a
+share raises only while it draws or counts, in its cells' order; a failed
+share or worker reruns the whole grid in this process.
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ def sweep_grid(cells, tol: Tolerance = DEFAULT_TOL) -> tuple[str, list, list]:
     (kappa, rank) in sorted order, each with its ``rows``, its least slack
     ``min_slack`` and ``attained_at``, the d, seed and window of its first
     row with it; and the instance files of the windows that break a bound.
-    Any error raised is the first, in the order of ``cells``, of a run one
-    pair at a time, such as a cell that :class:`~pontgap.gen.GenConfig`
-    rejects.
+    Any error raised is the first in the order of ``cells``, such as a
+    cell that :class:`~pontgap.gen.GenConfig` rejects.
     """
     cells = list(cells)
     # a (d, kappa, seed) group's ranks share one J and A1, so a group never
@@ -97,10 +97,9 @@ def sweep_grid(cells, tol: Tolerance = DEFAULT_TOL) -> tuple[str, list, list]:
     try:
         results = _run_shares(shares, tol, cpus)
     except Exception:
-        # the reference: the whole grid again in this process, unbatched,
-        # which raises its first error in grid order, whichever share
-        # failed and however
-        workers, results = 1, [_sweep_share(cells, tol, batched=False)]
+        # the whole grid again as one share in this process, which raises
+        # its first error in grid order, whichever share failed and however
+        workers, results = 1, [_sweep_share(cells, tol)]
     # merge: each share's results are in grid order, so the grid's next
     # pair is the next of its share's.  A cell's first pair with its least
     # slack, in grid order, holds its first row with it
@@ -157,7 +156,7 @@ def _pair_result(cfg: GenConfig, pair: OperatorPair, tol: Tolerance) -> tuple:
 
 class _TableThreads:
     """A share's table threads, one per CPU of ``cpus`` at a time: each
-    prepares an operator for counting (see :func:`_build_table_on`) while
+    gives an operator its head start (see :func:`_build_table_on`) while
     the share draws on or prepares other operators."""
 
     def __init__(self, cpus, tol: Tolerance):
@@ -175,37 +174,34 @@ class _TableThreads:
         return op
 
     def build(self, ops) -> None:
-        """Prepare ``ops``: those no thread prepares together here, then,
-        once their threads are joined, any that a thread failed to prepare."""
-        prepare([op for op in ops if op not in self.pending], self.tol)
-        threaded = [op for op in dict.fromkeys(ops) if op in self.pending]
-        for op in threaded:
-            thread, cpu = self.pending.pop(op)
-            thread.join()
-            self.free.append(cpu)
-        if threaded:
-            # where the thread's failure is real, it raises here
-            prepare(threaded, self.tol)
+        """Give ``ops`` their head start: those no thread prepares,
+        together here, then join the threads of the rest."""
+        _head_start([op for op in ops if op not in self.pending], self.tol)
+        for op in dict.fromkeys(ops):
+            if op in self.pending:
+                thread, cpu = self.pending.pop(op)
+                thread.join()
+                self.free.append(cpu)
 
     def join(self) -> None:
         for thread, _ in self.pending.values():
             thread.join()
 
 
-def _sweep_share(cells, tol: Tolerance, cpus=(), batched: bool = True) -> list:
+def _sweep_share(cells, tol: Tolerance, cpus=()) -> list:
     """Each of ``cells``' :func:`_pair_result`, in their order.
 
-    Batched, the pairs go in batches of at most ``SWEEP_BATCH_ENTRIES``
-    matrix entries, whose operators are prepared together before any is
-    counted, and the next pair is drawn before the last batch is counted.
-    Each drawn operator of order ``TABLE_THREAD_MIN_DIM`` or more goes to
-    a thread on a free CPU of ``cpus`` (see :class:`_TableThreads`); where
-    no CPU is free, it is prepared with its batch.  Unbatched, the
-    reference for errors, each pair is drawn and counted before the next,
-    and its counts build every table and verdict in this thread.  No table
-    thread outlives the call, whether it returns or raises.
+    The pairs go in batches of at most ``SWEEP_BATCH_ENTRIES`` matrix
+    entries, whose operators get their head start together (see
+    :func:`_head_start`) before any is counted, and the next pair is drawn
+    before the last batch is counted.  Each drawn operator of order
+    ``TABLE_THREAD_MIN_DIM`` or more goes to a thread on a free CPU of
+    ``cpus`` (see :class:`_TableThreads`); where no CPU is free, it is
+    prepared with its batch.  An error raises while a pair is drawn or
+    counted, after those of the pairs drawn before it, and no table thread
+    outlives the call.
     """
-    tables = _TableThreads(cpus if batched else (), tol)
+    tables = _TableThreads(cpus, tol)
 
     # J and A1 depend on (d, kappa, seed), not on the rank: a group's A1
     # (which holds its J) is drawn at its first cell and kept until its
@@ -226,11 +222,13 @@ def _sweep_share(cells, tol: Tolerance, cpus=(), batched: bool = True) -> list:
     results, batch, entries = [], [], 0
     try:
         for d, kappa, rank, seed in cells:
-            cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
-            pair = random_pair(first(d, kappa, seed), cfg, tol)
-            if not batched:
-                results.append(_pair_result(cfg, pair, tol))
-                continue
+            try:
+                cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
+                pair = random_pair(first(d, kappa, seed), cfg, tol)
+            except Exception:
+                # the pairs drawn before this one raise their errors first
+                _counted(batch, tables, tol)
+                raise
             if pair.op2 is not pair.op1:
                 tables.send(pair.op2)
             # the pair is drawn before the last batch is counted, so that
@@ -249,22 +247,28 @@ def _sweep_share(cells, tol: Tolerance, cpus=(), batched: bool = True) -> list:
 
 def _counted(batch, tables: _TableThreads, tol: Tolerance) -> list:
     """Each of ``batch``'s pairs' :func:`_pair_result`, once its operators
-    are prepared together."""
+    have their head start."""
     tables.build([op for _, pair in batch for op in (pair.op1, pair.op2)])
     return [_pair_result(cfg, pair, tol) for cfg, pair in batch]
 
 
-def _build_table_on(cpu: int, op, tol: Tolerance) -> None:
-    """Prepare ``op`` for counting with ``tol`` on ``cpu`` (see
-    :func:`~pontgap.spectral.prepare`), the one spectral call that the
-    share's batches make too: the work of a table thread.  A failure is
-    left to the share, which prepares ``op`` again once it has joined the
-    thread: a real failure raises there, and no thread prints a traceback."""
-    _move_to(cpu)
+def _head_start(ops, tol: Tolerance) -> None:
+    """Prepare ``ops`` for counting with ``tol`` (see
+    :func:`~pontgap.spectral.prepare`), the one spectral call of a share's
+    batches and table threads, as a head start only: what it fails to
+    prepare, the count that first reads it builds alone, to the same bits,
+    and a real failure raises there, in the share's cells' order."""
     try:
-        prepare([op], tol)
+        prepare(ops, tol)
     except Exception:
         pass
+
+
+def _build_table_on(cpu: int, op, tol: Tolerance) -> None:
+    """Give ``op`` its head start with ``tol`` on ``cpu``: the work of a
+    table thread, which raises nothing and so prints no traceback."""
+    _move_to(cpu)
+    _head_start([op], tol)
 
 
 def _move_to(cpu: int) -> None:

@@ -66,9 +66,8 @@ def test_examples_emits_committed_fixture_files(capsys, tmp_path):
 
 
 def test_examples_unknown_name(capsys):
-    code, _, err = _run(capsys, "examples", "example2")
-    assert code == 2
-    assert "example1, example3" in err
+    assert _run(capsys, "examples", "example2") == (
+        2, "", "error: unknown fixture 'example2'; valid: example1, example3\n")
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +258,8 @@ def test_verify_requires_second_operator(capsys, tmp_path):
     del doc["a2"]
     path = tmp_path / "single.json"
     path.write_text(json.dumps(doc))
-    code, _, err = _run(capsys, "verify", str(path))
-    assert code == 2
-    assert "both a1 and a2" in err
+    assert _run(capsys, "verify", str(path)) == (
+        2, "", "error: verify needs an instance with both a1 and a2\n")
     proc = _run_demo(str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
@@ -274,9 +272,8 @@ def test_verify_requires_an_interval(capsys, tmp_path):
     doc["intervals"] = []
     path = tmp_path / "no_intervals.json"
     path.write_text(json.dumps(doc))
-    code, out, err = _run(capsys, "verify", str(path))
-    assert (code, out) == (2, "")
-    assert "at least one interval" in err
+    assert _run(capsys, "verify", str(path)) == (
+        2, "", "error: verify needs at least one interval\n")
     code, out, _ = _run(capsys, "analyze", str(path))
     assert code == 0
     assert json.loads(out)["intervals"] == []
@@ -366,6 +363,18 @@ def test_overflow_is_one_error_line_without_numpy_warnings(tmp_path, gram, a1_00
     proc = _run_module("verify", str(path))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_gap_form_whose_norm_overflows_is_one_error_line(tmp_path):
+    # example3 times 1e150 gets a delta', then its gap form's norm overflows
+    doc = json.loads(EXAMPLE3.read_text())
+    for key in ("a1", "a2"):
+        doc[key] = [[[1e150 * part for part in entry] for entry in row] for row in doc[key]]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_module("verify", "--witness", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: gap form norm overflows: ||G||_F = inf\n"
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -518,14 +527,14 @@ def test_sweep_equals_its_cell_by_cell_build(capsys, tmp_path):
 def _count_runs(monkeypatch):
     """A list that grows by one each time this process runs the grid: its
     shares (``_run_shares``), then, after a failure, the rerun (the one
-    unbatched ``_sweep_share``)."""
+    ``_sweep_share`` that ``sweep_grid`` calls itself, with no CPUs)."""
     runs = helpers.count_calls(monkeypatch, pontgap.sweep, "_run_shares")
     share = pontgap.sweep._sweep_share
 
-    def counted(cells, tol, cpus=(), batched=True):
-        if not batched:
+    def counted(cells, tol, *cpus):
+        if not cpus:
             runs.append("rerun")
-        return share(cells, tol, cpus, batched)
+        return share(cells, tol, *cpus)
 
     monkeypatch.setattr(pontgap.sweep, "_sweep_share", counted)
     return runs
@@ -808,6 +817,8 @@ def test_sweep_reruns_in_process_when_a_worker_fails(capsys, tmp_path, monkeypat
 def test_sweep_recounts_pair_by_pair_when_a_batch_build_fails(
     capsys, tmp_path, monkeypatch, cpus
 ):
+    """A batch's build is only a head start: where it fails, each count
+    builds its operator's table and verdict alone, to the same bytes."""
     out_path = tmp_path / "default.csv"
     helpers.pin_cpus(monkeypatch, 1)
     _, summary, _ = _run(capsys, "sweep", "--out", str(out_path))
@@ -824,9 +835,9 @@ def test_sweep_recounts_pair_by_pair_when_a_batch_build_fails(
     code, out, err = _run(capsys, "sweep", "--out", str(out_path))
     assert (code, err) == (0, "")
     assert (out_path.read_bytes(), out) == expected
-    # this process's share failed at its first batch, and the rerun built none
-    assert len(runs) == 2
-    assert len(helpers.logged(log)[os.getpid()]) == 1
+    # each share's one batch failed to build, and the grid ran once
+    assert len(runs) == 1
+    assert sorted(map(len, helpers.logged(log).values())) == [1] * cpus
     helpers.assert_no_children()
 
 
@@ -1134,9 +1145,11 @@ _D96_RANK0 = ("--dims", "96", "--kappas", "2", "--ranks", "0", "--seeds", "1", "
 def test_sweep_reruns_in_process_when_a_table_thread_fails(
     capsys, tmp_path, monkeypatch, fault
 ):
-    """A table thread fails, and so does the share's preparing of that
-    operator in place: the grid reruns in this process, with the usual
-    output or the 1-CPU run's error line."""
+    """A table thread fails, and so does the share's batch build: where
+    only ``prepare`` failed, the counts build the table, to the usual
+    output, and the grid runs once; where the table cannot be built, the
+    count raises and the grid reruns in this process, to the 1-CPU run's
+    error line."""
     if fault == "typed":
         _inject_table_failure(monkeypatch, 96, 2, 0, 3)
     out_path = tmp_path / "d96.csv"
@@ -1157,18 +1170,18 @@ def test_sweep_reruns_in_process_when_a_table_thread_fails(
         monkeypatch.setattr(pontgap.sweep, "prepare", failing)
     runs = _count_runs(monkeypatch)
     assert _sweep_output(capsys, out_path, *_D96_RANK0) == expected
-    # one table thread, then the whole grid in this process
+    # one table thread, then, after a count failed, the whole grid again
     assert len(helpers.logged(log)) == 1
-    assert len(runs) == 2
+    assert len(runs) == {"raises": 1, "typed": 2}[fault]
     helpers.assert_no_children()
 
 
 @pytest.mark.parametrize("step", ["table", "verdict"])
-def test_sweep_prepares_in_place_what_its_thread_failed_to_prepare(
+def test_sweep_counts_build_what_its_thread_failed_to_prepare(
     capsys, tmp_path, monkeypatch, step
 ):
     """A1's table thread fails to build its table, or to settle its verdict
-    after the table: the share prepares A1 again in this thread, with no
+    after the table: A1's counts build that step in this thread, with no
     traceback and no rerun."""
     out_path = tmp_path / "d96.csv"
     helpers.pin_cpus(monkeypatch, 1)
@@ -1196,15 +1209,14 @@ def test_sweep_prepares_in_place_what_its_thread_failed_to_prepare(
     assert len(helpers.logged(threads)[os.getpid()]) == 1
     # the thread failed once, and this thread did that step last, for A1
     assert on_main.count(False) == 1 and on_main[-1]
-    # the batch's A2, which no thread prepares, then the thread's A1
-    # again, and no rerun
-    assert (_batches(batches), len(runs)) == ([[1, 1]], 1)
+    # the batch's A2, which no thread prepares, and no rerun
+    assert (_batches(batches), len(runs)) == ([[1]], 1)
 
 
 def test_sweep_joins_every_table_thread_when_a_share_fails(capsys, tmp_path, monkeypatch):
-    """This process's share fails while its table thread runs: it joins the
-    thread before the error propagates, and the forked share, whose table
-    thread runs too, is killed with it."""
+    """This process's share fails to draw a pair while its table thread
+    runs: it joins the thread before the error propagates, and the forked
+    share, whose table thread runs too, is killed with it."""
     grid = ("--dims", "96", "--kappas", "2", "--ranks", "2", "--seeds", "2", "--seed", "3")
     out_path = tmp_path / "grid.csv"
     helpers.pin_cpus(monkeypatch, 1)
@@ -1226,22 +1238,23 @@ def test_sweep_joins_every_table_thread_when_a_share_fails(capsys, tmp_path, mon
     def worker_thread_started():
         return any(pid != me for pid in helpers.logged(log))
 
-    prepare = pontgap.sweep.prepare
+    draw, failed = pontgap.sweep.random_pair, []
 
-    def failing(ops, tol):
-        # this process's share fails once both shares' table threads run;
-        # its own prepares a d = 96 operator on after the failure
-        if os.getpid() == me and threading.current_thread() is threading.main_thread():
+    def failing(first, cfg, tol):
+        # this process's share fails once, when both shares' table threads
+        # run; its own prepares a d = 96 operator on after the failure
+        if os.getpid() == me and not failed:
             deadline = time.monotonic() + 30
             while not (started.is_set() and worker_thread_started()):
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             release.set()
-            raise MemoryError("injected batch build failure")
-        return prepare(ops, tol)
+            failed.append(True)
+            raise MemoryError("injected draw failure")
+        return draw(first, cfg, tol)
 
     monkeypatch.setattr(pontgap.sweep, "_build_table_on", held)
-    monkeypatch.setattr(pontgap.sweep, "prepare", failing)
+    monkeypatch.setattr(pontgap.sweep, "random_pair", failing)
     running = _watch_shares(monkeypatch)
     before = threading.active_count()
     began = time.monotonic()

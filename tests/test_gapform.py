@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,9 +21,11 @@ from pontgap.gapform import (
     decompose_spectrum_inside,
     hilbert_gap_check,
 )
-from pontgap.gen import GenConfig, random_real_spectrum_operator, random_space
+from pontgap.gen import GenConfig, builtin_fixtures, random_real_spectrum_operator, random_space
 from pontgap.indefinite import Inertia, subspace_inertia, validate_space
-from pontgap.spectral import JSelfadjointOperator, spectrum, validate_operator
+from pontgap.perturbation import make_pair
+from pontgap.spectral import Interval, JSelfadjointOperator, spectrum, validate_operator
+from pontgap.theorem import proof_witness
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -100,6 +104,22 @@ def test_gap_split_rejects_a_form_that_overflows():
         ValidationError, match="^matrix entries must be finite$"
     ):
         decompose_resolvent_gap(op, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("lower", [0.0, -np.inf])
+def test_gap_split_refuses_a_form_whose_norm_overflows(lower):
+    # example3 times 1e150: G's entries stay finite, but ||G||_F overflows,
+    # so its zero band would count every eigenvalue as zero
+    fixture = {f.name: f for f in builtin_fixtures()}["example3"]
+    space = fixture.pair.space
+    pair = make_pair(validate_operator(space, 1e150 * fixture.pair.op1.matrix),
+                     validate_operator(space, 1e150 * fixture.pair.op2.matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValidationError, match=r"^gap form norm overflows: \|\|G\|\|_F = inf$"
+        ):
+            proof_witness(pair, Interval(lower, np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +278,17 @@ def test_hilbert_gap_check_rejects_non_hermitian():
 
 
 def test_hilbert_gap_check_rejects_bad_interval():
-    with pytest.raises(PreconditionError):
-        hilbert_gap_check(np.eye(2), 1.0, 1.0)
+    # an empty interval, and endpoints that are infinite or NaN, whose zero
+    # band would be inf or NaN and count every value as zero
+    for t, a, b in [
+        (np.eye(2), 1.0, 1.0),
+        (np.diag([0.0, 0.5]), -np.inf, 1.0),
+        (np.diag([0.0, 3.0]), -np.inf, 1.0),
+        (np.eye(2), 0.0, np.inf),
+        (np.eye(2), np.nan, 1.0),
+    ]:
+        with pytest.raises(PreconditionError):
+            hilbert_gap_check(t, a, b)
 
 
 @given(dims, seeds)

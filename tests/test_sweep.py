@@ -4,12 +4,15 @@ import collections
 import dataclasses
 import itertools
 import json
+import os
 import random
+import threading
 
 import pytest
 
 import helpers
 import pontgap.gen
+import pontgap.spectral
 import pontgap.sweep
 from pontgap.cli import main
 from pontgap.instancefile import parse_instance
@@ -50,18 +53,86 @@ def test_sweep_grid_returns_what_the_cli_writes_and_prints(capsys, tmp_path, mon
     helpers.assert_no_children()
 
 
-def test_unbatched_share_equals_the_batched_share(monkeypatch):
-    # the grid of test_sweep_equals_its_cell_by_cell_build, as one share
-    dims, kappas, ranks, seeds, base = (3, 12, 2, 7, 3), (1, 3, 0, 1), (2, 0, 3), 3, 7
-    cells = [
-        (d, kappa, rank, base + offset)
-        for d, kappa, rank, offset in itertools.product(dims, kappas, ranks, range(seeds))
-        if kappa <= d and rank <= d
-    ]
-    batched = pontgap.sweep._sweep_share(cells, DEFAULT_TOL)
-    builds = helpers.count_calls(monkeypatch, pontgap.sweep, "prepare")
-    assert pontgap.sweep._sweep_share(cells, DEFAULT_TOL, batched=False) == batched
-    assert builds == []
+#: the grid of tests/test_cli.py::test_sweep_equals_its_cell_by_cell_build,
+#: with repeated and unsorted values and pairs of mixed orders in one batch
+_MIXED_CELLS = [
+    (d, kappa, rank, 7 + offset)
+    for d, kappa, rank, offset in itertools.product((3, 12, 2, 7, 3), (1, 3, 0, 1),
+                                                    (2, 0, 3), range(3))
+    if kappa <= d and rank <= d
+]
+
+
+@pytest.mark.parametrize("grid", ["mixed", "d96-thread"])
+def test_a_share_whose_every_prepare_fails_counts_the_same(monkeypatch, tmp_path, grid):
+    # batches and table threads are only a head start: where every prepare
+    # raises, each count builds its operator's table and verdict alone
+    if grid == "mixed":
+        cells, cpus = _MIXED_CELLS, ()
+    else:
+        # one spare CPU: A1 goes to a table thread, A2 to the batch
+        cells, cpus = [(96, 2, 2, 3)], (max(os.sched_getaffinity(0)),)
+    expected = pontgap.sweep._sweep_share(cells, DEFAULT_TOL, cpus)
+    log = tmp_path / "prepares.log"
+
+    def failing(ops, tol):
+        helpers.log(log, threading.current_thread() is threading.main_thread())
+        raise MemoryError("injected prepare failure")
+
+    monkeypatch.setattr(pontgap.sweep, "prepare", failing)
+    # a thread that raised would print its traceback through this hook
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    assert pontgap.sweep._sweep_share(cells, DEFAULT_TOL, cpus) == expected
+    assert unhandled == []
+    # every batch's prepare failed, and on d = 96 the thread's too
+    calls = helpers.logged(log)[os.getpid()]
+    assert calls.count("False") == (0 if grid == "mixed" else 1) and "True" in calls
+    helpers.assert_no_children()
+
+
+def _built_outside_prepare(monkeypatch, log):
+    """Log, by process, each table build and each additivity verdict that
+    runs outside a ``prepare`` call of ``pontgap.sweep``, in any thread."""
+    inside, prepare = threading.local(), pontgap.sweep.prepare
+
+    def flagged(ops, tol):
+        inside.now = True
+        try:
+            return prepare(ops, tol)
+        finally:
+            inside.now = False
+
+    monkeypatch.setattr(pontgap.sweep, "prepare", flagged)
+    for name in ("_build_tables", "_rows_add_up"):
+        def watched(*args, _real=getattr(pontgap.spectral, name), _name=name):
+            if not getattr(inside, "now", False):
+                helpers.log(log, _name)
+            return _real(*args)
+        monkeypatch.setattr(pontgap.spectral, name, watched)
+
+
+@pytest.mark.parametrize("grid, cpus", [
+    ((), 1),
+    ((), 2),
+    # four groups on eight CPUs: each share builds two tables in threads
+    (("--dims", "64,96", "--kappas", "2", "--ranks", "0,1,2", "--seeds", "2",
+      "--seed", "5"), 8),
+], ids=["default", "default-2cpus", "d64-96-8cpus"])
+def test_sweep_builds_every_table_and_verdict_in_its_head_start(
+    capsys, tmp_path, monkeypatch, grid, cpus
+):
+    # a head start that silently stopped working would leave the work to
+    # the counts, with the same bytes
+    log = tmp_path / "outside.log"
+    _built_outside_prepare(monkeypatch, log)
+    helpers.pin_cpus(monkeypatch, cpus)
+    threads = helpers.count_calls(monkeypatch, pontgap.sweep, "_build_table_on")
+    code = main(["sweep", *grid, "--out", str(tmp_path / "grid.csv")])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert helpers.logged(log) == {}
+    # this process's table threads, where the grid has them
+    assert len(threads) == (2 if grid else 0)
     helpers.assert_no_children()
 
 
