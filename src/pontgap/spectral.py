@@ -28,16 +28,19 @@ each batch, and each table thread one operator on a CPU the sweep leaves
 idle, as a head start only: what it fails to build, a count builds
 alone.  All store through the operator's thread-safe memo, and a table or
 verdict is bitwise the same wherever it is built, so the output does not
-depend on where.  All
-tables go through :func:`_build_tables`: one stacked ``eig`` per order,
-one stacked SVD per order and number of owned eigenvectors, and one call
-of the inertia routine, whose bases may lie in different spaces and which
-stacks one values-only ``eigvalsh`` per order and basis width, since a
-count reads no eigenvector (for one generic operator, one ``eig``, one
-SVD and one ``eigvalsh``;
+depend on where.  All tables go through :func:`_build_tables`: one
+stacked ``eig`` per order, one stacked SVD per order and number of owned
+eigenvectors, and one call of the inertia routine, whose bases may lie
+in different spaces and which stacks one values-only ``eigvalsh`` per
+order and basis width, since a count reads no eigenvector (for one
+generic operator, one ``eig``, one SVD and one ``eigvalsh``;
 :func:`~pontgap.indefinite.subspace_inertia` runs the same routine on one
-basis).  Window counts are sums of table rows, checked once per operator (see :func:`gap_inertia`); an operator whose spectrum
-is all its callers read never builds the table.
+basis).  Window counts are sums of table rows, checked once per operator
+(see :func:`gap_inertia`); an operator whose spectrum is all its callers
+read never builds the table.  Where the check holds, :func:`row_sums`
+gives the running sums of the real rows in ``real_re`` order, and
+:func:`~pontgap.theorem.sweep_counts` counts each sweep window between
+adjacent cuts as the difference of two of them.
 
 :func:`selection`, behind every count and every gap and complement
 subspace, first asks the operator for one shared ``eig`` call
@@ -616,6 +619,27 @@ def _rows_add_up(op, tol) -> bool:
 def _additive(op, tol) -> bool:
     """The verdict of :func:`_rows_add_up` for ``op`` and ``tol``, memoized."""
     return op._cached(("additive", tol.rel, tol.abs), _rows_add_up, op, tol)
+
+
+def row_sums(op: JSelfadjointOperator, tol: Tolerance) -> list[tuple[int, int, int]] | None:
+    """Running sums of the operator's real table rows in ``Spectrum.real_re``
+    order, or ``None`` where the rows do not add up (see :func:`_additive`).
+
+    Entry k is the (dimension, signature, negative count) of the first k
+    real rows, so a window whose real entries are those at positions lo to
+    hi - 1 counts the difference of entries hi and lo, as
+    :func:`gap_inertia` sums them.
+    """
+    if not _additive(op, tol):
+        return None
+    inertias = _table(op, tol).inertias
+    dim = sig = minus = 0
+    sums = [(0, 0, 0)]
+    for i in spectrum(op).real_indices:
+        row = inertias[i]
+        dim, sig, minus = dim + row.dim, sig + row.sig, minus + row.minus
+        sums.append((dim, sig, minus))
+    return sums
 
 
 def gap_inertia(

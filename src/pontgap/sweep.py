@@ -5,6 +5,10 @@ checks both bounds on each of its windows (see
 :func:`~pontgap.theorem.sweep_windows`) and returns the CSV rows, the
 summary's cells and the instance files of the windows that break a bound.
 It writes no file and prints nothing; ``pontgap sweep`` is its printer.
+A pair's windows are counted in one pass
+(:func:`~pontgap.theorem.sweep_counts`): the whole line is verified as
+such, and each window between adjacent cuts is a difference of running
+sums of the spectral table's rows.
 
 The sweep spreads its grid over the CPUs of the affinity mask: W shares
 of (d, kappa, seed) groups, one per CPU up to the number of groups, each
@@ -40,7 +44,7 @@ from .instancefile import InstanceRecord, dumps_instance, format_float, interval
 from .linalg import DEFAULT_TOL, Tolerance
 from .perturbation import OperatorPair
 from .spectral import Interval, prepare
-from .theorem import sweep_windows, verify_main_theorem
+from .theorem import sweep_counts
 
 __all__ = ["CSV_HEADER", "pair_record", "sweep_grid"]
 
@@ -122,35 +126,33 @@ def sweep_grid(cells, tol: Tolerance = DEFAULT_TOL) -> tuple[str, list, list]:
     ], dumps
 
 
-def _csv_endpoint(x: float) -> str:
-    if math.isinf(x):
-        return "-inf" if x < 0 else "+inf"
-    return format_float(x)
-
-
 def _pair_result(cfg: GenConfig, pair: OperatorPair, tol: Tolerance) -> tuple:
     """``(text, rows, min_slack, (lower, upper), dumps)`` of ``pair``, drawn
     for ``cfg``: its CSV rows, rendered and each ending in a newline, and
     their number; the least slack of its rows, and the window of the first
     row with it; and the instance files of its windows that break a bound.
-    This is plain data, which a forked worker pickles."""
-    d, space, n = cfg.dim, pair.space, pair.n
+    This is plain data, which a forked worker pickles.
+
+    The rows render the integers of :func:`~pontgap.theorem.sweep_counts`
+    behind the pair's ``d,kplus,kminus,n,`` head, built once, and the
+    window's ends, each cut formatted once.
+    """
+    space = pair.space
+    cuts, counts = sweep_counts(pair, tol)
+    head = f"{cfg.dim},{space.kappa_plus},{space.kappa_minus},{pair.n},"
+    ends = [-math.inf, *cuts, math.inf]
+    labels = ["-inf", *map(format_float, cuts), "+inf"]
+    # the whole line, then each window between adjacent ends; without a cut
+    # the whole line is the only window
+    spans = [(0, len(ends) - 1), *((k, k + 1) for k in range(len(ends) - 1))]
     rows, dumps, least, attained = [], [], None, None
-    # sweep_windows opens with the whole line, so every cell gets a row
-    for interval in sweep_windows(pair):
-        report = verify_main_theorem(pair, interval, tol)
-        lower, upper, slack = interval.lower, interval.upper, report.slack
-        rows.append(",".join(map(str, (
-            d, space.kappa_plus, space.kappa_minus, n,
-            _csv_endpoint(lower), _csv_endpoint(upper),
-            report.eig1, report.eig2, report.sig1, report.sig2, slack,
-        ))))
+    for (lo, hi), (eig1, eig2, sig1, sig2, slack, all_hold) in zip(spans, counts):
+        rows.append(f"{head}{labels[lo]},{labels[hi]},{eig1},{eig2},{sig1},{sig2},{slack}")
         if least is None or slack < least:
-            least, attained = slack, (lower, upper)
-        if not report.all_hold:
-            dumps.append(dumps_instance(pair_record(
-                pair, interval, f"violation-d{d}-k{cfg.kappa_minus}"
-                                f"-n{cfg.pert_rank}-seed{cfg.seed}")))
+            least, attained = slack, (ends[lo], ends[hi])
+        if not all_hold:
+            name = f"violation-d{cfg.dim}-k{cfg.kappa_minus}-n{cfg.pert_rank}-seed{cfg.seed}"
+            dumps.append(dumps_instance(pair_record(pair, Interval(ends[lo], ends[hi]), name)))
     return "\n".join(rows) + "\n", len(rows), least, attained, dumps
 
 

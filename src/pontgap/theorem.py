@@ -8,17 +8,20 @@ endpoints ambiguity:
 * the eigenvalue counts differ by at most ``n + 2 * kappa``.
 
 :func:`verify_main_theorem` evaluates both inequalities and the two
-refinements on a concrete pair.  :func:`proof_witness`
-re-enacts the argument behind them: it picks an inner interval, splits
-each operator's space by the sign of the gap form inside and outside,
-and exhibits the subspace whose dimension is pinched between the two
-counts.  Every object in the witness is a concrete matrix, so each
-inequality is checked, not inferred.
+refinements on a concrete pair, and :func:`sweep_counts` on every window
+of :func:`sweep_windows` at once, from running sums of the spectral
+tables' rows; both decide them through one function, ``_bounds``.
+:func:`proof_witness` re-enacts the argument behind them: it picks an
+inner interval, splits each operator's space by the sign of the gap form
+inside and outside, and exhibits the subspace whose dimension is pinched
+between the two counts.  Every object in the witness is a concrete
+matrix, so each inequality is checked, not inferred.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import linalg
@@ -40,6 +43,7 @@ from .spectral import (
     gap_inertia,
     gap_subspace,
     restrict_operator,
+    row_sums,
     selection,
     spectrum,
 )
@@ -140,6 +144,25 @@ class WitnessReport:
         )
 
 
+def _bounds(n, kappa_plus, kappa_minus, eig1, eig2, sig1, sig2, equal_kappa):
+    """``(slack, min_kappa_bound, sig, eig, equal_kappa, min_kappa)`` of one
+    window: the slack ``n + 2 kappa - |eig1 - eig2|``, the bound
+    ``n + 2 min(kappa_plus, kappa_minus)``, and whether the signature,
+    count, equal-kappa and min-kappa bounds hold, ``equal_kappa`` telling
+    whether both gap subspaces carry the same number of negative squares.
+    The one place the bounds are written."""
+    diff = abs(eig1 - eig2)
+    min_kappa_bound = n + 2 * min(kappa_plus, kappa_minus)
+    return (
+        n + 2 * kappa_minus - diff,
+        min_kappa_bound,
+        abs(sig2 - sig1) <= n,
+        diff <= n + 2 * kappa_minus,
+        not equal_kappa or diff <= n,
+        diff <= min_kappa_bound,
+    )
+
+
 def verify_main_theorem(
     pair: OperatorPair, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> GapReport:
@@ -147,32 +170,31 @@ def verify_main_theorem(
     space = pair.space
     in1 = gap_inertia(pair.op1, interval, tol)
     in2 = gap_inertia(pair.op2, interval, tol)
-    eig1, eig2 = in1.dim, in2.dim
-    sig1, sig2 = in1.sig, in2.sig
-    n, kappa = pair.n, space.kappa_minus
-    diff = abs(eig1 - eig2)
+    n, eig1, eig2, sig1, sig2 = pair.n, in1.dim, in2.dim, in1.sig, in2.sig
     equal_kappa = in1.minus == in2.minus
-    min_kappa_bound = n + 2 * min(space.kappa_plus, space.kappa_minus)
+    slack, min_kappa_bound, sig_holds, eig_holds, equal_kappa_holds, min_kappa_holds = (
+        _bounds(n, space.kappa_plus, space.kappa_minus, eig1, eig2, sig1, sig2, equal_kappa)
+    )
     return GapReport._of_fields(
         interval=interval,
         n=n,
-        kappa=kappa,
+        kappa=space.kappa_minus,
         eig1=eig1,
         eig2=eig2,
         sig1=sig1,
         sig2=sig2,
         inertia1=in1,
         inertia2=in2,
-        sig_bound_holds=abs(sig2 - sig1) <= n,
-        eig_bound_holds=diff <= n + 2 * kappa,
+        sig_bound_holds=sig_holds,
+        eig_bound_holds=eig_holds,
         equal_kappa_applicable=equal_kappa,
-        equal_kappa_bound_holds=(not equal_kappa) or diff <= n,
+        equal_kappa_bound_holds=equal_kappa_holds,
         positive_type=(
             in1.minus == 0 and in1.zero == 0 and in2.minus == 0 and in2.zero == 0
         ),
         min_kappa_bound=min_kappa_bound,
-        min_kappa_bound_holds=diff <= min_kappa_bound,
-        slack=n + 2 * kappa - diff,
+        min_kappa_bound_holds=min_kappa_holds,
+        slack=slack,
     )
 
 
@@ -251,8 +273,10 @@ def choose_delta_prime(pair: OperatorPair, interval: Interval) -> Interval:
     )
 
 
-def sweep_windows(pair: OperatorPair) -> list[Interval]:
-    """Full line plus the cuts between well-separated joint eigenvalues."""
+def _sweep_cuts(pair: OperatorPair) -> list[float]:
+    """The cuts between well-separated joint eigenvalues, ascending: each
+    keeps ``SWEEP_MARGIN_FACTOR`` times the larger endpoint guard from both
+    spectra."""
     ops = (pair.op1, pair.op2)
     guard = max(Tolerance.ENDPOINT_GUARD_SCALE * op.scale for op in ops)
     margin = Tolerance.SWEEP_MARGIN_FACTOR * guard
@@ -263,12 +287,64 @@ def sweep_windows(pair: OperatorPair) -> list[Interval]:
         if all(clear_of(op, cut, margin) for op in ops):
             if not cuts or cut - cuts[-1] > Tolerance.SWEEP_CUT_SCALE * max(1.0, abs(cut)):
                 cuts.append(cut)
+    return cuts
+
+
+def sweep_windows(pair: OperatorPair) -> list[Interval]:
+    """Full line plus the cuts between well-separated joint eigenvalues."""
     intervals = [Interval(-math.inf, math.inf)]
-    if cuts:
-        intervals.append(Interval(-math.inf, cuts[0]))
-        intervals.extend(Interval(a, b) for a, b in zip(cuts, cuts[1:]))
-        intervals.append(Interval(cuts[-1], math.inf))
+    ends = [-math.inf, *_sweep_cuts(pair), math.inf]
+    if len(ends) > 2:
+        intervals.extend(Interval(a, b) for a, b in zip(ends, ends[1:]))
     return intervals
+
+
+def sweep_counts(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> tuple[list, list]:
+    """``(cuts, counts)``: the cuts of :func:`sweep_windows`, ascending, and
+    per window in its order ``(eig1, eig2, sig1, sig2, slack, all_hold)``,
+    as :func:`verify_main_theorem` reports them.
+
+    The whole line, the first window, is verified as such.  Where both
+    operators' rows add up (see :func:`~pontgap.spectral.row_sums`), each
+    other window counts the difference of two running sums at the
+    positions of its ends, each cut bisected once per operator: a cut
+    keeps a hundred endpoint guards from both spectra, so no entry is on
+    or near it and :func:`~pontgap.spectral.selection` would find what the
+    bisect finds.  Otherwise each window is verified as such.
+    """
+    cuts = _sweep_cuts(pair)
+    counts = [_counts(verify_main_theorem(pair, Interval(-math.inf, math.inf), tol))]
+    if not cuts:
+        return cuts, counts
+    ops = (pair.op1, pair.op2)
+    sums = [row_sums(op, tol) for op in ops]
+    if None in sums:
+        ends = [-math.inf, *cuts, math.inf]
+        counts += [_counts(verify_main_theorem(pair, Interval(a, b), tol))
+                   for a, b in zip(ends, ends[1:])]
+        return cuts, counts
+    n, kappa_plus, kappa_minus = pair.n, pair.space.kappa_plus, pair.space.kappa_minus
+    rows1, rows2 = (_window_rows(op, op_sums, cuts) for op, op_sums in zip(ops, sums))
+    for (eig1, sig1, minus1), (eig2, sig2, minus2) in zip(rows1, rows2):
+        slack, _, *holds = _bounds(n, kappa_plus, kappa_minus, eig1, eig2, sig1, sig2,
+                                   minus1 == minus2)
+        counts.append((eig1, eig2, sig1, sig2, slack, all(holds)))
+    return cuts, counts
+
+
+def _counts(report: GapReport) -> tuple[int, int, int, int, int, bool]:
+    return (report.eig1, report.eig2, report.sig1, report.sig2, report.slack,
+            report.all_hold)
+
+
+def _window_rows(op, sums, cuts) -> list[tuple[int, int, int]]:
+    """The (dimension, signature, negative count) of ``op``'s gap subspace
+    on each window between adjacent ``-inf``, ``cuts`` and ``+inf``, from
+    its running sums ``sums`` at the position of each cut among its real
+    entries."""
+    real_re = spectrum(op).real_re
+    marks = [sums[0], *(sums[bisect_left(real_re, cut)] for cut in cuts), sums[-1]]
+    return [(e - e0, s - s0, m - m0) for (e0, s0, m0), (e, s, m) in zip(marks, marks[1:])]
 
 
 def _sign_split(op, sub: Subspace, a: float, b: float, decompose, tol):

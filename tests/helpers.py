@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pontgap.sweep
+import pontgap.theorem
 from pontgap import make_pair, validate_operator, validate_space
 
 
@@ -105,3 +106,15 @@ def logged(path):
             pid, value = line.split(" ", 1)
             found.setdefault(int(pid), []).append(value)
     return found
+
+
+def break_count_bound(monkeypatch):
+    """Every window of every pair breaks the count bound: the one function
+    that decides the bounds, ``pontgap.theorem._bounds``, says so."""
+    real = pontgap.theorem._bounds
+
+    def broken(*args):
+        slack, min_kappa_bound, sig, _, equal_kappa, min_kappa = real(*args)
+        return slack, min_kappa_bound, sig, False, equal_kappa, min_kappa
+
+    monkeypatch.setattr(pontgap.theorem, "_bounds", broken)

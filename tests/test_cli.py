@@ -27,8 +27,8 @@ from pontgap.gen import GenConfig, random_operator, random_pair, random_space
 from pontgap.instancefile import InstanceRecord, dumps_instance, parse_instance
 from pontgap.linalg import DEFAULT_TOL
 from pontgap.spectral import Interval
-from pontgap.sweep import CSV_HEADER, _csv_endpoint
-from pontgap.theorem import sweep_windows, verify_main_theorem
+from pontgap.sweep import CSV_HEADER
+from pontgap.theorem import sweep_windows
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -462,28 +462,6 @@ def test_sweep_summary_cells(capsys, tmp_path):
         }
 
 
-def test_sweep_dumps_violations(capsys, tmp_path, monkeypatch):
-    real = pontgap.sweep.verify_main_theorem
-
-    def sabotaged(pair, interval, tol):
-        return dataclasses.replace(
-            real(pair, interval, tol), eig_bound_holds=False
-        )
-
-    monkeypatch.setattr(pontgap.sweep, "verify_main_theorem", sabotaged)
-    out_path = tmp_path / "bad.csv"
-    code, out, err = _run(capsys, "sweep", "--dims", "2", "--kappas", "1",
-                          "--ranks", "1", "--seeds", "1",
-                          "--out", str(out_path))
-    assert code == 4
-    assert json.loads(out)["violations"] > 0
-    assert "bound violation dumped" in err
-    dump = tmp_path / "bad.violation0.json"
-    assert dump.exists()
-    record = parse_instance(dump.read_text())
-    assert record.name.startswith("violation-d2-k1-n1")
-
-
 def test_sweep_skips_cells_outside_the_grid(capsys, tmp_path):
     # kappa 3 and n 4 fit no d = 2 instance, n 4 no d = 3 one
     out_path = tmp_path / "skip.csv"
@@ -496,32 +474,6 @@ def test_sweep_skips_cells_outside_the_grid(capsys, tmp_path):
         (0, 0, 7), (3, 0, 4),
     ]
     assert len(out_path.read_text().splitlines()) == 1 + 11
-
-
-def test_sweep_equals_its_cell_by_cell_build(capsys, tmp_path):
-    # repeated and unsorted grid values; every cell draws its own J and A1,
-    # and the sweep builds the tables of many pairs of mixed orders together
-    dims, kappas, ranks, seeds, base = (3, 12, 2, 7, 3), (1, 3, 0, 1), (2, 0, 3), 3, 7
-    out_path = tmp_path / "grid.csv"
-    code, _, _ = _run(capsys, "sweep", "--dims", "3,12,2,7,3", "--kappas", "1,3,0,1",
-                      "--ranks", "2,0,3", "--seeds", str(seeds),
-                      "--seed", str(base), "--out", str(out_path))
-    assert code == 0
-    expected = [CSV_HEADER]
-    for d, kappa, rank, offset in itertools.product(dims, kappas, ranks, range(seeds)):
-        if kappa > d or rank > d:
-            continue
-        cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=base + offset)
-        space = random_space(cfg)
-        pair = random_pair(space, cfg)
-        for interval in sweep_windows(pair):
-            r = verify_main_theorem(pair, interval)
-            expected.append(",".join(map(str, (
-                d, space.kappa_plus, space.kappa_minus, pair.n,
-                _csv_endpoint(interval.lower), _csv_endpoint(interval.upper),
-                r.eig1, r.eig2, r.sig1, r.sig2, r.slack,
-            ))))
-    assert out_path.read_text().splitlines() == expected
 
 
 def _count_runs(monkeypatch):
@@ -622,7 +574,8 @@ def test_sweep_on_two_cpus_batches_each_workers_pairs_alone(capsys, tmp_path, mo
 
 _GRIDS = {
     "default": (),
-    # repeated and unsorted values, as in test_sweep_equals_its_cell_by_cell_build
+    # repeated and unsorted values, as in
+    # tests/test_sweep.py::test_sweep_equals_its_cell_by_cell_build
     "mixed": ("--dims", "3,12,2,7,3", "--kappas", "1,3,0,1", "--ranks", "2,0,3",
               "--seeds", "3", "--seed", "7"),
 }
@@ -646,31 +599,6 @@ def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(capsys, tmp_path, mon
         runs.clear()
         helpers.assert_no_children()
     assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_sweep_dumps_the_same_violations_on_any_number_of_cpus(capsys, tmp_path, monkeypatch):
-    real = pontgap.sweep.verify_main_theorem
-
-    def sabotaged(pair, interval, tol):
-        return dataclasses.replace(
-            real(pair, interval, tol), eig_bound_holds=False
-        )
-
-    monkeypatch.setattr(pontgap.sweep, "verify_main_theorem", sabotaged)
-    out_path = tmp_path / "bad.csv"
-    dumps = []
-    for cpus in (1, 2, 4):
-        helpers.pin_cpus(monkeypatch, cpus)
-        code, out, err = _run(capsys, "sweep", "--dims", "2,3", "--kappas", "1",
-                              "--ranks", "0,1", "--seeds", "2", "--out", str(out_path))
-        assert code == 4
-        written = sorted(tmp_path.glob("bad.violation*.json"))
-        assert len(written) == json.loads(out)["violations"] > 4
-        dumps.append((out, err, [(p.name, p.read_bytes()) for p in written]))
-        for path in written:
-            path.unlink()
-        helpers.assert_no_children()
-    assert dumps[0] == dumps[1] == dumps[2]
 
 
 def _reference_cells(csv_text, dims, kappas, ranks, seeds, base):

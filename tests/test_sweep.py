@@ -1,9 +1,9 @@
 """The sweep engine as a library: ``pontgap.sweep.sweep_grid`` and its shares."""
 
 import collections
-import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 import threading
@@ -14,22 +14,26 @@ import helpers
 import pontgap.gen
 import pontgap.spectral
 import pontgap.sweep
+import pontgap.theorem
 from pontgap.cli import main
-from pontgap.instancefile import parse_instance
+from pontgap.gen import GenConfig, random_pair, random_space
+from pontgap.instancefile import format_float, parse_instance
 from pontgap.linalg import DEFAULT_TOL
 from pontgap.sweep import CSV_HEADER, sweep_grid
+from pontgap.theorem import sweep_windows, verify_main_theorem
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("sabotage", [False, True], ids=["holds", "violated"])
 def test_sweep_grid_returns_what_the_cli_writes_and_prints(capsys, tmp_path, monkeypatch,
                                                            sabotage):
     if sabotage:
-        real = pontgap.sweep.verify_main_theorem
-
-        def sabotaged(pair, interval, tol):
-            return dataclasses.replace(real(pair, interval, tol), eig_bound_holds=False)
-
-        monkeypatch.setattr(pontgap.sweep, "verify_main_theorem", sabotaged)
+        helpers.break_count_bound(monkeypatch)
     monkeypatch.chdir(tmp_path)
     cells = [(d, 1, rank, seed) for d in (2, 3) for rank in (0, 1) for seed in (0, 1)]
     csv, summary, dumps = sweep_grid(cells)
@@ -53,7 +57,7 @@ def test_sweep_grid_returns_what_the_cli_writes_and_prints(capsys, tmp_path, mon
     helpers.assert_no_children()
 
 
-#: the grid of tests/test_cli.py::test_sweep_equals_its_cell_by_cell_build,
+#: the grid of test_sweep_equals_its_cell_by_cell_build,
 #: with repeated and unsorted values and pairs of mixed orders in one batch
 _MIXED_CELLS = [
     (d, kappa, rank, 7 + offset)
@@ -206,3 +210,79 @@ def test_sweep_grid_gives_each_cell_its_rows_in_any_order(monkeypatch, tmp_path,
     ]
     assert dumps == []
     helpers.assert_no_children()
+
+
+def test_sweep_dumps_violations(capsys, tmp_path, monkeypatch):
+    helpers.break_count_bound(monkeypatch)
+    out_path = tmp_path / "bad.csv"
+    code, out, err = _run(capsys, "sweep", "--dims", "2", "--kappas", "1",
+                          "--ranks", "1", "--seeds", "1",
+                          "--out", str(out_path))
+    assert code == 4
+    assert json.loads(out)["violations"] > 0
+    assert "bound violation dumped" in err
+    dump = tmp_path / "bad.violation0.json"
+    assert dump.exists()
+    record = parse_instance(dump.read_text())
+    assert record.name.startswith("violation-d2-k1-n1")
+
+
+def test_sweep_dumps_the_same_violations_on_any_number_of_cpus(capsys, tmp_path, monkeypatch):
+    helpers.break_count_bound(monkeypatch)
+    out_path = tmp_path / "bad.csv"
+    dumps = []
+    for cpus in (1, 2, 4):
+        helpers.pin_cpus(monkeypatch, cpus)
+        code, out, err = _run(capsys, "sweep", "--dims", "2,3", "--kappas", "1",
+                              "--ranks", "0,1", "--seeds", "2", "--out", str(out_path))
+        assert code == 4
+        written = sorted(tmp_path.glob("bad.violation*.json"))
+        assert len(written) == json.loads(out)["violations"] > 4
+        dumps.append((out, err, [(p.name, p.read_bytes()) for p in written]))
+        for path in written:
+            path.unlink()
+        helpers.assert_no_children()
+    assert dumps[0] == dumps[1] == dumps[2]
+
+
+def _csv_endpoint(x: float) -> str:
+    if math.isinf(x):
+        return "-inf" if x < 0 else "+inf"
+    return format_float(x)
+
+
+def test_sweep_equals_its_cell_by_cell_build(capsys, tmp_path):
+    # repeated and unsorted grid values; every cell draws its own J and A1,
+    # and the sweep builds the tables of many pairs of mixed orders together
+    dims, kappas, ranks, seeds, base = (3, 12, 2, 7, 3), (1, 3, 0, 1), (2, 0, 3), 3, 7
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = _run(capsys, "sweep", "--dims", "3,12,2,7,3", "--kappas", "1,3,0,1",
+                      "--ranks", "2,0,3", "--seeds", str(seeds),
+                      "--seed", str(base), "--out", str(out_path))
+    assert code == 0
+    expected = [CSV_HEADER]
+    for d, kappa, rank, offset in itertools.product(dims, kappas, ranks, range(seeds)):
+        if kappa > d or rank > d:
+            continue
+        cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=base + offset)
+        space = random_space(cfg)
+        pair = random_pair(space, cfg)
+        for interval in sweep_windows(pair):
+            r = verify_main_theorem(pair, interval)
+            expected.append(",".join(map(str, (
+                d, space.kappa_plus, space.kappa_minus, pair.n,
+                _csv_endpoint(interval.lower), _csv_endpoint(interval.upper),
+                r.eig1, r.eig2, r.sig1, r.sig2, r.slack,
+            ))))
+    assert out_path.read_text().splitlines() == expected
+
+
+def test_one_cpu_default_sweep_verifies_each_pair_once(capsys, tmp_path, monkeypatch):
+    # the whole line; every other window is a difference of running sums
+    helpers.pin_cpus(monkeypatch, 1)
+    calls = helpers.count_calls(monkeypatch, pontgap.theorem, "verify_main_theorem")
+    code = main(["sweep", "--out", str(tmp_path / "default.csv")])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(calls) == summary["instances"] == 180
+    assert summary["rows"] > 2 * 180

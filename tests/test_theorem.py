@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,16 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+import pontgap.spectral
 from pontgap.errors import DeltaPrimeSearchError
-from pontgap.gen import builtin_fixtures
+from pontgap.gen import GenConfig, builtin_fixtures, random_pair, random_space
 from pontgap.indefinite import Inertia, validate_space
-from pontgap.linalg import Tolerance
+from pontgap.linalg import DEFAULT_TOL, Tolerance
 from pontgap.perturbation import make_pair
-from pontgap.spectral import Interval, spectrum, validate_operator
+from pontgap.spectral import Interval, row_sums, spectrum, validate_operator
 from pontgap.theorem import (
     GapReport,
     choose_delta_prime,
     proof_witness,
+    sweep_counts,
+    sweep_windows,
     verify_main_theorem,
 )
 
@@ -60,6 +65,76 @@ def test_reports_match_fixture_expectations():
             "sig1": r.sig1, "sig2": r.sig2, "slack": r.slack,
         }
         assert got == fix.expected
+
+
+# ---------------------------------------------------------------------------
+# sweep_counts: each pair's windows from running sums of its table rows
+
+
+@pytest.fixture(scope="module", params=["fixtures", *range(1, 13), 32, 96],
+                ids=lambda case: case if isinstance(case, str) else f"d{case}")
+def pairs(request):
+    """The builtin fixtures' pairs, or the generated pairs of one order d:
+    kappa 0-3, ranks 0-3, seeds 0-2.  Below example1's first cut the counts
+    are 2 and 0 with n = 1, which only unequal negative counts keep within
+    the equal-kappa bound; no generated window has |eig1 - eig2| > n."""
+    d = request.param
+    if d == "fixtures":
+        return [fixture.pair for fixture in builtin_fixtures()]
+    return [
+        random_pair(random_space(cfg), cfg)
+        for kappa, rank, seed in itertools.product(range(4), range(4), range(3))
+        if kappa <= d and rank <= d
+        for cfg in [GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)]
+    ]
+
+
+def _folded(pair):
+    """Each window's (lower, upper, eig1, eig2, sig1, sig2, slack, all_hold)
+    as sweep_counts gives them: the whole line, then, if there is a cut,
+    each window between adjacent ends."""
+    cuts, counts = sweep_counts(pair)
+    ends = [-math.inf, *cuts, math.inf]
+    windows = [(-math.inf, math.inf), *(zip(ends, ends[1:]) if cuts else ())]
+    assert len(windows) == len(counts)
+    return [(*window, *count) for window, count in zip(windows, counts)]
+
+
+def _per_window(pair):
+    """The same, from each window of sweep_windows verified as such."""
+    return [
+        (w.lower, w.upper, r.eig1, r.eig2, r.sig1, r.sig2, r.slack, r.all_hold)
+        for w in sweep_windows(pair)
+        for r in [verify_main_theorem(pair, w)]
+    ]
+
+
+def test_sweep_counts_equal_each_window_verified_as_such(pairs, monkeypatch):
+    expected = [_per_window(pair) for pair in pairs]
+    assert [_folded(pair) for pair in pairs] == expected
+    # where the rows do not add up, the fold verifies each window as such
+    monkeypatch.setattr(pontgap.spectral, "_rows_add_up", lambda op, tol: False)
+    twins = [
+        make_pair(validate_operator(pair.space, pair.op1.matrix),
+                  validate_operator(pair.space, pair.op2.matrix))
+        for pair in pairs
+    ]
+    assert [_folded(twin) for twin in twins] == expected
+    assert all(row_sums(op, DEFAULT_TOL) is None for twin in twins for op in (twin.op1, twin.op2))
+
+
+def test_every_sweep_cut_clears_both_spectra_by_each_endpoint_guard(pairs):
+    # so the fold may skip selection's endpoint guard: no entry is near a cut
+    cuts = 0
+    for pair in pairs:
+        ops = (pair.op1, pair.op2)
+        values = [entry.value for op in ops for entry in spectrum(op).entries]
+        for window in sweep_windows(pair)[2:]:
+            cuts += 1
+            for op in ops:
+                guard = Tolerance.ENDPOINT_GUARD_SCALE * op.scale
+                assert all(abs(value - window.lower) > guard for value in values)
+    assert cuts > 0
 
 
 # ---------------------------------------------------------------------------
