@@ -5,60 +5,52 @@ Hermitian.  Its spectrum is closed under conjugation; eigenvalue counts
 over an open real interval are taken with algebraic multiplicity, via
 the dimension of the corresponding sum of root subspaces.
 
-Each operator memoizes, with lock-free reads, its eigendecomposition
-(the raw eigenvalues, which the generator's margin check reads too, with
-the eigenvectors where one ``eig`` call gave both) and its clustered
-spectrum, both whatever the tolerance, and, per tolerance, a spectral
-table: a root basis per eigenvalue and, per real eigenvalue, the
-inertia of the Gram form on it.  The spectrum clusters the raw values
-within a band of ``CLUSTERING_SCALE`` times the operator's ``scale``,
-so it takes no norm of its own.  It, the window searches and the
-gap-form splits read only bands, the class constants of
-:class:`~pontgap.linalg.Tolerance`, and take no tolerance: ``rel`` and
-``abs`` reach the table's rank cuts and the checks that take a ``tol``.
-The table needs the eigenvectors, then the span of the eigenvectors
-each entry owns, kernel SVDs where an eigenvalue is
-defective, and the inertias of its real root bases from the package's
-one inertia routine.  A count reads its operator's table through
-:func:`_table`, which builds it alone where none is memoized, and its
-verdict through :func:`_additive`; :func:`prepare`, all that
-:mod:`pontgap.sweep` asks of this module, memoizes both for several
-operators, building their missing tables together.  The sweep prepares
-each batch, and each table thread one operator on a CPU the sweep leaves
-idle, as a head start only: what it fails to build, a count builds
-alone.  All store through the operator's thread-safe memo, and a table or
-verdict is bitwise the same wherever it is built, so the output does not
-depend on where.  All tables go through :func:`_build_tables`: one
-stacked ``eig`` per order, one stacked SVD per order and number of owned
-eigenvectors, and one call of the inertia routine, whose bases may lie
-in different spaces and which stacks one values-only ``eigvalsh`` per
-order and basis width, since a count reads no eigenvector (for one
-generic operator, one ``eig``, one SVD and one ``eigvalsh``;
-:func:`~pontgap.indefinite.subspace_inertia` runs the same routine on one
-basis).  Window counts are sums of table rows, checked once per operator
-(see :func:`gap_inertia`); an operator whose spectrum is all its callers
-read never builds the table.  Where the check holds, :func:`row_sums`
-gives the running sums of the real rows in ``real_re`` order, and
-:func:`~pontgap.theorem.sweep_counts` counts each sweep window between
-adjacent cuts as the difference of two of them.
+Each operator memoizes, with lock-free reads, four things: its
+eigendecomposition (the raw eigenvalues, which the generator's margin
+check reads too, with the eigenvectors where one ``eig`` call gave
+both) and its clustered spectrum, both whatever the tolerance, and, per
+tolerance, a spectral table and the verdict of :func:`_additive`.  The
+spectrum clusters the raw values within a band of ``CLUSTERING_SCALE``
+times the operator's ``scale``, so it takes no norm of its own.  It, the
+window searches and the gap-form splits read only bands, the class
+constants of :class:`~pontgap.linalg.Tolerance`, and take no tolerance:
+``rel`` and ``abs`` reach the table's rank cuts and the checks that take
+a ``tol``.  The memo never changes any result.
 
-:func:`selection`, behind every count and every gap and complement
-subspace, first asks the operator for one shared ``eig`` call
+One rule decides what every window counts: :func:`positions` places
+each end among the real entries, treating an entry within the exact band
+of an end as on it and raising for one within the guard band.
+:func:`selection`, behind every gap and complement subspace, and
+:func:`window_counts`, behind every count, read it.  The spectrum
+carries its own sorted keys, so both bisect instead of scanning.
+
+The table holds a root basis per eigenvalue and, per real eigenvalue,
+the inertia of the Gram form on it, with the running sums of those rows
+in ``real_re`` order.  A window's inertia is the difference of two
+running sums where the rows add up, checked once per operator against
+their stacked union (:func:`_additive`); otherwise the window's union
+is stacked and counted.  A count reads its operator's table through
+:func:`_table`, which builds it alone where none is memoized;
+:func:`prepare`, all that :mod:`pontgap.sweep` asks of this module,
+memoizes tables and verdicts for several operators, building the missing
+tables together.  The sweep prepares each batch, and each table thread
+one operator on a CPU the sweep leaves idle, as a head start only: what
+it fails to build, a count builds alone.  A table or verdict is bitwise
+the same wherever it is built.  All tables go through
+:func:`_build_tables`: one stacked ``eig`` per order, one stacked SVD
+per order and number of owned eigenvectors, kernel SVDs where an
+eigenvalue is defective, and one call of the package's inertia routine,
+which stacks one values-only ``eigvalsh`` per order and basis width.
+
+A count first asks the operator for one shared ``eig`` call
 (:meth:`JSelfadjointOperator.share_eig`): up to order
 ``SHARED_EIG_MAX_DIM`` it gives both the raw eigenvalues and the table's
-eigenvectors.  Otherwise the raw eigenvalues come from one ``eigvals``
-call, and the table's eigenvectors from the stacked ``eig`` call of its
-build: above that order, and where the raw eigenvalues were memoized
-first (by a margin check or a printed spectrum).  All go through one
-wrapper, so a failed iteration raises the same error at every order.
-The memo thus holds four things: the eigendecomposition, one entry of
-the raw eigenvalues with the shared eigenvectors or ``None``; the
-spectrum, which carries its own sorted keys; and, one of each per
-tolerance, the table and the verdict of that check, which
-:func:`_additive` reads or builds.  With the keys,
-:func:`selection` and :func:`clear_of` bisect instead of scanning: a
-window costs O(log m + k) for m entries, k of them near an endpoint or
-counted.  The memo never changes any result.
+eigenvectors.  Otherwise, and where the raw eigenvalues were memoized
+first (by a margin check or a printed spectrum), they come from one
+``eigvals`` call, and the eigenvectors from the table's stacked ``eig``.
+All go through one wrapper, so a failed iteration raises the same error
+at every order.  An operator whose spectrum is all its callers read
+never builds the table.
 """
 
 from __future__ import annotations
@@ -389,12 +381,15 @@ def clear_of(op: JSelfadjointOperator, x: float, margin: float) -> bool:
 @dataclass(frozen=True, eq=False)
 class _SpectralTable:
     """Per spectrum entry: orthonormal root basis and, if the entry is real,
-    its compressed-Gram inertia.  All bases are built at once, so a defective
-    root basis at any entry fails every count of the operator.  Tables
-    compare by identity."""
+    its compressed-Gram inertia; and the running sums of the real rows.  All
+    bases are built at once, so a defective root basis at any entry fails
+    every count of the operator.  Tables compare by identity."""
 
     bases: tuple[np.ndarray, ...]
     inertias: tuple[Inertia | None, ...]
+    #: entry k: the (plus, minus, zero) of the first k real rows in
+    #: ``Spectrum.real_re`` order, summed
+    sums: tuple[tuple[int, int, int], ...]
 
 
 def _root_basis(op, entry: Eigenvalue, start: np.ndarray, tol):
@@ -514,53 +509,76 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
     for op_bases in bases:
         for basis in op_bases:
             basis.setflags(write=False)
-    return [_SpectralTable(tuple(b), tuple(r)) for b, r in zip(bases, rows)]
+    return [
+        _SpectralTable(tuple(b), tuple(r), _running_sums(r)) for b, r in zip(bases, rows)
+    ]
+
+
+def _running_sums(rows) -> tuple[tuple[int, int, int], ...]:
+    """Entry k: the (plus, minus, zero) of the first k real ``rows``."""
+    plus = minus = zero = 0
+    sums = [(0, 0, 0)]
+    for row in rows:
+        if row is not None:
+            plus, minus, zero = plus + row.plus, minus + row.minus, zero + row.zero
+            sums.append((plus, minus, zero))
+    return tuple(sums)
+
+
+def positions(op: JSelfadjointOperator, points) -> list[tuple[int, int]]:
+    """``(below, through)`` for each of the ascending ``points``: how many
+    real entries, in ``Spectrum.real_re`` order, lie left of the point and
+    not on it, and how many lie left of it or on it.
+
+    The one rule of what a window counts: (a, b) counts the real entries
+    from position ``through(a)`` up to ``below(b)``, none where the window
+    is narrower than the entries on its ends.  An entry within the exact
+    band of a finite point is on it, as if indistinguishable at machine
+    resolution.  One within the guard band but not on it makes counting
+    over the points' span ill-posed: the ambiguous entry of lowest index
+    raises, at the lowest such point.  A count reads the table next, so
+    the spectrum comes from the shared ``eig`` call where the operator
+    allows one.
+    """
+    op.share_eig()
+    spec = spectrum(op)
+    entries, real_re, real_indices = spec.entries, spec.real_re, spec.real_indices
+    guard = Tolerance.ENDPOINT_GUARD_SCALE * op.scale
+    exact = Tolerance.ENDPOINT_EXACT_SCALE * op.scale
+    found = []
+    ambiguous = None  # (entry index, point, distance), lowest index first
+    for x in points:
+        below, through = bisect_left(real_re, x), bisect_right(real_re, x)
+        for idx in spec.near(x, guard):
+            dist = abs(entries[idx].value - x)
+            if dist <= exact:
+                if entries[idx].is_real:
+                    # the entries on x are adjacent in real_re order
+                    k = bisect_left(real_indices, idx)
+                    below, through = min(below, k), max(through, k + 1)
+            elif dist <= guard and (ambiguous is None or idx < ambiguous[0]):
+                ambiguous = (idx, x, dist)
+        found.append((below, through))
+    if ambiguous is not None:
+        idx, x, dist = ambiguous
+        raise EndpointInSpectrumError(
+            f"eigenvalue {entries[idx].value} lies within {dist:.3e} of "
+            f"endpoint {x}; counting over ({points[0]}, {points[-1]}) is ill-posed",
+            endpoint=x,
+            eigenvalue=entries[idx].value,
+            distance=dist,
+        )
+    return found
 
 
 def selection(
     op: JSelfadjointOperator, interval: Interval
 ) -> tuple[Spectrum, tuple[int, ...]]:
-    """The spectrum and the indices of its entries counted in the interval.
-
-    Raises when a finite endpoint falls ambiguously close to an
-    eigenvalue; an eigenvalue indistinguishable from the endpoint at
-    machine resolution is treated as sitting on it (hence outside).
-    A count reads the table next, so the spectrum comes from the shared
-    ``eig`` call where the operator allows one.
-    """
-    op.share_eig()
+    """The spectrum and the indices of its entries counted in the interval,
+    by the rule of :func:`positions`."""
+    (_, start), (stop, _) = positions(op, (interval.lower, interval.upper))
     spec = spectrum(op)
-    inside = spec.real_indices[
-        bisect_right(spec.real_re, interval.lower) : bisect_left(
-            spec.real_re, interval.upper
-        )
-    ]
-    endpoints = interval.finite_endpoints()
-    if not endpoints:
-        return spec, inside
-    guard = Tolerance.ENDPOINT_GUARD_SCALE * op.scale
-    exact = Tolerance.ENDPOINT_EXACT_SCALE * op.scale
-    on_endpoint = set()
-    ambiguous = None  # (entry index, endpoint, distance), lowest index first
-    for endpoint in endpoints:
-        for idx in spec.near(endpoint, guard):
-            dist = abs(spec.entries[idx].value - endpoint)
-            if dist <= exact:
-                on_endpoint.add(idx)
-            elif dist <= guard and (ambiguous is None or idx < ambiguous[0]):
-                ambiguous = (idx, endpoint, dist)
-    if ambiguous is not None:
-        idx, endpoint, dist = ambiguous
-        raise EndpointInSpectrumError(
-            f"eigenvalue {spec.entries[idx].value} lies within {dist:.3e} of "
-            f"endpoint {endpoint}; counting over {interval} is ill-posed",
-            endpoint=endpoint,
-            eigenvalue=spec.entries[idx].value,
-            distance=dist,
-        )
-    if not on_endpoint:
-        return spec, inside
-    return spec, tuple(i for i in inside if i not in on_endpoint)
+    return spec, spec.real_indices[start : max(start, stop)]
 
 
 def _union_basis(op, indices, tol) -> np.ndarray:
@@ -595,25 +613,17 @@ def complement_subspace(
     return Subspace(_union_basis(op, excluded, tol))
 
 
-def _row_sum(op, included, tol) -> Inertia:
-    inertias = _table(op, tol).inertias
-    plus = minus = zero = 0
-    for i in included:
-        row = inertias[i]
-        plus, minus, zero = plus + row.plus, minus + row.minus, zero + row.zero
-    return Inertia._of_counts(plus, minus, zero)
-
-
 def _rows_add_up(op, tol) -> bool:
     """Whether the real rows sum to the inertia of their stacked union.  If
     that union has full rank, so has every window's: a subset of its
     columns cannot have a smaller least singular value."""
+    rows = _table(op, tol).sums[-1]
     whole = Interval(-math.inf, math.inf)
-    rows = _row_sum(op, selection(op, whole)[1], tol)
     try:
-        return rows == subspace_inertia(op.space, gap_subspace(op, whole, tol))
+        union = subspace_inertia(op.space, gap_subspace(op, whole, tol))
     except NumericalDefectError:
         return False
+    return rows == (union.plus, union.minus, union.zero)
 
 
 def _additive(op, tol) -> bool:
@@ -621,41 +631,43 @@ def _additive(op, tol) -> bool:
     return op._cached(("additive", tol.rel, tol.abs), _rows_add_up, op, tol)
 
 
-def row_sums(op: JSelfadjointOperator, tol: Tolerance) -> list[tuple[int, int, int]] | None:
-    """Running sums of the operator's real table rows in ``Spectrum.real_re``
-    order, or ``None`` where the rows do not add up (see :func:`_additive`).
+def window_counts(
+    op: JSelfadjointOperator, ends, tol: Tolerance
+) -> list[tuple[int, int, int]]:
+    """The (plus, minus, zero) inertia of the Gram form on the gap subspace
+    of each window between adjacent ``ends``, which ascend.
 
-    Entry k is the (dimension, signature, negative count) of the first k
-    real rows, so a window whose real entries are those at positions lo to
-    hi - 1 counts the difference of entries hi and lo, as
-    :func:`gap_inertia` sums them.
+    Root subspaces of distinct real eigenvalues are J-orthogonal, so by
+    Sylvester's law a window's inertia is a sum of table rows, and the
+    difference of two running sums at the positions of its ends.  That is
+    checked once per operator on the whole real line; where the check
+    fails, each window's union is stacked and counted instead.
     """
+    marks = positions(op, ends)
+    spans = [(start, max(start, stop)) for (_, start), (stop, _) in zip(marks, marks[1:])]
     if not _additive(op, tol):
-        return None
-    inertias = _table(op, tol).inertias
-    dim = sig = minus = 0
-    sums = [(0, 0, 0)]
-    for i in spectrum(op).real_indices:
-        row = inertias[i]
-        dim, sig, minus = dim + row.dim, sig + row.sig, minus + row.minus
-        sums.append((dim, sig, minus))
-    return sums
+        real_indices = spectrum(op).real_indices
+        counts = []
+        for start, stop in spans:
+            basis = _union_basis(op, real_indices[start:stop], tol)
+            inertia = subspace_inertia(op.space, Subspace(basis))
+            counts.append((inertia.plus, inertia.minus, inertia.zero))
+        return counts
+    sums = _table(op, tol).sums
+    counts = []
+    for start, stop in spans:
+        (plus0, minus0, zero0), (plus, minus, zero) = sums[start], sums[stop]
+        counts.append((plus - plus0, minus - minus0, zero - zero0))
+    return counts
 
 
 def gap_inertia(
     op: JSelfadjointOperator, interval: Interval, tol: Tolerance = DEFAULT_TOL
 ) -> Inertia:
-    """Inertia of the Gram form on the gap subspace.
-
-    Root subspaces of distinct real eigenvalues are J-orthogonal, so by
-    Sylvester's law it is a sum of table rows.  That is checked once per
-    operator on the whole real line; where the check fails, each
-    window's union is stacked and counted instead.
-    """
-    _, included = selection(op, interval)
-    if _additive(op, tol):
-        return _row_sum(op, included, tol)
-    return subspace_inertia(op.space, gap_subspace(op, interval, tol))
+    """Inertia of the Gram form on the gap subspace: the one window of
+    :func:`window_counts`."""
+    (counts,) = window_counts(op, (interval.lower, interval.upper), tol)
+    return Inertia._of_counts(*counts)
 
 
 def restrict_operator(

@@ -9,8 +9,8 @@ endpoints ambiguity:
 
 :func:`verify_main_theorem` evaluates both inequalities and the two
 refinements on a concrete pair, and :func:`sweep_counts` on every window
-of :func:`sweep_windows` at once, from running sums of the spectral
-tables' rows; both decide them through one function, ``_bounds``.
+of :func:`sweep_windows` at once; both count through
+:func:`~pontgap.spectral.window_counts` and decide through ``_bounds``.
 :func:`proof_witness` re-enacts the argument behind them: it picks an
 inner interval, splits each operator's space by the sign of the gap form
 inside and outside, and exhibits the subspace whose dimension is pinched
@@ -21,7 +21,6 @@ matrix, so each inequality is checked, not inferred.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import linalg
@@ -43,9 +42,9 @@ from .spectral import (
     gap_inertia,
     gap_subspace,
     restrict_operator,
-    row_sums,
     selection,
     spectrum,
+    window_counts,
 )
 
 __all__ = [
@@ -304,28 +303,21 @@ def sweep_counts(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> tuple[list
     per window in its order ``(eig1, eig2, sig1, sig2, slack, all_hold)``,
     as :func:`verify_main_theorem` reports them.
 
-    The whole line, the first window, is verified as such.  Where both
-    operators' rows add up (see :func:`~pontgap.spectral.row_sums`), each
-    other window counts the difference of two running sums at the
-    positions of its ends, each cut bisected once per operator: a cut
-    keeps a hundred endpoint guards from both spectra, so no entry is on
-    or near it and :func:`~pontgap.spectral.selection` would find what the
-    bisect finds.  Otherwise each window is verified as such.
+    The whole line, the first window, is verified as such.  Each other
+    window is counted by :func:`~pontgap.spectral.window_counts`, one call
+    per operator over all the cuts.
     """
     cuts = _sweep_cuts(pair)
     counts = [_counts(verify_main_theorem(pair, Interval(-math.inf, math.inf), tol))]
     if not cuts:
         return cuts, counts
-    ops = (pair.op1, pair.op2)
-    sums = [row_sums(op, tol) for op in ops]
-    if None in sums:
-        ends = [-math.inf, *cuts, math.inf]
-        counts += [_counts(verify_main_theorem(pair, Interval(a, b), tol))
-                   for a, b in zip(ends, ends[1:])]
-        return cuts, counts
+    ends = [-math.inf, *cuts, math.inf]
     n, kappa_plus, kappa_minus = pair.n, pair.space.kappa_plus, pair.space.kappa_minus
-    rows1, rows2 = (_window_rows(op, op_sums, cuts) for op, op_sums in zip(ops, sums))
-    for (eig1, sig1, minus1), (eig2, sig2, minus2) in zip(rows1, rows2):
+    for (plus1, minus1, zero1), (plus2, minus2, zero2) in zip(
+        window_counts(pair.op1, ends, tol), window_counts(pair.op2, ends, tol)
+    ):
+        eig1, eig2 = plus1 + minus1 + zero1, plus2 + minus2 + zero2
+        sig1, sig2 = plus1 - minus1, plus2 - minus2
         slack, _, *holds = _bounds(n, kappa_plus, kappa_minus, eig1, eig2, sig1, sig2,
                                    minus1 == minus2)
         counts.append((eig1, eig2, sig1, sig2, slack, all(holds)))
@@ -335,16 +327,6 @@ def sweep_counts(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> tuple[list
 def _counts(report: GapReport) -> tuple[int, int, int, int, int, bool]:
     return (report.eig1, report.eig2, report.sig1, report.sig2, report.slack,
             report.all_hold)
-
-
-def _window_rows(op, sums, cuts) -> list[tuple[int, int, int]]:
-    """The (dimension, signature, negative count) of ``op``'s gap subspace
-    on each window between adjacent ``-inf``, ``cuts`` and ``+inf``, from
-    its running sums ``sums`` at the position of each cut among its real
-    entries."""
-    real_re = spectrum(op).real_re
-    marks = [sums[0], *(sums[bisect_left(real_re, cut)] for cut in cuts), sums[-1]]
-    return [(e - e0, s - s0, m - m0) for (e0, s0, m0), (e, s, m) in zip(marks, marks[1:])]
 
 
 def _sign_split(op, sub: Subspace, a: float, b: float, decompose, tol):

@@ -63,7 +63,7 @@ def test_every_exported_function_has_a_caller():
 #: functions whose results cannot depend on ``Tolerance.rel``/``abs``: they
 #: read only the bands, which are class constants
 BANDS_ONLY = {
-    "spectral": ("spectrum", "selection", "clear_of", "_pair_conjugates"),
+    "spectral": ("spectrum", "positions", "selection", "clear_of", "_pair_conjugates"),
     "indefinite": ("subspace_inertia", "_inertias"),
     "theorem": ("choose_delta_prime", "sweep_windows"),
     "gapform": (

@@ -439,16 +439,34 @@ def _reference_clear_of(op, x, margin):
     return min(dists, default=math.inf) >= margin
 
 
-def _selection_outcome(select, op, interval):
+def _reference_count(op, interval):
+    """The table rows of the reference selection, summed one by one."""
+    inertias = spectral._table(op, DEFAULT_TOL).inertias
+    rows = [inertias[i] for i in _reference_selection(op, interval)[1]]
+    return Inertia(
+        sum(row.plus for row in rows),
+        sum(row.minus for row in rows),
+        sum(row.zero for row in rows),
+    )
+
+
+def _count_outcome(call, op, interval):
+    """What ``call(op, interval)`` returns, or the details of the endpoint
+    error it raises."""
     try:
-        return select(op, interval)[1]
+        return call(op, interval)
     except EndpointInSpectrumError as exc:
         return type(exc), exc.endpoint, exc.eigenvalue, exc.distance, str(exc)
 
 
+def _selection_outcome(select, op, interval):
+    return _count_outcome(lambda op, interval: select(op, interval)[1], op, interval)
+
+
 def _probe_windows(op):
     """Windows with an endpoint at each entry's real part, offset into and
-    across the exact band and the guard band."""
+    across the exact band and the guard band, and windows about each entry
+    narrower than two exact bands and than two guard bands."""
     guard = DEFAULT_TOL.ENDPOINT_GUARD_SCALE * op.scale
     exact = DEFAULT_TOL.ENDPOINT_EXACT_SCALE * op.scale
     offsets = [0.0] + [
@@ -459,6 +477,10 @@ def _probe_windows(op):
     for entry in spectrum(op).entries:
         centre = entry.value.real
         yield Interval(centre - guard / 2, centre + guard / 2)
+        # on both ends, so counted by neither: a count of 0, never negative
+        yield Interval(centre - exact / 2, centre + exact / 2)
+        # ambiguous to both ends, nearer the upper: the lower is reported
+        yield Interval(centre - 0.75 * guard, centre + 0.25 * guard)
         for x in (centre + offset for offset in offsets):
             yield from (
                 Interval(x, math.inf), Interval(x, x + guard),
@@ -476,6 +498,9 @@ def _assert_matches_full_scan(op, windows):
     for window in windows:
         assert _selection_outcome(spectral.selection, op, window) == (
             _selection_outcome(_reference_selection, op, window)
+        ), window
+        assert _count_outcome(gap_inertia, op, window) == (
+            _count_outcome(_reference_count, op, window)
         ), window
         for x in window.finite_endpoints():
             for margin in margins:
@@ -533,6 +558,13 @@ def test_gap_inertia_sums_match_union_inertia(d, kminus):
                 assert gap_inertia(op, window) == subspace_inertia(space, grown)
 
 
+class _Unreadable:
+    """Running sums that fail any read, by index or by iteration."""
+
+    def __getitem__(self, key):
+        raise AssertionError("the fallback read a running sum")
+
+
 def test_gap_inertia_falls_back_to_each_windows_union(monkeypatch):
     # an operator whose rows fail the whole-line check never sums them
     space = helpers.make_space(6, 1, 11)
@@ -544,7 +576,10 @@ def test_gap_inertia_falls_back_to_each_windows_union(monkeypatch):
     }
     fresh = helpers.make_rank_perturbed_pair(space, 12, rank=2)
     monkeypatch.setattr(spectral, "_rows_add_up", lambda op, tol: False)
-    monkeypatch.setattr(spectral, "_row_sum", None)
+    build = spectral._build_tables
+    monkeypatch.setattr(spectral, "_build_tables", lambda ops, tol: [
+        replace(table, sums=_Unreadable()) for table in build(ops, tol)
+    ])
     for (op, window), inertia in expected.items():
         twin = fresh.op1 if op is pair.op1 else fresh.op2
         assert gap_inertia(twin, window) == inertia

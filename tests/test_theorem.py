@@ -14,7 +14,7 @@ from pontgap.gen import GenConfig, builtin_fixtures, random_pair, random_space
 from pontgap.indefinite import Inertia, validate_space
 from pontgap.linalg import DEFAULT_TOL, Tolerance
 from pontgap.perturbation import make_pair
-from pontgap.spectral import Interval, row_sums, spectrum, validate_operator
+from pontgap.spectral import Interval, spectrum, validate_operator
 from pontgap.theorem import (
     GapReport,
     choose_delta_prime,
@@ -68,7 +68,7 @@ def test_reports_match_fixture_expectations():
 
 
 # ---------------------------------------------------------------------------
-# sweep_counts: each pair's windows from running sums of its table rows
+# sweep_counts: each pair's windows from one count per operator
 
 
 @pytest.fixture(scope="module", params=["fixtures", *range(1, 13), 32, 96],
@@ -112,7 +112,7 @@ def _per_window(pair):
 def test_sweep_counts_equal_each_window_verified_as_such(pairs, monkeypatch):
     expected = [_per_window(pair) for pair in pairs]
     assert [_folded(pair) for pair in pairs] == expected
-    # where the rows do not add up, the fold verifies each window as such
+    # where the rows do not add up, the fold counts each window's stacked union
     monkeypatch.setattr(pontgap.spectral, "_rows_add_up", lambda op, tol: False)
     twins = [
         make_pair(validate_operator(pair.space, pair.op1.matrix),
@@ -120,11 +120,13 @@ def test_sweep_counts_equal_each_window_verified_as_such(pairs, monkeypatch):
         for pair in pairs
     ]
     assert [_folded(twin) for twin in twins] == expected
-    assert all(row_sums(op, DEFAULT_TOL) is None for twin in twins for op in (twin.op1, twin.op2))
+    assert not any(pontgap.spectral._additive(op, DEFAULT_TOL)
+                   for twin in twins for op in (twin.op1, twin.op2))
 
 
 def test_every_sweep_cut_clears_both_spectra_by_each_endpoint_guard(pairs):
-    # so the fold may skip selection's endpoint guard: no entry is near a cut
+    # so no cut is ever ambiguous: the fold runs the endpoint guard of
+    # spectral.positions at every cut, and no entry is near one
     cuts = 0
     for pair in pairs:
         ops = (pair.op1, pair.op2)
