@@ -95,8 +95,11 @@ def build_gap_form(op: JSelfadjointOperator, a: float, b: float) -> GapForm:
     a, b = _endpoints(a, b, "gap form")
     d = op.dim
     eye = np.eye(d, dtype=complex)
-    g = op.space.gram @ ((op.matrix - a * eye) @ (op.matrix - b * eye))
-    return GapForm(a=a, b=b, matrix=0.5 * (g + g.conj().T))
+    # G can overflow from finite A and J; where the form is read, an
+    # overflow is reported by a typed error, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = op.space.gram @ ((op.matrix - a * eye) @ (op.matrix - b * eye))
+        return GapForm(a=a, b=b, matrix=0.5 * (g + g.conj().T))
 
 
 def _signed_eigenspaces(form: GapForm, expected, reason: str):

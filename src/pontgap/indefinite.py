@@ -279,10 +279,13 @@ def _inertias(items) -> list[Inertia]:
 def _compressed(space: IndefiniteSpace, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gram form compressed to each basis of the stack ``b``, as the
     stack of ``0.5 (G + G^*)`` for ``G = B^* (J B)``, and which are finite."""
-    g = b.conj().swapaxes(1, 2) @ (space.gram @ b)
-    # 0.5 (g + g^*) is exactly Hermitian, so it needs no Hermiticity
-    # check, and symmetrizing it again would change no bit
-    g = 0.5 * (g + g.conj().swapaxes(1, 2))
+    # an overflow is reported through the finiteness flags, not by numpy
+    # warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = b.conj().swapaxes(1, 2) @ (space.gram @ b)
+        # 0.5 (g + g^*) is exactly Hermitian, so it needs no Hermiticity
+        # check, and symmetrizing it again would change no bit
+        g = 0.5 * (g + g.conj().swapaxes(1, 2))
     return g, np.isfinite(g).all(axis=(1, 2))
 
 

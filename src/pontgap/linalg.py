@@ -121,7 +121,20 @@ def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
 
 
 def frob(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
+    """``||a||_F``, ``inf`` where it overflows, with no numpy warning.  The
+    squares are summed as ``np.linalg.norm`` sums them, unscaled, so every
+    norm keeps its bits where that sum does not overflow; where it does and
+    every entry is finite, the norm is taken again of ``a`` divided by its
+    largest real or imaginary part."""
+    a = np.asarray(a, dtype=complex).ravel(order="K")
+    re, im = a.real, a.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = re.dot(re) + im.dot(im)
+    if squares == math.inf and np.isfinite(a).all():
+        peak = max(float(np.max(np.abs(re))), float(np.max(np.abs(im))))
+        # a product of Python floats overflows to inf without a warning
+        return peak * frob(a / peak)
+    return math.sqrt(squares)
 
 
 def as_hermitian(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -130,7 +143,7 @@ def as_hermitian(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     The package's one Hermiticity check, run once where a matrix comes in:
     ``||h - h^*||_F`` must lie within ``tol.singular_cutoff(||h||_F)``
     (else :class:`NonHermitianError`), and ``||h||_F`` must not overflow
-    (else :class:`ValidationError`; the symmetrization would overflow too).
+    (else :class:`ValidationError`; every band in its unit would be inf).
     """
     # an overflow is reported by the typed error below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,7 +157,9 @@ def as_hermitian(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
             raise NonHermitianError(
                 f"matrix is not Hermitian: ||h - h^*||_F = {defect:.3e}"
             )
-        return 0.5 * (h + h.conj().T), norm
+        # halved before the sum, which then cannot overflow; elsewhere the
+        # bits are those of 0.5 (h + h^*)
+        return 0.5 * h + 0.5 * h.conj().T, norm
 
 
 def hermitian_eigen(h):

@@ -5,11 +5,13 @@ Hermitian.  Its spectrum is closed under conjugation; eigenvalue counts
 over an open real interval are taken with algebraic multiplicity, via
 the dimension of the corresponding sum of root subspaces.
 
-Each operator memoizes, with lock-free reads, four things: its
-eigendecomposition (the raw eigenvalues, which the generator's margin
-check reads too, with the eigenvectors where one ``eig`` call gave
-both) and its clustered spectrum, both whatever the tolerance, and, per
-tolerance, a spectral table and the verdict of :func:`_additive`.  The
+Each operator memoizes, with lock-free reads, its eigendecomposition
+(the raw eigenvalues, which the generator's margin check reads too, with
+the eigenvectors where one ``eig`` call gave both) and its clustered
+spectrum, both whatever the tolerance; per tolerance, a spectral table
+and the verdict of :func:`_additive`; and, on a space with no negative
+squares, the spectrum of a Hermitian matrix similar to it with the
+running sums certified against it (:func:`_hilbert_sums`).  The
 spectrum clusters the raw values within a band of ``CLUSTERING_SCALE``
 times the operator's ``scale``, so it takes no norm of its own.  It, the
 window searches and the gap-form splits read only bands, the class
@@ -29,20 +31,31 @@ the inertia of the Gram form on it, with the running sums of those rows
 in ``real_re`` order.  A window's inertia is the difference of two
 running sums where the rows add up, checked once per operator against
 their stacked union (:func:`_additive`); otherwise the window's union
-is stacked and counted.  A count reads its operator's table through
-:func:`_table`, which builds it alone where none is memoized;
+is stacked and counted.  Where the space has no negative squares, the
+Gram is positive definite and the space a Hilbert space: every
+eigenvalue is real and semisimple, every row would be (multiplicity, 0,
+0), and a count builds no table and settles no verdict.  Its running
+sums are the cumulative multiplicities of the real entries, certified
+once against the ``eigvalsh`` of a Hermitian matrix similar to the
+operator.  Elsewhere a count reads its operator's table through
+:func:`_table`, which builds it alone where none is memoized.
 :func:`prepare`, all that :mod:`pontgap.sweep` asks of this module,
-memoizes tables and verdicts for several operators, building the missing
-tables together.  The sweep prepares each batch, and each table thread
-one operator on a CPU the sweep leaves idle, as a head start only: what
-it fails to build, a count builds alone.  A table or verdict is bitwise
-the same wherever it is built.  All tables go through
+memoizes what counting several operators needs: for those on a space
+with no negative squares, the Hermitian spectra, one stacked
+``eigvalsh`` per order; for the others, their tables, the missing ones
+built together, then their verdicts.  The sweep prepares each batch, and
+each table thread one operator on a CPU the sweep leaves idle, as a head
+start only: what it fails to build, a count builds alone.  A table,
+verdict or Hermitian spectrum is bitwise the same wherever it is built.
+The witness and every gap subspace still read the table, built where
+they first need a basis.  All tables go through
 :func:`_build_tables`: one stacked ``eig`` per order, one stacked SVD
 per order and number of owned eigenvectors, kernel SVDs where an
 eigenvalue is defective, and one call of the package's inertia routine,
 which stacks one values-only ``eigvalsh`` per order and basis width.
 
-A count first asks the operator for one shared ``eig`` call
+A count that reads the table, and every selection of root bases, first
+asks the operator for one shared ``eig`` call
 (:meth:`JSelfadjointOperator.share_eig`): up to order
 ``SHARED_EIG_MAX_DIM`` it gives both the raw eigenvalues and the table's
 eigenvectors.  Otherwise, and where the raw eigenvalues were memoized
@@ -55,6 +68,7 @@ never builds the table.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from bisect import bisect_left, bisect_right
@@ -360,15 +374,29 @@ def spectrum(op: JSelfadjointOperator) -> Spectrum:
 
 
 def _clustered(op: JSelfadjointOperator) -> Spectrum:
-    clusters = linalg.complex_eigen(
-        op.raw_eigenvalues(), Tolerance.CLUSTERING_SCALE * op.scale
-    )
+    # eigenvalues near the overflow threshold can overflow their distances
+    # and cluster means; an overflow is reported by a typed error, not by
+    # numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        clusters = linalg.complex_eigen(
+            op.raw_eigenvalues(), Tolerance.CLUSTERING_SCALE * op.scale
+        )
+    _check_finite(clusters)
     symmetrized = _pair_conjugates(clusters, op.scale)
+    _check_finite(symmetrized)
     entries = tuple(
         Eigenvalue(value=v, multiplicity=m)
         for v, m in sorted(symmetrized, key=lambda vm: (vm[0].real, vm[0].imag))
     )
     return Spectrum(entries=entries)
+
+
+def _check_finite(values) -> None:
+    """Raise :class:`ValidationError`, an input error, where a clustered or
+    paired eigenvalue of ``values``, a list of (value, multiplicity),
+    overflowed."""
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v, _ in values):
+        raise ValidationError("a cluster of eigenvalues overflows")
 
 
 def clear_of(op: JSelfadjointOperator, x: float, margin: float) -> bool:
@@ -422,9 +450,18 @@ def _table(op, tol: Tolerance) -> _SpectralTable:
 
 
 def prepare(ops, tol: Tolerance) -> None:
-    """Memoize what counting ``ops`` needs for ``tol``: their missing tables,
-    built together (see :func:`_build_tables`), then each one's verdict
-    (see :func:`_additive`).  A failed build raises and memoizes no table."""
+    """Memoize what counting ``ops`` needs for ``tol``.  An operator on a
+    space with no negative squares needs only its Hermitian spectrum
+    (see :func:`_hermitian_spectra`); those missing are taken together.
+    Every other needs its table, the missing ones built together (see
+    :func:`_build_tables`), then its verdict (see :func:`_additive`).  A
+    failed build raises and memoizes no table."""
+    theta = ("theta",)
+    hilbert = [op for op in dict.fromkeys(ops) if not op.space.kappa_minus]
+    missing = [op for op in hilbert if theta not in op._memo]
+    for op, values in zip(missing, _hermitian_spectra(missing)):
+        op._store(theta, values)
+    ops = [op for op in ops if op.space.kappa_minus]
     key = ("table", tol.rel, tol.abs)
     missing = list(dict.fromkeys(op for op in ops if key not in op._memo))
     for op, table in zip(missing, _build_tables(missing, tol)):
@@ -458,13 +495,16 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
         for j, values, vectors in zip(members, *_geev(np.linalg.eig, stack)):
             eigen[j] = values, vectors
 
+    # each eigenvector joins the entry nearest its own eigenvalue; a
+    # distance that overflows is inf, and so not the nearest
+    with np.errstate(over="ignore", invalid="ignore"):
+        distances = [np.abs(raw[:, None] - np.array([e.value for e in op_entries]))
+                     for op_entries, (raw, _) in zip(entries, eigen)]
     # per (order, owned width): each operator's entries and their owned columns
     owned, starts = {}, []
-    for op_entries, (raw, vectors) in zip(entries, eigen):
+    for op_entries, (_, vectors), distance in zip(entries, eigen, distances):
         d = len(vectors)
-        # each eigenvector joins the entry nearest its own eigenvalue
-        distances = np.abs(raw[:, None] - np.array([e.value for e in op_entries]))
-        owner = distances.argmin(axis=1).tolist() if op_entries else []
+        owner = distance.argmin(axis=1).tolist() if op_entries else []
         columns = [[] for _ in op_entries]
         for c, i in enumerate(owner):
             columns[i].append(c)
@@ -514,6 +554,73 @@ def _build_tables(ops, tol: Tolerance) -> list[_SpectralTable]:
     ]
 
 
+def _hermitian_spectra(ops) -> list[np.ndarray]:
+    """theta, the ascending eigenvalues of the Hermitian M = D^{1/2} Q^* A Q
+    D^{-1/2}, of each operator ``A`` on a space whose Gram ``J = Q D Q^*``
+    is positive definite: M is similar to A, and Hermitian because ``J A``
+    is.  The space keeps (D, Q) (``IndefiniteSpace._eigen``), so no
+    Cholesky is taken.  Each M is formed alone, then one stacked
+    ``eigvalsh`` per order solves them, matrix by matrix, so each theta is
+    bitwise the one solved alone.  An M that overflows is an input error,
+    :class:`ValidationError`."""
+    forms = [_hermitian_form(op) for op in ops]
+    spectra = [None] * len(ops)
+    for _, members in _grouped([op.dim for op in ops]):
+        stack = np.stack([forms[i] for i in members])
+        for i, values in zip(members, linalg.hermitian_eigenvalues(stack)):
+            values.setflags(write=False)
+            spectra[i] = values
+    return spectra
+
+
+def _hermitian_form(op) -> np.ndarray:
+    """The exactly Hermitian ``0.5 M + 0.5 M^*`` of :func:`_hermitian_spectra`."""
+    w, q = op.space._eigen
+    # an overflow is reported by the typed error below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(w)
+        m = (root[:, None] * q.conj().T) @ op.matrix @ (q / root)
+        # halved before the sum, which then cannot overflow
+        m = 0.5 * m
+        m = m + m.conj().T
+    if not np.isfinite(m).all():
+        raise ValidationError("the Hermitian form of the operator overflows")
+    return m
+
+
+def _hilbert_sums(op) -> tuple[int, ...]:
+    """Entry k: how many eigenvalues, with multiplicity, the first k real
+    entries of an operator on a space with no negative squares hold,
+    memoized once certified.  There every eigenvalue is real and
+    semisimple, so each table row would be (multiplicity, 0, 0).  The
+    certificate: no entry is non-real, and theta (see
+    :func:`_hermitian_spectra`) matches the real entries, each repeated by
+    its multiplicity, pairwise in sorted order within the clustering band;
+    else :class:`NumericalDefectError`.  Weyl's inequality bounds how far
+    rounding moves each theta."""
+    return op._cached(("hilbert",), _certified_sums, op)
+
+
+def _certified_sums(op) -> tuple[int, ...]:
+    entries = spectrum(op).entries
+    for entry in entries:
+        if not entry.is_real:
+            raise NumericalDefectError(
+                f"eigenvalue {entry.value} is not real, but the space has no "
+                "negative squares"
+            )
+    multiplicities = [entry.multiplicity for entry in entries]
+    theta = op._cached(("theta",), lambda: _hermitian_spectra([op])[0])
+    reals = np.repeat([entry.value.real for entry in entries], multiplicities)
+    gap = float(np.max(np.abs(theta - reals), initial=0.0))
+    # written so that a NaN gap fails
+    if not gap <= Tolerance.CLUSTERING_SCALE * op.scale:
+        raise NumericalDefectError(
+            f"the spectrum differs from that of its Hermitian form by {gap:.3e}"
+        )
+    return tuple(itertools.accumulate(multiplicities, initial=0))
+
+
 def _running_sums(rows) -> tuple[tuple[int, int, int], ...]:
     """Entry k: the (plus, minus, zero) of the first k real ``rows``."""
     plus = minus = zero = 0
@@ -536,11 +643,8 @@ def positions(op: JSelfadjointOperator, points) -> list[tuple[int, int]]:
     band of a finite point is on it, as if indistinguishable at machine
     resolution.  One within the guard band but not on it makes counting
     over the points' span ill-posed: the ambiguous entry of lowest index
-    raises, at the lowest such point.  A count reads the table next, so
-    the spectrum comes from the shared ``eig`` call where the operator
-    allows one.
+    raises, at the lowest such point.
     """
-    op.share_eig()
     spec = spectrum(op)
     entries, real_re, real_indices = spec.entries, spec.real_re, spec.real_indices
     guard = Tolerance.ENDPOINT_GUARD_SCALE * op.scale
@@ -575,7 +679,10 @@ def selection(
     op: JSelfadjointOperator, interval: Interval
 ) -> tuple[Spectrum, tuple[int, ...]]:
     """The spectrum and the indices of its entries counted in the interval,
-    by the rule of :func:`positions`."""
+    by the rule of :func:`positions`.  The root bases of those entries are
+    read next, so the spectrum comes from the shared ``eig`` call where the
+    operator allows one."""
+    op.share_eig()
     (_, start), (stop, _) = positions(op, (interval.lower, interval.upper))
     spec = spectrum(op)
     return spec, spec.real_indices[start : max(start, stop)]
@@ -641,10 +748,20 @@ def window_counts(
     Sylvester's law a window's inertia is a sum of table rows, and the
     difference of two running sums at the positions of its ends.  That is
     checked once per operator on the whole real line; where the check
-    fails, each window's union is stacked and counted instead.
+    fails, each window's union is stacked and counted instead.  On a space
+    with no negative squares the running sums are the certified ones of
+    :func:`_hilbert_sums`, and no table is read, so no eigenvector is
+    asked for.  Elsewhere the table is read next, so the spectrum comes
+    from the shared ``eig`` call where the operator allows one.
     """
+    hilbert = not op.space.kappa_minus
+    if not hilbert:
+        op.share_eig()
     marks = positions(op, ends)
     spans = [(start, max(start, stop)) for (_, start), (stop, _) in zip(marks, marks[1:])]
+    if hilbert:
+        sums = _hilbert_sums(op)
+        return [(sums[stop] - sums[start], 0, 0) for start, stop in spans]
     if not _additive(op, tol):
         real_indices = spectrum(op).real_indices
         counts = []

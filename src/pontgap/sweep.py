@@ -8,7 +8,8 @@ It writes no file and prints nothing; ``pontgap sweep`` is its printer.
 A pair's windows are counted in one pass
 (:func:`~pontgap.theorem.sweep_counts`): the whole line is verified as
 such, and each window between adjacent cuts is a difference of running
-sums of the spectral table's rows.
+sums, of the spectral table's rows, or, where the space has no negative
+squares, of the certified multiplicities of the real eigenvalues.
 
 The sweep spreads its grid over the CPUs of the affinity mask: W shares
 of (d, kappa, seed) groups, one per CPU up to the number of groups, each
@@ -17,7 +18,10 @@ spare (CPUs // W > 1), it also prepares the operators it draws of order
 ``TABLE_THREAD_MIN_DIM`` = 64 or more for counting in threads, one per
 spare CPU, while it draws on; LAPACK releases the interpreter lock, and
 the operator's memo takes what :func:`~pontgap.spectral.prepare` builds
-(the spectral table, then the additivity verdict) from any thread.
+from any thread: the spectral table, then the additivity verdict, or,
+where the space has no negative squares, only the eigenvalues of a
+Hermitian matrix similar to the operator, which its counts are
+certified against, and no table or verdict.
 The sweep forks and starts threads only where this process runs one
 thread (see :func:`_one_thread`), so that no BLAS thread holds the CPUs
 and a fork copies no thread's half-done work; it forks every worker

@@ -334,10 +334,9 @@ def test_duplicate_key_exits_2(capsys, tmp_path):
 
 
 def test_gram_whose_norm_overflows_exits_2(capsys, tmp_path):
-    # its symmetrized Gram would hold NaN, and as NaN != NaN the exit-2
-    # message would blame the two operators' spaces
+    # ||J||_F overflows, so every band in its unit would be inf
     doc = json.loads(EXAMPLE1.read_text())
-    doc["gram"] = [[[1e308, 0], [0, 0]], [[0, 0], [-1e308, 0]]]
+    doc["gram"] = [[[1.5e308, 0], [0, 0]], [[0, 0], [-1.5e308, 0]]]
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     with np.errstate(over="ignore"):
@@ -349,8 +348,9 @@ def test_gram_whose_norm_overflows_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize(
     "gram, a1_00, message",
     [
-        (1e308, 1.0, "matrix norm overflows: ||h||_F = inf"),
-        (1e150, 1e200, "operator norm overflows: ||A||_F = inf"),
+        (1.5e308, 1.0, "matrix norm overflows: ||h||_F = inf"),
+        # ||A||_F is finite, and J A overflows
+        (1e150, 1e200, "J-selfadjointness defect overflows: ||JA - (JA)^*||_F = nan"),
     ],
     ids=["gram", "operator"],
 )
@@ -366,10 +366,16 @@ def test_overflow_is_one_error_line_without_numpy_warnings(tmp_path, gram, a1_00
 
 
 def test_gap_form_whose_norm_overflows_is_one_error_line(tmp_path):
-    # example3 times 1e150 gets a delta', then its gap form's norm overflows
+    # a pair gets a delta', then its gap form's norm overflows (see
+    # test_gapform._overflowing_gap_pair)
     doc = json.loads(EXAMPLE3.read_text())
-    for key in ("a1", "a2"):
-        doc[key] = [[[1e150 * part for part in entry] for entry in row] for row in doc[key]]
+    del doc["expected"]
+    eye = np.eye(25)
+    doc["gram"] = [[[x, 0] for x in row] for row in eye.tolist()]
+    for key, last in (("a1", 9.5e154), ("a2", 0.0)):
+        a = 9.5e154 * eye
+        a[-1, -1] = last
+        doc[key] = [[[x, 0] for x in row] for row in a.tolist()]
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     proc = _run_module("verify", "--witness", str(path))

@@ -106,20 +106,42 @@ def test_gap_split_rejects_a_form_that_overflows():
         decompose_resolvent_gap(op, 0.0, 1.0)
 
 
+def _overflowing_gap_pair():
+    """A1 = c I on C^25 and A2, A1 with its last entry 0, for c = 9.5e154:
+    over (0, inf) and (-inf, inf), the gap form of A1 inside delta' has
+    25 finite diagonal entries of about 4e307 to 8e307, and a norm 5 times
+    that, which overflows."""
+    space = validate_space(np.eye(25))
+    a1 = 9.5e154 * np.eye(25)
+    a2 = a1.copy()
+    a2[-1, -1] = 0.0
+    return make_pair(validate_operator(space, a1), validate_operator(space, a2))
+
+
 @pytest.mark.parametrize("lower", [0.0, -np.inf])
 def test_gap_split_refuses_a_form_whose_norm_overflows(lower):
-    # example3 times 1e150: G's entries stay finite, but ||G||_F overflows,
-    # so its zero band would count every eigenvalue as zero
-    fixture = {f.name: f for f in builtin_fixtures()}["example3"]
-    space = fixture.pair.space
-    pair = make_pair(validate_operator(space, 1e150 * fixture.pair.op1.matrix),
-                     validate_operator(space, 1e150 * fixture.pair.op2.matrix))
+    # G's entries stay finite, but ||G||_F overflows, so its zero band
+    # would count every eigenvalue as zero
+    pair = _overflowing_gap_pair()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(
             ValidationError, match=r"^gap form norm overflows: \|\|G\|\|_F = inf$"
         ):
             proof_witness(pair, Interval(lower, np.inf))
+
+
+@pytest.mark.parametrize("lower", [0.0, -np.inf])
+def test_example3_times_1e150_gets_its_witness(lower):
+    # G's entries are about 1e304: the sum of their squares overflows, but
+    # ||G||_F does not, so every check of the witness runs
+    fixture = {f.name: f for f in builtin_fixtures()}["example3"]
+    space = fixture.pair.space
+    pair = make_pair(validate_operator(space, 1e150 * fixture.pair.op1.matrix),
+                     validate_operator(space, 1e150 * fixture.pair.op2.matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert proof_witness(pair, Interval(lower, np.inf)).all_hold
 
 
 # ---------------------------------------------------------------------------

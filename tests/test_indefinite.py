@@ -75,12 +75,26 @@ def test_validate_space_rejects_non_hermitian():
 
 
 def test_validate_space_rejects_a_gram_whose_norm_overflows():
-    # ||J||_F overflows, and so would the symmetrization, whose NaN
-    # eigenvalues fall into no inertia bin (kappa_plus = kappa_minus = 0)
+    # ||J||_F overflows, so its zero band would be inf
     with np.errstate(over="ignore"), pytest.raises(
         ValidationError, match=r"^matrix norm overflows: \|\|h\|\|_F = inf$"
     ):
-        validate_space(np.diag([1e308, -1e308]))
+        validate_space(np.diag([1.5e308, -1.5e308]))
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e308])
+def test_validate_space_takes_a_gram_whose_squares_overflow(entry):
+    # ||J||_F is finite, though the sum of its squares overflows, and the
+    # symmetrization halves before it sums
+    space = validate_space(np.diag([entry, -entry]))
+    assert (space.kappa_plus, space.kappa_minus) == (1, 1)
+    assert space.norm == pytest.approx(2**0.5 * entry)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_validate_space_rejects_entries_that_are_not_finite(bad):
+    with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+        validate_space(np.diag([1e200, bad]))
 
 
 def test_validate_space_takes_three_norms(monkeypatch):

@@ -214,6 +214,19 @@ def test_as_hermitian_tolerates_roundoff_asymmetry():
     assert np.array_equal(w, np.linalg.eigvalsh(sym))
 
 
+def test_frob_scales_only_where_the_plain_sum_overflows():
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    assert frob(m) == float(np.linalg.norm(m))
+    # the sum of the squares overflows, the norm does not
+    assert frob(np.diag([1e200, -1e200]).T) == pytest.approx(2**0.5 * 1e200)
+    assert frob(np.array([[1.5e308j, 1e308]])) == pytest.approx(1.8028e308, rel=1e-4)
+    # the norm overflows, or an entry is not finite
+    assert frob(np.array([[1.5e308j, 1.5e308]])) == np.inf
+    assert frob(np.array([[np.inf, 1e200]])) == np.inf
+    assert np.isnan(frob(np.array([[np.nan, 1e200]])))
+
+
 # ---------------------------------------------------------------------------
 # complex_eigen
 

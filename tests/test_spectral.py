@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -128,11 +129,13 @@ def test_validate_operator_checks_dimension():
     [
         # JA overflows, and so does ||J||_F ||A||_F, so an inf defect would
         # pass an inf cutoff; here ||A||_F overflows first
-        ([1e150, -1e150], [[0, 1e200], [0, 0]], r"operator norm overflows: \|\|A\|\|_F = inf"),
+        ([1e150, -1e150], [[0, 1.5e308], [1.5e308, 0]],
+         r"operator norm overflows: \|\|A\|\|_F = inf"),
         # J-selfadjoint, but with ||A||_F = inf every spectral band would be inf
-        ([1.0, -1.0], [[1e200, 0], [0, 1e200]], r"operator norm overflows: \|\|A\|\|_F = inf"),
+        ([1.0, -1.0], [[1.5e308, 0], [0, 1.5e308]],
+         r"operator norm overflows: \|\|A\|\|_F = inf"),
         # both norms are finite, but the defect overflows, so it says nothing
-        ([1e150, -1e150], [[0, 1e100], [0, 0]],
+        ([1e150, -1e150], [[0, 1.5e158], [0, 0]],
          r"J-selfadjointness defect overflows: \|\|JA - \(JA\)\^\*\|\|_F = inf"),
     ],
     ids=["ja-overflows", "norm-overflows", "defect-overflows"],
@@ -599,9 +602,16 @@ def test_rows_add_up_on_every_generated_and_hand_built_operator():
                 pair = random_pair(random_space(cfg), cfg)
                 ops += [pair.op1, pair.op2]
     verdict = ("additive", DEFAULT_TOL.rel, DEFAULT_TOL.abs)
-    for op in ops:
+    # a rank-0 pair's A2 is its A1
+    for op in dict.fromkeys(ops):
         gap_inertia(op, FULL_LINE)
-        assert op._memo[verdict] is True
+        if op.space.kappa_minus:
+            assert op._memo[verdict] is True
+        else:
+            # a count on a space with no negative squares settles no
+            # verdict, but its rows add up all the same
+            assert verdict not in op._memo
+            assert spectral._additive(op, DEFAULT_TOL) is True
 
 
 def test_root_basis_defect_at_any_entry_fails_every_count(monkeypatch):
@@ -1024,7 +1034,8 @@ def _generated_ops():
 
 
 def test_tables_built_together_equal_each_built_alone(monkeypatch):
-    ops = list(_generated_ops())
+    # prepare builds tables only where the space has negative squares
+    ops = [op for op in _generated_ops() if op.space.kappa_minus]
     assert any(op1 is op2 for op1, op2 in zip(ops[::2], ops[1::2]))
     # half the operators read the vectors of their shared eig call, and the
     # rest take one stacked eig per order
@@ -1070,8 +1081,10 @@ def test_tables_built_together_raise_and_memoize_nothing_where_one_fails(monkeyp
     table = spectral._table(memoized, DEFAULT_TOL)
     fine = helpers.make_operator(helpers.make_space(3, 1, 3), 4)
     fours = [helpers.make_operator(helpers.make_space(4, 1, 5), seed) for seed in (6, 7)]
+    # on a space with negative squares, since prepare builds no table, and
+    # so clusters no spectrum, where there are none
     unpaired = JSelfadjointOperator(
-        space=validate_space(np.eye(2, dtype=complex)),
+        space=validate_space(np.diag([1.0, -1.0]).astype(complex)),
         matrix=np.diag([1 + 1j, 2]).astype(complex),
     )
     eig = np.linalg.eig
@@ -1104,6 +1117,117 @@ def test_gap_and_complement_subspaces_partition():
         inside = gap_subspace(op, Interval(0.25, 2.0))
         outside = complement_subspace(op, Interval(0.25, 2.0))
         assert inside.dim + outside.dim == 2
+
+
+# ---------------------------------------------------------------------------
+# spaces with no negative squares
+
+
+def _hilbert_ops():
+    """A1 and A2 of generated pairs on spaces with no negative squares:
+    d = 1-12 and 64, two seeds each."""
+    for d, seed in itertools.product([*range(1, 13), 64], range(2)):
+        cfg = GenConfig(dim=d, kappa_minus=0, pert_rank=min(d, 2), seed=seed)
+        pair = random_pair(random_space(cfg), cfg)
+        yield from (pair.op1, pair.op2)
+
+
+def test_head_start_takes_theta_and_no_table_or_verdict_where_kappa_is_zero(monkeypatch):
+    ops = list(_hilbert_ops())
+    calls = {name: helpers.count_calls(monkeypatch, np.linalg, name)
+             for name in ("eig", "eigvals", "svd", "eigvalsh")}
+    spectral.prepare(ops, DEFAULT_TOL)
+    # one stacked eigvalsh per order, and no eig or SVD of a table
+    assert {name: len(c) for name, c in calls.items()} == {
+        "eig": 0, "eigvals": 0, "svd": 0, "eigvalsh": len({op.dim for op in ops})
+    }
+    # a second call finds every theta memoized, and the counts read them
+    spectral.prepare(ops, DEFAULT_TOL)
+    for op in ops:
+        gap_inertia(op, FULL_LINE)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "eig": 0, "eigvals": 0, "svd": 0, "eigvalsh": len({op.dim for op in ops})
+    }
+    for op in ops:
+        assert not any(key[0] in ("table", "additive") for key in op._memo)
+        alone = spectral._hermitian_spectra([validate_operator(op.space, op.matrix)])[0]
+        assert op._memo[("theta",)].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("shift, fails", [(0.5, False), (2.0, True), (math.nan, True)])
+def test_a_theta_off_the_spectrum_fails_every_count(shift, fails):
+    # theta must match the real entries within the clustering band
+    cfg = GenConfig(dim=6, kappa_minus=0, pert_rank=1, seed=0)
+    op = random_pair(random_space(cfg), cfg).op2
+    theta = spectral._hermitian_spectra([op])[0].copy()
+    theta[-1] += shift * Tolerance.CLUSTERING_SCALE * op.scale
+    op._store(("theta",), theta)
+    if not fails:
+        assert gap_inertia(op, FULL_LINE) == Inertia(6, 0, 0)
+        return
+    with pytest.raises(NumericalDefectError, match="Hermitian form"):
+        gap_inertia(op, FULL_LINE)
+    assert ("hilbert",) not in op._memo
+
+
+def test_a_multiple_eigenvalue_where_kappa_is_zero_counts_its_multiplicity():
+    # A = S diag(2, 2, 3) S^-1 is selfadjoint for J = (S S^*)^-1
+    s = helpers.haar_unitary(np.random.default_rng(5), 3) @ np.diag([1.0, 2.0, 4.0])
+    space = validate_space(np.linalg.inv(s @ s.conj().T))
+    op = validate_operator(space, s @ np.diag([2.0, 2.0, 3.0]) @ np.linalg.inv(s))
+    assert [e.multiplicity for e in spectrum(op).entries] == [2, 1]
+    ends = (-math.inf, 2.5, math.inf)
+    assert spectral.window_counts(op, ends, DEFAULT_TOL) == [(2, 0, 0), (1, 0, 0)]
+    assert ("table", DEFAULT_TOL.rel, DEFAULT_TOL.abs) not in op._memo
+    rows = spectral._table(op, DEFAULT_TOL).inertias
+    assert [(row.plus, row.minus, row.zero) for row in rows] == [(2, 0, 0), (1, 0, 0)]
+
+
+def test_a_non_real_entry_where_kappa_is_zero_fails_every_count():
+    # a rotation is not selfadjoint; built unchecked, its spectrum is +-i
+    op = JSelfadjointOperator(
+        space=validate_space(np.eye(2, dtype=complex)),
+        matrix=np.array([[0, 1], [-1, 0]], dtype=complex),
+    )
+    with pytest.raises(NumericalDefectError, match="not real"):
+        gap_inertia(op, Interval(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("gram, matrix, counts", [
+    # the table's distances from 1e308 to -1e308 overflow, and are inf
+    ([1.0, -1.0], [1e308, -1e308], Inertia(1, 1, 0)),
+    # the mean of the cluster at 1e308 overflows
+    ([1.0, 1.0, 1.0], [1e308, 1e308, 1.0], ValidationError),
+], ids=["distances", "cluster-mean"])
+def test_eigenvalues_near_the_overflow_threshold_count_or_raise(gram, matrix, counts):
+    op = validate_operator(validate_space(np.diag(gram)), np.diag(matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if counts is ValidationError:
+            with pytest.raises(ValidationError, match="^a cluster of eigenvalues overflows$"):
+                gap_inertia(op, FULL_LINE)
+        else:
+            assert gap_inertia(op, FULL_LINE) == counts
+
+
+def test_a_hermitian_form_that_overflows_is_an_input_error():
+    # built unchecked: the row of A that D^{1/2} scales by 1e5 overflows
+    op = JSelfadjointOperator(
+        space=validate_space(np.diag([1e3, 1e10])),
+        matrix=np.array([[0, 0], [1e305, 0]], dtype=complex),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^the Hermitian form of the operator overflows$"):
+            spectral._hermitian_spectra([op])
+
+
+def test_a_count_near_the_overflow_threshold_where_kappa_is_zero():
+    # the Hermitian form halves before it sums, so it stays finite
+    op = validate_operator(validate_space(np.eye(2, dtype=complex)),
+                           np.diag([1e308, 1e307]).astype(complex))
+    assert gap_inertia(op, FULL_LINE) == Inertia(2, 0, 0)
+    assert gap_inertia(op, Interval(5e307, math.inf)) == Inertia(1, 0, 0)
 
 
 # ---------------------------------------------------------------------------

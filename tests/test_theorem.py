@@ -124,6 +124,33 @@ def test_sweep_counts_equal_each_window_verified_as_such(pairs, monkeypatch):
                    for twin in twins for op in (twin.op1, twin.op2))
 
 
+@pytest.mark.parametrize("d", [*range(1, 13), 32, 64, 96, 128])
+def test_counts_without_negative_squares_equal_their_table_rows(d):
+    # window_counts reads no table where kappa = 0: every sweep window's
+    # count is still the sum of the window's rows of the operator's table
+    windows = 0
+    for seed in range(4):
+        op1 = None
+        for rank in range(min(d, 3) + 1):
+            cfg = GenConfig(dim=d, kappa_minus=0, pert_rank=rank, seed=seed)
+            pair = random_pair(op1 or random_space(cfg), cfg)
+            op1 = pair.op1
+            bounds = sweep_windows(pair)
+            ends = sorted({end for window in bounds for end in (window.lower, window.upper)})
+            for op in dict.fromkeys((pair.op1, pair.op2)):
+                (whole,) = pontgap.spectral.window_counts(
+                    op, (-math.inf, math.inf), DEFAULT_TOL)
+                counts = [whole, *pontgap.spectral.window_counts(op, ends, DEFAULT_TOL)]
+                rows = pontgap.spectral._table(op, DEFAULT_TOL).inertias
+                for window, count in zip(bounds, counts):
+                    _, included = pontgap.spectral.selection(op, window)
+                    summed = [sum(getattr(rows[i], part) for i in included)
+                              for part in ("plus", "minus", "zero")]
+                    assert count == tuple(summed)
+                    windows += 1
+    assert windows >= 4 * min(d + 1, 4)
+
+
 def test_every_sweep_cut_clears_both_spectra_by_each_endpoint_guard(pairs):
     # so no cut is ever ambiguous: the fold runs the endpoint guard of
     # spectral.positions at every cut, and no entry is near one
