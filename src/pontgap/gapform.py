@@ -195,8 +195,12 @@ def hilbert_gap_check(t, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Ga
     # (T - a)(T - b) has eigenvalues (w - a)(w - b), whose 2-norm is its
     # Frobenius norm
     wt = linalg.hermitian_eigenvalues(linalg.as_hermitian(t, tol)[0])
-    mu = (wt - a) * (wt - b)
-    band = tol.INERTIA_ZERO_SCALE * max(1.0, float(np.linalg.norm(mu)))
+    # an overflow is reported by the typed error below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = (wt - a) * (wt - b)
+    if not np.isfinite(mu).all():
+        raise ValidationError("(T - a)(T - b) overflows")
+    band = tol.INERTIA_ZERO_SCALE * max(1.0, linalg.frob(mu))
     inertia = Inertia.of_eigenvalues(mu, band)
     if inertia.minus == 0:
         return GapLocation.GAP_IN_RESOLVENT

@@ -22,7 +22,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _grouped
 
 __all__ = [
     "Inertia",
@@ -195,9 +195,16 @@ def validate_space(gram, tol: Tolerance = DEFAULT_TOL) -> IndefiniteSpace:
     overflows.
     """
     j, norm = linalg.as_hermitian(gram, tol)
-    eigen = _read_only(linalg.hermitian_eigen(j))
+    return _space_of(j, norm, linalg.hermitian_eigen(j))
+
+
+def _space_of(j: np.ndarray, norm: float, eigen: tuple) -> IndefiniteSpace:
+    """The rest of :func:`validate_space` for the symmetrized Gram ``j``,
+    given ``||J||_F`` and ``eigen``, the ``eigh`` of ``j``, which the
+    generator takes for many Grams at once."""
+    eigen = _read_only(eigen)
     w = eigen[0]
-    band = tol.INERTIA_ZERO_SCALE * max(1.0, norm)
+    band = Tolerance.INERTIA_ZERO_SCALE * max(1.0, norm)
     inertia = Inertia.of_eigenvalues(w, band)
     if inertia.zero:
         smallest = float(np.min(np.abs(w)))
@@ -218,14 +225,6 @@ def _read_only(arrays: tuple) -> tuple:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _grouped(keys) -> list[tuple]:
-    """Each distinct key, ascending, with the indices that have it."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return sorted(groups.items())
 
 
 def _inertias(items) -> list[Inertia]:

@@ -248,7 +248,7 @@ def _rank(s: np.ndarray, tol: Tolerance) -> int:
     """How many descending singular values ``s`` exceed the cutoff."""
     if s.size == 0:
         return 0
-    return int(np.sum(s > tol.singular_cutoff(float(s[0]))))
+    return int(np.count_nonzero(s > tol.singular_cutoff(float(s[0]))))
 
 
 def rank_tol(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -256,21 +256,28 @@ def rank_tol(m, tol: Tolerance = DEFAULT_TOL) -> int:
     return _rank(_singular_values(as_complex_matrix(m)), tol)
 
 
-def null_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the kernel, as columns.
+def null_space(m, tol: Tolerance = DEFAULT_TOL):
+    """Orthonormal basis of the kernel, as columns; of a stack of matrices
+    (a 3-D array), the list of each one's basis, from one stacked SVD.
 
     The same singular-value cutoff as :func:`rank_tol` decides which
     directions belong to the kernel, so ``rank + nullity == cols``
     holds by construction.
     """
-    m = as_complex_matrix(m)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if rows == 0:
-        return np.eye(cols, dtype=complex)
+    if np.ndim(m) != 3:
+        m = as_complex_matrix(m)
+    else:
+        m = np.asarray(m, dtype=complex)
+        if m.size and not np.all(np.isfinite(m)):
+            raise ValidationError("matrix entries must be finite")
+    rows, cols = m.shape[-2:]
+    if cols == 0 or rows == 0:
+        basis = np.eye(cols, dtype=complex) if cols else np.zeros((0, 0), dtype=complex)
+        return basis if m.ndim == 2 else [basis.copy() for _ in m]
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    return vh[_rank(s, tol):].conj().T
+    if m.ndim == 2:
+        return vh[_rank(s, tol):].conj().T
+    return [v[_rank(row, tol):].conj().T for row, v in zip(s, vh)]
 
 
 def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -282,29 +289,29 @@ def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         If the smallest singular value of ``m`` is below the cutoff;
         the error carries that value.
     """
-    return _solve(as_complex_matrix(m, square=True), b, tol)
-
-
-def _solve(m: np.ndarray, b, tol: Tolerance, s: np.ndarray | None = None) -> np.ndarray:
-    """:func:`solve` for a validated square complex ``m`` whose descending
-    singular values ``s`` may be given: a caller that solves with one
-    matrix many times takes them once.  The cutoff still reads ``tol``."""
+    m = as_complex_matrix(m, square=True)
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != m.shape[0]:
         raise DimensionMismatchError(
             f"right-hand side has {b.shape[0]} rows, matrix has {m.shape[0]}"
         )
-    if s is None:
-        s = _singular_values(m)
-    if _rank(s, tol) < m.shape[0]:
+    _check_invertible(_singular_values(m), tol)
+    if m.shape[0] == 0:
+        return np.zeros_like(b)
+    return np.linalg.solve(m, b)
+
+
+def _check_invertible(s: np.ndarray, tol: Tolerance) -> None:
+    """The cutoff test of a solve with a square matrix whose descending
+    singular values are ``s``: :class:`SingularMatrixError`, carrying the
+    smallest, where one lies at or below ``tol``'s cutoff.  A caller that
+    solves with one matrix many times takes ``s`` once."""
+    if _rank(s, tol) < len(s):
         smallest = float(s[-1])
         raise SingularMatrixError(
             f"matrix is singular to tolerance (sigma_min = {smallest:.3e})",
             smallest_singular_value=smallest,
         )
-    if m.shape[0] == 0:
-        return np.zeros_like(b)
-    return np.linalg.solve(m, b)
 
 
 def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -314,3 +321,32 @@ def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u[:, :_rank(s, tol)]
+
+
+def _grouped(keys) -> list[tuple]:
+    """Each distinct key, ascending, with the indices that have it."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return sorted(groups.items())
+
+
+def _stacked(solve, *columns) -> list:
+    """``solve`` of each row of ``columns``, equal-length lists of arrays,
+    in row order: the rows whose arrays have the same shapes in one call on
+    their stacks, a lone row on its arrays as they are.  A ``solve`` that
+    returns a tuple gives a tuple per row.  numpy's LAPACK gufuncs and
+    ``matmul`` run matrix by matrix, and elementwise operations value by
+    value, so a row of a stack gets the bits of its unstacked call (the
+    differential test ``test_batched_draws_equal_one_config_draws`` in
+    ``tests/test_gen.py`` checks this for every call of the generator)."""
+    rows = list(zip(*columns))
+    results = [None] * len(rows)
+    for _, members in _grouped([tuple(a.shape for a in row) for row in rows]):
+        if len(members) == 1:
+            results[members[0]] = solve(*rows[members[0]])
+            continue
+        out = solve(*(np.stack(column) for column in zip(*(rows[i] for i in members))))
+        for i, result in zip(members, zip(*out) if isinstance(out, tuple) else out):
+            results[i] = result
+    return results

@@ -57,12 +57,23 @@ def make_pair(
     op1: JSelfadjointOperator, op2: JSelfadjointOperator, tol: Tolerance = DEFAULT_TOL
 ) -> OperatorPair:
     """Bundle two operators on the identical space into a pair."""
-    if not op1.space.same_space(op2.space):
-        raise DimensionMismatchError(
-            "operators must live on the identical space (same Gram matrix)"
-        )
-    agreement = Subspace(linalg.null_space(op1.matrix - op2.matrix, tol))
-    return OperatorPair(op1=op1, op2=op2, agreement=agreement)
+    return _made_pairs([op1], [op2], tol)[0]
+
+
+def _made_pairs(ops1, ops2, tol: Tolerance) -> list[OperatorPair]:
+    """:func:`make_pair` of each ``(op1, op2)`` of ``ops1`` and ``ops2``:
+    the kernels of the differences of one order from one stacked SVD."""
+    for op1, op2 in zip(ops1, ops2):
+        if not op1.space.same_space(op2.space):
+            raise DimensionMismatchError(
+                "operators must live on the identical space (same Gram matrix)"
+            )
+    kernels = linalg._stacked(
+        lambda m: linalg.null_space(m, tol),
+        [op1.matrix - op2.matrix for op1, op2 in zip(ops1, ops2)],
+    )
+    return [OperatorPair(op1=op1, op2=op2, agreement=Subspace(basis))
+            for op1, op2, basis in zip(ops1, ops2, kernels)]
 
 
 def _check_admissible(pair: OperatorPair, point: complex):

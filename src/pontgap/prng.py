@@ -7,10 +7,11 @@ Both algorithms are pinned by reference output vectors in the tests.
 
 Matrix draws take all their normals in one call,
 :meth:`Xoshiro256StarStar.complex_normals`, which returns the very bytes
-that as many :meth:`~Xoshiro256StarStar.complex_normal` calls would.
-Only the state recurrence is sequential; it records the state word s1
-at every step, and the ``**`` scrambler, a function of s1 alone, then
-runs over the whole block in numpy.  That is exact: numpy ``uint64``
+that as many :meth:`~Xoshiro256StarStar.complex_normal` calls would, or
+:func:`complex_normal_blocks` for several streams at once.  Only the state
+recurrence is sequential; it records the state word s1 at every step, and
+the ``**`` scrambler, a function of s1 alone, then runs over the whole
+block, of one stream or of several, in numpy.  That is exact: numpy ``uint64``
 products and shifts wrap modulo 2**64 like the masked Python integers,
 and integers below 2**53 convert to doubles exactly.  ``np.sqrt`` and
 products of doubles are correctly rounded IEEE operations, so they give
@@ -275,47 +276,71 @@ class Xoshiro256StarStar:
         The values, and the stream's state and spare normal afterwards,
         are those of ``count`` calls of :meth:`complex_normal`: ``count``
         Box-Muller pairs take two words each, and a spare pending before
-        the call is the first normal used.  Each intermediate vector is
-        dropped once read, so a draw holds a few vectors at a time.
+        the call is the first normal used.  The one-stream case of
+        :func:`complex_normal_blocks`.
         """
-        words = np.empty(2 * count, dtype=np.uint64)
-        (_walk if len(words) < _LANE_MIN_WORDS else _lane_walk)(self._s, words)
-        # the ** scrambler, rotl(5 s1, 7) * 9 modulo 2**64, then the top 53 bits
-        words *= _U64[5]
-        bits = words << _U64[7]
-        words >>= _U64[57]
-        bits |= words
-        del words
-        bits *= _U64[9]
-        bits >>= _U64[11]
-        # per pair (u1, u2), with u1 in (0, 1] so the logarithm is finite;
-        # memoryviews hand math one Python float at a time, never a list
-        units = bits.astype(np.float64)
-        del bits
-        units[0::2] += 1.0
-        units *= 2.0**-53
-        r = np.fromiter(map(math.log, memoryview(units[0::2])), np.float64, count)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        angles = (2.0 * math.pi) * units[1::2]
-        del units
-        cos = np.fromiter(map(math.cos, memoryview(angles)), np.float64, count)
-        sin = np.fromiter(map(math.sin, memoryview(angles)), np.float64, count)
-        del angles
-        cos *= r
-        sin *= r
-        del r
-        # the normals run cos_1, sin_1, cos_2, ...; a pending spare goes first
-        if self._spare_normal is None:
-            re, im = cos, sin
-        else:
-            re, im = np.concatenate(([self._spare_normal], sin)), cos
-            self._spare_normal = float(re[-1])
-            re = re[:-1]
-        quotients = np.empty(count, dtype=np.complex128)
-        quotients.real, quotients.imag = _over_root2(re, im)
-        return quotients
+        return complex_normal_blocks([self], [count])[0]
 
     def sign(self) -> int:
         """Uniform on {-1, +1}."""
         return 1 if (self.next_u64() >> 63) == 0 else -1
+
+
+def complex_normal_blocks(streams, counts) -> list[np.ndarray]:
+    """Each stream's :meth:`~Xoshiro256StarStar.complex_normals` of its
+    count, in order: the same values, states and spare normals.
+
+    Each stream walks its own words into one block; the scrambler and the
+    Box-Muller transform then run once over the words of all streams, so
+    numpy's cost per call is paid once, not once per stream.  Box-Muller
+    pairs never straddle two streams, since each takes an even number of
+    words.  Each intermediate vector is dropped once read, so a draw holds
+    a few vectors at a time; the blocks are views of one vector.
+    """
+    counts = list(counts)
+    total = sum(counts)
+    words = np.empty(2 * total, dtype=np.uint64)
+    at = 0
+    for rng, count in zip(streams, counts):
+        block = words[at : at + 2 * count]
+        (_walk if len(block) < _LANE_MIN_WORDS else _lane_walk)(rng._s, block)
+        at += 2 * count
+    # the ** scrambler, rotl(5 s1, 7) * 9 modulo 2**64, then the top 53 bits
+    words *= _U64[5]
+    bits = words << _U64[7]
+    words >>= _U64[57]
+    bits |= words
+    del words
+    bits *= _U64[9]
+    bits >>= _U64[11]
+    # per pair (u1, u2), with u1 in (0, 1] so the logarithm is finite;
+    # memoryviews hand math one Python float at a time, never a list
+    units = bits.astype(np.float64)
+    del bits
+    units[0::2] += 1.0
+    units *= 2.0**-53
+    r = np.fromiter(map(math.log, memoryview(units[0::2])), np.float64, total)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angles = (2.0 * math.pi) * units[1::2]
+    del units
+    cos = np.fromiter(map(math.cos, memoryview(angles)), np.float64, total)
+    sin = np.fromiter(map(math.sin, memoryview(angles)), np.float64, total)
+    del angles
+    cos *= r
+    sin *= r
+    del r
+    # each stream's normals run cos_1, sin_1, cos_2, ...; where a spare is
+    # pending, it goes first, and the stream's last sine is its new spare
+    re, im = cos, sin
+    ends = np.cumsum([0] + counts).tolist()
+    spared = [(rng, a, b) for rng, a, b in zip(streams, ends, ends[1:])
+              if rng._spare_normal is not None and b > a]
+    if spared:
+        re, im = cos.copy(), sin.copy()
+        for rng, a, b in spared:
+            re[a], re[a + 1 : b], im[a:b] = rng._spare_normal, sin[a : b - 1], cos[a:b]
+            rng._spare_normal = float(sin[b - 1])
+    quotients = np.empty(total, dtype=np.complex128)
+    quotients.real, quotients.imag = _over_root2(re, im)
+    return [quotients[a:b] for a, b in zip(ends, ends[1:])]

@@ -91,12 +91,11 @@ from .indefinite import (
     IndefiniteSpace,
     Inertia,
     Subspace,
-    _grouped,
     _inertias,
     subspace_inertia,
     validate_space,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _grouped
 
 __all__ = [
     "Interval",
@@ -266,7 +265,8 @@ class JSelfadjointOperator:
     def raw_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of ``matrix``, unclustered: those of the shared ``eig``
         call if :meth:`share_eig` made it first, else of one ``eigvals`` call."""
-        return self._cached(("eigen",), _eigenvalues, self.matrix)[0]
+        eigen = self._memo.get(("eigen",))
+        return _take_eigenvalues([self])[0] if eigen is None else eigen[0]
 
     def share_eig(self) -> None:
         """Memoize the eigendecomposition of one ``eig`` call, the raw
@@ -281,11 +281,18 @@ class JSelfadjointOperator:
         self._store(("eigen",), (values, vectors))
 
 
-def _eigenvalues(matrix) -> tuple[np.ndarray, None]:
-    """The read-only values of one ``eigvals`` call, and no eigenvectors."""
-    values = _geev(np.linalg.eigvals, matrix)
-    values.setflags(write=False)
-    return values, None
+def _take_eigenvalues(ops) -> list[np.ndarray]:
+    """The raw eigenvalues of each of ``ops``, distinct operators with none
+    memoized, read-only and without eigenvectors, which each memoizes (or
+    the values another thread stored first): one ``eigvals`` call per
+    order, stacked (see :func:`linalg._stacked`), so each operator gets
+    the bits of its unstacked call."""
+    solved = linalg._stacked(
+        lambda a: _geev(np.linalg.eigvals, a), [op.matrix for op in ops]
+    )
+    for values in solved:
+        values.setflags(write=False)
+    return [op._store(("eigen",), (values, None))[0] for op, values in zip(ops, solved)]
 
 
 def _geev(solve, a):

@@ -11,6 +11,13 @@ such, and each window between adjacent cuts is a difference of running
 sums, of the spectral table's rows, or, where the space has no negative
 squares, of the certified multiplicities of the real eigenvalues.
 
+A share draws its pairs in batches of at most ``SWEEP_BATCH_ENTRIES``
+matrix entries, each by one call of each generator: the spaces and A1s
+of the batch's new (d, kappa, seed) groups, then its pairs (see
+:mod:`pontgap.gen`), whose stacked LAPACK calls save numpy's per-call
+overhead on small matrices and give each pair the bits of its one-cell
+draw.
+
 The sweep spreads its grid over the CPUs of the affinity mask: W shares
 of (d, kappa, seed) groups, one per CPU up to the number of groups, each
 other than this process's in a forked child.  Where a share has CPUs to
@@ -29,9 +36,10 @@ before any table thread starts, and joins every table thread before a
 share ends.  One spectral call, :func:`~pontgap.spectral.prepare`,
 prepares an operator wherever it runs, so the output bytes never depend
 on the number of CPUs.  Batches and table threads are only a head start:
-what they fail to prepare, a count builds alone, to the same bits, so a
-share raises only while it draws or counts, in its cells' order; a failed
-share or worker reruns the whole grid in this process.
+what they fail to prepare, a count builds alone, to the same bits, and a
+batch that fails to draw is drawn again one cell at a time, so a share
+raises only while it draws or counts, in its cells' order; a failed share
+or worker reruns the whole grid in this process.
 """
 
 from __future__ import annotations
@@ -54,11 +62,12 @@ __all__ = ["CSV_HEADER", "pair_record", "sweep_grid"]
 
 CSV_HEADER = "d,kplus,kminus,n,lower,upper,eig1,eig2,sig1,sig2,slack"
 
-#: Most matrix entries, 2 d**2 per pair, that a share collects before it
-#: builds the collected pairs' spectral tables in one batch and writes their
-#: rows.  Stacked LAPACK calls save per-call overhead on small matrices, and
-#: the bound keeps the stacked copies small: the default grid, 3,480
-#: entries, is one batch, and a pair of order 46 or more is a batch alone.
+#: Most matrix entries, 2 d**2 per pair, of a batch: the pairs a share
+#: draws together, then builds the spectral tables of in one go before it
+#: writes their rows.  Stacked LAPACK calls save per-call overhead on small
+#: matrices, and the bound keeps the stacked copies small: the default grid,
+#: 3,480 entries, is one batch, and a pair of order 46 or more is a batch
+#: alone.
 SWEEP_BATCH_ENTRIES = 4096
 
 #: Least order of an operator whose spectral table a share builds in a
@@ -198,62 +207,94 @@ def _sweep_share(cells, tol: Tolerance, cpus=()) -> list:
     """Each of ``cells``' :func:`_pair_result`, in their order.
 
     The pairs go in batches of at most ``SWEEP_BATCH_ENTRIES`` matrix
-    entries, whose operators get their head start together (see
-    :func:`_head_start`) before any is counted, and the next pair is drawn
-    before the last batch is counted.  Each drawn operator of order
-    ``TABLE_THREAD_MIN_DIM`` or more goes to a thread on a free CPU of
-    ``cpus`` (see :class:`_TableThreads`); where no CPU is free, it is
-    prepared with its batch.  An error raises while a pair is drawn or
-    counted, after those of the pairs drawn before it, and no table thread
-    outlives the call.
+    entries.  A batch is drawn by one generator call each for its new
+    spaces, its new A1s and its pairs (see :func:`_drawn`); its operators
+    get their head start together (see :func:`_head_start`) before any is
+    counted, and the next batch is drawn before the last is counted.  Each
+    drawn operator of order ``TABLE_THREAD_MIN_DIM`` or more goes to a
+    thread on a free CPU of ``cpus`` (see :class:`_TableThreads`); where no
+    CPU is free, it is prepared with its batch.  A batch draw that raises
+    is a head start too: the batch is drawn again one cell at a time, so an
+    error raises while a pair is drawn or counted, after those of the pairs
+    drawn before it, and no table thread outlives the call.
     """
     tables = _TableThreads(cpus, tol)
-
     # J and A1 depend on (d, kappa, seed), not on the rank: a group's A1
     # (which holds its J) is drawn at its first cell and kept until its
     # last, so each is drawn once in any order, and in grid order, which
     # runs a (d, kappa)'s ranks over the same seeds, at most as many are
     # kept as there are seeds
     remaining = collections.Counter((d, kappa, seed) for d, kappa, _, seed in cells)
-    drawn = {}
-
-    def first(d, kappa, seed):
-        group = (d, kappa, seed)
-        if group not in drawn:
-            cfg = GenConfig(dim=d, kappa_minus=kappa, seed=seed)
-            drawn[group] = tables.send(random_operator(random_space(cfg, tol), cfg, tol))
-        remaining[group] -= 1
-        return drawn[group] if remaining[group] else drawn.pop(group)
-
-    results, batch, entries = [], [], 0
+    a1s = {}
+    results, last = [], []
     try:
-        for d, kappa, rank, seed in cells:
+        for batch in _batches(cells):
+            drawn = []
             try:
-                cfg = GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
-                pair = random_pair(first(d, kappa, seed), cfg, tol)
+                try:
+                    drawn = _drawn(batch, a1s, remaining, tables, tol)
+                except Exception:
+                    if len(batch) == 1:
+                        raise
+                    for cell in batch:
+                        drawn += _drawn([cell], a1s, remaining, tables, tol)
             except Exception:
-                # the pairs drawn before this one raise their errors first
-                _counted(batch, tables, tol)
+                # the pairs drawn before the failure raise their errors first
+                _counted(last + drawn, tables, tol)
                 raise
-            if pair.op2 is not pair.op1:
-                tables.send(pair.op2)
-            # the pair is drawn before the last batch is counted, so that
+            # the batch is drawn before the last one is counted, so that
             # table threads run meanwhile
-            if batch and entries + 2 * d * d > SWEEP_BATCH_ENTRIES:
-                results += _counted(batch, tables, tol)
-                batch, entries = [], 0
-            batch.append((cfg, pair))
-            entries += 2 * d * d
-        if batch:
-            results += _counted(batch, tables, tol)
+            results += _counted(last, tables, tol)
+            last = drawn
+        results += _counted(last, tables, tol)
         return results
     finally:
         tables.join()
 
 
+def _batches(cells):
+    """``cells`` in runs of at most ``SWEEP_BATCH_ENTRIES`` matrix entries,
+    2 d**2 per pair; a pair larger than that is a run alone."""
+    batch, entries = [], 0
+    for cell in cells:
+        if batch and entries + 2 * cell[0] ** 2 > SWEEP_BATCH_ENTRIES:
+            yield batch
+            batch, entries = [], 0
+        batch.append(cell)
+        entries += 2 * cell[0] ** 2
+    if batch:
+        yield batch
+
+
+def _drawn(batch, a1s: dict, remaining, tables: _TableThreads, tol: Tolerance) -> list:
+    """``(cfg, pair)`` of each of ``batch``'s cells: one draw call for the
+    spaces of the groups without an A1 in ``a1s``, one for their A1s, which
+    go to table threads before the pairs are drawn, and one for the pairs.
+    ``a1s`` keeps each group's A1 until ``remaining`` counts no cell of it
+    left."""
+    cfgs = [GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
+            for d, kappa, rank, seed in batch]
+    groups = [(d, kappa, seed) for d, kappa, _, seed in batch]
+    new = [GenConfig(dim=d, kappa_minus=kappa, seed=seed)
+           for d, kappa, seed in dict.fromkeys(g for g in groups if g not in a1s)]
+    if new:
+        for cfg, a1 in zip(new, random_operator(random_space(new, tol), new, tol)):
+            a1s[(cfg.dim, cfg.kappa_minus, cfg.seed)] = tables.send(a1)
+    pairs = random_pair([a1s[g] for g in groups], cfgs, tol)
+    for group, pair in zip(groups, pairs):
+        if pair.op2 is not pair.op1:
+            tables.send(pair.op2)
+        remaining[group] -= 1
+        if not remaining[group]:
+            del a1s[group]
+    return list(zip(cfgs, pairs))
+
+
 def _counted(batch, tables: _TableThreads, tol: Tolerance) -> list:
     """Each of ``batch``'s pairs' :func:`_pair_result`, once its operators
     have their head start."""
+    if not batch:
+        return []
     tables.build([op for _, pair in batch for op in (pair.op1, pair.op2)])
     return [_pair_result(cfg, pair, tol) for cfg, pair in batch]
 

@@ -29,6 +29,7 @@ from pontgap.linalg import DEFAULT_TOL
 from pontgap.spectral import Interval
 from pontgap.sweep import CSV_HEADER
 from pontgap.theorem import sweep_windows
+from test_sweep import _batches, _count_table_batches
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -512,72 +513,6 @@ def _count_processes(monkeypatch, path):
     return runs
 
 
-def _count_table_batches(monkeypatch, log):
-    """Log the distinct operators of each ``prepare`` call that ``sweep``
-    makes off its table threads, by process; ``_batches`` reads them back."""
-    prepare = pontgap.sweep.prepare
-
-    def counted(ops, tol):
-        if threading.current_thread() is threading.main_thread():
-            helpers.log(log, len(set(ops)))
-        return prepare(ops, tol)
-
-    monkeypatch.setattr(pontgap.sweep, "prepare", counted)
-
-
-def _batches(log):
-    """This process's batch sizes, then each worker's."""
-    by_process = {pid: [int(n) for n in sizes] for pid, sizes in helpers.logged(log).items()}
-    return [by_process.pop(os.getpid(), [])] + sorted(by_process.values())
-
-
-def test_sweep_builds_the_default_grid_in_one_batch(capsys, tmp_path, monkeypatch):
-    helpers.pin_cpus(monkeypatch, 1)
-    _count_table_batches(monkeypatch, tmp_path / "batches.log")
-    code, _, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
-    assert code == 0
-    # 60 A1s, and an A2 for each of the 120 pairs of rank 1 or 2
-    assert _batches(tmp_path / "batches.log") == [[180]]
-
-
-def test_sweep_on_two_cpus_builds_one_batch_per_worker(capsys, tmp_path, monkeypatch):
-    helpers.pin_cpus(monkeypatch, 2)
-    _count_table_batches(monkeypatch, tmp_path / "batches.log")
-    code, _, _ = _run(capsys, "sweep", "--out", str(tmp_path / "default.csv"))
-    assert code == 0
-    # each worker has every other seed: 30 A1s and 60 A2s
-    assert _batches(tmp_path / "batches.log") == [[90], [90]]
-
-
-def test_sweep_batches_at_most_its_budget_of_entries(capsys, tmp_path, monkeypatch):
-    # a d = 64 pair holds 2 * 64**2 = 8192 entries, more than the budget
-    assert 2 * 64**2 > pontgap.sweep.SWEEP_BATCH_ENTRIES >= 2 * 45**2
-    helpers.pin_cpus(monkeypatch, 1)
-    _count_table_batches(monkeypatch, tmp_path / "batches.log")
-    code, out, _ = _run(capsys, "sweep", "--dims", "64", "--seeds", "3",
-                        "--out", str(tmp_path / "d64.csv"))
-    assert code == 0
-    [batches] = _batches(tmp_path / "batches.log")
-    assert json.loads(out)["instances"] == len(batches) == 18
-    # one operator for each rank-0 pair, whose A2 is its A1
-    assert batches == [1, 1, 1, 2, 2, 2, 2, 2, 2] * 2
-
-
-def test_sweep_on_two_cpus_batches_each_workers_pairs_alone(capsys, tmp_path, monkeypatch):
-    helpers.pin_cpus(monkeypatch, 2)
-    _count_table_batches(monkeypatch, tmp_path / "batches.log")
-    code, out, _ = _run(capsys, "sweep", "--dims", "64", "--seeds", "3",
-                        "--out", str(tmp_path / "d64.csv"))
-    assert code == 0
-    assert json.loads(out)["instances"] == 18
-    # the (kappa, seed) groups 0-5 alternate between the workers: this
-    # process has (0, 0), (0, 2) and (1, 1), the child (0, 1), (1, 0), (1, 2)
-    assert _batches(tmp_path / "batches.log") == [
-        [1, 1, 2, 2, 2, 2, 1, 2, 2],
-        [1, 2, 2, 1, 1, 2, 2, 2, 2],
-    ]
-
-
 _GRIDS = {
     "default": (),
     # repeated and unsorted values, as in
@@ -790,12 +725,13 @@ def _inject_table_failure(monkeypatch, d, kappa, rank, seed):
 
 
 def _inject_generation_failure(monkeypatch, d, kappa, rank, seed):
-    """Drawing that pair fails."""
+    """Drawing that pair fails, alone or with others in one call."""
     real = pontgap.sweep.random_pair
 
     def failing(first, cfg, tol):
-        if (cfg.dim, cfg.kappa_minus, cfg.pert_rank, cfg.seed) == (d, kappa, rank, seed):
-            raise ResampleBudgetError("injected generation failure")
+        for each in [cfg] if isinstance(cfg, GenConfig) else cfg:
+            if (each.dim, each.kappa_minus, each.pert_rank, each.seed) == (d, kappa, rank, seed):
+                raise ResampleBudgetError("injected generation failure")
         return real(first, cfg, tol)
 
     monkeypatch.setattr(pontgap.sweep, "random_pair", failing)

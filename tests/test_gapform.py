@@ -313,6 +313,19 @@ def test_hilbert_gap_check_rejects_bad_interval():
             hilbert_gap_check(t, a, b)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hilbert_gap_check_reports_an_overflow_and_warns_of_none():
+    # (w - a)(w - b) overflows at w = 1e160: the band would be inf, every
+    # value would count as zero, and 0.5 inside (0, 1) would go unseen
+    with pytest.raises(ValidationError) as caught:
+        hilbert_gap_check(np.diag([-1e160, 0.5, 1e160]), 0.0, 1.0)
+    assert str(caught.value) == "(T - a)(T - b) overflows"
+    # at w = 1e150 the values are finite but the sum of their squares is
+    # not: the band's norm is taken without a numpy warning
+    assert isinstance(hilbert_gap_check(np.diag([-1e150, 0.5, 1e150]), 0.0, 1.0),
+                      GapLocation)
+
+
 @given(dims, seeds)
 def test_hilbert_gap_check_agrees_with_spectrum(d, seed):
     rng = np.random.default_rng(seed)

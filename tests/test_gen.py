@@ -109,6 +109,102 @@ def test_random_pair_from_a1_equals_pair_from_space(d, kappa, n, seed):
     assert from_a1.n == from_space.n == n
 
 
+def _bits(a):
+    """What must match for two arrays to be the same to every later call."""
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.strides, a.tobytes()
+
+
+def _drawn_bits(pair):
+    """The bits of everything a draw leaves on a pair: the Gram and its kept
+    eigh, the inertia, both operators' matrices, norms and memoized raw
+    eigenvalues, and the agreement basis with n."""
+    space = pair.space
+    found = [_bits(space.gram), *map(_bits, space._eigen),
+             space.kappa_plus, space.kappa_minus, space.norm]
+    for op in (pair.op1, pair.op2):
+        found += [_bits(op.matrix), op.norm, _bits(op._memo[("eigen",)][0])]
+    return found + [_bits(pair.agreement.basis), pair.n]
+
+
+def _by_content(a, residues):
+    """A verdict of the bytes of ``a`` alone: the same for the same draw,
+    however it was drawn."""
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).digest()[0] % residues == 0
+
+
+def _force_resamples(monkeypatch):
+    """Reject about a third of all margin checks, and give about a quarter
+    of all A2 draws one rank too few (the perturbation without its last
+    vector), each chosen by the drawn bytes; log each forced rejection."""
+    forced = []
+    margins_ok, signed_outer = gen._margins_ok, gen._signed_outer
+
+    def rejecting(values):
+        if _by_content(values, 3):
+            forced.append("margins")
+            return False
+        return margins_ok(values)
+
+    def short(v, signs):
+        full, fewer = signed_outer(v, signs), signed_outer(v[..., :-1], signs[..., :-1])
+        chosen = [_by_content(each, 4) for each in v.reshape(-1, *v.shape[-2:])]
+        forced.extend(["rank"] * sum(chosen))
+        if v.ndim == 2:
+            return fewer if chosen[0] else full
+        return np.where(np.array(chosen)[:, None, None], fewer, full)
+
+    monkeypatch.setattr(gen, "_margins_ok", rejecting)
+    monkeypatch.setattr(gen, "_signed_outer", short)
+    return forced
+
+
+@pytest.mark.parametrize("resampled, seeds", [(False, (4, 31)), (True, (7,))],
+                         ids=["first-draws", "resampled"])
+def test_batched_draws_equal_one_config_draws(monkeypatch, resampled, seeds):
+    # the whole grid in one call of each generator, orders 1-20 mixed, as
+    # the sweep draws a batch, against one config per call; half the pairs
+    # draw their A1 inside random_pair.  No seed in 0-2999 at d <= 12
+    # resamples at the default margins, so the resampled case forces it
+    forced = _force_resamples(monkeypatch) if resampled else []
+    cells = [(d, kappa, rank, seed) for seed in seeds for d in range(1, 21)
+             for kappa in range(d + 1) for rank in range(min(d, 3) + 1)]
+    groups = list(dict.fromkeys((d, kappa, seed) for d, kappa, _, seed in cells))
+    group_cfgs = [GenConfig(dim=d, kappa_minus=kappa, seed=seed) for d, kappa, seed in groups]
+    cfgs = [GenConfig(dim=d, kappa_minus=kappa, pert_rank=rank, seed=seed)
+            for d, kappa, rank, seed in cells]
+    spaces = dict(zip(groups, random_space(group_cfgs)))
+    a1s = dict(zip(groups, random_operator([spaces[g] for g in groups], group_cfgs)))
+    a1_forced = len(forced)
+    firsts = [(spaces if i % 2 else a1s)[(cfg.dim, cfg.kappa_minus, cfg.seed)]
+              for i, cfg in enumerate(cfgs)]
+    batched = random_pair(firsts, cfgs)
+    # the batched draws rejected first draws of A1, and of A2 both ways
+    assert (a1_forced > 0, set(forced[a1_forced:])) == (
+        (True, {"margins", "rank"}) if resampled else (False, set()))
+    alone = {}
+    for i, (cfg, pair) in enumerate(zip(cfgs, batched)):
+        group = (cfg.dim, cfg.kappa_minus, cfg.seed)
+        if group not in alone:
+            group_cfg = GenConfig(dim=cfg.dim, kappa_minus=cfg.kappa_minus, seed=cfg.seed)
+            space = random_space(group_cfg)
+            alone[group] = space, random_operator(space, group_cfg)
+        space, op1 = alone[group]
+        assert _drawn_bits(pair) == _drawn_bits(random_pair(space if i % 2 else op1, cfg)), cfg
+        assert pair.n == cfg.pert_rank
+
+
+def test_batched_draws_take_sequences_of_one_length():
+    cfgs = [GenConfig(dim=3, kappa_minus=1, pert_rank=1, seed=seed) for seed in (2, 3)]
+    spaces = random_space(cfgs)
+    assert [random_space([]), random_operator([], []), random_pair([], [])] == [[], [], []]
+    with pytest.raises(ValidationError) as caught:
+        random_operator(spaces[:1], cfgs)
+    assert str(caught.value) == "2 configs for 1 spaces or operators"
+    with pytest.raises(ValidationError):
+        random_pair(spaces, cfgs[:1])
+
+
 def test_random_pair_rejects_a1_of_another_dimension():
     cfg = GenConfig(dim=3, kappa_minus=1, seed=2)
     op1 = random_operator(random_space(cfg), cfg)
